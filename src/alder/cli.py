@@ -10,10 +10,12 @@ Subcommands
 Reports are JSON lines by default, one object per cell with the fixed
 field order  v, cmd, params, status, value, witness  and counts encoded
 as decimal strings; a final summary object carries the status tallies.
-Output is byte-stable for a fixed invocation regardless of --jobs, so
-reports can be diffed across runs; wall-clock timing goes to stderr
-only.  CSV is a flat projection for spreadsheets, and the human format
-is for reading at the terminal.
+Output is byte-stable for a fixed invocation, so reports can be diffed
+across runs; wall-clock timing goes to stderr only.  --jobs K fans the
+cells of ``inject`` out over up to K worker processes (the report is
+byte-identical at any K); the other commands run in one process.  CSV
+is a flat projection for spreadsheets, and the human format is for
+reading at the terminal.
 
 Exit codes: 0 when every in-hypothesis assertion holds, 1 when at least
 one fails (a falsification candidate), 2 on usage errors.
@@ -110,9 +112,6 @@ def _report_records(report: VerificationReport) -> tuple[list[dict], dict]:
 
 # ---------------------------------------------------------------- count
 
-_COUNT_KINDS = frozenset({"q", "Q", "Qm", "Qmm", "delta", "delta_m",
-                          "delta_mm", "g", "l", "rho"})
-
 _COUNT_FNS = {
     "q": q_count, "Q": big_q, "Qm": big_q_minus, "Qmm": big_q_minus_minus,
     "delta": delta, "delta_m": delta_minus, "delta_mm": delta_minus_minus,
@@ -121,10 +120,6 @@ _COUNT_FNS = {
 
 def cmd_count(args, out) -> int:
     kind = args.kind.replace("-", "_")
-    if kind not in _COUNT_KINDS:
-        raise UsageError(f"unknown count kind {args.kind!r}")
-    n_values = parse_range(args.n)
-
     if kind == "rho":
         if args.set == "T":
             if args.s is None or args.d is None:
@@ -145,12 +140,15 @@ def cmd_count(args, out) -> int:
         fn = (lambda n: g_script(args.d, n)) if kind == "g" else \
              (lambda n: l_script(args.d, n))
         params_base = {"kind": kind, "d": args.d}
-    else:
+    elif kind in _COUNT_FNS:
         if args.a is None or args.d is None:
             raise UsageError(f"kind {kind} needs --a and --d")
         fn = lambda n: _COUNT_FNS[kind](args.a, args.d, n)
         params_base = {"kind": kind, "a": args.a, "d": args.d}
+    else:
+        raise UsageError(f"unknown count kind {args.kind!r}")
 
+    n_values = parse_range(args.n)
     records = [_record_obj("count", {**params_base, "n": n}, "ok", fn(n), None)
                for n in n_values]
     _emit(records, {"cmd": "count", "cells": len(records), "ok": len(records)},
@@ -200,19 +198,19 @@ def cmd_verify(args, out) -> int:
         args.n_max = _default_n_max(args)
     if theorem == "shift":
         report = inequalities.verify_shift_range(
-            _grid_from_args(args, need_N=True), jobs=args.jobs)
+            _grid_from_args(args, need_N=True))
     elif theorem == "littlelemon":
         args.N = "4"
         report = inequalities.verify_shift_range(
-            _grid_from_args(args, need_N=True), jobs=args.jobs)
+            _grid_from_args(args, need_N=True))
     elif theorem == "gen-kp":
         report = inequalities.verify_gen_kp(
             _single(args, "a"), _single(args, "d"), args.n_max,
-            evaluate_out=args.force, jobs=args.jobs)
+            evaluate_out=args.force)
     elif theorem == "gen-dkst":
         report = inequalities.verify_gen_dkst(
             _single(args, "a"), _single(args, "d"), args.n_max,
-            evaluate_out=args.force, jobs=args.jobs)
+            evaluate_out=args.force)
     elif theorem == "anchors":
         report = inequalities.verify_smalln_anchors(
             _single(args, "d"), _single(args, "N"), evaluate_out=args.force)
@@ -220,14 +218,12 @@ def cmd_verify(args, out) -> int:
         report = inequalities.xy_difference_report(
             _single(args, "d"), _single(args, "N"))
     elif theorem == "ceiling":
-        report = inequalities.verify_ceiling(
-            _grid_from_args(args, need_a=True), jobs=args.jobs)
+        report = inequalities.verify_ceiling(_grid_from_args(args, need_a=True))
     elif theorem == "a-to-1":
-        report = inequalities.verify_a_to_1(
-            _grid_from_args(args, need_a=True), jobs=args.jobs)
+        report = inequalities.verify_a_to_1(_grid_from_args(args, need_a=True))
     elif theorem == "modified-st":
         report = inequalities.verify_modified_st(
-            _single(args, "a"), _single(args, "d"), args.n_max, jobs=args.jobs)
+            _single(args, "a"), _single(args, "d"), args.n_max)
     elif theorem == "t-monotone":
         report = inequalities.verify_t_monotone(_single(args, "d"), args.n_max)
     else:
@@ -288,7 +284,7 @@ def cmd_search(args, out) -> int:
         raise UsageError(f"unknown search kind {args.kind!r}")
     spec = _grid_from_args(args, need_N=(kind == "shift"),
                            need_a=(kind != "shift"))
-    report = inequalities.search_counterexamples(kind, spec, jobs=args.jobs)
+    report = inequalities.search_counterexamples(kind, spec)
     records, summary = _report_records(report)
     summary["violations"] = summary.pop("violation", 0)
     _emit(records, summary, args.format, out)
@@ -306,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv", "human"), default="json")
-        p.add_argument("--jobs", type=int, default=1, metavar="K")
+        p.add_argument("--jobs", type=int, default=1, metavar="K",
+                       help="worker processes for inject cells (default 1)")
         p.add_argument("--cache", metavar="DIR", default=None)
         p.add_argument("--out", metavar="FILE", default=None)
         p.add_argument("--force", action="store_true",
@@ -365,6 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     buffer = io.StringIO()
     try:
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         code = _DISPATCH[args.command](args, buffer)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

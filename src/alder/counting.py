@@ -137,15 +137,6 @@ def _gap_table(a: int, d: int, n: int) -> CountTable:
     return _table("gap", (a, d), f"q.a{a}.d{d}", n)
 
 
-def warm_up(part_sets: list[ResidueClassSet], gap_families: list[tuple[int, int]],
-            horizon: int) -> None:
-    """Build all tables a grid run will read, before any workers fan out."""
-    for A in part_sets:
-        _part_table(A, horizon)
-    for a, d in gap_families:
-        _gap_table(a, d, horizon)
-
-
 def rho(A: ResidueClassSet, n: int) -> int:
     """Number of partitions of n with all parts in A (rho(A, 0) = 1)."""
     if n < 0:

@@ -34,6 +34,12 @@ The statements verified:
 
 Also here: counterexample search (negative delta scans) and the plain
 element-domination comparison behind the classical set-inclusion bound.
+
+The n-indexed statements (shift, gen-kp, gen-dkst, ceiling, a-to-1,
+modified-st, the Andrews bound) and both searches are declarations over
+one row evaluator, ``_row``: an lhs count and an rhs count per n, a
+hypothesis predicate and an optional exempt cell.  All run in one
+process; each table a row reads is built once, at the row's horizon.
 """
 
 from __future__ import annotations
@@ -41,17 +47,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import counting
-from .counting import (big_q_minus, delta, delta_minus, delta_minus_minus,
+from .counting import (big_q, big_q_minus, big_q_minus_minus,
                        largest_part_counts, q_count, rho)
-from .parallel import parallel_map
-from .partset import ResidueClassSet, pm_set, r_of, s_set, t_set, x_closed, y_closed
+from .partset import (ResidueClassSet, pm_set, r_of, s_set, shift_regime,
+                      t_set, x_closed, y_closed)
 
 HOLDS = "holds"
 FAILS = "fails"
 OUT = "out-of-hypothesis"
 EXEMPT = "exempt"
 SKIPPED = "skipped"
+VIOLATION = "violation"
 
 #: default grid horizons: deep enough to be convincing, minutes at desk scale
 DEFAULT_N_MAX_A1 = 2000
@@ -140,8 +146,48 @@ def n_hat(a: int, n: int) -> int:
     return (-n) % a
 
 
-def shift_in_hypothesis(d: int, N: int, n: int) -> bool:
-    return N >= 2 and d >= max(63, 46 * N - 79) and n >= d + 2
+def _row(report: VerificationReport, base: dict, n_values, lhs, rhs,
+         names: tuple[str, str] | None = None, hyp=None, exempt: int | None = None,
+         evaluate_out: bool = False, equal: bool = False,
+         violations_only: bool = False) -> None:
+    """Append one grid row's records: ``lhs(n)`` against ``rhs(n)`` per n.
+
+    ``lhs(n) >= rhs(n)`` (``==`` if ``equal``) is asserted where ``hyp(n)``
+    holds (everywhere if ``hyp`` is None), except at ``n == exempt``; other
+    cells are evaluated only if ``evaluate_out``.  The value is lhs - rhs,
+    and a failing cell's witness is ``{names[0]: lhs, names[1]: rhs}``.
+    With ``violations_only`` just the cells with lhs < rhs are kept, as
+    violation records, witnessed if ``names`` is given.
+
+    The last cell is evaluated first: every index map here is
+    non-decreasing in n, so each table the row reads is built once, at the
+    row's horizon, and every other cell is a lookup.
+    """
+    row = []
+    for n in reversed(n_values):
+        in_hyp = hyp is None or hyp(n)
+        if not in_hyp and not evaluate_out:
+            row.append(CellRecord({**base, "n": n}, OUT))
+            continue
+        left, right = lhs(n), rhs(n)
+        value = left - right
+        if violations_only:
+            if value >= 0:
+                continue
+            status = VIOLATION
+        elif not in_hyp:
+            status = OUT
+        elif n == exempt:
+            status = EXEMPT
+        elif (value == 0) if equal else (value >= 0):
+            status = HOLDS
+        else:
+            status = FAILS
+        witness = None
+        if names and status in (FAILS, VIOLATION):
+            witness = {names[0]: str(left), names[1]: str(right)}
+        row.append(CellRecord({**base, "n": n}, status, value, witness))
+    report.records.extend(reversed(row))
 
 
 def check_shift(d: int, N: int, n: int) -> int:
@@ -151,21 +197,9 @@ def check_shift(d: int, N: int, n: int) -> int:
     return q_count(1, d, n) - rho(s_set(d, N), n)
 
 
-def _shift_cell(cell: tuple[int, int, int, bool]) -> tuple[str, int | None]:
-    N, d, n, evaluate_out = cell
-    hyp = shift_in_hypothesis(d, N, n)
-    if not hyp and not evaluate_out:
-        return OUT, None
-    value = check_shift(d, N, n)
-    if not hyp:
-        return OUT, value
-    return (HOLDS if value >= 0 else FAILS), value
-
-
-def verify_shift_range(spec: GridSpec, jobs: int = 1) -> VerificationReport:
+def verify_shift_range(spec: GridSpec) -> VerificationReport:
     """Evaluate the shift inequality over a (N, d, n) grid."""
     report = VerificationReport("verify-shift")
-    cells = []
     for N in spec.N_values:
         for d in spec.d_values:
             if d - N + 3 < 3:
@@ -174,16 +208,12 @@ def verify_shift_range(spec: GridSpec, jobs: int = 1) -> VerificationReport:
                         {"N": N, "d": d, "n": n}, SKIPPED,
                         witness={"reason": f"modulus d-N+3 = {d - N + 3} < 3"}))
                 continue
-            counting.warm_up([s_set(d, N)], [(1, d)], spec.n_max)
-            cells.extend((N, d, n, spec.evaluate_out_of_hypothesis)
-                         for n in spec.n_values())
-    results = parallel_map(_shift_cell, cells, jobs)
-    for (N, d, n, _), (status, value) in zip(cells, results):
-        witness = None
-        if status == FAILS:
-            witness = {"q": str(q_count(1, d, n)), "Q": str(rho(s_set(d, N), n))}
-        report.records.append(CellRecord({"N": N, "d": d, "n": n},
-                                         status, value, witness))
+            S = s_set(d, N)
+            regime = shift_regime(d, N)
+            _row(report, {"N": N, "d": d}, spec.n_values(),
+                 lambda n: q_count(1, d, n), lambda n: rho(S, n), ("q", "Q"),
+                 hyp=lambda n: regime and n >= d + 2,
+                 evaluate_out=spec.evaluate_out_of_hypothesis)
     report.records.sort(key=lambda r: (r.params["N"], r.params["d"], r.params["n"]))
     return report
 
@@ -201,13 +231,8 @@ def check_andrews(S: ResidueClassSet, T: ResidueClassSet,
                   n_max: int) -> VerificationReport:
     """Per-n check of rho(T; n) >= rho(S; n), the set-domination count bound."""
     report = VerificationReport("verify-andrews")
-    counting.warm_up([S, T], [], n_max)
-    for n in range(n_max + 1):
-        value = rho(T, n) - rho(S, n)
-        status = HOLDS if value >= 0 else FAILS
-        witness = None if value >= 0 else {"rho_T": str(rho(T, n)),
-                                           "rho_S": str(rho(S, n))}
-        report.records.append(CellRecord({"n": n}, status, value, witness))
+    _row(report, {}, range(n_max + 1), lambda n: rho(T, n), lambda n: rho(S, n),
+         ("rho_T", "rho_S"))
     return report
 
 
@@ -216,24 +241,15 @@ def check_ceiling(a: int, d: int, n: int) -> bool:
     return q_count(a, d, n) >= q_count(1, math.ceil(d / a), math.ceil(n / a))
 
 
-def verify_ceiling(spec: GridSpec, jobs: int = 1) -> VerificationReport:
+def verify_ceiling(spec: GridSpec) -> VerificationReport:
     report = VerificationReport("verify-ceiling")
     for a in spec.a_values:
         for d in spec.d_values:
-            counting.warm_up([], [(a, d), (1, math.ceil(d / a))], spec.n_max)
-            for n in spec.n_values():
-                hyp = n >= d + 2 * a
-                if not hyp and not spec.evaluate_out_of_hypothesis:
-                    report.records.append(
-                        CellRecord({"a": a, "d": d, "n": n}, OUT))
-                    continue
-                lhs = q_count(a, d, n)
-                rhs = q_count(1, math.ceil(d / a), math.ceil(n / a))
-                value = lhs - rhs
-                status = OUT if not hyp else (HOLDS if value >= 0 else FAILS)
-                witness = None if value >= 0 else {"lhs": str(lhs), "rhs": str(rhs)}
-                report.records.append(
-                    CellRecord({"a": a, "d": d, "n": n}, status, value, witness))
+            _row(report, {"a": a, "d": d}, spec.n_values(),
+                 lambda n: q_count(a, d, n),
+                 lambda n: q_count(1, math.ceil(d / a), math.ceil(n / a)),
+                 ("lhs", "rhs"), hyp=lambda n: n >= d + 2 * a,
+                 evaluate_out=spec.evaluate_out_of_hypothesis)
     return report
 
 
@@ -244,7 +260,7 @@ def check_a_to_1(a: int, d: int, n: int) -> bool:
     return big_q_minus(a, d, a * n) == big_q_minus(1, (d + 3) // a - 3, n)
 
 
-def verify_a_to_1(spec: GridSpec, jobs: int = 1) -> VerificationReport:
+def verify_a_to_1(spec: GridSpec) -> VerificationReport:
     report = VerificationReport("verify-a-to-1")
     for a in spec.a_values:
         for d in spec.d_values:
@@ -258,13 +274,10 @@ def verify_a_to_1(spec: GridSpec, jobs: int = 1) -> VerificationReport:
                     {"a": a, "d": d}, SKIPPED,
                     witness={"reason": f"Q undefined for a = {a} >= d+3 = {d + 3}"}))
                 continue
-            for n in spec.n_values():
-                lhs = big_q_minus(a, d, a * n)
-                rhs = big_q_minus(1, (d + 3) // a - 3, n)
-                status = HOLDS if lhs == rhs else FAILS
-                witness = None if lhs == rhs else {"lhs": str(lhs), "rhs": str(rhs)}
-                report.records.append(
-                    CellRecord({"a": a, "d": d, "n": n}, status, lhs - rhs, witness))
+            _row(report, {"a": a, "d": d}, spec.n_values(),
+                 lambda n: big_q_minus(a, d, a * n),
+                 lambda n: big_q_minus(1, (d + 3) // a - 3, n),
+                 ("lhs", "rhs"), equal=True)
     return report
 
 
@@ -304,19 +317,13 @@ def gen_kp_sets(a: int, d: int) -> tuple[ResidueClassSet, ResidueClassSet]:
     return S, T
 
 
-def verify_modified_st(a: int, d: int, n_max: int, jobs: int = 1) -> VerificationReport:
+def verify_modified_st(a: int, d: int, n_max: int) -> VerificationReport:
     """check_modified_st over n = 1..n_max for the gen_kp_sets(a, d) pair."""
     report = VerificationReport("verify-modified-st")
     S, T = gen_kp_sets(a, d)
-    counting.warm_up([S, T], [], n_max + a)
-    for n in range(1, n_max + 1):
-        shifted = n + n_hat(a, n)
-        value = rho(T, shifted) - rho(S, n)
-        status = HOLDS if value >= 0 else FAILS
-        witness = None if value >= 0 else {"rho_T": str(rho(T, shifted)),
-                                           "rho_S": str(rho(S, n))}
-        report.records.append(CellRecord({"a": a, "d": d, "n": n},
-                                         status, value, witness))
+    _row(report, {"a": a, "d": d}, range(1, n_max + 1),
+         lambda n: rho(T, n + n_hat(a, n)), lambda n: rho(S, n),
+         ("rho_T", "rho_S"))
     return report
 
 
@@ -324,60 +331,30 @@ def gen_kp_in_hypothesis(a: int, d: int) -> bool:
     return a >= 1 and d >= 1 and math.ceil(d / a) >= 105
 
 
-def _delta_minus_cell(cell: tuple[int, int, int]) -> int:
-    a, d, n = cell
-    return delta_minus(a, d, n)
-
-
-def _delta_minus_minus_cell(cell: tuple[int, int, int]) -> int:
-    a, d, n = cell
-    return delta_minus_minus(a, d, n)
-
-
-def _verify_gen(cmd: str, fn, exempt_cell, a: int, d: int, n_max: int,
-                evaluate_out: bool, jobs: int) -> VerificationReport:
+def _verify_gen(cmd: str, big_q_fn, exempt: int | None, a: int, d: int,
+                n_max: int, evaluate_out: bool) -> VerificationReport:
     report = VerificationReport(cmd)
-    hyp = gen_kp_in_hypothesis(a, d)
-    if not hyp and not evaluate_out:
-        for n in range(1, n_max + 1):
-            report.records.append(CellRecord({"a": a, "d": d, "n": n}, OUT))
-        return report
-    counting.warm_up([], [(a, d)], n_max)
-    fn((a, d, n_max))  # builds the Q-side table too, before any forking
-    cells = [(a, d, n) for n in range(1, n_max + 1)]
-    values = parallel_map(fn, cells, jobs)
-    for (a_, d_, n), value in zip(cells, values):
-        if not hyp:
-            status = OUT
-        elif n == exempt_cell:
-            status = EXEMPT
-        elif value >= 0:
-            status = HOLDS
-        else:
-            status = FAILS
-        witness = None
-        if status == FAILS:
-            witness = {"q": str(q_count(a_, d_, n)),
-                       "Q": str(q_count(a_, d_, n) - value)}
-        report.records.append(CellRecord({"a": a_, "d": d_, "n": n},
-                                         status, value, witness))
+    in_hyp = gen_kp_in_hypothesis(a, d)
+    _row(report, {"a": a, "d": d}, range(1, n_max + 1),
+         lambda n: q_count(a, d, n), lambda n: big_q_fn(a, d, n), ("q", "Q"),
+         hyp=lambda n: in_hyp, exempt=exempt, evaluate_out=evaluate_out)
     return report
 
 
-def verify_gen_kp(a: int, d: int, n_max: int, evaluate_out: bool = False,
-                  jobs: int = 1) -> VerificationReport:
+def verify_gen_kp(a: int, d: int, n_max: int,
+                  evaluate_out: bool = False) -> VerificationReport:
     """delta_minus(a, d, n) >= 0 for n <= n_max, with the single exempt
     cell n = d+a+3 when d == -3 (mod a) (its value is recorded, not asserted)."""
     exempt = d + a + 3 if (d + 3) % a == 0 else None
-    return _verify_gen("verify-gen-kp", _delta_minus_cell, exempt,
-                       a, d, n_max, evaluate_out, jobs)
+    return _verify_gen("verify-gen-kp", big_q_minus, exempt,
+                       a, d, n_max, evaluate_out)
 
 
-def verify_gen_dkst(a: int, d: int, n_max: int, evaluate_out: bool = False,
-                    jobs: int = 1) -> VerificationReport:
+def verify_gen_dkst(a: int, d: int, n_max: int,
+                    evaluate_out: bool = False) -> VerificationReport:
     """delta_minus_minus(a, d, n) >= 0 for n <= n_max; no exempt cell."""
-    return _verify_gen("verify-gen-dkst", _delta_minus_minus_cell, None,
-                       a, d, n_max, evaluate_out, jobs)
+    return _verify_gen("verify-gen-dkst", big_q_minus_minus, None,
+                       a, d, n_max, evaluate_out)
 
 
 def verify_smalln_anchors(d: int, N: int,
@@ -385,7 +362,7 @@ def verify_smalln_anchors(d: int, N: int,
     """The three small-n anchor values of Q_{d-N}^(1,-) used to bridge
     d+2 <= n <= 7d+13, plus the largest-part distributions behind them."""
     report = VerificationReport("verify-anchors")
-    hyp = N >= 2 and d >= max(63, 46 * N - 79)
+    hyp = shift_regime(d, N)
     base = {"d": d, "N": N}
     if not hyp and not evaluate_out:
         report.records.append(CellRecord(base, OUT))
@@ -490,18 +467,19 @@ def verify_t_monotone(d: int, n_max: int) -> VerificationReport:
     return report
 
 
+#: the Q-side counter each search kind subtracts from q_count(a, d, n)
 _SEARCH_KINDS = {
-    "delta": delta,
-    "delta_m": delta_minus,
-    "delta_mm": delta_minus_minus,
+    "delta": big_q,
+    "delta_m": big_q_minus,
+    "delta_mm": big_q_minus_minus,
 }
 
 
-def search_counterexamples(kind: str, spec: GridSpec, jobs: int = 1) -> VerificationReport:
+def search_counterexamples(kind: str, spec: GridSpec) -> VerificationReport:
     """Exhaustively list the cells with a negative value, in scan order.
 
     ``kind`` is one of delta, delta_m, delta_mm (scanning (a, d, n)) or
-    shift (scanning (N, d, n) via check_shift).  The report contains one
+    shift (scanning (N, d, n) as in check_shift).  The report contains one
     record per violation; searching is informational, never a failure.
     """
     report = VerificationReport(f"search-{kind}")
@@ -511,27 +489,20 @@ def search_counterexamples(kind: str, spec: GridSpec, jobs: int = 1) -> Verifica
             for d in spec.d_values:
                 if d - N + 3 < 3:
                     continue
-                counting.warm_up([s_set(d, N)], [(1, d)], spec.n_max)
-                for n in spec.n_values():
-                    value = check_shift(d, N, n)
-                    if value < 0:
-                        report.records.append(CellRecord(
-                            {"N": N, "d": d, "n": n}, "violation", value))
+                S = s_set(d, N)
+                _row(report, {"N": N, "d": d}, spec.n_values(),
+                     lambda n: q_count(1, d, n), lambda n: rho(S, n),
+                     violations_only=True)
         return report
 
     if kind not in _SEARCH_KINDS:
         raise ValueError(f"unknown search kind {kind!r}")
-    fn = _SEARCH_KINDS[kind]
+    big_q_fn = _SEARCH_KINDS[kind]
     for a in spec.a_values:
         for d in spec.d_values:
             if a >= d + 3:
                 continue
-            counting.warm_up([], [(a, d)], spec.n_max)
-            for n in spec.n_values():
-                value = fn(a, d, n)
-                if value < 0:
-                    q = q_count(a, d, n)
-                    report.records.append(CellRecord(
-                        {"kind": kind, "a": a, "d": d, "n": n}, "violation",
-                        value, {"q": str(q), "Q": str(q - value)}))
+            _row(report, {"kind": kind, "a": a, "d": d}, spec.n_values(),
+                 lambda n: q_count(a, d, n), lambda n: big_q_fn(a, d, n),
+                 ("q", "Q"), violations_only=True)
     return report

@@ -36,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import counting
-from .partset import ResidueClassSet, s_set, t_set, x_closed, y_closed
+from .partset import (ResidueClassSet, s_set, shift_regime, t_set, x_closed,
+                      y_closed)
 
 DEFAULT_ENUM_HORIZON = 5000
 
@@ -133,7 +134,7 @@ def enumerate_s(d: int, N: int, n: int,
 
 def in_hypothesis(d: int, N: int, n: int) -> bool:
     """The regime in which the piecewise injection is asserted to work."""
-    return N >= 2 and d >= max(63, 46 * N - 79) and n >= 7 * d + 14
+    return shift_regime(d, N) and n >= 7 * d + 14
 
 
 def stats(lam: IndexedPartition, d: int, N: int) -> PartitionStats:

@@ -1,15 +1,15 @@
-"""Order-restoring work splitting for grid cells.
+"""Order-restoring work splitting for ``inject`` cells.
 
 Cells are pure functions of their parameters, so any degree of
 parallelism must produce the identical report; results are therefore
-collected strictly in input order.  Callers warm all shared count
-tables before fanning out (on fork-based platforms workers inherit
-them; elsewhere workers rebuild lazily, which is slower but gives the
-same values).
+collected strictly in input order.  Workers build the count tables they
+read lazily (on fork-based platforms they also inherit every table built
+before the pool starts), which gives the same values either way.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -18,8 +18,14 @@ R = TypeVar("R")
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> list[R]:
-    if jobs <= 1 or len(items) < 2:
+    """``[fn(x) for x in items]`` over at most ``jobs`` worker processes.
+
+    The pool never has more workers than items or CPUs: with the fork start
+    method every worker is started up front, whatever work it then gets.
+    """
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    chunk = max(1, len(items) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(items) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

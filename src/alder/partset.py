@@ -126,6 +126,15 @@ def s_set(d: int, N: int) -> ResidueClassSet:
     return ResidueClassSet(m, {1, m - 1}, {m - 1})
 
 
+def shift_regime(d: int, N: int) -> bool:
+    """The (d, N) range of the shift inequality: N >= 2, d >= max(63, 46N-79).
+
+    The grid statement adds n >= d+2, the small-n anchors nothing, and the
+    injection n >= 7d+14.
+    """
+    return N >= 2 and d >= max(63, 46 * N - 79)
+
+
 def pm_set(a: int, modulus: int, exclusions: Iterable[int] = ()) -> ResidueClassSet:
     """The set {x >= 1 : x == +-a (mod modulus)} minus exclusions.
 

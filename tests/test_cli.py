@@ -60,6 +60,8 @@ class TestCount:
                         "--d", "3", "--n", "5"], capsys)[0] == 2  # collision
         assert run_cli(["count", "--kind", "q", "--a", "1", "--d", "1",
                         "--n", "9..3"], capsys)[0] == 2
+        assert run_cli(["count", "--kind", "q", "--a", "1", "--d", "1",
+                        "--n", "5", "--jobs", "0"], capsys)[0] == 2
 
     def test_delta_mm_hyphen_alias(self, capsys):
         code, out, _ = run_cli(
@@ -100,13 +102,24 @@ class TestVerify:
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         # no in-hypothesis failures exist mathematically, so force one
-        monkeypatch.setattr(cli.inequalities, "check_shift",
-                            lambda d, N, n: -1)
+        monkeypatch.setattr(cli.inequalities, "rho", lambda A, n: 10 ** 6)
         code, out, _ = run_cli(
             ["verify", "shift", "--N", "2", "--d", "63", "--n-min", "65",
              "--n-max", "65"], capsys)
         assert code == 1
-        assert json_lines(out)[0]["status"] == "fails"
+        rec = json_lines(out)[0]
+        assert rec["status"] == "fails"
+        assert rec["witness"] == {"q": "2", "Q": "1000000"}
+        assert rec["value"] == "-999998"
+
+    def test_forced_ceiling_cell_has_no_witness(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "ceiling", "--a", "2", "--d", "1", "--n-max", "1",
+             "--force"], capsys)
+        assert code == 0
+        rec = json_lines(out)[0]
+        assert rec["status"] == "out-of-hypothesis"
+        assert rec["value"] == "-1" and rec["witness"] is None
 
     def test_t_monotone(self, capsys):
         code, out, _ = run_cli(
@@ -257,13 +270,15 @@ class TestCache:
 
 class TestDeterminism:
     def test_byte_identical_across_jobs(self):
-        argv = [sys.executable, "-m", "alder", "verify", "shift", "--N", "2",
-                "--d", "63..64", "--n-min", "66", "--n-max", "600"]
-        runs = [subprocess.run([*argv, "--jobs", str(jobs)],
-                               capture_output=True, check=True)
-                for jobs in (1, 4)]
-        assert runs[0].stdout == runs[1].stdout
-        assert runs[0].stdout  # nonempty
+        for command in (["verify", "shift", "--N", "2", "--d", "63..64",
+                         "--n-min", "66", "--n-max", "600"],
+                        ["inject", "--d", "63", "--N", "2", "--n", "455..458"]):
+            argv = [sys.executable, "-m", "alder", *command]
+            runs = [subprocess.run([*argv, "--jobs", str(jobs)],
+                                   capture_output=True, check=True)
+                    for jobs in (1, 4)]
+            assert runs[0].stdout == runs[1].stdout
+            assert runs[0].stdout  # nonempty
 
     def test_repeat_run_identical(self, capsys):
         argv = ["search", "--kind", "delta", "--a", "2", "--d", "1..6",

@@ -1,0 +1,83 @@
+"""Golden reports: every verify statement and search kind, byte for byte.
+
+Each entry is an invocation, its exit code and the sha256 of its report.
+The digests were recorded before the grid statements moved onto the
+shared row evaluator, and the reports must not drift.  One entry differs
+from that recording on purpose: ``verify ceiling --a 2 --d 1 --n-max 1
+--force`` no longer attaches a witness to its out-of-hypothesis cell
+(only failing cells carry one).
+"""
+
+import hashlib
+
+from alder import cli
+
+GOLDEN = [
+    ("verify shift --N 2..3 --d 63..64 --n-max 200", 0,
+     "c0a66026176a719e967649dcf0cec6774fd4e147285ce96dfa4f26b6374fce6c"),
+    ("verify shift --N 2 --d 63 --n-max 80 --force", 0,
+     "2d76d990d0faa6cfa7fde8ac08d695826598c70289bf832097d917bde2ab2f46"),
+    ("verify shift --N 4..6 --d 3..12 --n-max 40 --force --format human", 0,
+     "c5fd62c6f4cb5386db02f74b8a3aa53a28f0477a30ea668abbc2fc7e32ee6a37"),
+    ("verify shift --N 2 --d 63 --n-min 60 --n-max 90 --format csv", 0,
+     "daf7751831c824036dcbf2602352c8aff14d27d8ea9e803a4fc402eb68639cba"),
+    ("verify littlelemon --d 105 --n-min 100 --n-max 200 --format human", 0,
+     "5d80d8dee4b42aa5dfa3f3ed332f374fc4605208fef90279b0cefdca9880a948"),
+    ("verify gen-kp --a 4 --d 417 --n-max 500", 0,
+     "190e46bf7e82053854b4bf7c31a88fd0b3eb318d4d0e30e7d1db21c84dbaae3b"),
+    ("verify gen-kp --a 2 --d 19 --n-max 60 --force", 0,
+     "ad44939ee77237d3518b9bdfb47dc8e3bc4c3f671ff4776b2ed6304a44a53137"),
+    ("verify gen-kp --a 2 --d 19 --n-max 10 --format human", 0,
+     "55cb8703b35c648129c3c582bee6d7121a93b4f6010f8dfd42af9774c780d38b"),
+    ("verify gen-dkst --a 4 --d 417 --n-max 450 --format csv", 0,
+     "ed0d8eacdbeebe41820bac6132f17ffa7e625fc957fd2ae311c54ef74091a75a"),
+    ("verify gen-dkst --a 3 --d 9 --n-max 60 --force --format human", 0,
+     "2384ff628a250a2320f403e07354c0f8de7e3e763b54cf4da34c7a063ff017ff"),
+    ("verify gen-dkst --a 1 --d 105 --n-max 300", 0,
+     "013c29f04b222ac3ed643532f93d949cdc8677768008dbabe671829162507670"),
+    ("verify ceiling --a 1..3 --d 1..5 --n-max 40", 0,
+     "d9338e31e832f664db4bde79c7af5b12a27e8b7a8b5805c5950823ed489dc29f"),
+    ("verify ceiling --a 2 --d 1 --n-max 1 --force", 0,
+     "7299fa2037ee36a1508da1749297fc87ce7d032ff0001b0c881b09537ff14ffe"),
+    ("verify ceiling --a 2..3 --d 4..6 --n-max 30 --format human", 0,
+     "4744f10a811fbaf365576dcf601723e4f972c3cfc14ce5899fb760acf4e63b9f"),
+    ("verify ceiling --a 2..3 --d 1..6 --n-max 30 --force --format csv", 0,
+     "018445f0c0d55a2030825cfbeb8f10c7d684446b454cce6cf6ce05716f6215af"),
+    ("verify a-to-1 --a 1..4 --d 1..9 --n-max 30", 0,
+     "69b6b02bd0dac3a57ce31a3b03c3ef40cd9a0cfd4c69453c8a5d2000d141aff2"),
+    ("verify a-to-1 --a 2..3 --d 3..9 --n-max 20 --format csv", 0,
+     "be7f4b74fd0d92ed1ad20268b2a0dbe0996e4bff026efbbc2d0748012c256628"),
+    ("verify modified-st --a 4 --d 417 --n-max 100", 0,
+     "23baaa830dc9a388ff8f47ab972fc5022219a7e3eca5939bd117025c3723a21b"),
+    ("verify modified-st --a 3 --d 9 --n-max 80 --format human", 1,
+     "99b6e9db6b65f80dc05581f99688da82393bc67aac47a0bdf138f6d0bfb39eae"),
+    ("verify anchors --d 63 --N 2", 0,
+     "659098649b0554b332b72fad71b8f698e3643628781ab5375d5ad1e59d35edba"),
+    ("verify anchors --d 20 --N 2 --force --format human", 0,
+     "2d00e5ca9b7746b91d4824d76704c6f4fbc1fdad67d65f50e230bb1026a98af6"),
+    ("verify xy-diff --d 63 --N 3", 0,
+     "8a20edf90e8850839f661682f94fff8e2465659b2c6f8939fcaad9efc55db60f"),
+    ("verify t-monotone --d 31 --n-max 100 --format csv", 0,
+     "d59a10730d483e8def3d359cb46783535d3373fcacc2487e3969d05142ff6636"),
+    ("search --kind delta --a 2 --d 1..10 --n-max 100", 0,
+     "825073bbfaa7d053f6f379caab1fe3d8094f1e012a68ee48078d03544e1c12ac"),
+    ("search --kind delta_m --a 4..6 --d 3..22 --n-max 40 --format csv", 0,
+     "5aba6f51a151c03e4e8219d6c0aed4eb037b612a7d42b094e49d9dcf31dfd225"),
+    ("search --kind delta-mm --a 2..6 --d 1..4 --n-max 80 --format human", 0,
+     "03a6326cc4b4eca5e61872647f7335d1762906b2776c0d1253944b6e4e7ce2e3"),
+    ("search --kind shift --N 2..6 --d 3..12 --n-max 60", 0,
+     "3c7c31ef266ffaaad775aab67c3fdd22a2438b2837aa6265fe3444258f65c3bd"),
+    ("search --kind shift --N 3 --d 3..20 --n-max 50 --format human", 0,
+     "3b3d89a0c3fff60b06d2977591b85d16191a858bace3338e08eb30f7767ac013"),
+]
+
+
+def test_reports_match_recorded_digests(capsys):
+    drift = []
+    for argv, want_code, want_sha in GOLDEN:
+        code = cli.main(argv.split())
+        out = capsys.readouterr().out
+        sha = hashlib.sha256(out.encode()).hexdigest()
+        if (code, sha) != (want_code, want_sha):
+            drift.append((argv, code, sha))
+    assert not drift

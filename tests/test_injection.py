@@ -9,7 +9,7 @@ from alder.injection import (DEFAULT_ENUM_HORIZON, HypothesisViolation,
                              IndexedPartition, MapViolation, enumerate_s,
                              in_hypothesis, phi, phi1, phi2, stats,
                              verify_injection)
-from alder.partset import s_set, x_closed, y_closed
+from alder.partset import s_set, shift_regime, x_closed, y_closed
 
 
 def make_lam(d, N, mults):
@@ -237,6 +237,11 @@ class TestVerifyInjection:
         assert not in_hypothesis(62, 2, 1000)
         assert not in_hypothesis(105, 4, 748) and in_hypothesis(105, 4, 749)
         assert not in_hypothesis(104, 4, 10000)
+        # the (d, N) regime shared with the shift grid and the anchors
+        assert shift_regime(63, 2) and shift_regime(63, 3)
+        assert not shift_regime(62, 3) and not shift_regime(1000, 1)
+        assert shift_regime(151, 5) and not shift_regime(150, 5)
+        assert not in_hypothesis(150, 5, 10 ** 6)
 
     def test_horizon_rejected(self):
         with pytest.raises(ValueError):

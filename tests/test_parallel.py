@@ -1,5 +1,6 @@
 """The worker-pool helper must preserve input order at any job count."""
 
+from alder import parallel
 from alder.parallel import parallel_map
 
 
@@ -18,3 +19,34 @@ def test_pool_path_preserves_order():
 
 def test_singleton_avoids_pool():
     assert parallel_map(_square, [7], jobs=8) == [49]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_pool_never_exceeds_items_or_cpus(monkeypatch):
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+    _RecordingPool.sizes = []
+    assert parallel_map(_square, range(10), jobs=10 ** 9) == [x * x for x in range(10)]
+    assert parallel_map(_square, range(10), jobs=3) == [x * x for x in range(10)]
+    assert parallel_map(_square, [1, 2], jobs=10 ** 9) == [1, 4]
+    assert _RecordingPool.sizes == [4, 3, 2]
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+    assert parallel_map(_square, range(10), jobs=8) == [x * x for x in range(10)]
+    assert _RecordingPool.sizes == [4, 3, 2]  # one CPU: no pool at all
