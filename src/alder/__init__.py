@@ -1,9 +1,9 @@
 """Exact counting and desk-scale verification of Alder-type partition inequalities."""
 
-from .counting import (CountTable, big_q, big_q_minus, big_q_minus_minus,
-                       delta, delta_minus, delta_minus_minus, g_script,
-                       l_script, q_brute, q_count, q_lower_bound, rho,
-                       rho_brute, set_cache_dir)
+from .counting import (big_q, big_q_minus, big_q_minus_minus, delta,
+                       delta_minus, delta_minus_minus, g_script, l_script,
+                       q_brute, q_count, q_lower_bound, rho, rho_brute,
+                       set_cache_dir)
 from .inequalities import (GridSpec, VerificationReport, check_a_to_1,
                            check_andrews, check_andrews_premises,
                            check_ceiling, check_modified_st, check_shift,

@@ -1,12 +1,13 @@
 """On-disk memo for count tables.
 
-A cache entry is one JSON file per table key holding the horizon and the
+A cache entry is one JSON file per table key holding the horizon, the
 counts as decimal strings (counts overflow 64 bits well inside the scales
-this tool targets, so no binary integer packing).  The cache is a pure
-memo: a valid hit must reproduce exactly what a fresh build would give,
-and anything malformed or mismatched is discarded and rebuilt rather
-than trusted.  Writes go through a temp file and os.replace so readers
-never observe a torn file.
+this tool targets, so no binary integer packing) and the sha256 of those
+strings joined by commas.  The cache is a pure memo: a valid hit must
+reproduce exactly what a fresh build would give, and anything malformed,
+mismatched or failing its digest is discarded and rebuilt rather than
+trusted.  Writes go through a temp file and os.replace so readers never
+observe a torn file.
 """
 
 from __future__ import annotations
@@ -17,13 +18,22 @@ import re
 import tempfile
 from pathlib import Path
 
-CACHE_VERSION = 1
+try:  # hashlib loads OpenSSL, about 3.5 MB of RSS in every run; this is lean
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
+CACHE_VERSION = 2
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
 def _path(cache_dir: Path, key: str) -> Path:
     return cache_dir / (_SAFE.sub("_", key) + ".json")
+
+
+def _digest(strings: list[str]) -> str:
+    return sha256(",".join(strings).encode("ascii")).hexdigest()
 
 
 def load(cache_dir: str | os.PathLike, key: str, horizon: int) -> list[int] | None:
@@ -34,9 +44,12 @@ def load(cache_dir: str | os.PathLike, key: str, horizon: int) -> list[int] | No
             data = json.load(fh)
         if data["v"] != CACHE_VERSION or data["key"] != key:
             return None
-        values = [int(s) for s in data["values"]]
-        if data["horizon"] != len(values) - 1 or data["horizon"] < horizon:
+        strings = data["values"]
+        if data["horizon"] != len(strings) - 1 or data["horizon"] < horizon:
             return None
+        if _digest(strings) != data["sha256"]:
+            return None
+        values = [int(s) for s in strings]
         if not values or values[0] != 1 or any(v < 0 for v in values):
             return None
         return values
@@ -49,11 +62,13 @@ def store(cache_dir: str | os.PathLike, key: str, values: list[int]) -> None:
     cache_dir = Path(cache_dir)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
+        strings = [str(v) for v in values]
         payload = {
             "v": CACHE_VERSION,
             "key": key,
             "horizon": len(values) - 1,
-            "values": [str(v) for v in values],
+            "values": strings,
+            "sha256": _digest(strings),
         }
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:

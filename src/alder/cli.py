@@ -18,27 +18,32 @@ is a flat projection for spreadsheets, and the human format is for
 reading at the terminal.
 
 Exit codes: 0 when every in-hypothesis assertion holds, 1 when at least
-one fails (a falsification candidate), 2 on usage errors.
+one fails (a falsification candidate), 2 on usage errors (an unwritable
+--out included), 3 on an internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
 import time
+import traceback
 
 from . import counting, inequalities, injection
 from .counting import (big_q, big_q_minus, big_q_minus_minus, delta,
                        delta_minus, delta_minus_minus, g_script, l_script,
                        q_count, rho)
-from .inequalities import FAILS, GridSpec, VerificationReport
+from .inequalities import VIOLATION, CellRecord, GridSpec, VerificationReport
 from .parallel import parallel_map
 from .partset import s_set, t_set
 
 SCHEMA_VERSION = 1
+
+#: longest LO..HI range accepted; checked before the range is built
+MAX_RANGE_VALUES = 10 ** 6
 
 
 class UsageError(Exception):
@@ -53,61 +58,66 @@ def parse_range(text: str) -> tuple[int, ...]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise ValueError
-            return tuple(range(lo, hi + 1))
-        return (int(text),)
+        else:
+            lo = hi = int(text)
     except ValueError:
         raise UsageError(f"bad range {text!r} (expected N or LO..HI)") from None
+    if hi - lo >= MAX_RANGE_VALUES:
+        raise UsageError(f"range {text!r} has {hi - lo + 1} values, "
+                         f"more than {MAX_RANGE_VALUES}")
+    return tuple(range(lo, hi + 1))
 
 
-def _record_obj(cmd: str, params: dict, status: str, value, witness) -> dict:
-    return {
-        "v": SCHEMA_VERSION,
-        "cmd": cmd,
-        "params": params,
-        "status": status,
-        "value": None if value is None else str(value),
-        "witness": witness,
-    }
+_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _emit(records: list[dict], summary: dict, fmt: str, out) -> None:
+def _write(report: VerificationReport, fmt: str, out) -> None:
+    """Stream ``report`` to ``out``: its records, then the summary."""
+    records = report.records
+    summary = {"cells": len(records), **dict(sorted(report.summary.items()))}
+    if report.cmd.startswith("search-"):
+        summary["violations"] = summary.pop(VIOLATION, 0)
     if fmt == "json":
+        head = f'{{"v":{SCHEMA_VERSION},"cmd":{_json(report.cmd)},'
         for rec in records:
-            out.write(json.dumps(rec, separators=(",", ":")) + "\n")
-        out.write(json.dumps({"v": SCHEMA_VERSION, "cmd": summary.pop("cmd"),
-                              "summary": summary}, separators=(",", ":")) + "\n")
+            value = "null" if rec.value is None else f'"{rec.value}"'
+            witness = "null" if rec.witness is None else _json(rec.witness)
+            out.write(f'{head}"params":{_json(rec.params)},"status":"{rec.status}",'
+                      f'"value":{value},"witness":{witness}}}\n')
+        out.write(f'{head}"summary":{_json(summary)}}}\n')
     elif fmt == "csv":
-        param_keys: list[str] = []
-        for rec in records:
-            for k in rec["params"]:
-                if k not in param_keys:
-                    param_keys.append(k)
+        param_keys = list(dict.fromkeys(k for rec in records for k in rec.params))
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["cmd", *param_keys, "status", "value"])
-        for rec in records:
-            writer.writerow([rec["cmd"],
-                             *[rec["params"].get(k, "") for k in param_keys],
-                             rec["status"],
-                             "" if rec["value"] is None else rec["value"]])
+        writer.writerows([report.cmd, *[rec.params.get(k, "") for k in param_keys],
+                          rec.status, "" if rec.value is None else rec.value]
+                         for rec in records)
     else:  # human
         for rec in records:
-            params = " ".join(f"{k}={v}" for k, v in rec["params"].items())
-            line = f"{params}  {rec['status']}"
-            if rec["value"] is not None:
-                line += f"  value={rec['value']}"
-            if rec["witness"]:
-                line += f"  witness={json.dumps(rec['witness'], separators=(',', ':'))}"
+            params = " ".join(f"{k}={v}" for k, v in rec.params.items())
+            line = f"{params}  {rec.status}"
+            if rec.value is not None:
+                line += f"  value={rec.value}"
+            if rec.witness:
+                line += f"  witness={_json(rec.witness)}"
             out.write(line + "\n")
-        tallies = " ".join(f"{k}={v}" for k, v in summary.items() if k != "cmd")
+        tallies = " ".join(f"{k}={v}" for k, v in summary.items())
         out.write(f"summary: {tallies}\n")
 
 
-def _report_records(report: VerificationReport) -> tuple[list[dict], dict]:
-    records = [_record_obj(report.cmd, rec.params, rec.status, rec.value, rec.witness)
-               for rec in report.records]
-    summary = {"cmd": report.cmd, "cells": len(report.records)}
-    summary.update(dict(sorted(report.summary.items())))
-    return records, summary
+def _write_file(report: VerificationReport, fmt: str, path: str) -> None:
+    """Write the report to ``path`` atomically: a temp file, then os.replace."""
+    # not mkstemp, whose 0600 mode would differ from a plain open's umask mode
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            _write(report, fmt, fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------- count
@@ -118,7 +128,7 @@ _COUNT_FNS = {
 }
 
 
-def cmd_count(args, out) -> int:
+def cmd_count(args) -> VerificationReport:
     kind = args.kind.replace("-", "_")
     if kind == "rho":
         if args.set == "T":
@@ -148,12 +158,8 @@ def cmd_count(args, out) -> int:
     else:
         raise UsageError(f"unknown count kind {args.kind!r}")
 
-    n_values = parse_range(args.n)
-    records = [_record_obj("count", {**params_base, "n": n}, "ok", fn(n), None)
-               for n in n_values]
-    _emit(records, {"cmd": "count", "cells": len(records), "ok": len(records)},
-          args.format, out)
-    return 0
+    return VerificationReport("count", [CellRecord({**params_base, "n": n}, "ok", fn(n))
+                                        for n in parse_range(args.n)])
 
 
 # ---------------------------------------------------------------- verify
@@ -192,46 +198,42 @@ def _default_n_max(args) -> int:
             else inequalities.DEFAULT_N_MAX_GENERAL)
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args) -> VerificationReport:
     theorem = args.theorem
     if theorem not in ("anchors", "xy-diff") and args.n_max < 1:
         args.n_max = _default_n_max(args)
     if theorem == "shift":
-        report = inequalities.verify_shift_range(
+        return inequalities.verify_shift_range(
             _grid_from_args(args, need_N=True))
     elif theorem == "littlelemon":
         args.N = "4"
-        report = inequalities.verify_shift_range(
+        return inequalities.verify_shift_range(
             _grid_from_args(args, need_N=True))
     elif theorem == "gen-kp":
-        report = inequalities.verify_gen_kp(
+        return inequalities.verify_gen_kp(
             _single(args, "a"), _single(args, "d"), args.n_max,
             evaluate_out=args.force)
     elif theorem == "gen-dkst":
-        report = inequalities.verify_gen_dkst(
+        return inequalities.verify_gen_dkst(
             _single(args, "a"), _single(args, "d"), args.n_max,
             evaluate_out=args.force)
     elif theorem == "anchors":
-        report = inequalities.verify_smalln_anchors(
+        return inequalities.verify_smalln_anchors(
             _single(args, "d"), _single(args, "N"), evaluate_out=args.force)
     elif theorem == "xy-diff":
-        report = inequalities.xy_difference_report(
+        return inequalities.xy_difference_report(
             _single(args, "d"), _single(args, "N"))
     elif theorem == "ceiling":
-        report = inequalities.verify_ceiling(_grid_from_args(args, need_a=True))
+        return inequalities.verify_ceiling(_grid_from_args(args, need_a=True))
     elif theorem == "a-to-1":
-        report = inequalities.verify_a_to_1(_grid_from_args(args, need_a=True))
+        return inequalities.verify_a_to_1(_grid_from_args(args, need_a=True))
     elif theorem == "modified-st":
-        report = inequalities.verify_modified_st(
+        return inequalities.verify_modified_st(
             _single(args, "a"), _single(args, "d"), args.n_max)
     elif theorem == "t-monotone":
-        report = inequalities.verify_t_monotone(_single(args, "d"), args.n_max)
+        return inequalities.verify_t_monotone(_single(args, "d"), args.n_max)
     else:
         raise UsageError(f"unknown theorem {theorem!r}")
-
-    records, summary = _report_records(report)
-    _emit(records, summary, args.format, out)
-    return 0 if report.ok else 1
 
 
 # ---------------------------------------------------------------- inject
@@ -241,7 +243,7 @@ def _inject_cell(cell: tuple[int, int, int, bool, int]) -> injection.InjectionCe
     return injection.verify_injection(d, N, n, force=force, horizon=horizon)
 
 
-def cmd_inject(args, out) -> int:
+def cmd_inject(args) -> VerificationReport:
     d = _single(args, "d")
     N = _single(args, "N")
     n_values = parse_range(args.n)
@@ -252,7 +254,6 @@ def cmd_inject(args, out) -> int:
         raise UsageError(str(exc)) from None
 
     records = []
-    failed = 0
     for rep in reports:
         witness: dict | None = None
         if rep.evaluated:
@@ -262,33 +263,20 @@ def cmd_inject(args, out) -> int:
                                                if not v)}
             if rep.witnesses:
                 witness["witnesses"] = rep.witnesses[:5]
-        if rep.status == FAILS:
-            failed += 1
-        records.append(_record_obj("inject", {"d": rep.d, "N": rep.N, "n": rep.n},
-                                   rep.status, rep.size if rep.evaluated else None,
-                                   witness))
-    tally: dict[str, int] = {}
-    for rep in reports:
-        tally[rep.status] = tally.get(rep.status, 0) + 1
-    summary = {"cmd": "inject", "cells": len(records)}
-    summary.update(dict(sorted(tally.items())))
-    _emit(records, summary, args.format, out)
-    return 1 if failed else 0
+        records.append(CellRecord({"d": rep.d, "N": rep.N, "n": rep.n}, rep.status,
+                                  rep.size if rep.evaluated else None, witness))
+    return VerificationReport("inject", records)
 
 
 # ---------------------------------------------------------------- search
 
-def cmd_search(args, out) -> int:
+def cmd_search(args) -> VerificationReport:
     kind = args.kind.replace("-", "_")
     if kind not in ("delta", "delta_m", "delta_mm", "shift"):
         raise UsageError(f"unknown search kind {args.kind!r}")
     spec = _grid_from_args(args, need_N=(kind == "shift"),
                            need_a=(kind != "shift"))
-    report = inequalities.search_counterexamples(kind, spec)
-    records, summary = _report_records(report)
-    summary["violations"] = summary.pop("violation", 0)
-    _emit(records, summary, args.format, out)
-    return 0  # search is informational
+    return inequalities.search_counterexamples(kind, spec)
 
 
 # ---------------------------------------------------------------- main
@@ -360,24 +348,28 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     counting.set_cache_dir(args.cache)
     started = time.monotonic()
-    buffer = io.StringIO()
     try:
         if args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-        code = _DISPATCH[args.command](args, buffer)
-    except UsageError as exc:
+        report = _DISPATCH[args.command](args)
+        if args.out:
+            _write_file(report, args.format, args.out)
+        else:
+            try:
+                _write(report, args.format, sys.stdout)
+                sys.stdout.flush()
+            except BrokenPipeError:  # the reader stopped early (``| head``)
+                # the verdict stands; the unwritten rest must not fail at exit
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
-    text = buffer.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    code = 0 if report.ok else 1
     elapsed = time.monotonic() - started
     print(f"alder {args.command}: exit {code}, {elapsed:.2f}s wall",
           file=sys.stderr)

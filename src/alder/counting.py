@@ -30,7 +30,6 @@ class d+2^(r-1) (mod 2d) and an unrestricted partition over T(r-1, d);
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 from . import cache as _cache
 from .partset import ResidueClassSet, pm_set, r_of, t_set
@@ -39,7 +38,7 @@ from .partset import ResidueClassSet, pm_set, r_of, t_set
 DEFAULT_BRUTE_LIMIT = 60
 
 _cache_dir: str | None = None
-_tables: dict[str, "CountTable"] = {}
+_tables: dict[str, tuple[int, ...]] = {}  # key -> counts for 0..horizon
 _build_lock = threading.Lock()
 
 
@@ -47,18 +46,6 @@ def set_cache_dir(path: str | None) -> None:
     """Point the on-disk table cache at a directory (None disables it)."""
     global _cache_dir
     _cache_dir = str(path) if path is not None else None
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Dense table of counts for 0..horizon, immutable after construction."""
-
-    key: str
-    horizon: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        assert self.values[0] == 1 and len(self.values) == self.horizon + 1
 
 
 def _build_part_table(A: ResidueClassSet, horizon: int) -> list[int]:
@@ -108,30 +95,30 @@ _BUILDERS = {
 }
 
 
-def _table(kind: str, spec, key: str, n: int) -> CountTable:
+def _table(kind: str, spec, key: str, n: int) -> tuple[int, ...]:
     tab = _tables.get(key)
-    if tab is not None and tab.horizon >= n:
+    if tab is not None and len(tab) > n:
         return tab
     with _build_lock:
         tab = _tables.get(key)
-        if tab is not None and tab.horizon >= n:
+        if tab is not None and len(tab) > n:
             return tab
-        horizon = max(n, 64, 2 * tab.horizon if tab is not None else 0)
+        horizon = max(n, 64, 2 * (len(tab) - 1) if tab is not None else 0)
         values = _cache.load(_cache_dir, key, horizon) if _cache_dir else None
         if values is None:
             values = _BUILDERS[kind](spec, horizon)
             if _cache_dir:
                 _cache.store(_cache_dir, key, values)
-        tab = CountTable(key, len(values) - 1, tuple(values))
+        tab = tuple(values)
         _tables[key] = tab
         return tab
 
 
-def _part_table(A: ResidueClassSet, n: int) -> CountTable:
+def _part_table(A: ResidueClassSet, n: int) -> tuple[int, ...]:
     return _table("parts", A, "rho." + A.key(), n)
 
 
-def _gap_table(a: int, d: int, n: int) -> CountTable:
+def _gap_table(a: int, d: int, n: int) -> tuple[int, ...]:
     if a < 1 or d < 1:
         raise ValueError(f"need a >= 1 and d >= 1, got a={a}, d={d}")
     return _table("gap", (a, d), f"q.a{a}.d{d}", n)
@@ -141,7 +128,7 @@ def rho(A: ResidueClassSet, n: int) -> int:
     """Number of partitions of n with all parts in A (rho(A, 0) = 1)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _part_table(A, n).values[n]
+    return _part_table(A, n)[n]
 
 
 def rho_brute(A: ResidueClassSet, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
@@ -167,7 +154,7 @@ def q_count(a: int, d: int, n: int) -> int:
     """q_d^(a)(n): partitions of n into parts >= a with successive gaps >= d."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _gap_table(a, d, n).values[n]
+    return _gap_table(a, d, n)[n]
 
 
 def q_brute(a: int, d: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
@@ -236,7 +223,7 @@ def g_script(d: int, n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _table("g", d, f"g.d{d}", n).values[n]
+    return _table("g", d, f"g.d{d}", n)[n]
 
 
 def l_script(d: int, n: int) -> int:

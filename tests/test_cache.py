@@ -50,6 +50,24 @@ def test_negative_or_bad_entry_rejected(tmp_path):
     assert cache.load(tmp_path, "k", 1) is None
 
 
+def test_flipped_digit_rejected(tmp_path):
+    cache.store(tmp_path, "k", [1, 2, 35, 10 ** 30])
+    path = next(tmp_path.glob("*.json"))
+    data = json.loads(path.read_text())
+    data["values"][2] = "36"
+    path.write_text(json.dumps(data))
+    assert cache.load(tmp_path, "k", 1) is None
+
+
+def test_entry_without_digest_rejected(tmp_path):
+    cache.store(tmp_path, "k", [1, 2])
+    path = next(tmp_path.glob("*.json"))
+    data = json.loads(path.read_text())
+    del data["sha256"]
+    path.write_text(json.dumps(data))
+    assert cache.load(tmp_path, "k", 1) is None
+
+
 def test_store_failure_is_nonfatal(tmp_path):
     target = tmp_path / "not-a-dir"
     target.write_text("file in the way")

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from alder import cli
 
 
@@ -62,6 +64,24 @@ class TestCount:
                         "--n", "9..3"], capsys)[0] == 2
         assert run_cli(["count", "--kind", "q", "--a", "1", "--d", "1",
                         "--n", "5", "--jobs", "0"], capsys)[0] == 2
+
+    def test_over_long_range_exits_2(self, capsys):
+        # one value over the cap; with --a 0, code that built the range first
+        # would fail cheaply at its first cell, with another message
+        code, out, err = run_cli(
+            ["count", "--kind", "q", "--a", "0", "--d", "1", "--n",
+             f"1..{cli.MAX_RANGE_VALUES + 1}"], capsys)
+        assert code == 2 and out == ""
+        assert f"more than {cli.MAX_RANGE_VALUES}" in err
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(a, d, n):
+            raise RuntimeError("table invariant broken")
+        monkeypatch.setitem(cli._COUNT_FNS, "q", broken)
+        code, out, err = run_cli(
+            ["count", "--kind", "q", "--a", "1", "--d", "2", "--n", "1..3"], capsys)
+        assert code == 3 and out == ""
+        assert "internal error: RuntimeError: table invariant broken" in err
 
     def test_delta_mm_hyphen_alias(self, capsys):
         code, out, _ = run_cli(
@@ -228,6 +248,56 @@ class TestFormats:
         assert code == 0 and out == ""
         assert json.loads(target.read_text().splitlines()[0])["value"] == "2"
 
+    def test_out_file_bytes_equal_stdout(self, capsys, tmp_path):
+        argv = ["verify", "shift", "--N", "2", "--d", "63", "--n-max", "80",
+                "--force"]
+        target = tmp_path / "report.jsonl"
+        target.write_text("stale report\n")
+        _, out, _ = run_cli(argv, capsys)
+        code, _, _ = run_cli([*argv, "--out", str(target)], capsys)
+        assert code == 0
+        assert target.read_bytes() == out.encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["report.jsonl"]
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "report.jsonl"
+        code, out, err = run_cli(
+            ["count", "--kind", "q", "--a", "1", "--d", "2", "--n", "4",
+             "--out", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --out ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reader_closing_early_keeps_the_verdict(self):
+        # about 2 MB of report, far more than a pipe holds, so the write breaks
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "alder", "count", "--kind", "q", "--a", "1",
+             "--d", "200", "--n", "1..30000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert json.loads(proc.stdout.readline())["params"]["n"] == 1
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+        assert "alder count: exit 0" in err and "Error" not in err
+
+    @pytest.mark.parametrize("exc, want_code", [(OSError(28, "No space left on device"), 2),
+                                                (RuntimeError("formatter bug"), 3)])
+    def test_failed_write_keeps_old_file(self, capsys, tmp_path, monkeypatch,
+                                         exc, want_code):
+        target = tmp_path / "report.jsonl"
+        target.write_bytes(b"old report\n")
+
+        def write_one_line_then_raise(report, fmt, out):
+            out.write("partial\n")
+            raise exc
+        monkeypatch.setattr(cli, "_write", write_one_line_then_raise)
+        code, out, _ = run_cli(
+            ["count", "--kind", "q", "--a", "1", "--d", "2", "--n", "4",
+             "--out", str(target)], capsys)
+        assert code == want_code and out == ""
+        assert target.read_bytes() == b"old report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.jsonl"]
+
 
 class TestCache:
     def test_hits_do_not_change_values(self, capsys, tmp_path):
@@ -266,6 +336,21 @@ class TestCache:
         counting._tables.clear()
         _, out, _ = run_cli(argv, capsys)
         assert json_lines(out)[0]["value"] == "2"
+
+    def test_flipped_digit_rejected_and_rebuilt(self, capsys, tmp_path):
+        from alder import counting
+        argv = ["verify", "ceiling", "--a", "2", "--d", "3", "--n-max", "60"]
+        counting._tables.clear()
+        uncached = run_cli(argv, capsys)[:2]
+        counting._tables.clear()
+        assert run_cli([*argv, "--cache", str(tmp_path)], capsys)[:2] == uncached
+        path = tmp_path / "q.a2.d3.json"
+        data = json.loads(path.read_text())
+        data["values"][50] = "0"  # was "342"; trusted, it fails cell n=50
+        path.write_text(json.dumps(data))
+        counting._tables.clear()
+        assert run_cli([*argv, "--cache", str(tmp_path)], capsys)[:2] == uncached
+        assert json.loads(path.read_text())["values"][50] != "0"  # rebuilt
 
 
 class TestDeterminism:

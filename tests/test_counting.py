@@ -253,7 +253,7 @@ class TestLargestPartCounts:
 class TestTables:
     def test_entry_zero_is_one(self):
         tab = counting._part_table(s_set(63, 2), 10)
-        assert tab.values[0] == 1
+        assert tab[0] == 1
 
     def test_rebuild_reproducible(self):
         A = pm_set(1, 7)

@@ -1,11 +1,12 @@
-"""Golden reports: every verify statement and search kind, byte for byte.
+"""Golden reports: every command, statement and search kind, byte for byte.
 
 Each entry is an invocation, its exit code and the sha256 of its report.
-The digests were recorded before the grid statements moved onto the
-shared row evaluator, and the reports must not drift.  One entry differs
-from that recording on purpose: ``verify ceiling --a 2 --d 1 --n-max 1
---force`` no longer attaches a witness to its out-of-hypothesis cell
-(only failing cells carry one).
+The verify and search digests were recorded before the grid statements
+moved onto the shared row evaluator, the count and inject digests before
+every command moved onto the one report writer, and the reports must not
+drift.  One entry differs from that recording on purpose: ``verify
+ceiling --a 2 --d 1 --n-max 1 --force`` no longer attaches a witness to
+its out-of-hypothesis cell (only failing cells carry one).
 """
 
 import hashlib
@@ -69,6 +70,30 @@ GOLDEN = [
      "3c7c31ef266ffaaad775aab67c3fdd22a2438b2837aa6265fe3444258f65c3bd"),
     ("search --kind shift --N 3 --d 3..20 --n-max 50 --format human", 0,
      "3b3d89a0c3fff60b06d2977591b85d16191a858bace3338e08eb30f7767ac013"),
+    ("count --kind q --a 1 --d 2 --n 0..30", 0,
+     "f4b7612a64223c1f8928408848c1e83540dbaa7eba06a1f32bea3d43aa0dd957"),
+    ("count --kind rho --set S --d 63 --N 2 --n 60..70 --format csv", 0,
+     "5db6feb78ad6a284ceafac1f4d4d113697ff56dc13bd43e68b6246adda1812cc"),
+    ("count --kind delta_m --a 2 --d 5 --n 1..25 --format human", 0,
+     "ca53de394711e18e2af2172ca80a76eec37d44a5bae47ff60223e5e9be4c3d6c"),
+    ("count --kind g --d 63 --n 300..305 --format csv", 0,
+     "9d76fc96db4590924f354c5882208d163e3ba01c4dcee558fbed41f3414b05ee"),
+    ("count --kind rho --set T --s 5 --d 63 --n 0..12 --format human", 0,
+     "fad140e8648e07a65dc5dbc4ac3cbeddfa32b4c07adb87296bbe557686957974"),
+    ("inject --d 63 --N 2 --n 455..457", 0,
+     "85efa2f070b4c8a6df62530f0c6c2a840686808f2f6f658b3d5923de5464ea69"),
+    ("inject --d 63 --N 3 --n 455..456 --format human", 0,
+     "a3745146cdf2681cd3e3a153eb9a93bd8daf17e766dbedc5f3cdefd0d52c1597"),
+    ("inject --d 12 --N 4 --n 100 --force", 0,
+     "82ba6384aa7bf02415c882d4f5983e179e2975bc8989c9aeda617d2571014884"),
+    ("inject --d 12 --N 4 --n 100..101 --format human", 0,
+     "078f599ee3cbd3a612a96939f72dc5a80656fb31a2296702aa52a330a82c9b61"),
+    ("inject --d 12 --N 4 --n 100 --force --format human", 0,
+     "ea1c449779cc12b53055b36fedf10ed391a94633250568cf8471d1bbc9370f38"),
+    ("inject --d 63 --N 2 --n 455..456 --format csv", 0,
+     "1bceb4aa22f374b36b7b4bda88d619f3dbcecfaf0e1006dbeece74f7ad8d3409"),
+    ("inject --d 63 --N 2 --n 455..458 --jobs 2", 0,
+     "e2aaa48164c59052c07d4406e43ee9e654caff63c4f44ba48741cba8d8dafde0"),
 ]
 
 
