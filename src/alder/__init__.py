@@ -11,8 +11,8 @@ from .inequalities import (GridSpec, VerificationReport, check_a_to_1,
                            search_counterexamples, verify_gen_dkst,
                            verify_gen_kp, verify_shift_range,
                            verify_smalln_anchors, xy_difference_report)
-from .injection import (IndexedPartition, PartitionStats, enumerate_s,
-                        phi, phi1, phi2, stats, verify_injection)
+from .injection import (PartitionStats, enumerate_partitions, phi1, phi2,
+                        stats, verify_injection)
 from .partset import (ResidueClassSet, pm_set, positive_integers, r_of,
                       s_set, t_set, x_closed, y_closed)
 

@@ -238,16 +238,16 @@ def cmd_verify(args) -> VerificationReport:
 
 # ---------------------------------------------------------------- inject
 
-def _inject_cell(cell: tuple[int, int, int, bool, int]) -> injection.InjectionCellReport:
-    d, N, n, force, horizon = cell
-    return injection.verify_injection(d, N, n, force=force, horizon=horizon)
+def _inject_cell(cell: tuple[int, int, int, bool]) -> injection.InjectionCellReport:
+    d, N, n, force = cell
+    return injection.verify_injection(d, N, n, force=force)
 
 
 def cmd_inject(args) -> VerificationReport:
     d = _single(args, "d")
     N = _single(args, "N")
     n_values = parse_range(args.n)
-    cells = [(d, N, n, args.force, args.horizon) for n in n_values]
+    cells = [(d, N, n, args.force) for n in n_values]
     try:
         reports = parallel_map(_inject_cell, cells, args.jobs)
     except ValueError as exc:
@@ -324,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True)
     p.add_argument("--N", required=True)
     p.add_argument("--n", required=True, help="N or LO..HI")
-    p.add_argument("--horizon", type=int, default=injection.DEFAULT_ENUM_HORIZON)
     common(p)
 
     p = sub.add_parser("search", help="scan for negative deltas")

@@ -37,6 +37,9 @@ from .partset import ResidueClassSet, pm_set, r_of, t_set
 #: refuse brute-force enumeration beyond this unless the caller raises it
 DEFAULT_BRUTE_LIMIT = 60
 
+#: largest n a count table is built for; checked before the table is allocated
+MAX_HORIZON = 10 ** 5
+
 _cache_dir: str | None = None
 _tables: dict[str, tuple[int, ...]] = {}  # key -> counts for 0..horizon
 _build_lock = threading.Lock()
@@ -99,11 +102,14 @@ def _table(kind: str, spec, key: str, n: int) -> tuple[int, ...]:
     tab = _tables.get(key)
     if tab is not None and len(tab) > n:
         return tab
+    if n > MAX_HORIZON:
+        raise ValueError(f"n={n} is beyond the table horizon cap {MAX_HORIZON}")
     with _build_lock:
         tab = _tables.get(key)
         if tab is not None and len(tab) > n:
             return tab
-        horizon = max(n, 64, 2 * (len(tab) - 1) if tab is not None else 0)
+        horizon = min(max(n, 64, 2 * (len(tab) - 1) if tab is not None else 0),
+                      MAX_HORIZON)
         values = _cache.load(_cache_dir, key, horizon) if _cache_dir else None
         if values is None:
             values = _BUILDERS[kind](spec, horizon)

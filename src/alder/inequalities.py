@@ -452,8 +452,11 @@ def verify_t_monotone(d: int, n_max: int) -> VerificationReport:
     n <= n_max and a failing pair carries the first violating n."""
     report = VerificationReport("verify-t-monotone")
     r = r_of(d)
-    tables = {s: [rho(t_set(s, d), n) for n in range(n_max + 1)]
-              for s in range(1, r + 1)}
+    tables = {}
+    for s in range(1, r + 1):
+        T = t_set(s, d)
+        rho(T, n_max)  # one build at the horizon, or a refusal before any work
+        tables[s] = [rho(T, n) for n in range(n_max + 1)]
     for s_lo in range(1, r + 1):
         for s_hi in range(s_lo, r + 1):
             slack = [hi - lo for lo, hi in zip(tables[s_lo], tables[s_hi])]

@@ -2,8 +2,9 @@
 
 Fix d, N and a target weight n.  Write p_i for the multiplicity of the
 i-th smallest element x_i of s_set(d, N) in a partition lam, and q_i for
-multiplicities over the elements y_i of t_set(5, d).  The classification
-statistics are
+multiplicities over the elements y_i of t_set(5, d).  A partition is the
+map lam = {i: p_i} of its positive multiplicities in increasing i, and
+an image the map {i: q_i}.  The classification statistics are
 
     alpha = sum_{i>=3} (x_i - y_i) * p_i      (nonnegative for
             d >= max(31, 6N-17), by the difference table),
@@ -39,7 +40,8 @@ from . import counting
 from .partset import (ResidueClassSet, s_set, shift_regime, t_set, x_closed,
                       y_closed)
 
-DEFAULT_ENUM_HORIZON = 5000
+#: largest rho(S, n) a cell may enumerate; checked before the enumeration
+MAX_PARTITIONS = 10 ** 6
 
 
 class HypothesisViolation(ValueError):
@@ -55,37 +57,6 @@ class MapViolation(Exception):
 
 
 @dataclass(frozen=True)
-class IndexedPartition:
-    """A partition stored as (index, multiplicity) pairs over a part set.
-
-    ``mult`` is sorted by index and keeps only positive multiplicities;
-    ``weight`` is the partitioned integer.
-    """
-
-    base: ResidueClassSet
-    mult: tuple[tuple[int, int], ...]
-    weight: int
-
-    @classmethod
-    def from_mults(cls, base: ResidueClassSet, mults: dict[int, int]) -> "IndexedPartition":
-        pairs = tuple(sorted((i, m) for i, m in mults.items() if m != 0))
-        for i, m in pairs:
-            if i < 1 or m < 0:
-                raise ValueError(f"bad multiplicity entry ({i}, {m})")
-        weight = sum(m * base.element(i) for i, m in pairs)
-        return cls(base, pairs, weight)
-
-    def multiplicity(self, i: int) -> int:
-        for j, m in self.mult:
-            if j == i:
-                return m
-        return 0
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.mult)
-
-
-@dataclass(frozen=True)
 class PartitionStats:
     alpha: int
     beta: int
@@ -93,43 +64,37 @@ class PartitionStats:
     cls: str  # "S1" or "S2"
 
 
-def enumerate_partitions(A: ResidueClassSet, n: int) -> list[IndexedPartition]:
-    """All partitions of n with parts in A, in a canonical order.
+def enumerate_partitions(A: ResidueClassSet, n: int) -> list[dict[int, int]]:
+    """All partitions of n with parts in A, as {i: p_i} maps, in a canonical order.
 
     Depth-first over indices from the largest part value downwards,
     taking the highest multiplicity first, so the first result packs as
-    much as possible into large parts and the last is all-smallest.
+    much as possible into large parts and the last is all-smallest.  The
+    smallest part takes the remainder in one step.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     elements = A.elements_upto(n)
-    out: list[IndexedPartition] = []
-    acc: list[tuple[int, int]] = []
+    out: list[dict[int, int]] = []
+    acc: list[tuple[int, int]] = []  # (i, p_i), largest index first
 
     def walk(idx: int, remaining: int) -> None:
         if remaining == 0:
-            out.append(IndexedPartition(A, tuple(sorted(acc)), n))
-            return
-        if idx < 0:
-            return
-        v = elements[idx]
-        for m in range(remaining // v, -1, -1):
-            if m:
+            out.append(dict(reversed(acc)))
+        elif idx == 0:
+            m, rest = divmod(remaining, elements[0])
+            if rest == 0:
+                out.append(dict([(1, m), *reversed(acc)]))
+        elif idx > 0:
+            v = elements[idx]
+            for m in range(remaining // v, 0, -1):
                 acc.append((idx + 1, m))
-            walk(idx - 1, remaining - m * v)
-            if m:
+                walk(idx - 1, remaining - m * v)
                 acc.pop()
+            walk(idx - 1, remaining)
 
     walk(len(elements) - 1, n)
     return out
-
-
-def enumerate_s(d: int, N: int, n: int,
-                horizon: int = DEFAULT_ENUM_HORIZON) -> list[IndexedPartition]:
-    """All partitions of n over s_set(d, N); length equals rho(s_set(d,N), n)."""
-    if n > horizon:
-        raise ValueError(f"n={n} beyond enumeration horizon {horizon}")
-    return enumerate_partitions(s_set(d, N), n)
 
 
 def in_hypothesis(d: int, N: int, n: int) -> bool:
@@ -137,23 +102,23 @@ def in_hypothesis(d: int, N: int, n: int) -> bool:
     return shift_regime(d, N) and n >= 7 * d + 14
 
 
-def stats(lam: IndexedPartition, d: int, N: int) -> PartitionStats:
-    """Classification statistics of a partition over s_set(d, N).
+def stats(lam: dict[int, int], d: int, N: int) -> PartitionStats:
+    """Classification statistics of a partition {i: p_i} over s_set(d, N).
 
     Rejects if some held part has x_i < y_i (the alpha >= 0 regime
     requires d >= max(31, 6N-17)).
     """
     alpha = 0
-    for i, m in lam.mult:
+    for i, m in lam.items():
         if i >= 3:
             diff = x_closed(d, N, i) - y_closed(d, i)
             if diff < 0:
                 raise HypothesisViolation(
                     f"x_{i} - y_{i} = {diff} < 0 at d={d}, N={N}")
             alpha += diff * m
-    p1 = lam.multiplicity(1)
-    p2 = lam.multiplicity(2)
-    p5 = lam.multiplicity(5)
+    p1 = lam.get(1, 0)
+    p2 = lam.get(2, 0)
+    p5 = lam.get(5, 0)
     eps = p2 % 2
     denom = d - N - 1
     if denom < 1:
@@ -163,53 +128,47 @@ def stats(lam: IndexedPartition, d: int, N: int) -> PartitionStats:
     return PartitionStats(alpha, beta, eps, cls)
 
 
-def _image(lam: IndexedPartition, d: int, N: int, q_mults: dict[int, int],
-           piece: str) -> IndexedPartition:
-    """Build the image partition over t_set(5, d), checking well-definedness."""
-    negative = {i: m for i, m in q_mults.items() if m < 0}
+def _image(lam: dict[int, int], d: int, N: int, q: dict[int, int],
+           piece: str) -> dict[int, int]:
+    """The image {i: q_i} over t_set(5, d), checking well-definedness."""
+    negative = {i: m for i, m in q.items() if m < 0}
     if negative:
         raise MapViolation(
             f"{piece} produced negative multiplicities at d={d}, N={N}",
-            {"piece": piece, "source": lam.as_dict(), "negative": negative})
-    pairs = tuple(sorted((i, m) for i, m in q_mults.items() if m > 0))
-    weight = sum(m * y_closed(d, i) for i, m in pairs)
-    if weight != lam.weight:
+            {"piece": piece, "source": lam, "negative": negative})
+    image = {i: m for i, m in sorted(q.items()) if m > 0}
+    weight = sum(m * y_closed(d, i) for i, m in image.items())
+    expected = sum(m * x_closed(d, N, i) for i, m in lam.items())
+    if weight != expected:
         raise MapViolation(
-            f"{piece} changed the weight {lam.weight} -> {weight} at d={d}, N={N}",
-            {"piece": piece, "source": lam.as_dict(),
-             "image": dict(pairs), "weight": weight, "expected": lam.weight})
-    return IndexedPartition(t_set(5, d), pairs, weight)
+            f"{piece} changed the weight {expected} -> {weight} at d={d}, N={N}",
+            {"piece": piece, "source": lam,
+             "image": image, "weight": weight, "expected": expected})
+    return image
 
 
-def phi1(lam: IndexedPartition, d: int, N: int,
-         st: PartitionStats | None = None) -> IndexedPartition:
+def phi1(lam: dict[int, int], d: int, N: int,
+         st: PartitionStats | None = None) -> dict[int, int]:
     """The S1 piece: move the class-S1 surplus into parts of size 1."""
     st = st or stats(lam, d, N)
-    q = lam.as_dict()
-    p2 = lam.multiplicity(2)
-    q[1] = lam.multiplicity(1) + st.alpha - (N - 2) * p2
+    q = dict(lam)
+    q[1] = lam.get(1, 0) + st.alpha - (N - 2) * lam.get(2, 0)
     return _image(lam, d, N, q, "phi1")
 
 
-def phi2(lam: IndexedPartition, d: int, N: int,
-         st: PartitionStats | None = None) -> IndexedPartition:
+def phi2(lam: dict[int, int], d: int, N: int,
+         st: PartitionStats | None = None) -> dict[int, int]:
     """The S2 piece: rebalance p_2 into parts y_1, y_2, y_5 guided by beta, eps."""
     st = st or stats(lam, d, N)
-    p1 = lam.multiplicity(1)
-    p2 = lam.multiplicity(2)
-    p5 = lam.multiplicity(5)
+    p1 = lam.get(1, 0)
+    p2 = lam.get(2, 0)
+    p5 = lam.get(5, 0)
     eps, beta = st.epsilon, st.beta
-    q = lam.as_dict()
+    q = dict(lam)
     q[1] = p1 + st.alpha + (p2 + eps) * (d - 2 * N - 8) // 2 + 28 * beta + (26 + N) * eps
     q[2] = 2 * beta + eps
     q[5] = p5 + (p2 + eps) // 2 - 2 * beta - 2 * eps
     return _image(lam, d, N, q, "phi2")
-
-
-def phi(lam: IndexedPartition, d: int, N: int) -> IndexedPartition:
-    """Dispatch on the classification: S1 -> phi1, S2 -> phi2."""
-    st = stats(lam, d, N)
-    return phi1(lam, d, N, st) if st.cls == "S1" else phi2(lam, d, N, st)
 
 
 @dataclass
@@ -245,8 +204,7 @@ class InjectionCellReport:
         return "holds" if self.passed else "fails"
 
 
-def verify_injection(d: int, N: int, n: int, force: bool = False,
-                     horizon: int = DEFAULT_ENUM_HORIZON) -> InjectionCellReport:
+def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCellReport:
     """Exhaustively verify the piecewise injection at one (d, N, n) cell.
 
     Checks, over the full enumeration of partitions of n over s_set(d,N):
@@ -257,10 +215,13 @@ def verify_injection(d: int, N: int, n: int, force: bool = False,
     witnesses; the call itself does not raise on them.
 
     Out-of-hypothesis cells are evaluated only when ``force`` is set and
-    are labeled as such, never as failures of the inequality.
+    are labeled as such, never as failures of the inequality.  Raises
+    ValueError if n < 0 and, for a cell it evaluates, if n is beyond
+    ``counting.MAX_HORIZON`` or rho(S, n) exceeds MAX_PARTITIONS; these
+    are checked before anything is enumerated.
     """
-    if n > horizon:
-        raise ValueError(f"n={n} beyond enumeration horizon {horizon}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     hyp = in_hypothesis(d, N, n)
     report = InjectionCellReport(d, N, n, in_hypothesis=hyp, evaluated=hyp or force)
     if not report.evaluated:
@@ -269,15 +230,20 @@ def verify_injection(d: int, N: int, n: int, force: bool = False,
 
     try:
         y_closed(d, 1)  # the target ordering needs r_of(d) >= 5
-        partitions = enumerate_s(d, N, n, horizon)
-        report.rho_s = counting.rho(s_set(d, N), n)
-        report.rho_t = counting.rho(t_set(5, d), n)
+        S = s_set(d, N)
+        T = t_set(5, d)
     except ValueError as exc:
         report.checks["constructible"] = False
         report.witnesses.append({"error": str(exc)})
         report.note = "cell not constructible"
         return report
 
+    report.rho_s = counting.rho(S, n)
+    if report.rho_s > MAX_PARTITIONS:
+        raise ValueError(f"cell d={d}, N={N}, n={n} has {report.rho_s} partitions, "
+                         f"more than {MAX_PARTITIONS}")
+    report.rho_t = counting.rho(T, n)
+    partitions = enumerate_partitions(S, n)
     report.size = len(partitions)
     images: set[tuple[tuple[int, int], ...]] = set()
     mapped = 0
@@ -291,30 +257,30 @@ def verify_injection(d: int, N: int, n: int, force: bool = False,
             st = stats(lam, d, N)
         except HypothesisViolation as exc:
             stats_ok = False
-            report.witnesses.append({"source": lam.as_dict(), "error": str(exc)})
+            report.witnesses.append({"source": lam, "error": str(exc)})
             continue
         if st.cls == "S1":
             report.s1_size += 1
         else:
             report.s2_sizes[st.beta] = report.s2_sizes.get(st.beta, 0) + 1
-            if lam.multiplicity(2) < 8:
+            p2 = lam.get(2, 0)
+            if p2 < 8:
                 p2_ok = False
                 report.witnesses.append(
-                    {"check": "p2_lower_bound", "source": lam.as_dict(),
-                     "p2": lam.multiplicity(2)})
+                    {"check": "p2_lower_bound", "source": lam, "p2": p2})
         try:
             img = phi1(lam, d, N, st) if st.cls == "S1" else phi2(lam, d, N, st)
         except MapViolation as exc:
             image_ok = False
             report.witnesses.append(exc.witness)
             continue
-        if st.cls == "S2" and img.multiplicity(2) // 2 != st.beta:
+        if st.cls == "S2" and img.get(2, 0) // 2 != st.beta:
             separation_ok = False
             report.witnesses.append(
-                {"check": "piece_separation", "source": lam.as_dict(),
-                 "beta": st.beta, "q2": img.multiplicity(2)})
+                {"check": "piece_separation", "source": lam,
+                 "beta": st.beta, "q2": img.get(2, 0)})
         mapped += 1
-        images.add(img.mult)
+        images.add(tuple(img.items()))
 
     report.checks["classification_partitions"] = (
         report.s1_size + report.s2_size == report.size)

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from alder import cli
+from alder import cli, counting
+from alder.partset import s_set
 
 
 def run_cli(argv, capsys):
@@ -73,6 +74,13 @@ class TestCount:
              f"1..{cli.MAX_RANGE_VALUES + 1}"], capsys)
         assert code == 2 and out == ""
         assert f"more than {cli.MAX_RANGE_VALUES}" in err
+
+    def test_over_horizon_cap_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["count", "--kind", "q", "--a", "1", "--d", "2", "--n",
+             str(counting.MAX_HORIZON + 1)], capsys)
+        assert code == 2 and out == ""
+        assert f"beyond the table horizon cap {counting.MAX_HORIZON}" in err
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def broken(a, d, n):
@@ -168,6 +176,16 @@ class TestVerify:
         assert code == 0
         assert json_lines(out)[:-1][0]["params"]["n_max"] == 2000
 
+    def test_n_max_over_horizon_cap_exits_2(self, capsys):
+        # refused at the first table build, before any smaller table is built
+        for argv in (["shift", "--N", "2", "--d", "63"], ["t-monotone", "--d", "31"]):
+            built = set(counting._tables)
+            code, out, err = run_cli(
+                ["verify", *argv, "--n-max", str(counting.MAX_HORIZON + 1)], capsys)
+            assert code == 2 and out == ""
+            assert "horizon cap" in err
+            assert set(counting._tables) == built
+
 
 class TestInject:
     def test_pass_cells(self, capsys):
@@ -192,10 +210,26 @@ class TestInject:
         assert json_lines(out)[0]["status"] == "out-of-hypothesis"
 
     def test_horizon_usage_error(self, capsys):
-        code, _, _ = run_cli(
-            ["inject", "--d", "63", "--N", "2", "--n", "600",
-             "--horizon", "500"], capsys)
-        assert code == 2
+        code, out, err = run_cli(
+            ["inject", "--d", "63", "--N", "2", "--n",
+             str(counting.MAX_HORIZON + 1)], capsys)
+        assert code == 2 and out == ""
+        assert "horizon cap" in err
+
+    def test_negative_n_exits_2(self, capsys):
+        for force in ([], ["--force"]):
+            code, out, err = run_cli(
+                ["inject", "--d", "63", "--N", "2", "--n=-5", *force], capsys)
+            assert code == 2 and out == ""
+            assert "n must be >= 0" in err
+
+    def test_cell_over_partition_cap_exits_2(self, capsys, monkeypatch):
+        rho_s = counting.rho(s_set(63, 2), 520)
+        monkeypatch.setattr(cli.injection, "MAX_PARTITIONS", rho_s - 1)
+        code, out, err = run_cli(
+            ["inject", "--d", "63", "--N", "2", "--n", "455..520"], capsys)
+        assert code == 2 and out == ""
+        assert f"{rho_s} partitions, more than {rho_s - 1}" in err
 
 
 class TestSearch:

@@ -244,7 +244,7 @@ class TestLargestPartCounts:
         n = 130
         per_largest = {}
         for lam in enumerate_partitions(A, n):
-            top = max(i for i, _ in lam.mult)
+            top = max(lam)
             per_largest[top] = per_largest.get(top, 0) + 1
         dist = largest_part_counts(A, n, 6)
         assert dist == [per_largest.get(i, 0) for i in range(1, 7)]
@@ -254,6 +254,21 @@ class TestTables:
     def test_entry_zero_is_one(self):
         tab = counting._part_table(s_set(63, 2), 10)
         assert tab[0] == 1
+
+    def test_horizon_cap_refuses_before_building(self, monkeypatch):
+        monkeypatch.setattr(counting, "MAX_HORIZON", 100)
+        A = pm_set(2, 11)
+        key = "rho." + A.key()
+        counting._tables.pop(key, None)
+        assert rho(A, 70) == rho_brute(A, 70, limit=70)
+        # regrowth would double to 140; it is clamped so n = 100 still builds
+        rho(A, 90)
+        assert len(counting._tables[key]) == 101
+        assert rho(A, 100) == counting._tables[key][100]
+        counting._tables.pop(key)
+        with pytest.raises(ValueError, match="horizon cap"):
+            rho(A, 101)
+        assert key not in counting._tables
 
     def test_rebuild_reproducible(self):
         A = pm_set(1, 7)

@@ -3,8 +3,9 @@
 Each entry is an invocation, its exit code and the sha256 of its report.
 The verify and search digests were recorded before the grid statements
 moved onto the shared row evaluator, the count and inject digests before
-every command moved onto the one report writer, and the reports must not
-drift.  One entry differs from that recording on purpose: ``verify
+every command moved onto the one report writer, the last four inject
+digests before partitions became plain {index: multiplicity} maps, and
+the reports must not drift.  One entry differs from that recording on purpose: ``verify
 ceiling --a 2 --d 1 --n-max 1 --force`` no longer attaches a witness to
 its out-of-hypothesis cell (only failing cells carry one).
 """
@@ -94,6 +95,16 @@ GOLDEN = [
      "1bceb4aa22f374b36b7b4bda88d619f3dbcecfaf0e1006dbeece74f7ad8d3409"),
     ("inject --d 63 --N 2 --n 455..458 --jobs 2", 0,
      "e2aaa48164c59052c07d4406e43ee9e654caff63c4f44ba48741cba8d8dafde0"),
+    # forced cells whose witnesses carry partition maps: stats errors, the
+    # p_2 bound, negative phi2 images and the order of the first five
+    ("inject --d 31 --N 10 --n 420 --force", 0,
+     "8bf160709e72856ff4116fd97483fd74a9d9e919e22bbb119f659ccd0fa61d86"),
+    ("inject --d 31 --N 9 --n 120..130 --force", 0,
+     "0cf75526f09f935bdaf11813dd6049d1f928a0190b89ca20726ecaf0cc710ec2"),
+    ("inject --d 40 --N 3 --n 290 --force --format human", 0,
+     "b22d2f9f85b8582269c47b3ef6d74778a56dc5fddb0be72baa5922f0de1dc709"),
+    ("inject --d 63 --N 3 --n 455..460", 0,
+     "a2ebf6c1369d6c96a2186d650cf0fe6c4a42c70eab61e1ec22bc8f4fceeec539"),
 ]
 
 

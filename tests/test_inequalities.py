@@ -64,9 +64,10 @@ class TestVerifyShiftRange:
         assert {r.status for r in report.records} == {SKIPPED}
 
     def test_agrees_with_enumeration(self):
-        from alder.injection import enumerate_s
+        from alder.injection import enumerate_partitions
         d, N, n = 63, 2, 130
-        assert check_shift(d, N, n) == q_count(1, d, n) - len(enumerate_s(d, N, n))
+        assert check_shift(d, N, n) == \
+            q_count(1, d, n) - len(enumerate_partitions(s_set(d, N), n))
 
 
 class TestAndrews:

@@ -4,72 +4,115 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alder.counting import rho
-from alder.injection import (DEFAULT_ENUM_HORIZON, HypothesisViolation,
-                             IndexedPartition, MapViolation, enumerate_s,
-                             in_hypothesis, phi, phi1, phi2, stats,
-                             verify_injection)
-from alder.partset import s_set, shift_regime, x_closed, y_closed
+from alder import injection
+from alder.counting import MAX_HORIZON, rho
+from alder.injection import (HypothesisViolation, MapViolation,
+                             enumerate_partitions, in_hypothesis, phi1, phi2,
+                             stats, verify_injection)
+from alder.partset import (pm_set, positive_integers, s_set, shift_regime,
+                           t_set, x_closed, y_closed)
 
 
-def make_lam(d, N, mults):
-    return IndexedPartition.from_mults(s_set(d, N), mults)
+def weight_s(lam, d, N):
+    return sum(m * x_closed(d, N, i) for i, m in lam.items())
 
 
-class TestIndexedPartition:
-    def test_weight(self):
-        lam = make_lam(63, 2, {1: 61, 2: 1})
-        assert lam.weight == 61 + 65
-        assert lam.multiplicity(2) == 1
-        assert lam.multiplicity(9) == 0
+def weight_t(img, d):
+    return sum(m * y_closed(d, i) for i, m in img.items())
 
-    def test_drops_zero_mults(self):
-        lam = make_lam(63, 2, {1: 5, 3: 0})
-        assert lam.mult == ((1, 5),)
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            make_lam(63, 2, {1: -1})
+def apply_map(lam, d, N):
+    st_ = stats(lam, d, N)
+    return phi1(lam, d, N, st_) if st_.cls == "S1" else phi2(lam, d, N, st_)
+
+
+def reference_order(A, n):
+    """The enumeration order before the smallest part took the remainder in
+    one step: every multiplicity of every index is tried, highest first."""
+    elements = A.elements_upto(n)
+    out, acc = [], []
+
+    def walk(idx, remaining):
+        if remaining == 0:
+            out.append(dict(sorted(acc)))
+            return
+        if idx < 0:
+            return
+        for m in range(remaining // elements[idx], -1, -1):
+            if m:
+                acc.append((idx + 1, m))
+            walk(idx - 1, remaining - m * elements[idx])
+            if m:
+                acc.pop()
+
+    walk(len(elements) - 1, n)
+    return out
 
 
 class TestEnumerateS:
     def test_two_partitions_of_126(self):
-        parts = enumerate_s(63, 2, 126)
-        assert len(parts) == 2
-        assert {p.mult for p in parts} == {((1, 126),), ((1, 61), (2, 1))}
+        parts = enumerate_partitions(s_set(63, 2), 126)
+        assert parts == [{1: 61, 2: 1}, {1: 126}]
+        assert list(parts[0]) == [1, 2]
 
     def test_zero_and_tiny(self):
-        assert [p.mult for p in enumerate_s(63, 2, 0)] == [()]
-        assert [p.mult for p in enumerate_s(63, 2, 2)] == [((1, 2),)]
+        assert enumerate_partitions(s_set(63, 2), 0) == [{}]
+        assert enumerate_partitions(s_set(63, 2), 2) == [{1: 2}]
 
     @pytest.mark.parametrize("d,N,n", [(63, 2, 130), (63, 3, 200), (105, 4, 120)])
     def test_count_matches_rho(self, d, N, n):
-        assert len(enumerate_s(d, N, n)) == rho(s_set(d, N), n)
+        assert len(enumerate_partitions(s_set(d, N), n)) == rho(s_set(d, N), n)
 
     def test_deterministic_order(self):
-        assert [p.mult for p in enumerate_s(63, 2, 130)] == \
-            [p.mult for p in enumerate_s(63, 2, 130)]
+        assert enumerate_partitions(s_set(63, 2), 130) == \
+            enumerate_partitions(s_set(63, 2), 130)
 
-    def test_horizon(self):
+
+class TestEnumeratePartitions:
+    SETS = [pm_set(2, 7), pm_set(5, 11), pm_set(1, 7), positive_integers(),
+            t_set(5, 31), s_set(31, 9)]
+
+    @pytest.mark.parametrize("A", SETS, ids=lambda A: A.key())
+    def test_maps_are_the_partitions_counted_by_rho(self, A):
+        for n in range(0, 41):
+            parts = enumerate_partitions(A, n)
+            assert len(parts) == rho(A, n)
+            elements = A.elements_upto(n)
+            for lam in parts:
+                assert list(lam) == sorted(lam)
+                assert all(m > 0 for m in lam.values())
+                assert sum(m * elements[i - 1] for i, m in lam.items()) == n
+            assert len({tuple(lam.items()) for lam in parts}) == len(parts)
+
+    @pytest.mark.parametrize("A,n", [(pm_set(2, 7), 40), (pm_set(5, 11), 60),
+                                     (s_set(31, 9), 150), (s_set(63, 3), 300)])
+    def test_order_unchanged(self, A, n):
+        assert enumerate_partitions(A, n) == reference_order(A, n)
+
+    def test_edges(self):
+        assert enumerate_partitions(pm_set(5, 11), 0) == [{}]
+        assert enumerate_partitions(pm_set(5, 11), 4) == []
+        assert enumerate_partitions(pm_set(5, 11), 7) == []
+        assert enumerate_partitions(pm_set(5, 11), 5) == [{1: 1}]
         with pytest.raises(ValueError):
-            enumerate_s(63, 2, DEFAULT_ENUM_HORIZON + 1)
+            enumerate_partitions(pm_set(5, 11), -1)
 
 
 class TestStats:
     def test_all_x2(self):
-        st_ = stats(make_lam(63, 2, {2: 7}), 63, 2)
+        st_ = stats({2: 7}, 63, 2)
         assert (st_.alpha, st_.epsilon, st_.beta, st_.cls) == (0, 1, 0, "S1")
 
     def test_empty(self):
-        st_ = stats(make_lam(63, 2, {}), 63, 2)
+        st_ = stats({}, 63, 2)
         assert (st_.alpha, st_.epsilon, st_.beta, st_.cls) == (0, 0, 0, "S1")
 
     def test_s2_member(self):
-        st_ = stats(make_lam(63, 3, {1: 7, 2: 8}), 63, 3)
+        st_ = stats({1: 7, 2: 8}, 63, 3)
         assert (st_.alpha, st_.epsilon, st_.beta, st_.cls) == (0, 0, 0, "S2")
 
     def test_alpha_uses_difference_table(self):
-        lam = make_lam(63, 2, {3: 2, 12: 1})
+        lam = {3: 2, 12: 1}
         st_ = stats(lam, 63, 2)
         assert st_.alpha == 2 * 60 + 68
 
@@ -77,77 +120,82 @@ class TestStats:
         # d = 31, N = 10 is outside d >= max(31, 6N-17): x_12 < y_12
         assert x_closed(31, 10, 12) - y_closed(31, 12) < 0
         with pytest.raises(HypothesisViolation):
-            stats(make_lam(31, 10, {12: 1}), 31, 10)
+            stats({12: 1}, 31, 10)
 
 
 class TestPhi1:
     def test_all_x2_goes_to_y2(self):
-        img = phi1(make_lam(63, 2, {2: 7}), 63, 2)
-        assert img.mult == ((2, 7),)
-        assert img.weight == 7 * 65
+        img = phi1({2: 7}, 63, 2)
+        assert img == {2: 7}
+        assert weight_t(img, 63) == 7 * 65
 
     def test_identity_on_ones(self):
-        img = phi1(make_lam(63, 2, {1: 126}), 63, 2)
-        assert img.mult == ((1, 126),)
+        assert phi1({1: 126}, 63, 2) == {1: 126}
 
     def test_empty(self):
-        assert phi1(make_lam(63, 2, {}), 63, 2).mult == ()
+        assert phi1({}, 63, 2) == {}
 
     def test_surplus_moves_to_q1(self):
         # N = 3: q_1 = p_1 + alpha - p_2
-        lam = make_lam(63, 3, {1: 10, 2: 4, 3: 1})
+        lam = {1: 10, 2: 4, 3: 1}
         img = phi1(lam, 63, 3)
         alpha = x_closed(63, 3, 3) - y_closed(63, 3)
-        assert img.multiplicity(1) == 10 + alpha - 4
-        assert img.weight == lam.weight
+        assert img[1] == 10 + alpha - 4
+        assert weight_t(img, 63) == weight_s(lam, 63, 3)
 
     def test_negative_q1_is_a_violation(self):
         # engineered outside S1 (dispatch would never send this here)
-        lam = make_lam(63, 3, {2: 5})
-        with pytest.raises(MapViolation):
-            phi1(lam, 63, 3)
+        with pytest.raises(MapViolation) as exc:
+            phi1({2: 5}, 63, 3)
+        assert exc.value.witness == {"piece": "phi1", "source": {2: 5},
+                                     "negative": {1: -5}}
 
 
 class TestPhi2:
     def test_worked_example(self):
-        lam = make_lam(63, 3, {1: 7, 2: 8})
-        assert lam.weight == 519
+        lam = {1: 7, 2: 8}
+        assert weight_s(lam, 63, 3) == 519
         img = phi2(lam, 63, 3)
-        assert img.multiplicity(1) == 203   # 7 + 8*49/2
-        assert img.multiplicity(2) == 0
-        assert img.multiplicity(5) == 4
-        assert img.weight == 519            # 203*1 + 4*79
+        assert img == {1: 203, 5: 4}   # q_1 = 7 + 8*49/2, q_2 = 0
+        assert weight_t(img, 63) == 519  # 203*1 + 4*79
 
     def test_even_p2_means_q2_equals_2beta(self):
-        lam = make_lam(63, 3, {1: 4, 2: 6})
+        lam = {1: 4, 2: 6}
         img = phi2(lam, 63, 3)
-        assert img.multiplicity(2) == 2 * stats(lam, 63, 3).beta == 0
+        assert img.get(2, 0) == 2 * stats(lam, 63, 3).beta == 0
 
     def test_beta_one_synthetic(self):
         # (d, N) = (151, 5): p_1 = 150 >= d-N-1 = 145 pushes beta to 1
-        lam = make_lam(151, 5, {1: 150, 2: 60})
+        lam = {1: 150, 2: 60}
         st_ = stats(lam, 151, 5)
         assert st_.cls == "S2" and st_.beta == 1
         img = phi2(lam, 151, 5, st_)
-        assert img.multiplicity(2) == 2
-        assert img.multiplicity(5) == 28
-        assert img.weight == lam.weight == 9150
+        assert img[2] == 2
+        assert img[5] == 28
+        assert weight_t(img, 151) == weight_s(lam, 151, 5) == 9150
 
     def test_piece_separation_via_q2(self):
-        lam_b1 = make_lam(151, 5, {1: 150, 2: 60})
-        lam_b0 = make_lam(151, 5, {1: 10, 2: 60})
+        lam_b1 = {1: 150, 2: 60}
+        lam_b0 = {1: 10, 2: 60}
         img1 = phi2(lam_b1, 151, 5)
         img0 = phi2(lam_b0, 151, 5)
         assert stats(lam_b1, 151, 5).beta != stats(lam_b0, 151, 5).beta
-        assert img1.multiplicity(2) != img0.multiplicity(2)
+        assert img1.get(2, 0) != img0.get(2, 0)
 
 
 class TestPhiDispatch:
-    def test_dispatch(self):
-        s1 = make_lam(63, 3, {1: 10, 2: 4})
-        s2 = make_lam(63, 3, {1: 7, 2: 8})
-        assert phi(s1, 63, 3).mult == phi1(s1, 63, 3).mult
-        assert phi(s2, 63, 3).mult == phi2(s2, 63, 3).mult
+    def test_dispatch(self, monkeypatch):
+        # verify_injection sends each class to its own piece
+        seen = []
+        for name in ("phi1", "phi2"):
+            def spy(lam, d, N, st_=None, real=getattr(injection, name), name=name):
+                seen.append((name, stats(lam, d, N).cls))
+                return real(lam, d, N, st_)
+            monkeypatch.setattr(injection, name, spy)
+        rep = verify_injection(63, 3, 519)
+        assert rep.s1_size > 0 and rep.s2_size > 0
+        assert sorted(set(seen)) == [("phi1", "S1"), ("phi2", "S2")]
+        assert len(seen) == rep.size
 
     @given(st.integers(min_value=0, max_value=58),
            st.integers(min_value=0, max_value=40),
@@ -156,15 +204,15 @@ class TestPhiDispatch:
     @settings(max_examples=120)
     def test_weight_preserved_or_violation_out_of_hypothesis(self, p1, p2, p4, p7):
         d, N = 63, 3
-        lam = make_lam(d, N, {1: p1, 2: p2, 4: p4, 7: p7})
+        lam = {i: m for i, m in {1: p1, 2: p2, 4: p4, 7: p7}.items() if m}
         try:
-            img = phi(lam, d, N)
+            img = apply_map(lam, d, N)
         except MapViolation:
             # the maps only promise nonnegativity once n >= 7d+14
-            assert lam.weight < 7 * d + 14
+            assert weight_s(lam, d, N) < 7 * d + 14
         else:
-            assert img.weight == lam.weight
-            assert all(m >= 0 for _, m in img.mult)
+            assert weight_t(img, d) == weight_s(lam, d, N)
+            assert all(m > 0 for m in img.values())
 
 
 class TestLemmaBounds:
@@ -173,7 +221,7 @@ class TestLemmaBounds:
     @settings(max_examples=100)
     def test_no_s2_at_n_equals_2(self, mults):
         # at N = 2 the class test is p_1 + alpha >= 0, which alpha >= 0 settles
-        lam = make_lam(63, 2, mults)
+        lam = {i: m for i, m in sorted(mults.items()) if m}
         assert stats(lam, 63, 2).cls == "S1"
 
     def test_p2_bound_holds_at_weaker_d_bounds(self):
@@ -183,10 +231,10 @@ class TestLemmaBounds:
         assert d >= max(31, 9 * N - 13, 13 * N - 31)
         assert d < 63
         for n in range(7 * d + 14, 7 * d + 17):
-            for lam in enumerate_s(d, N, n):
+            for lam in enumerate_partitions(s_set(d, N), n):
                 st_ = stats(lam, d, N)
                 if st_.cls == "S2":
-                    assert lam.multiplicity(2) >= 8
+                    assert lam[2] >= 8
 
 
 class TestVerifyInjection:
@@ -244,5 +292,25 @@ class TestVerifyInjection:
         assert not in_hypothesis(150, 5, 10 ** 6)
 
     def test_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            verify_injection(63, 2, 600, horizon=500)
+        # n beyond the table horizon cap is refused before any table is built
+        with pytest.raises(ValueError, match="horizon cap"):
+            verify_injection(63, 2, MAX_HORIZON + 1)
+
+    def test_negative_n_rejected(self):
+        for force in (False, True):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                verify_injection(63, 2, -5, force=force)
+
+    def test_partition_cap_refused_before_enumeration(self, monkeypatch):
+        d, N, n = 63, 2, 520
+        rho_s = rho(s_set(d, N), n)
+        monkeypatch.setattr(injection, "MAX_PARTITIONS", rho_s)
+        assert verify_injection(d, N, n).size == rho_s
+        monkeypatch.setattr(injection, "MAX_PARTITIONS", rho_s - 1)
+
+        def never(A, n):
+            raise AssertionError("enumerated a cell over the cap")
+
+        monkeypatch.setattr(injection, "enumerate_partitions", never)
+        with pytest.raises(ValueError, match=f"{rho_s} partitions"):
+            verify_injection(d, N, n)
