@@ -15,11 +15,17 @@ of the Alder conjecture literature:
 ``q_count`` uses the classical staircase bijection: a gap->=d partition
 into exactly k parts with minimum >= a corresponds, after removing the
 staircase a+(k-j)d from the j-th largest part, to a partition of
-n - a*k - d*k*(k-1)/2 into at most k parts.  ``rho`` is a bounded
-coin-change pass over the set's elements.  Both are backed by dense
-tables per (set, horizon) that are built once, grown geometrically on
-demand, and read-only afterwards; ``q_brute``/``rho_brute`` are the
-independent enumeration oracles used to pin them down in tests.
+n - a*k - d*k*(k-1)/2 into at most k parts.  ``rho`` over a set
+x == +-r (mod M) with 2r != M (every Q-type set and S(d, N)) follows
+from the Jacobi triple product as a sparse recurrence with
+O(sqrt(n/M)) terms per entry, and each excluded value v is one pass
+multiplying by (1 - x^v); over any other set (T(s, d), a single class)
+``rho`` is a coin-change pass over the set's elements, which is also
+the oracle the triple-product tables are tested against.  All are
+backed by dense tables per (set, horizon) that are built once, grown
+geometrically on demand, and read-only afterwards;
+``q_brute``/``rho_brute`` are the independent enumeration oracles used
+to pin them down in tests.
 
 Two auxiliary counters bound q_d^(1) from below for d >= 63:
 ``g_script(d, n)`` counts pairs of a distinct-parts partition over the
@@ -29,6 +35,8 @@ class d+2^(r-1) (mod 2d) and an unrestricted partition over T(r-1, d);
 
 from __future__ import annotations
 
+import functools
+import operator
 import threading
 
 from . import cache as _cache
@@ -52,12 +60,65 @@ def set_cache_dir(path: str | None) -> None:
 
 
 def _build_part_table(A: ResidueClassSet, horizon: int) -> list[int]:
+    """rho(A, n) for n <= horizon by coin change, one pass per element of A."""
     dp = [0] * (horizon + 1)
     dp[0] = 1
     for v in A.elements_upto(horizon):
         for m in range(v, horizon + 1):
             dp[m] += dp[m - v]
     return dp
+
+
+def _build_pm_table(A: ResidueClassSet, horizon: int) -> list[int]:
+    """rho(A, n) for n <= horizon, A = {x == +-r (mod M)} minus exclusions, 2r != M.
+
+    By the Jacobi triple product (Andrews, The Theory of Partitions,
+    Thm 2.8) the product of 1/(1 - x^v) over v == +-r (mod M) is E/theta,
+    where E = sum_j (-1)^j x^(M j(3j-1)/2) (Euler's pentagonal series in
+    x^M) and theta = sum_k (-1)^k x^(M k(k-1)/2 + r k), both over all
+    integers j, k.  The table solves theta * Q = E entry by entry, then
+    each excluded value v multiplies it by (1 - x^v).
+    """
+    M, r = A.modulus, min(A.residues)
+    euler = [0] * (horizon + 1)
+    euler[0] = 1
+    odd, even = [], []  # exponents of theta's terms k != 0, by the parity of k
+    k = 1
+    # theta's smallest exponent for +-k is M k(k-1)/2 + r k (r < M/2), which
+    # is below E's smallest, M k(3k-1)/2, so this bound covers both series
+    while M * k * (k - 1) // 2 + r * k <= horizon:
+        sign, terms = (-1, odd) if k % 2 else (1, even)
+        for e in (M * k * (3 * k - 1) // 2, M * k * (3 * k + 1) // 2):
+            if e <= horizon:
+                euler[e] = sign
+        for e in (M * k * (k - 1) // 2 + r * k, M * k * (k + 1) // 2 - r * k):
+            if e <= horizon:
+                terms.append(e)
+        k += 1
+    # theta * Q = E: q[n] = E[n] + sum over odd k - sum over even k of q[n - e_k]
+    q = [0] * (horizon + 1)
+    start = 0
+    for end in sorted({*odd, *even, horizon + 1}):  # the terms in use change only here
+        plus = [e for e in odd if e <= start]
+        minus = [e for e in even if e <= start]
+        for n in range(start, end):
+            total = euler[n]
+            for e in plus:
+                total += q[n - e]
+            for e in minus:
+                total -= q[n - e]
+            q[n] = total
+        start = end
+    for v in A.exclusions:
+        if v <= horizon:
+            q[v:] = map(operator.sub, q[v:], q[:horizon - v + 1])
+    return q
+
+
+def _build_rho_table(A: ResidueClassSet, horizon: int) -> list[int]:
+    if len(A.residues) == 2 and sum(A.residues) == A.modulus:  # +-r (mod M), 2r != M
+        return _build_pm_table(A, horizon)
+    return _build_part_table(A, horizon)
 
 
 def _build_gap_table(a: int, d: int, horizon: int) -> list[int]:
@@ -92,7 +153,7 @@ def _build_g_table(d: int, horizon: int) -> list[int]:
 
 
 _BUILDERS = {
-    "parts": lambda spec, h: _build_part_table(spec, h),
+    "parts": _build_rho_table,
     "gap": lambda spec, h: _build_gap_table(spec[0], spec[1], h),
     "g": lambda spec, h: _build_g_table(spec, h),
 }
@@ -187,6 +248,7 @@ def _pm_exclusions(a: int, d: int, minus: int) -> list[int]:
     return sorted({a, d + 3 - a})
 
 
+@functools.lru_cache(maxsize=None)
 def _big_q_set(a: int, d: int, minus: int) -> ResidueClassSet:
     if a < 1 or a >= d + 3:
         raise ValueError(f"need 1 <= a < d+3, got a={a}, d={d}")

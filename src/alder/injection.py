@@ -204,6 +204,38 @@ class InjectionCellReport:
         return "holds" if self.passed else "fails"
 
 
+def _cell_sets(d: int, N: int) -> tuple[ResidueClassSet, ResidueClassSet]:
+    """S(d, N) and T(5, d); ValueError when the cell is not constructible."""
+    y_closed(d, 1)  # the target ordering needs r_of(d) >= 5
+    return s_set(d, N), t_set(5, d)
+
+
+def _capped_rho(S: ResidueClassSet, d: int, N: int, n: int) -> int:
+    rho_s = counting.rho(S, n)
+    if rho_s > MAX_PARTITIONS:
+        raise ValueError(f"cell d={d}, N={N}, n={n} has {rho_s} partitions, "
+                         f"more than {MAX_PARTITIONS}")
+    return rho_s
+
+
+def check_partition_cap(d: int, N: int, n: int, force: bool = False) -> None:
+    """Raise ValueError if ``verify_injection(d, N, n, force)`` would refuse
+    its cell: n beyond ``counting.MAX_HORIZON`` or rho(S, n) over
+    MAX_PARTITIONS.
+
+    Nothing is enumerated; rho(S, n) is read off its count table.  It is
+    non-decreasing in n because 1 is in S, so checking the largest n of a
+    range refuses an over-cap range before any of its cells runs.
+    """
+    if not (force or in_hypothesis(d, N, n)):
+        return
+    try:
+        S, _ = _cell_sets(d, N)
+    except ValueError:
+        return  # not constructible: the cell enumerates nothing
+    _capped_rho(S, d, N, n)
+
+
 def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCellReport:
     """Exhaustively verify the piecewise injection at one (d, N, n) cell.
 
@@ -229,19 +261,14 @@ def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCe
         return report
 
     try:
-        y_closed(d, 1)  # the target ordering needs r_of(d) >= 5
-        S = s_set(d, N)
-        T = t_set(5, d)
+        S, T = _cell_sets(d, N)
     except ValueError as exc:
         report.checks["constructible"] = False
         report.witnesses.append({"error": str(exc)})
         report.note = "cell not constructible"
         return report
 
-    report.rho_s = counting.rho(S, n)
-    if report.rho_s > MAX_PARTITIONS:
-        raise ValueError(f"cell d={d}, N={N}, n={n} has {report.rho_s} partitions, "
-                         f"more than {MAX_PARTITIONS}")
+    report.rho_s = _capped_rho(S, d, N, n)
     report.rho_t = counting.rho(T, n)
     partitions = enumerate_partitions(S, n)
     report.size = len(partitions)

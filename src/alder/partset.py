@@ -53,6 +53,11 @@ class ResidueClassSet:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "residues", residues)
         object.__setattr__(self, "exclusions", exclusions)
+        rs = ",".join(str(r) for r in sorted(residues))
+        es = ",".join(str(e) for e in sorted(exclusions))
+        # not a field: equality and hashing stay on the three fields above
+        object.__setattr__(self, "_key", f"m{modulus}.r{rs}.x{es}" if es
+                           else f"m{modulus}.r{rs}")
 
     def __contains__(self, x: int) -> bool:
         return x >= 1 and x % self.modulus in self.residues and x not in self.exclusions
@@ -88,9 +93,7 @@ class ResidueClassSet:
 
     def key(self) -> str:
         """Canonical text key, used for cache file naming."""
-        rs = ",".join(str(r) for r in sorted(self.residues))
-        es = ",".join(str(e) for e in sorted(self.exclusions))
-        return f"m{self.modulus}.r{rs}.x{es}" if es else f"m{self.modulus}.r{rs}"
+        return self._key
 
 
 def r_of(d: int) -> int:

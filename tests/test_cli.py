@@ -226,10 +226,22 @@ class TestInject:
     def test_cell_over_partition_cap_exits_2(self, capsys, monkeypatch):
         rho_s = counting.rho(s_set(63, 2), 520)
         monkeypatch.setattr(cli.injection, "MAX_PARTITIONS", rho_s - 1)
+        enumerated = []
+        monkeypatch.setattr(cli.injection, "enumerate_partitions",
+                            lambda A, n: enumerated.append(n) or [])
         code, out, err = run_cli(
             ["inject", "--d", "63", "--N", "2", "--n", "455..520"], capsys)
         assert code == 2 and out == ""
         assert f"{rho_s} partitions, more than {rho_s - 1}" in err
+        assert enumerated == []  # the range was refused before its first cell
+
+    def test_partition_cap_skips_cells_that_enumerate_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.injection, "MAX_PARTITIONS", 0)
+        # out of hypothesis and not forced; forced but not constructible (d < 31)
+        for argv in (["--d", "63", "--N", "2", "--n", "100..101"],
+                     ["--d", "12", "--N", "4", "--n", "100", "--force"]):
+            code, out, _ = run_cli(["inject", *argv], capsys)
+            assert code == 0 and out
 
 
 class TestSearch:

@@ -1,12 +1,13 @@
 """Counting operations against their enumeration oracles and known identities."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alder import counting
+from alder import cli, counting
 from alder.counting import (big_q, big_q_minus, big_q_minus_minus, delta,
                             delta_minus, delta_minus_minus, g_script,
                             l_script, largest_part_counts, q_brute, q_count,
@@ -275,6 +276,98 @@ class TestTables:
         first = [rho(A, n) for n in range(50)]
         counting._tables.clear()
         assert [rho(A, n) for n in range(50)] == first
+
+
+def _pm_sets(M):
+    """pm_set(a, M, E) for every a with 2a != M and every E of {a, M-a, a+M}."""
+    for a in range(1, M):
+        if 2 * a != M:
+            members = sorted({a, M - a, a + M})
+            for size in range(len(members) + 1):
+                for exclusions in combinations(members, size):
+                    yield pm_set(a, M, exclusions)
+
+
+class TestTripleProductTables:
+    """The +-r (mod M) tables against the coin-change builder they replace."""
+
+    def test_pm_sets_match_coin_change(self):
+        for M in range(3, 40):
+            for A in _pm_sets(M):
+                assert counting._build_pm_table(A, 150) == \
+                    counting._build_part_table(A, 150), A
+
+    def test_s_sets_match_coin_change(self):
+        for d in range(31, 80):
+            for N in range(2, 10):
+                A = s_set(d, N)
+                assert counting._build_pm_table(A, 400) == \
+                    counting._build_part_table(A, 400), A
+
+    @pytest.mark.parametrize("A", [pm_set(1, 7), pm_set(2, 7, [5]),
+                                   pm_set(3, 8, [3, 5, 11]), s_set(31, 9)],
+                             ids=lambda A: A.key())
+    def test_dense_sets_match_at_large_horizon(self, A):
+        assert counting._build_pm_table(A, 3000) == counting._build_part_table(A, 3000)
+
+    def test_horizon_at_and_below_the_first_terms(self):
+        for h in range(10):  # the excluded part 8 below, at and above the horizon
+            assert counting._build_pm_table(pm_set(3, 11, [8]), h) == \
+                counting._build_part_table(pm_set(3, 11, [8]), h)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Record which builder each table takes; tables start empty."""
+        log = []
+        for name in ("_build_pm_table", "_build_part_table"):
+            real = getattr(counting, name)
+
+            def spy(A, horizon, name=name, real=real):
+                log.append(name)
+                return real(A, horizon)
+
+            monkeypatch.setattr(counting, name, spy)
+        monkeypatch.setattr(counting, "_tables", {})
+        return log
+
+    def test_pm_and_s_sets_take_the_closed_form(self, builds):
+        big_q(2, 4, 100)
+        big_q_minus(1, 61, 321)
+        big_q_minus_minus(4, 417, 424)
+        rho(s_set(63, 3), 200)
+        assert builds == ["_build_pm_table"] * 4
+
+    def test_t_sets_and_single_classes_take_coin_change(self, builds):
+        rho(t_set(5, 63), 200)
+        l_script(31, 100)
+        big_q(3, 3, 60)  # 3 == 6 - 3: one residue class
+        rho(ResidueClassSet(1, {0}), 50)
+        rho(ResidueClassSet(10, {1, 3}), 50)  # two classes, 1 + 3 != 10
+        assert builds == ["_build_part_table"] * 5
+
+    def test_count_builds_each_table_once_at_the_range_horizon(self, monkeypatch, capsys):
+        class Log(dict):
+            stores = 0
+
+            def __setitem__(self, key, table):
+                assert key not in self, f"{key} regrown"
+                Log.stores += 1
+                super().__setitem__(key, table)
+
+        monkeypatch.setattr(counting, "_tables", Log())
+        assert cli.main("count --kind delta --a 2 --d 4 --n 1..4000".split()) == 0
+        capsys.readouterr()
+        assert Log.stores == 2
+        assert {k: len(v) for k, v in counting._tables.items()} == \
+            {"q.a2.d4": 4001, "rho.m7.r2,5": 4001}
+
+    def test_big_q_sets_are_built_once(self, monkeypatch):
+        big_q_minus(5, 29, 10)
+        built = []
+        monkeypatch.setattr(counting, "pm_set", lambda *args: built.append(args))
+        for n in range(50):
+            big_q_minus(5, 29, n)
+        assert built == []
 
 
 class TestRandomSpotChecks:

@@ -4,8 +4,10 @@ Each entry is an invocation, its exit code and the sha256 of its report.
 The verify and search digests were recorded before the grid statements
 moved onto the shared row evaluator, the count and inject digests before
 every command moved onto the one report writer, the last four inject
-digests before partitions became plain {index: multiplicity} maps, and
-the reports must not drift.  One entry differs from that recording on purpose: ``verify
+digests before partitions became plain {index: multiplicity} maps, the
+last seven entries (counts to n = 2000-3000) before the +-r (mod M)
+tables moved onto the triple-product recurrence, and the reports must
+not drift.  One entry differs from that recording on purpose: ``verify
 ceiling --a 2 --d 1 --n-max 1 --force`` no longer attaches a witness to
 its out-of-hypothesis cell (only failing cells carry one).
 """
@@ -105,6 +107,22 @@ GOLDEN = [
      "b22d2f9f85b8582269c47b3ef6d74778a56dc5fddb0be72baa5922f0de1dc709"),
     ("inject --d 63 --N 3 --n 455..460", 0,
      "a2ebf6c1369d6c96a2186d650cf0fe6c4a42c70eab61e1ec22bc8f4fceeec539"),
+    # Q-type tables far past the first 64 entries, dense and sparse moduli,
+    # the smaller residue excluded (Qm at a=6, d=5) and both excluded
+    ("count --kind Q --a 2 --d 5 --n 1..2000", 0,
+     "dbd68a0b54b1cd7cbd3a33f8796ce0181ddbdc1c49ed9e07691c9b641e7e0662"),
+    ("count --kind Qm --a 1 --d 61 --n 300..2100 --format csv", 0,
+     "74ac3036f76ab0e375406d520a480b334efa67da44ab7b42f9724c33522e05f7"),
+    ("count --kind Qm --a 6 --d 5 --n 1..2000 --format human", 0,
+     "4f30015fcd0fe853fed9d2bb4dc501e2c4d7040e17a84b2781fde7dd925b83bb"),
+    ("count --kind Qmm --a 4 --d 417 --n 400..2400", 0,
+     "6cb56dc474639b44c2cd28c5419de55a2b526aa0a0704a6cac0fb338098e30a8"),
+    ("count --kind delta_mm --a 3 --d 7 --n 1..3000", 0,
+     "cd29eae4f9d57e05578ce9cc60e728f4012c8f521a1736246b22191b4ba49cf5"),
+    ("verify gen-dkst --a 3 --d 40 --n-max 2000 --force --format csv", 0,
+     "8dac2496e935066b471f0902fa09187377fd64956ad484f4d0744bb06e466339"),
+    ("verify modified-st --a 2 --d 9 --n-max 1000", 0,
+     "c6174d66a5aeaebc89a3b26eb7650d9ea6d205c28ee553a19ad2b1ee5571970c"),
 ]
 
 
