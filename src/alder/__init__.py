@@ -12,8 +12,9 @@ from .inequalities import (GridSpec, VerificationReport, check_a_to_1,
                            verify_gen_kp, verify_shift_range,
                            verify_smalln_anchors, xy_difference_report)
 from .injection import (PartitionStats, enumerate_partitions, phi1, phi2,
-                        stats, verify_injection)
-from .partset import (ResidueClassSet, pm_set, positive_integers, r_of,
-                      s_set, t_set, x_closed, y_closed)
+                        stats, verify_injection, verify_injection_exhaustive)
+from .partset import (RefusedInput, ResidueClassSet, pm_set,
+                      positive_integers, r_of, s_set, t_set, x_closed,
+                      y_closed)
 
 __version__ = "0.1.0"

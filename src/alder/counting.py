@@ -40,7 +40,7 @@ import operator
 import threading
 
 from . import cache as _cache
-from .partset import ResidueClassSet, pm_set, r_of, t_set
+from .partset import RefusedInput, ResidueClassSet, pm_set, r_of, t_set
 
 #: refuse brute-force enumeration beyond this unless the caller raises it
 DEFAULT_BRUTE_LIMIT = 60
@@ -142,7 +142,7 @@ def _build_gap_table(a: int, d: int, horizon: int) -> list[int]:
 def _build_g_table(d: int, horizon: int) -> list[int]:
     r = r_of(d)
     if r < 2:
-        raise ValueError(f"g_script: need r_of(d) >= 2, got d={d}")
+        raise RefusedInput(f"g_script: need r_of(d) >= 2, got d={d}")
     dp = _build_part_table(t_set(r - 1, d), horizon)
     v = d + 2 ** (r - 1)  # distinct parts from this class, step 2d
     while v <= horizon:
@@ -164,7 +164,7 @@ def _table(kind: str, spec, key: str, n: int) -> tuple[int, ...]:
     if tab is not None and len(tab) > n:
         return tab
     if n > MAX_HORIZON:
-        raise ValueError(f"n={n} is beyond the table horizon cap {MAX_HORIZON}")
+        raise RefusedInput(f"n={n} is beyond the table horizon cap {MAX_HORIZON}")
     with _build_lock:
         tab = _tables.get(key)
         if tab is not None and len(tab) > n:
@@ -187,21 +187,21 @@ def _part_table(A: ResidueClassSet, n: int) -> tuple[int, ...]:
 
 def _gap_table(a: int, d: int, n: int) -> tuple[int, ...]:
     if a < 1 or d < 1:
-        raise ValueError(f"need a >= 1 and d >= 1, got a={a}, d={d}")
+        raise RefusedInput(f"need a >= 1 and d >= 1, got a={a}, d={d}")
     return _table("gap", (a, d), f"q.a{a}.d{d}", n)
 
 
 def rho(A: ResidueClassSet, n: int) -> int:
     """Number of partitions of n with all parts in A (rho(A, 0) = 1)."""
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise RefusedInput(f"n must be >= 0, got {n}")
     return _part_table(A, n)[n]
 
 
 def rho_brute(A: ResidueClassSet, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
     """Oracle for rho: plain recursive enumeration of part multisets."""
     if n > limit:
-        raise ValueError(f"rho_brute: n={n} beyond oracle limit {limit}")
+        raise RefusedInput(f"rho_brute: n={n} beyond oracle limit {limit}")
     elements = A.elements_upto(n)
 
     def walk(remaining: int, max_idx: int) -> int:
@@ -220,14 +220,14 @@ def rho_brute(A: ResidueClassSet, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> i
 def q_count(a: int, d: int, n: int) -> int:
     """q_d^(a)(n): partitions of n into parts >= a with successive gaps >= d."""
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise RefusedInput(f"n must be >= 0, got {n}")
     return _gap_table(a, d, n)[n]
 
 
 def q_brute(a: int, d: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
     """Oracle for q_count: enumerate gap->=d part lists smallest-part first."""
     if n > limit:
-        raise ValueError(f"q_brute: n={n} beyond oracle limit {limit}")
+        raise RefusedInput(f"q_brute: n={n} beyond oracle limit {limit}")
 
     def walk(remaining: int, lo: int) -> int:
         if remaining == 0:
@@ -251,7 +251,7 @@ def _pm_exclusions(a: int, d: int, minus: int) -> list[int]:
 @functools.lru_cache(maxsize=None)
 def _big_q_set(a: int, d: int, minus: int) -> ResidueClassSet:
     if a < 1 or a >= d + 3:
-        raise ValueError(f"need 1 <= a < d+3, got a={a}, d={d}")
+        raise RefusedInput(f"need 1 <= a < d+3, got a={a}, d={d}")
     return pm_set(a, d + 3, _pm_exclusions(a, d, minus))
 
 
@@ -290,7 +290,7 @@ def g_script(d: int, n: int) -> int:
     rho(T(5,d); n) below, which is the chain the tests pin down.
     """
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise RefusedInput(f"n must be >= 0, got {n}")
     return _table("g", d, f"g.d{d}", n)[n]
 
 
@@ -304,7 +304,7 @@ def q_lower_bound(d: int, n: int) -> int:
     """max(1, floor((n-d)/2) + 1), a floor for q_d^(1)(n): the partition n
     itself plus the two-part splits (n-k) + k with k <= (n-d)/2."""
     if d < 1 or n < 1:
-        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+        raise RefusedInput(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     return max(1, (n - d) // 2 + 1)
 
 

@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 
 from .counting import (big_q, big_q_minus, big_q_minus_minus,
                        largest_part_counts, q_count, rho)
-from .partset import (ResidueClassSet, pm_set, r_of, s_set, shift_regime,
-                      t_set, x_closed, y_closed)
+from .partset import (RefusedInput, ResidueClassSet, pm_set, r_of, s_set,
+                      shift_regime, t_set, x_closed, y_closed)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -103,9 +103,11 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n_max < self.n_min:
-            raise ValueError(f"empty n range [{self.n_min}, {self.n_max}]")
+            raise RefusedInput(f"empty n range [{self.n_min}, {self.n_max}]")
         if not self.a_values and not self.d_values and not self.N_values:
-            raise ValueError("empty grid")
+            raise RefusedInput("empty grid")
+        if min(self.a_values, default=1) < 1:
+            raise RefusedInput(f"a must be >= 1, got {min(self.a_values)}")
 
     def n_values(self) -> range:
         return range(self.n_min, self.n_max + 1)
@@ -142,7 +144,7 @@ class VerificationReport:
 def n_hat(a: int, n: int) -> int:
     """Least nonnegative integer with a | (n + n_hat)."""
     if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
+        raise RefusedInput(f"a must be >= 1, got {a}")
     return (-n) % a
 
 
@@ -193,7 +195,7 @@ def _row(report: VerificationReport, base: dict, n_values, lhs, rhs,
 def check_shift(d: int, N: int, n: int) -> int:
     """q_d^(1)(n) - Q_{d-N}^(1,-)(n); nonnegative inside the shift regime."""
     if d - N + 3 < 3:
-        raise ValueError(f"check_shift: d-N+3 = {d - N + 3} < 3")
+        raise RefusedInput(f"check_shift: d-N+3 = {d - N + 3} < 3")
     return q_count(1, d, n) - rho(s_set(d, N), n)
 
 
@@ -256,7 +258,7 @@ def verify_ceiling(spec: GridSpec) -> VerificationReport:
 def check_a_to_1(a: int, d: int, n: int) -> bool:
     """Q_d^(a,-)(a*n) == Q_{(d+3)/a - 3}^(1,-)(n); requires a | (d+3)."""
     if (d + 3) % a != 0:
-        raise ValueError(f"check_a_to_1: a={a} does not divide d+3={d + 3}")
+        raise RefusedInput(f"check_a_to_1: a={a} does not divide d+3={d + 3}")
     return big_q_minus(a, d, a * n) == big_q_minus(1, (d + 3) // a - 3, n)
 
 
@@ -288,7 +290,7 @@ def check_modified_st(a: int, S: ResidueClassSet, T: ResidueClassSet, n: int,
     ys = T.elements()
     y1 = next(ys)
     if y1 != a:
-        raise ValueError(f"modified-st premise: T starts at {y1}, expected {a}")
+        raise RefusedInput(f"modified-st premise: T starts at {y1}, expected {a}")
     xs = S.elements()
     y = y1
     for i in range(1, premise_horizon + 1):
@@ -296,7 +298,7 @@ def check_modified_st(a: int, S: ResidueClassSet, T: ResidueClassSet, n: int,
             y = next(ys)
         x = next(xs)
         if y % a != 0 or x < y:
-            raise ValueError(
+            raise RefusedInput(
                 f"modified-st premise fails at index {i}: x={x}, y={y}, a={a}")
     return rho(T, n + n_hat(a, n)) >= rho(S, n)
 
@@ -308,11 +310,11 @@ def gen_kp_sets(a: int, d: int) -> tuple[ResidueClassSet, ResidueClassSet]:
     d + d_hat - a where d_hat = (-d) mod a, so every element of T is
     divisible by a and is dominated by the matching element of S.
     """
-    d_hat = (-d) % a
+    d_hat = n_hat(a, d)
     S = pm_set(a, d + 3, [d + 3 - a])
     m = d + d_hat - a
     if m < 3 or a >= m:
-        raise ValueError(f"gen_kp_sets: degenerate T modulus {m} for a={a}, d={d}")
+        raise RefusedInput(f"gen_kp_sets: degenerate T modulus {m} for a={a}, d={d}")
     T = pm_set(a, m, [m - a])
     return S, T
 
@@ -345,7 +347,7 @@ def verify_gen_kp(a: int, d: int, n_max: int,
                   evaluate_out: bool = False) -> VerificationReport:
     """delta_minus(a, d, n) >= 0 for n <= n_max, with the single exempt
     cell n = d+a+3 when d == -3 (mod a) (its value is recorded, not asserted)."""
-    exempt = d + a + 3 if (d + 3) % a == 0 else None
+    exempt = d + a + 3 if n_hat(a, d + 3) == 0 else None
     return _verify_gen("verify-gen-kp", big_q_minus, exempt,
                        a, d, n_max, evaluate_out)
 
@@ -410,8 +412,8 @@ def xy_difference_report(d: int, N: int, i_horizon: int = 200) -> VerificationRe
     """The ten closed-form differences, the period-10 relation, and the
     branch minimum min(d-2N-1, d-6N+17) of x_i - y_i over i >= 3."""
     if not xy_in_hypothesis(d, N):
-        raise ValueError(f"xy differences: need N >= 2 and "
-                         f"d >= max(31, 6N-17), got d={d}, N={N}")
+        raise RefusedInput(f"xy differences: need N >= 2 and "
+                           f"d >= max(31, 6N-17), got d={d}, N={N}")
     report = VerificationReport("verify-xy-diff")
     base = {"d": d, "N": N}
     diff = lambda i: x_closed(d, N, i) - y_closed(d, i)
@@ -499,7 +501,7 @@ def search_counterexamples(kind: str, spec: GridSpec) -> VerificationReport:
         return report
 
     if kind not in _SEARCH_KINDS:
-        raise ValueError(f"unknown search kind {kind!r}")
+        raise RefusedInput(f"unknown search kind {kind!r}")
     big_q_fn = _SEARCH_KINDS[kind]
     for a in spec.a_values:
         for d in spec.d_values:

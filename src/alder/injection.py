@@ -21,11 +21,28 @@ S2 (sub-piece indexed by beta).  The two maps are
          q_i = p_i otherwise.
 
 Both preserve weight identically; nonnegativity of the images and global
-injectivity are what ``verify_injection`` checks by exhausting all
-partitions of n over s_set(d, N).  The maps never clamp: a negative
-image multiplicity or a weight mismatch is evidence against the claimed
-inequality at that cell and surfaces as a MapViolation / report witness,
-never silently.
+injectivity are what ``verify_injection`` checks.  The maps never clamp:
+a negative image multiplicity or a weight mismatch is evidence against
+the claimed inequality at that cell and surfaces as a MapViolation /
+report witness, never silently.
+
+Only S2 needs a walk.  phi1 keeps q_i = p_i for i >= 2 and fixes q_1 by
+weight (y_1 = x_1 = 1 and y_2 = x_2 + N - 2), so distinct S1 members
+have distinct images, and q_1 >= 0 is the S1 condition itself.  Every
+S1 check therefore holds by construction once two premises hold, both
+checked per index, not per partition: x_i >= y_i for every i >= 3 with
+x_i <= n (so alpha is defined and nonnegative), and d - N - 1 >= 1.
+Under them S1 has rho(S, n) - |S2| members, and S2 is empty when
+N <= 2.  ``verify_injection`` walks the S2 members alone, maps each by
+phi2, and checks its image, the piece separation, p_2 >= 8 and
+injectivity within S2.  An S2 image q equals an S1 image iff its
+phi1-preimage, p_i = q_i (i >= 2) with p_1 = q_1 - alpha(q) + (N-2) q_2,
+has p_1 >= 0, which is one closed-form sum per image.
+
+``verify_injection_exhaustive`` enumerates every partition of n and maps
+it.  It is the oracle the structural check is tested against, and its
+fallback: a cell whose premises fail, or where any check fails, is rerun
+exhaustively, so its witnesses come in enumeration order.
 
 In-hypothesis cells satisfy N >= 2, d >= max(63, 46N-79), n >= 7d+14.
 Out-of-hypothesis cells run only when forced, and their failures are
@@ -34,13 +51,15 @@ reported as exploration data, not refutations.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import counting
-from .partset import (ResidueClassSet, s_set, shift_regime, t_set, x_closed,
-                      y_closed)
+from .partset import (RefusedInput, ResidueClassSet, s_set, shift_regime,
+                      t_set, x_closed, y_closed)
 
-#: largest rho(S, n) a cell may enumerate; checked before the enumeration
+#: largest rho(S, n) a cell may check; checked before any partition is examined
 MAX_PARTITIONS = 10 ** 6
 
 
@@ -73,7 +92,7 @@ def enumerate_partitions(A: ResidueClassSet, n: int) -> list[dict[int, int]]:
     smallest part takes the remainder in one step.
     """
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise RefusedInput(f"n must be >= 0, got {n}")
     elements = A.elements_upto(n)
     out: list[dict[int, int]] = []
     acc: list[tuple[int, int]] = []  # (i, p_i), largest index first
@@ -173,14 +192,14 @@ def phi2(lam: dict[int, int], d: int, N: int,
 
 @dataclass
 class InjectionCellReport:
-    """Outcome of exhaustively checking one (d, N, n) cell."""
+    """Outcome of checking one (d, N, n) cell."""
 
     d: int
     N: int
     n: int
     in_hypothesis: bool
     evaluated: bool
-    size: int = 0                      # |S^N| = number of enumerated partitions
+    size: int = 0                      # |S^N| = number of partitions of n
     rho_s: int = 0
     rho_t: int = 0
     s1_size: int = 0
@@ -205,7 +224,7 @@ class InjectionCellReport:
 
 
 def _cell_sets(d: int, N: int) -> tuple[ResidueClassSet, ResidueClassSet]:
-    """S(d, N) and T(5, d); ValueError when the cell is not constructible."""
+    """S(d, N) and T(5, d); RefusedInput when the cell is not constructible."""
     y_closed(d, 1)  # the target ordering needs r_of(d) >= 5
     return s_set(d, N), t_set(5, d)
 
@@ -213,13 +232,13 @@ def _cell_sets(d: int, N: int) -> tuple[ResidueClassSet, ResidueClassSet]:
 def _capped_rho(S: ResidueClassSet, d: int, N: int, n: int) -> int:
     rho_s = counting.rho(S, n)
     if rho_s > MAX_PARTITIONS:
-        raise ValueError(f"cell d={d}, N={N}, n={n} has {rho_s} partitions, "
-                         f"more than {MAX_PARTITIONS}")
+        raise RefusedInput(f"cell d={d}, N={N}, n={n} has {rho_s} partitions, "
+                           f"more than {MAX_PARTITIONS}")
     return rho_s
 
 
 def check_partition_cap(d: int, N: int, n: int, force: bool = False) -> None:
-    """Raise ValueError if ``verify_injection(d, N, n, force)`` would refuse
+    """Raise RefusedInput if ``verify_injection(d, N, n, force)`` would refuse
     its cell: n beyond ``counting.MAX_HORIZON`` or rho(S, n) over
     MAX_PARTITIONS.
 
@@ -231,45 +250,39 @@ def check_partition_cap(d: int, N: int, n: int, force: bool = False) -> None:
         return
     try:
         S, _ = _cell_sets(d, N)
-    except ValueError:
-        return  # not constructible: the cell enumerates nothing
+    except RefusedInput:
+        return  # not constructible: the cell checks nothing
     _capped_rho(S, d, N, n)
 
 
-def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCellReport:
-    """Exhaustively verify the piecewise injection at one (d, N, n) cell.
-
-    Checks, over the full enumeration of partitions of n over s_set(d,N):
-    classification consistency, image validity (nonnegative, weight n),
-    global injectivity including across pieces, the q_2-separation of
-    the beta sub-pieces, the count inequality rho(T) >= rho(S), and the
-    p_2 >= 8 bound for S2 members.  Failed assertions are collected as
-    witnesses; the call itself does not raise on them.
-
-    Out-of-hypothesis cells are evaluated only when ``force`` is set and
-    are labeled as such, never as failures of the inequality.  Raises
-    ValueError if n < 0 and, for a cell it evaluates, if n is beyond
-    ``counting.MAX_HORIZON`` or rho(S, n) exceeds MAX_PARTITIONS; these
-    are checked before anything is enumerated.
-    """
+def _open_cell(d: int, N: int, n: int,
+               force: bool) -> tuple[InjectionCellReport, ResidueClassSet | None]:
+    """A cell's report before any partition is examined, with S(d, N) if the
+    cell is to be checked (None if it is skipped or not constructible)."""
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise RefusedInput(f"n must be >= 0, got {n}")
     hyp = in_hypothesis(d, N, n)
     report = InjectionCellReport(d, N, n, in_hypothesis=hyp, evaluated=hyp or force)
     if not report.evaluated:
         report.note = "skipped (out of hypothesis; pass force to evaluate)"
-        return report
+        return report, None
 
     try:
         S, T = _cell_sets(d, N)
-    except ValueError as exc:
+    except RefusedInput as exc:
         report.checks["constructible"] = False
         report.witnesses.append({"error": str(exc)})
         report.note = "cell not constructible"
-        return report
+        return report, None
 
     report.rho_s = _capped_rho(S, d, N, n)
     report.rho_t = counting.rho(T, n)
+    return report, S
+
+
+def _check_exhaustively(report: InjectionCellReport, S: ResidueClassSet) -> None:
+    """Enumerate every partition of n over S, map it and fill in ``report``."""
+    d, N, n = report.d, report.N, report.n
     partitions = enumerate_partitions(S, n)
     report.size = len(partitions)
     images: set[tuple[tuple[int, int], ...]] = set()
@@ -321,4 +334,135 @@ def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCe
     report.checks["p2_lower_bound"] = p2_ok
     if report.s2_size == 0:
         report.note = "S2 empty"
+
+
+def _s2_members(d: int, N: int, n: int, xs: list[int],
+                ys: list[int]) -> Iterator[dict[int, int]]:
+    """Every class-S2 partition of n over s_set(d, N), given the premises.
+
+    ``xs[i]`` and ``ys[i]`` are x_i and y_i for 1 <= i <= len(xs) - 1, every
+    index with x_i <= n (entry 0 is a placeholder).  Fix p_2 = m >= 1 and
+    write B = n - m x_2.  A multiset {i: p_i} over i >= 3 with
+    sum p_i x_i <= B leaves p_1 = B - sum p_i x_i, and
+
+        p_1 + alpha = B - sum p_i y_i,
+
+    so the partition is in S2 iff that is at most cap = (N-2) m - 1.  Both
+    p_1 and alpha are nonnegative, so alpha <= cap bounds every branch.
+    A branch whose parts all come from indices <= j must still add
+    sum y >= need = p_1 + alpha - cap using parts of at most y_j each,
+    every one raising alpha by at least min(x_i - y_i, 3 <= i <= j); the
+    walk stops trying smaller j once that cannot fit under the cap.  The
+    walk keeps an explicit stack of (largest free index, p_1, alpha,
+    parts) and skips unused indices, so its depth is the number of
+    distinct parts, not the number of indices.
+    """
+    delta = [x - y for x, y in zip(xs, ys)]
+    dmin = list(delta)  # dmin[j] = min(delta[3..j]) for j >= 3
+    for j in range(4, len(xs)):
+        dmin[j] = min(dmin[j], dmin[j - 1])
+    x2 = x_closed(d, N, 2)
+    for m in range(1, n // x2 + 1):
+        cap = (N - 2) * m - 1
+        if cap < 0:
+            continue
+        stack = [(len(xs) - 1, n - m * x2, 0, ())]
+        while stack:
+            top, rest, alpha, parts = stack.pop()
+            need = rest + alpha - cap
+            if need <= 0:
+                lam = {1: rest} if rest else {}
+                lam[2] = m
+                lam.update(reversed(parts))
+                yield lam
+            for j in range(min(top, bisect.bisect_right(xs, rest) - 1), 2, -1):
+                if need > 0 and alpha + -(-need // ys[j]) * dmin[j] > cap:
+                    break
+                most = rest // xs[j]
+                if delta[j]:
+                    most = min(most, (cap - alpha) // delta[j])
+                for k in range(1, most + 1):
+                    stack.append((j - 1, rest - k * xs[j], alpha + k * delta[j],
+                                  parts + ((j, k),)))
+
+
+def _s2_sizes(d: int, N: int, n: int, S: ResidueClassSet) -> dict[int, int] | None:
+    """beta -> number of S2 partitions, if the structural argument settles the
+    cell; None if a premise or a check on an S2 member fails."""
+    xs = [0, *S.elements_upto(n)]
+    ys = [0, *(y_closed(d, i) for i in range(1, len(xs)))]
+    if d - N - 1 < 1 or any(x < y for x, y in zip(xs[3:], ys[3:])):
+        return None
+    sizes: dict[int, int] = {}
+    images: set[tuple[tuple[int, int], ...]] = set()
+    for lam in _s2_members(d, N, n, xs, ys):
+        st = stats(lam, d, N)
+        try:
+            img = phi2(lam, d, N, st)
+        except MapViolation:
+            return None
+        key = tuple(img.items())
+        # the phi1-preimage of img; a partition of n, in S1, iff its p_1 >= 0
+        p1 = (img.get(1, 0) + (N - 2) * img.get(2, 0)
+              - sum((x_closed(d, N, i) - y_closed(d, i)) * m
+                    for i, m in img.items() if i >= 3))
+        if lam[2] < 8 or img.get(2, 0) // 2 != st.beta or key in images or p1 >= 0:
+            return None
+        images.add(key)
+        sizes[st.beta] = sizes.get(st.beta, 0) + 1
+    return sizes
+
+
+def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCellReport:
+    """Verify the piecewise injection at one (d, N, n) cell.
+
+    Checks, over all partitions of n over s_set(d, N): classification
+    consistency, image validity (nonnegative, weight n), global
+    injectivity including across pieces, the q_2-separation of the beta
+    sub-pieces, the count inequality rho(T) >= rho(S), and the p_2 >= 8
+    bound for S2 members.  Failed assertions are collected as witnesses;
+    the call itself does not raise on them.
+
+    The cell is settled structurally when it can be (see the module
+    docstring): only the S2 members are walked and mapped, and the
+    report's size is rho(S, n) read from its count table.  When a premise
+    or any check fails, the cell is rerun by
+    ``verify_injection_exhaustive``, so the report, witnesses included,
+    is always the one the exhaustive check gives.
+
+    Out-of-hypothesis cells are evaluated only when ``force`` is set and
+    are labeled as such, never as failures of the inequality.  Raises
+    RefusedInput if n < 0 and, for a cell it evaluates, if n is beyond
+    ``counting.MAX_HORIZON`` or rho(S, n) exceeds MAX_PARTITIONS; these
+    are checked before any partition is examined.
+    """
+    report, S = _open_cell(d, N, n, force)
+    if S is None:
+        return report
+    s2_sizes = _s2_sizes(d, N, n, S)
+    if s2_sizes is None or report.rho_t < report.rho_s:
+        _check_exhaustively(report, S)
+        return report
+    report.size = report.rho_s
+    report.s2_sizes = s2_sizes
+    report.s1_size = report.size - report.s2_size
+    report.checks = dict.fromkeys(
+        ("classification_partitions", "enumeration_matches_rho", "stats_defined",
+         "images_valid", "injective", "piece_separation", "rho_dominates",
+         "p2_lower_bound"), True)
+    if not s2_sizes:
+        report.note = "S2 empty"
+    return report
+
+
+def verify_injection_exhaustive(d: int, N: int, n: int,
+                                force: bool = False) -> InjectionCellReport:
+    """``verify_injection`` by enumerating and mapping every partition of n.
+
+    The oracle of the structural check and its fallback: slower, and the
+    only path that produces witnesses, in enumeration order.
+    """
+    report, S = _open_cell(d, N, n, force)
+    if S is not None:
+        _check_exhaustively(report, S)
     return report

@@ -26,6 +26,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
+class RefusedInput(ValueError):
+    """Input the program refuses: a parameter outside its domain, a set or
+    cell that cannot be built, or a size over a cap.  The command line
+    reports it as a usage error."""
+
+
 @dataclass(frozen=True)
 class ResidueClassSet:
     """The infinite set {x >= 1 : x mod modulus in residues} minus exclusions."""
@@ -39,17 +45,17 @@ class ResidueClassSet:
         residues = frozenset(residues)
         exclusions = frozenset(exclusions)
         if modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {modulus}")
+            raise RefusedInput(f"modulus must be >= 1, got {modulus}")
         if not residues:
-            raise ValueError("residue set must be nonempty")
+            raise RefusedInput("residue set must be nonempty")
         for r in residues:
             if not 0 <= r < modulus:
-                raise ValueError(f"residue {r} outside [0, {modulus})")
+                raise RefusedInput(f"residue {r} outside [0, {modulus})")
         for e in exclusions:
             if e < 1:
-                raise ValueError(f"exclusion {e} is not a positive integer")
+                raise RefusedInput(f"exclusion {e} is not a positive integer")
             if e % modulus not in residues:
-                raise ValueError(f"exclusion {e} is not a member of the set")
+                raise RefusedInput(f"exclusion {e} is not a member of the set")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "residues", residues)
         object.__setattr__(self, "exclusions", exclusions)
@@ -76,7 +82,7 @@ class ResidueClassSet:
     def element(self, i: int) -> int:
         """The i-th smallest member (i >= 1)."""
         if i < 1:
-            raise ValueError(f"index must be >= 1, got {i}")
+            raise RefusedInput(f"index must be >= 1, got {i}")
         for count, v in enumerate(self.elements(), start=1):
             if count == i:
                 return v
@@ -99,7 +105,7 @@ class ResidueClassSet:
 def r_of(d: int) -> int:
     """Largest r with 2^r - 1 <= d (so r = bit length of d+1, minus one)."""
     if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+        raise RefusedInput(f"d must be >= 1, got {d}")
     return (d + 1).bit_length() - 1
 
 
@@ -112,9 +118,9 @@ def t_set(s: int, d: int) -> ResidueClassSet:
     that regime, so it is rejected rather than deduplicated.
     """
     if s < 1 or d < 1:
-        raise ValueError(f"need s >= 1 and d >= 1, got s={s}, d={d}")
+        raise RefusedInput(f"need s >= 1 and d >= 1, got s={s}, d={d}")
     if s >= 2 and d + 2 ** (s - 1) >= 2 * d:
-        raise ValueError(
+        raise RefusedInput(
             f"t_set(s={s}, d={d}): residues collide modulo {2 * d} "
             f"(requires s <= r_of(d) = {r_of(d)})")
     residues = {1} | {d + 2 ** j for j in range(1, s)}
@@ -125,7 +131,7 @@ def s_set(d: int, N: int) -> ResidueClassSet:
     """The set S(d, N): x == +-1 (mod d-N+3), minus the value d-N+2."""
     m = d - N + 3
     if m < 3:
-        raise ValueError(f"s_set(d={d}, N={N}): modulus {m} < 3")
+        raise RefusedInput(f"s_set(d={d}, N={N}): modulus {m} < 3")
     return ResidueClassSet(m, {1, m - 1}, {m - 1})
 
 
@@ -158,10 +164,10 @@ def x_closed(d: int, N: int, i: int) -> int:
     x_1 = 1, x_2 = d-N+4, and x_i = ceil(i/2)*(d-N+3) + (-1)^i for i >= 3.
     """
     if i < 1:
-        raise ValueError(f"index must be >= 1, got {i}")
+        raise RefusedInput(f"index must be >= 1, got {i}")
     m = d - N + 3
     if m < 3:
-        raise ValueError(f"x_closed(d={d}, N={N}): modulus {m} < 3")
+        raise RefusedInput(f"x_closed(d={d}, N={N}): modulus {m} < 3")
     if i == 1:
         return 1
     if i == 2:
@@ -177,9 +183,9 @@ def y_closed(d: int, i: int) -> int:
     then repeat with period y_{i+5} = y_i + 2d.
     """
     if i < 1:
-        raise ValueError(f"index must be >= 1, got {i}")
+        raise RefusedInput(f"index must be >= 1, got {i}")
     if r_of(d) < 5:
-        raise ValueError(f"y_closed: need r_of(d) >= 5, got d={d} (r={r_of(d)})")
+        raise RefusedInput(f"y_closed: need r_of(d) >= 5, got d={d} (r={r_of(d)})")
     j, k = divmod(i - 1, 5)
     if k == 0:
         return 2 * j * d + 1

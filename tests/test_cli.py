@@ -65,6 +65,9 @@ class TestCount:
                         "--n", "9..3"], capsys)[0] == 2
         assert run_cli(["count", "--kind", "q", "--a", "1", "--d", "1",
                         "--n", "5", "--jobs", "0"], capsys)[0] == 2
+        for theorem in ("a-to-1", "gen-kp", "modified-st"):  # a divides: a >= 1
+            assert run_cli(["verify", theorem, "--a", "0", "--d", "5",
+                            "--n-max", "10"], capsys)[0] == 2
 
     def test_over_long_range_exits_2(self, capsys):
         # one value over the cap; with --a 0, code that built the range first
@@ -90,6 +93,22 @@ class TestCount:
             ["count", "--kind", "q", "--a", "1", "--d", "2", "--n", "1..3"], capsys)
         assert code == 3 and out == ""
         assert "internal error: RuntimeError: table invariant broken" in err
+
+    @pytest.mark.parametrize("argv,target", [
+        ("count --kind q --a 1 --d 2 --n 1..3", "counting"),
+        ("inject --d 63 --N 2 --n 455", "injection")])
+    def test_invariant_value_error_exits_3(self, capsys, monkeypatch, argv, target):
+        # only refused input (RefusedInput) is a usage error; a plain
+        # ValueError is a broken invariant, so an internal error
+        def broken(*args, **kwargs):
+            raise ValueError("invariant broken")
+        if target == "counting":
+            monkeypatch.setitem(cli._COUNT_FNS, "q", broken)
+        else:
+            monkeypatch.setattr(cli.injection, "verify_injection", broken)
+        code, out, err = run_cli(argv.split(), capsys)
+        assert code == 3 and out == ""
+        assert "internal error: ValueError: invariant broken" in err
 
     def test_delta_mm_hyphen_alias(self, capsys):
         code, out, _ = run_cli(

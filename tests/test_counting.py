@@ -370,6 +370,21 @@ class TestTripleProductTables:
         assert built == []
 
 
+class TestIdentityOracles:
+    """Whole tables from two builders, equated by classical identities: Euler's
+    (distinct parts against odd parts) and both Rogers-Ramanujan identities
+    (Andrews, The Theory of Partitions, ch. 7), i.e. delta(1, 1, n) = 0 and
+    delta(1, 2, n) = delta(2, 2, n) = 0 for every n <= H."""
+
+    H = 5000
+
+    @pytest.mark.parametrize("a,d", [(1, 1), (1, 2), (2, 2)],
+                             ids=["euler", "rogers-ramanujan-1", "rogers-ramanujan-2"])
+    def test_gap_table_equals_triple_product_table(self, a, d):
+        assert counting._build_gap_table(a, d, self.H) == \
+            counting._build_pm_table(pm_set(a, d + 3), self.H)
+
+
 class TestRandomSpotChecks:
     def test_seeded_larger_instances(self):
         rng = random.Random(20260811)

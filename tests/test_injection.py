@@ -1,5 +1,7 @@
 """The piecewise injection: statistics, both map pieces, cell verification."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,10 @@ from alder import injection
 from alder.counting import MAX_HORIZON, rho
 from alder.injection import (HypothesisViolation, MapViolation,
                              enumerate_partitions, in_hypothesis, phi1, phi2,
-                             stats, verify_injection)
-from alder.partset import (pm_set, positive_integers, s_set, shift_regime,
-                           t_set, x_closed, y_closed)
+                             stats, verify_injection,
+                             verify_injection_exhaustive)
+from alder.partset import (RefusedInput, pm_set, positive_integers, s_set,
+                           shift_regime, t_set, x_closed, y_closed)
 
 
 def weight_s(lam, d, N):
@@ -185,14 +188,14 @@ class TestPhi2:
 
 class TestPhiDispatch:
     def test_dispatch(self, monkeypatch):
-        # verify_injection sends each class to its own piece
+        # the exhaustive check sends each class to its own piece
         seen = []
         for name in ("phi1", "phi2"):
             def spy(lam, d, N, st_=None, real=getattr(injection, name), name=name):
                 seen.append((name, stats(lam, d, N).cls))
                 return real(lam, d, N, st_)
             monkeypatch.setattr(injection, name, spy)
-        rep = verify_injection(63, 3, 519)
+        rep = verify_injection_exhaustive(63, 3, 519)
         assert rep.s1_size > 0 and rep.s2_size > 0
         assert sorted(set(seen)) == [("phi1", "S1"), ("phi2", "S2")]
         assert len(seen) == rep.size
@@ -314,3 +317,106 @@ class TestVerifyInjection:
         monkeypatch.setattr(injection, "enumerate_partitions", never)
         with pytest.raises(ValueError, match=f"{rho_s} partitions"):
             verify_injection(d, N, n)
+
+
+def _sweep_cells():
+    """Cells over d = 31..250 and N = 2..12 with rho(S, n) <= 10^4: small n,
+    n around 7d+14, and forced d = 31/40 cells whose exhaustive check
+    fails with every kind of witness."""
+    cells = {(31, 5, 427), (31, 7, 305), (31, 9, 183), (31, 8, 161),
+             (40, 5, 184), (31, 10, 122), (63, 3, 519), (151, 5, 1140),
+             (63, 2, 18 * 63), (250, 3, 18 * 250), (31, 12, 11 * 31)}
+    for d in (31, 40, 63, 127, 250):
+        for N in range(2, 13):
+            for n in (0, d, 5 * d, 7 * d + 13, 7 * d + 14, 8 * d, 11 * d):
+                cells.add((d, N, n))
+    for d, N, n in sorted(cells):
+        try:
+            if rho(s_set(d, N), n) <= 10 ** 4:
+                yield d, N, n
+        except RefusedInput:
+            yield d, N, n  # not constructible: both paths report it alike
+
+
+def _witness_kind(witness):
+    if "error" in witness:
+        return "stats"
+    if "check" in witness:
+        return witness["check"]
+    return witness["piece"] + (".negative" if "negative" in witness else ".weight")
+
+
+class TestStructuralCheck:
+    """verify_injection against its oracle, verify_injection_exhaustive."""
+
+    def test_agrees_with_the_exhaustive_check(self):
+        witnessed = set()
+        s2_passing = 0
+        for d, N, n in _sweep_cells():
+            # an in-hypothesis cell is evaluated alike with and without force
+            for force in (False,) if in_hypothesis(d, N, n) else (False, True):
+                rep = verify_injection(d, N, n, force)
+                oracle = verify_injection_exhaustive(d, N, n, force)
+                assert dataclasses.asdict(rep) == dataclasses.asdict(oracle), \
+                    (d, N, n, force)
+                assert list(rep.checks) == list(oracle.checks)
+                s2_passing += rep.s2_size > 0 and rep.passed
+                witnessed.update(map(_witness_kind, oracle.witnesses))
+                witnessed.update(k for k, v in oracle.checks.items() if not v)
+        assert s2_passing > 0
+        assert {"stats", "p2_lower_bound", "phi2.negative", "injective"} <= witnessed
+
+    def test_s2_walk_yields_exactly_the_s2_partitions(self):
+        # (32, 12, 69), (31, 11, 71) and (32, 9, 107) each have a member
+        # that fits the alpha budget exactly, at the walk's pruning bound
+        for d, N, n in [(63, 3, 519), (151, 5, 1140), (31, 5, 427), (40, 5, 184),
+                        (63, 4, 900), (100, 6, 1300), (32, 12, 69), (31, 11, 71),
+                        (32, 9, 107)]:
+            S = s_set(d, N)
+            xs = [0, *S.elements_upto(n)]
+            ys = [0, *(y_closed(d, i) for i in range(1, len(xs)))]
+            walked = [tuple(lam.items())
+                      for lam in injection._s2_members(d, N, n, xs, ys)]
+            assert len(walked) == len(set(walked))
+            assert set(walked) == {tuple(lam.items())
+                                   for lam in enumerate_partitions(S, n)
+                                   if stats(lam, d, N).cls == "S2"}, (d, N, n)
+
+    def test_passing_cells_neither_enumerate_nor_map_s1(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("walked S1")
+
+        monkeypatch.setattr(injection, "enumerate_partitions", never)
+        monkeypatch.setattr(injection, "phi1", never)
+        rep = verify_injection(63, 3, 519)
+        assert rep.status == "holds" and rep.s2_size == 1
+        # near the partition cap: 785,314 partitions, none of them walked
+        rep = verify_injection(63, 2, 2000)
+        assert rep.status == "holds" and rep.size == rep.s1_size == 785314
+
+    @pytest.fixture
+    def enumerated(self, monkeypatch):
+        """The n of every exhaustive enumeration, in call order."""
+        calls = []
+        real = injection.enumerate_partitions
+        monkeypatch.setattr(injection, "enumerate_partitions",
+                            lambda A, n: calls.append(n) or real(A, n))
+        return calls
+
+    def test_failing_premise_alone_reaches_the_oracle(self, monkeypatch, enumerated):
+        # d = 31, N = 10: x_12 < y_12 and x_12 <= 183.  The S2 walk is
+        # emptied, so only the premise can send the cell to the oracle.
+        assert x_closed(31, 10, 12) < y_closed(31, 12) and x_closed(31, 10, 12) <= 183
+        monkeypatch.setattr(injection, "_s2_members", lambda *args: iter(()))
+        rep = verify_injection(31, 10, 183, force=True)
+        assert enumerated == [183]
+        assert not rep.checks["stats_defined"]
+        assert rep.witnesses[0]["error"].startswith("x_12 - y_12")
+
+    def test_colliding_s2_images_reach_the_oracle(self, monkeypatch, enumerated):
+        # each S2 member walked twice: two S2 partitions with one image
+        walk = injection._s2_members
+        monkeypatch.setattr(injection, "_s2_members", lambda *args: [*walk(*args)] * 2)
+        rep = verify_injection(63, 3, 519)
+        assert enumerated == [519]
+        assert rep.status == "holds" and rep.s2_size == 1
