@@ -4,12 +4,9 @@ from .counting import (big_q, big_q_minus, big_q_minus_minus, delta,
                        delta_minus, delta_minus_minus, g_script, l_script,
                        q_brute, q_count, q_lower_bound, rho, rho_brute,
                        set_cache_dir)
-from .inequalities import (GridSpec, VerificationReport, check_a_to_1,
-                           check_andrews, check_andrews_premises,
-                           check_ceiling, check_modified_st, check_shift,
-                           check_xy_differences, gen_kp_sets, n_hat,
-                           search_counterexamples, verify_gen_dkst,
-                           verify_gen_kp, verify_shift_range,
+from .inequalities import (STATEMENTS, GridSpec, VerificationReport,
+                           check_andrews, dominates, evaluate_cell,
+                           gen_kp_sets, n_hat, search_counterexamples, verify,
                            verify_smalln_anchors, xy_difference_report)
 from .injection import (PartitionStats, enumerate_partitions, phi1, phi2,
                         stats, verify_injection, verify_injection_exhaustive)

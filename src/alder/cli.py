@@ -4,6 +4,10 @@ Subcommands
 
     count    stream exact values of one counter over a range of n
     verify   run one statement's grid and write a verification report
+             (an n-indexed statement of inequalities.STATEMENTS takes
+             --a or --N and --d, each N or LO..HI, and --n-min/--n-max;
+             littlelemon is shift at N = 4; anchors, xy-diff and
+             t-monotone take single values)
     inject   verify the piecewise injection per (d, N, n)
     search   scan a grid for negative deltas (informational)
 
@@ -167,28 +171,22 @@ def cmd_count(args) -> VerificationReport:
 
 # ---------------------------------------------------------------- verify
 
-def _grid_from_args(args, need_N=False, need_a=False) -> GridSpec:
-    kwargs = dict(n_min=args.n_min, n_max=args.n_max,
-                  evaluate_out_of_hypothesis=args.force)
-    if args.d is None:
-        raise UsageError("this verification needs --d")
-    kwargs["d_values"] = parse_range(args.d)
-    if need_N:
-        if args.N is None:
-            raise UsageError("this verification needs --N")
-        kwargs["N_values"] = parse_range(args.N)
-    if need_a:
-        if args.a is None:
-            raise UsageError("this verification needs --a")
-        kwargs["a_values"] = parse_range(args.a)
-    return GridSpec(**kwargs)
+def _grid_from_args(args, axes: tuple[str, str]) -> GridSpec:
+    """The grid of a statement over ``axes``, each a --flag N or LO..HI."""
+    values = {}
+    for axis in axes:
+        if getattr(args, axis) is None:
+            raise UsageError(f"this verification needs --{axis}")
+        values[f"{axis}_values"] = parse_range(getattr(args, axis))
+    return GridSpec(**values, n_min=args.n_min, n_max=args.n_max,
+                    evaluate_out_of_hypothesis=args.force)
 
 
 def _single(args, flag: str) -> int:
     value = getattr(args, flag)
     if value is None:
         raise UsageError(f"this verification needs --{flag}")
-    values = parse_range(value) if isinstance(value, str) else (value,)
+    values = parse_range(value)
     if len(values) != 1:
         raise UsageError(f"--{flag} must be a single value here")
     return values[0]
@@ -205,34 +203,17 @@ def cmd_verify(args) -> VerificationReport:
     theorem = args.theorem
     if theorem not in ("anchors", "xy-diff") and args.n_max < 1:
         args.n_max = _default_n_max(args)
-    if theorem == "shift":
-        return inequalities.verify_shift_range(
-            _grid_from_args(args, need_N=True))
-    elif theorem == "littlelemon":
-        args.N = "4"
-        return inequalities.verify_shift_range(
-            _grid_from_args(args, need_N=True))
-    elif theorem == "gen-kp":
-        return inequalities.verify_gen_kp(
-            _single(args, "a"), _single(args, "d"), args.n_max,
-            evaluate_out=args.force)
-    elif theorem == "gen-dkst":
-        return inequalities.verify_gen_dkst(
-            _single(args, "a"), _single(args, "d"), args.n_max,
-            evaluate_out=args.force)
+    if theorem == "littlelemon":
+        theorem, args.N = "shift", "4"
+    if theorem in inequalities.STATEMENTS:
+        axes = inequalities.STATEMENTS[theorem].axes
+        return inequalities.verify(theorem, _grid_from_args(args, axes))
     elif theorem == "anchors":
         return inequalities.verify_smalln_anchors(
             _single(args, "d"), _single(args, "N"), evaluate_out=args.force)
     elif theorem == "xy-diff":
         return inequalities.xy_difference_report(
             _single(args, "d"), _single(args, "N"))
-    elif theorem == "ceiling":
-        return inequalities.verify_ceiling(_grid_from_args(args, need_a=True))
-    elif theorem == "a-to-1":
-        return inequalities.verify_a_to_1(_grid_from_args(args, need_a=True))
-    elif theorem == "modified-st":
-        return inequalities.verify_modified_st(
-            _single(args, "a"), _single(args, "d"), args.n_max)
     elif theorem == "t-monotone":
         return inequalities.verify_t_monotone(_single(args, "d"), args.n_max)
     else:
@@ -273,11 +254,10 @@ def cmd_inject(args) -> VerificationReport:
 
 def cmd_search(args) -> VerificationReport:
     kind = args.kind.replace("-", "_")
-    if kind not in ("delta", "delta_m", "delta_mm", "shift"):
+    if kind not in inequalities.SEARCH_KINDS:
         raise UsageError(f"unknown search kind {args.kind!r}")
-    spec = _grid_from_args(args, need_N=(kind == "shift"),
-                           need_a=(kind != "shift"))
-    return inequalities.search_counterexamples(kind, spec)
+    axes = inequalities.STATEMENTS[inequalities.SEARCH_KINDS[kind]].axes
+    return inequalities.search_counterexamples(kind, _grid_from_args(args, axes))
 
 
 # ---------------------------------------------------------------- main

@@ -1,6 +1,6 @@
 """Grid verification of the shift inequality and its consequences.
 
-Each verifier walks a finite parameter grid and labels every cell with
+Each statement walks a finite parameter grid and labels every cell with
 one of:
 
     holds              in hypothesis, the asserted inequality is true
@@ -12,40 +12,47 @@ one of:
                        its actual value is recorded but not asserted
     skipped            parameters for which the quantities are undefined
 
-The statements verified:
+The n-indexed statements are declared once each, in ``STATEMENTS``:
 
   * shift:       q_d^(1)(n) >= Q_{d-N}^(1,-)(n) for N >= 2,
                  d >= max(63, 46N-79), n >= d+2 (N = 4, d >= 105 is the
-                 resolved level-4 case).
+                 resolved level-4 case); skipped where d-N+3 < 3.
   * gen-kp:      delta_minus(a, d, n) >= 0 for ceil(d/a) >= 105, all n,
                  except the exempt cell above.
   * gen-dkst:    delta_minus_minus(a, d, n) >= 0, same bounds, no exemption.
+  * ceiling:     q_d^(a)(n) >= q_{ceil(d/a)}^(1)(ceil(n/a)) for n >= d+2a.
+  * a-to-1:      Q_d^(a,-)(a n) = Q_{(d+3)/a - 3}^(1,-)(n); skipped unless
+                 a | d+3 and a < d+3.
+  * modified-st: rho(T; n + n_hat) >= rho(S; n) for the divisibility-
+                 shifted pair gen_kp_sets(a, d), where T starts at a and S
+                 dominates T element-wise (``dominates``).
+  * delta:       delta(a, d, n) >= 0 at a = 1 (Alder's theorem); only the
+                 search scans it, at any a.
+
+Each is a ``Statement`` whose row factory gives a ``Row`` per axis pair.
+One engine runs them all: ``verify`` over a grid, ``evaluate_cell`` at one
+cell and ``search_counterexamples`` (negative cells only), each row
+through ``_row``, which builds every table it reads once, at its horizon.
+
+Verified by their own functions, since they are not n-indexed:
+
   * anchors:     the three small-n values Q_{d-N}^(1,-)(2d-2N+4) = 2,
                  Q(5d-5N+16) = 29 with its largest-part distribution,
                  Q(7d+13) <= 110 with a per-coordinate distribution cap.
   * xy-diff:     the ten closed-form differences x_i - y_i (i = 3..12),
                  their period-10 growth, and the branch minimum
                  min(d-2N-1, d-6N+17).
-  * ceiling:     q_d^(a)(n) >= q_{ceil(d/a)}^(1)(ceil(n/a)) for n >= d+2a.
-  * a-to-1:      Q_d^(a,-)(a n) = Q_{(d+3)/a - 3}^(1,-)(n) when a | d+3.
-  * modified-st: rho(T; n + n_hat) >= rho(S; n) for the divisibility-
-                 shifted comparison pair built from (a, d).
   * t-monotone:  rho(T(s,d); n) weakly increasing in s for s <= r_of(d).
 
-Also here: counterexample search (negative delta scans) and the plain
-element-domination comparison behind the classical set-inclusion bound.
-
-The n-indexed statements (shift, gen-kp, gen-dkst, ceiling, a-to-1,
-modified-st, the Andrews bound) and both searches are declarations over
-one row evaluator, ``_row``: an lhs count and an rhs count per n, a
-hypothesis predicate and an optional exempt cell.  All run in one
-process; each table a row reads is built once, at the row's horizon.
+Also here: ``check_andrews``, the per-n set-domination count bound
+rho(T; n) >= rho(S; n), whose premise is ``dominates``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .counting import (big_q, big_q_minus, big_q_minus_minus,
                        largest_part_counts, q_count, rho)
@@ -62,6 +69,8 @@ VIOLATION = "violation"
 #: default grid horizons: deep enough to be convincing, minutes at desk scale
 DEFAULT_N_MAX_A1 = 2000
 DEFAULT_N_MAX_GENERAL = 1200
+#: elements compared by the modified-st premise (``dominates``)
+PREMISE_HORIZON = 200
 
 #: expected largest-part distribution of Q_{d-N}^(1,-) at n = 5d-5N+16
 ANCHOR_MID_DISTRIBUTION = (1, 4, 5, 6, 5, 3, 2, 1, 1, 1)
@@ -141,6 +150,33 @@ class VerificationReport:
         return not self.failures()
 
 
+class Row(NamedTuple):
+    """One grid row: ``lhs(n) >= rhs(n)`` (``==`` if ``equal``) is asserted
+    where ``hyp(n)`` holds (everywhere if ``hyp`` is None), except at
+    ``n == exempt``; a failing cell is witnessed by ``{names[0]: lhs,
+    names[1]: rhs}``."""
+
+    lhs: Callable[[int], int]
+    rhs: Callable[[int], int]
+    names: tuple[str, str] | None = None
+    hyp: Callable[[int], bool] | None = None
+    exempt: int | None = None
+    equal: bool = False
+
+
+@dataclass(frozen=True)
+class Statement:
+    """An n-indexed grid statement: its report command, its two axes (read
+    from a GridSpec's ``<axis>_values``) and ``row(x, y)``, which gives the
+    Row of the axis pair or the reason the pair is skipped.  A skipped pair
+    is reported with one record per n if ``skip_each_n``, else one record."""
+
+    cmd: str
+    axes: tuple[str, str]
+    row: Callable[[int, int], Row | str]
+    skip_each_n: bool = False
+
+
 def n_hat(a: int, n: int) -> int:
     """Least nonnegative integer with a | (n + n_hat)."""
     if a < 1:
@@ -148,28 +184,28 @@ def n_hat(a: int, n: int) -> int:
     return (-n) % a
 
 
-def _row(report: VerificationReport, base: dict, n_values, lhs, rhs,
-         names: tuple[str, str] | None = None, hyp=None, exempt: int | None = None,
-         evaluate_out: bool = False, equal: bool = False,
-         violations_only: bool = False) -> None:
-    """Append one grid row's records: ``lhs(n)`` against ``rhs(n)`` per n.
+def _row(report: VerificationReport, base: dict, n_values, row: Row,
+         evaluate_out: bool = False, violations_only: bool = False) -> None:
+    """Append one grid row's records: ``row.lhs(n)`` against ``row.rhs(n)`` per n.
 
-    ``lhs(n) >= rhs(n)`` (``==`` if ``equal``) is asserted where ``hyp(n)``
-    holds (everywhere if ``hyp`` is None), except at ``n == exempt``; other
-    cells are evaluated only if ``evaluate_out``.  The value is lhs - rhs,
-    and a failing cell's witness is ``{names[0]: lhs, names[1]: rhs}``.
-    With ``violations_only`` just the cells with lhs < rhs are kept, as
-    violation records, witnessed if ``names`` is given.
+    The comparison is asserted as ``Row`` describes; cells outside the
+    hypothesis are evaluated only if ``evaluate_out``.  The value is lhs -
+    rhs.  With ``violations_only`` every cell is evaluated, whatever the
+    hypothesis, and just those with lhs < rhs are kept, as violation
+    records, witnessed if the row has names.
 
     The last cell is evaluated first: every index map here is
     non-decreasing in n, so each table the row reads is built once, at the
     row's horizon, and every other cell is a lookup.
     """
-    row = []
+    lhs, rhs, names, hyp, exempt, equal = row
+    if violations_only:
+        hyp = None
+    cells = []
     for n in reversed(n_values):
         in_hyp = hyp is None or hyp(n)
         if not in_hyp and not evaluate_out:
-            row.append(CellRecord({**base, "n": n}, OUT))
+            cells.append(CellRecord({**base, "n": n}, OUT))
             continue
         left, right = lhs(n), rhs(n)
         value = left - right
@@ -188,119 +224,30 @@ def _row(report: VerificationReport, base: dict, n_values, lhs, rhs,
         witness = None
         if names and status in (FAILS, VIOLATION):
             witness = {names[0]: str(left), names[1]: str(right)}
-        row.append(CellRecord({**base, "n": n}, status, value, witness))
-    report.records.extend(reversed(row))
+        cells.append(CellRecord({**base, "n": n}, status, value, witness))
+    report.records.extend(reversed(cells))
 
 
-def check_shift(d: int, N: int, n: int) -> int:
-    """q_d^(1)(n) - Q_{d-N}^(1,-)(n); nonnegative inside the shift regime."""
-    if d - N + 3 < 3:
-        raise RefusedInput(f"check_shift: d-N+3 = {d - N + 3} < 3")
-    return q_count(1, d, n) - rho(s_set(d, N), n)
+def dominates(S: ResidueClassSet, T: ResidueClassSet, i_max: int,
+              a: int = 1) -> bool:
+    """True iff T starts at a and, for every i <= i_max, a divides y_i and
+    x_i >= y_i, where x_i and y_i are the i-th elements of S and T.
 
-
-def verify_shift_range(spec: GridSpec) -> VerificationReport:
-    """Evaluate the shift inequality over a (N, d, n) grid."""
-    report = VerificationReport("verify-shift")
-    for N in spec.N_values:
-        for d in spec.d_values:
-            if d - N + 3 < 3:
-                for n in spec.n_values():
-                    report.records.append(CellRecord(
-                        {"N": N, "d": d, "n": n}, SKIPPED,
-                        witness={"reason": f"modulus d-N+3 = {d - N + 3} < 3"}))
-                continue
-            S = s_set(d, N)
-            regime = shift_regime(d, N)
-            _row(report, {"N": N, "d": d}, spec.n_values(),
-                 lambda n: q_count(1, d, n), lambda n: rho(S, n), ("q", "Q"),
-                 hyp=lambda n: regime and n >= d + 2,
-                 evaluate_out=spec.evaluate_out_of_hypothesis)
-    report.records.sort(key=lambda r: (r.params["N"], r.params["d"], r.params["n"]))
-    return report
-
-
-def check_andrews_premises(S: ResidueClassSet, T: ResidueClassSet,
-                           i_max: int) -> bool:
-    """True iff T starts at 1 and element-wise S dominates T up to i_max."""
-    if T.element(1) != 1:
-        return False
-    xs, ys = S.elements(), T.elements()
-    return all(next(xs) >= next(ys) for _ in range(i_max))
+    The premise of the set-domination bound rho(T; n) >= rho(S; n) (a = 1,
+    ``check_andrews``) and of its divisibility-shifted form, modified-st.
+    """
+    return T.element(1) == a and all(
+        x >= y and y % a == 0
+        for _, x, y in zip(range(i_max), S.elements(), T.elements()))
 
 
 def check_andrews(S: ResidueClassSet, T: ResidueClassSet,
                   n_max: int) -> VerificationReport:
     """Per-n check of rho(T; n) >= rho(S; n), the set-domination count bound."""
     report = VerificationReport("verify-andrews")
-    _row(report, {}, range(n_max + 1), lambda n: rho(T, n), lambda n: rho(S, n),
-         ("rho_T", "rho_S"))
+    _row(report, {}, range(n_max + 1),
+         Row(lambda n: rho(T, n), lambda n: rho(S, n), ("rho_T", "rho_S")))
     return report
-
-
-def check_ceiling(a: int, d: int, n: int) -> bool:
-    """q_d^(a)(n) >= q_{ceil(d/a)}^(1)(ceil(n/a)); asserted for n >= d+2a."""
-    return q_count(a, d, n) >= q_count(1, math.ceil(d / a), math.ceil(n / a))
-
-
-def verify_ceiling(spec: GridSpec) -> VerificationReport:
-    report = VerificationReport("verify-ceiling")
-    for a in spec.a_values:
-        for d in spec.d_values:
-            _row(report, {"a": a, "d": d}, spec.n_values(),
-                 lambda n: q_count(a, d, n),
-                 lambda n: q_count(1, math.ceil(d / a), math.ceil(n / a)),
-                 ("lhs", "rhs"), hyp=lambda n: n >= d + 2 * a,
-                 evaluate_out=spec.evaluate_out_of_hypothesis)
-    return report
-
-
-def check_a_to_1(a: int, d: int, n: int) -> bool:
-    """Q_d^(a,-)(a*n) == Q_{(d+3)/a - 3}^(1,-)(n); requires a | (d+3)."""
-    if (d + 3) % a != 0:
-        raise RefusedInput(f"check_a_to_1: a={a} does not divide d+3={d + 3}")
-    return big_q_minus(a, d, a * n) == big_q_minus(1, (d + 3) // a - 3, n)
-
-
-def verify_a_to_1(spec: GridSpec) -> VerificationReport:
-    report = VerificationReport("verify-a-to-1")
-    for a in spec.a_values:
-        for d in spec.d_values:
-            if (d + 3) % a != 0:
-                report.records.append(CellRecord(
-                    {"a": a, "d": d}, SKIPPED,
-                    witness={"reason": f"{a} does not divide d+3 = {d + 3}"}))
-                continue
-            if a >= d + 3:
-                report.records.append(CellRecord(
-                    {"a": a, "d": d}, SKIPPED,
-                    witness={"reason": f"Q undefined for a = {a} >= d+3 = {d + 3}"}))
-                continue
-            _row(report, {"a": a, "d": d}, spec.n_values(),
-                 lambda n: big_q_minus(a, d, a * n),
-                 lambda n: big_q_minus(1, (d + 3) // a - 3, n),
-                 ("lhs", "rhs"), equal=True)
-    return report
-
-
-def check_modified_st(a: int, S: ResidueClassSet, T: ResidueClassSet, n: int,
-                      premise_horizon: int = 200) -> bool:
-    """rho(T; n + n_hat(a, n)) >= rho(S; n), for T starting at a with all
-    elements divisible by a and S element-wise dominating T."""
-    ys = T.elements()
-    y1 = next(ys)
-    if y1 != a:
-        raise RefusedInput(f"modified-st premise: T starts at {y1}, expected {a}")
-    xs = S.elements()
-    y = y1
-    for i in range(1, premise_horizon + 1):
-        if i > 1:
-            y = next(ys)
-        x = next(xs)
-        if y % a != 0 or x < y:
-            raise RefusedInput(
-                f"modified-st premise fails at index {i}: x={x}, y={y}, a={a}")
-    return rho(T, n + n_hat(a, n)) >= rho(S, n)
 
 
 def gen_kp_sets(a: int, d: int) -> tuple[ResidueClassSet, ResidueClassSet]:
@@ -308,7 +255,8 @@ def gen_kp_sets(a: int, d: int) -> tuple[ResidueClassSet, ResidueClassSet]:
 
     S realizes Q_d^(a,-); T realizes Q^(a,-) at the smaller modulus
     d + d_hat - a where d_hat = (-d) mod a, so every element of T is
-    divisible by a and is dominated by the matching element of S.
+    divisible by a and is dominated by the matching element of S (checked
+    by ``dominates``; it fails when the modulus is 2a).
     """
     d_hat = n_hat(a, d)
     S = pm_set(a, d + 3, [d + 3 - a])
@@ -319,44 +267,150 @@ def gen_kp_sets(a: int, d: int) -> tuple[ResidueClassSet, ResidueClassSet]:
     return S, T
 
 
-def verify_modified_st(a: int, d: int, n_max: int) -> VerificationReport:
-    """check_modified_st over n = 1..n_max for the gen_kp_sets(a, d) pair."""
-    report = VerificationReport("verify-modified-st")
+# ---------------------------------------------------------- declarations
+
+def _divides(a: int, d: int) -> bool:
+    """a | d+3: a-to-1 applies, and gen-kp has its exempt cell."""
+    return (d + 3) % a == 0
+
+
+def _q_undefined(a: int, d: int) -> str | None:
+    """Why Q_d^(a) is undefined (no +-a residue pair mod d+3), or None."""
+    return f"Q undefined for a = {a} >= d+3 = {d + 3}" if a >= d + 3 else None
+
+
+def _shift_row(N: int, d: int) -> Row | str:
+    if d - N + 3 < 3:
+        return f"modulus d-N+3 = {d - N + 3} < 3"
+    S = s_set(d, N)
+    regime = shift_regime(d, N)
+    return Row(lambda n: q_count(1, d, n), lambda n: rho(S, n), ("q", "Q"),
+               lambda n: regime and n >= d + 2)
+
+
+def _ceiling_row(a: int, d: int) -> Row:
+    return Row(lambda n: q_count(a, d, n),
+               lambda n: q_count(1, math.ceil(d / a), math.ceil(n / a)),
+               ("lhs", "rhs"), lambda n: n >= d + 2 * a)
+
+
+def _a_to_1_row(a: int, d: int) -> Row | str:
+    if not _divides(a, d):
+        return f"{a} does not divide d+3 = {d + 3}"
+    return _q_undefined(a, d) or Row(
+        lambda n: big_q_minus(a, d, a * n),
+        lambda n: big_q_minus(1, (d + 3) // a - 3, n), ("lhs", "rhs"), equal=True)
+
+
+def _modified_st_row(a: int, d: int) -> Row:
     S, T = gen_kp_sets(a, d)
-    _row(report, {"a": a, "d": d}, range(1, n_max + 1),
-         lambda n: rho(T, n + n_hat(a, n)), lambda n: rho(S, n),
-         ("rho_T", "rho_S"))
+    premise = dominates(S, T, PREMISE_HORIZON, a)
+    return Row(lambda n: rho(T, n + n_hat(a, n)), lambda n: rho(S, n),
+               ("rho_T", "rho_S"), lambda n: premise)
+
+
+def _delta_rows(big_q_fn, in_hypothesis, exempt: bool = False):
+    """Row factory of q_d^(a)(n) >= big_q_fn(a, d, n) where
+    ``in_hypothesis(a, d)``; with ``exempt``, except at n = d+a+3 when
+    a | d+3."""
+    def row(a: int, d: int) -> Row:
+        hyp = in_hypothesis(a, d)
+        return Row(lambda n: q_count(a, d, n), lambda n: big_q_fn(a, d, n),
+                   ("q", "Q"), lambda n: hyp,
+                   d + a + 3 if exempt and _divides(a, d) else None)
+    return row
+
+
+def _gen_kp_bound(a: int, d: int) -> bool:
+    return math.ceil(d / a) >= 105
+
+
+STATEMENTS: dict[str, Statement] = {
+    "shift": Statement("verify-shift", ("N", "d"), _shift_row, skip_each_n=True),
+    "gen-kp": Statement("verify-gen-kp", ("a", "d"),
+                        _delta_rows(big_q_minus, _gen_kp_bound, exempt=True)),
+    "gen-dkst": Statement("verify-gen-dkst", ("a", "d"),
+                          _delta_rows(big_q_minus_minus, _gen_kp_bound)),
+    "ceiling": Statement("verify-ceiling", ("a", "d"), _ceiling_row),
+    "a-to-1": Statement("verify-a-to-1", ("a", "d"), _a_to_1_row),
+    "modified-st": Statement("verify-modified-st", ("a", "d"), _modified_st_row),
+    "delta": Statement("verify-delta", ("a", "d"),
+                       _delta_rows(big_q, lambda a, d: a == 1)),
+}
+
+#: search kind -> the statement whose rows it scans
+SEARCH_KINDS = {"delta": "delta", "delta_m": "gen-kp", "delta_mm": "gen-dkst",
+                "shift": "shift"}
+
+
+# ---------------------------------------------------------------- engine
+
+def _rows(statement: Statement, spec: GridSpec):
+    """(base params, Row or skip reason) per axis pair, in the spec's order."""
+    first, second = statement.axes
+    for x in getattr(spec, f"{first}_values"):
+        for y in getattr(spec, f"{second}_values"):
+            yield {first: x, second: y}, statement.row(x, y)
+
+
+def verify(name: str, spec: GridSpec) -> VerificationReport:
+    """Evaluate the statement ``STATEMENTS[name]`` over the grid ``spec``.
+
+    Records follow the spec's axis order, then n.  A skipped axis pair
+    gets one record per n if the statement says ``skip_each_n``, else one.
+    """
+    statement = STATEMENTS[name]
+    report = VerificationReport(statement.cmd)
+    for base, row in _rows(statement, spec):
+        if isinstance(row, Row):
+            _row(report, base, spec.n_values(), row,
+                 evaluate_out=spec.evaluate_out_of_hypothesis)
+        elif statement.skip_each_n:
+            report.records.extend(
+                CellRecord({**base, "n": n}, SKIPPED, witness={"reason": row})
+                for n in spec.n_values())
+        else:
+            report.records.append(CellRecord(base, SKIPPED, witness={"reason": row}))
     return report
 
 
-def gen_kp_in_hypothesis(a: int, d: int) -> bool:
-    return a >= 1 and d >= 1 and math.ceil(d / a) >= 105
+def evaluate_cell(name: str, n: int, evaluate_out_of_hypothesis: bool = False,
+                  **params: int) -> CellRecord:
+    """The record of ``verify(name, ...)`` at one cell: the axis values
+    ``params`` (``N=2, d=63`` for shift, ``a=4, d=417`` otherwise) and n.
+    A skipped pair's record is returned as the grid reports it."""
+    spec = GridSpec(**{f"{axis}_values": (params[axis],)
+                       for axis in STATEMENTS[name].axes},
+                    n_min=n, n_max=n,
+                    evaluate_out_of_hypothesis=evaluate_out_of_hypothesis)
+    (record,) = verify(name, spec).records
+    return record
 
 
-def _verify_gen(cmd: str, big_q_fn, exempt: int | None, a: int, d: int,
-                n_max: int, evaluate_out: bool) -> VerificationReport:
-    report = VerificationReport(cmd)
-    in_hyp = gen_kp_in_hypothesis(a, d)
-    _row(report, {"a": a, "d": d}, range(1, n_max + 1),
-         lambda n: q_count(a, d, n), lambda n: big_q_fn(a, d, n), ("q", "Q"),
-         hyp=lambda n: in_hyp, exempt=exempt, evaluate_out=evaluate_out)
+def search_counterexamples(kind: str, spec: GridSpec) -> VerificationReport:
+    """Exhaustively list the cells with lhs < rhs, in scan order.
+
+    ``kind`` is one of delta, delta_m, delta_mm (the rows of delta, gen-kp
+    and gen-dkst over (a, d, n), skipping the pairs where Q is undefined)
+    or shift (the shift rows over (N, d, n)).  Hypotheses and exempt cells
+    do not apply, and skipped pairs are not scanned.  A delta-kind record's
+    params start with the kind and it is witnessed by both counts; a shift
+    record has neither.  The report contains one record per violation;
+    searching is informational, never a failure.
+    """
+    if kind not in SEARCH_KINDS:
+        raise RefusedInput(f"unknown search kind {kind!r}")
+    report = VerificationReport(f"search-{kind}")
+    tagged = kind != "shift"
+    for base, row in _rows(STATEMENTS[SEARCH_KINDS[kind]], spec):
+        if isinstance(row, str) or (tagged and _q_undefined(base["a"], base["d"])):
+            continue
+        if tagged:
+            base = {"kind": kind, **base}
+        else:
+            row = row._replace(names=None)
+        _row(report, base, spec.n_values(), row, violations_only=True)
     return report
-
-
-def verify_gen_kp(a: int, d: int, n_max: int,
-                  evaluate_out: bool = False) -> VerificationReport:
-    """delta_minus(a, d, n) >= 0 for n <= n_max, with the single exempt
-    cell n = d+a+3 when d == -3 (mod a) (its value is recorded, not asserted)."""
-    exempt = d + a + 3 if n_hat(a, d + 3) == 0 else None
-    return _verify_gen("verify-gen-kp", big_q_minus, exempt,
-                       a, d, n_max, evaluate_out)
-
-
-def verify_gen_dkst(a: int, d: int, n_max: int,
-                    evaluate_out: bool = False) -> VerificationReport:
-    """delta_minus_minus(a, d, n) >= 0 for n <= n_max; no exempt cell."""
-    return _verify_gen("verify-gen-dkst", big_q_minus_minus, None,
-                       a, d, n_max, evaluate_out)
 
 
 def verify_smalln_anchors(d: int, N: int,
@@ -443,10 +497,6 @@ def xy_difference_report(d: int, N: int, i_horizon: int = 200) -> VerificationRe
     return report
 
 
-def check_xy_differences(d: int, N: int, i_horizon: int = 200) -> bool:
-    return xy_difference_report(d, N, i_horizon).ok
-
-
 def verify_t_monotone(d: int, n_max: int) -> VerificationReport:
     """rho(T(s_lo, d); n) <= rho(T(s_hi, d); n) for 1 <= s_lo <= s_hi <= r_of(d).
 
@@ -469,45 +519,4 @@ def verify_t_monotone(d: int, n_max: int) -> VerificationReport:
             report.records.append(CellRecord(
                 {"d": d, "s_lo": s_lo, "s_hi": s_hi, "n_max": n_max},
                 HOLDS if worst >= 0 else FAILS, worst, witness))
-    return report
-
-
-#: the Q-side counter each search kind subtracts from q_count(a, d, n)
-_SEARCH_KINDS = {
-    "delta": big_q,
-    "delta_m": big_q_minus,
-    "delta_mm": big_q_minus_minus,
-}
-
-
-def search_counterexamples(kind: str, spec: GridSpec) -> VerificationReport:
-    """Exhaustively list the cells with a negative value, in scan order.
-
-    ``kind`` is one of delta, delta_m, delta_mm (scanning (a, d, n)) or
-    shift (scanning (N, d, n) as in check_shift).  The report contains one
-    record per violation; searching is informational, never a failure.
-    """
-    report = VerificationReport(f"search-{kind}")
-
-    if kind == "shift":
-        for N in spec.N_values:
-            for d in spec.d_values:
-                if d - N + 3 < 3:
-                    continue
-                S = s_set(d, N)
-                _row(report, {"N": N, "d": d}, spec.n_values(),
-                     lambda n: q_count(1, d, n), lambda n: rho(S, n),
-                     violations_only=True)
-        return report
-
-    if kind not in _SEARCH_KINDS:
-        raise RefusedInput(f"unknown search kind {kind!r}")
-    big_q_fn = _SEARCH_KINDS[kind]
-    for a in spec.a_values:
-        for d in spec.d_values:
-            if a >= d + 3:
-                continue
-            _row(report, {"kind": kind, "a": a, "d": d}, spec.n_values(),
-                 lambda n: q_count(a, d, n), lambda n: big_q_fn(a, d, n),
-                 ("q", "Q"), violations_only=True)
     return report

@@ -10,7 +10,6 @@ before the pool starts), which gives the same values either way.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -26,6 +25,8 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> lis
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
+    # imported here: multiprocessing costs every other command start-up time
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

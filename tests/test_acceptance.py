@@ -14,8 +14,7 @@ from contextlib import contextmanager
 from alder.counting import (delta, delta_minus_minus, g_script, q_brute,
                             q_count, q_lower_bound, rho, rho_brute)
 from alder.inequalities import (EXEMPT, HOLDS, OUT, GridSpec,
-                                search_counterexamples, verify_gen_dkst,
-                                verify_gen_kp, verify_shift_range,
+                                search_counterexamples, verify,
                                 verify_smalln_anchors, xy_difference_report)
 from alder.injection import verify_injection
 from alder.partset import pm_set, s_set, t_set
@@ -95,7 +94,7 @@ def test_criterion_05_shift_grid():
     with criterion(5, 300, "shift inequality, N in 2..5, 3 d each, n <= 2000"):
         for N, d in shift_grid_pairs():
             spec = GridSpec(N_values=(N,), d_values=(d,), n_min=d + 2, n_max=2000)
-            report = verify_shift_range(spec)
+            report = verify("shift", spec)
             assert report.summary == {HOLDS: 2000 - (d + 2) + 1}, (N, d)
 
 
@@ -103,7 +102,7 @@ def test_criterion_06_littlelemon_grid():
     with criterion(6, 180, "level-4 shift, d in 105..110, n in 107..2000"):
         spec = GridSpec(N_values=(4,), d_values=tuple(range(105, 111)),
                         n_min=107, n_max=2000)
-        report = verify_shift_range(spec)
+        report = verify("shift", spec)
         assert not report.failures()
         assert report.summary[HOLDS] == sum(2000 - (d + 2) + 1
                                             for d in range(105, 111))
@@ -117,13 +116,13 @@ def test_criterion_07_gen_kp():
         # oracle-confirm the exceptional cell before trusting the grid
         assert q_brute(4, 417, 424, limit=424) == 1
         assert rho_brute(pm_set(4, 420, [416]), 424, limit=424) == 2
-        report = verify_gen_kp(4, 417, 1000)
+        report = verify("gen-kp", GridSpec(a_values=(4,), d_values=(417,), n_max=1000))
         assert report.ok
         statuses = {rec.params["n"]: rec for rec in report.records}
         assert statuses[424].status == EXEMPT and statuses[424].value == -1
         assert all(rec.status == HOLDS for n, rec in statuses.items() if n != 424)
 
-        report = verify_gen_kp(3, 315, 800)
+        report = verify("gen-kp", GridSpec(a_values=(3,), d_values=(315,), n_max=800))
         assert not report.failures()
         assert all(rec.value >= 0 for rec in report.records)
 
@@ -131,7 +130,8 @@ def test_criterion_07_gen_kp():
 def test_criterion_08_gen_dkst():
     with criterion(8, None, "two-exclusion variant: (4,417), (2,212), (3,315), n<=1000"):
         for a, d in [(4, 417), (2, 212), (3, 315)]:
-            report = verify_gen_dkst(a, d, 1000)
+            report = verify("gen-dkst", GridSpec(a_values=(a,), d_values=(d,),
+                                                 n_max=1000))
             assert report.ok and EXEMPT not in report.summary, (a, d)
             assert report.summary[HOLDS] == 1000
             assert delta_minus_minus(a, d, d + a + 3) >= 0  # former exception

@@ -65,7 +65,7 @@ class TestCount:
                         "--n", "9..3"], capsys)[0] == 2
         assert run_cli(["count", "--kind", "q", "--a", "1", "--d", "1",
                         "--n", "5", "--jobs", "0"], capsys)[0] == 2
-        for theorem in ("a-to-1", "gen-kp", "modified-st"):  # a divides: a >= 1
+        for theorem in ("a-to-1", "gen-kp", "gen-dkst", "modified-st"):  # a >= 1
             assert run_cli(["verify", theorem, "--a", "0", "--d", "5",
                             "--n-max", "10"], capsys)[0] == 2
 
@@ -181,9 +181,30 @@ class TestVerify:
 
     def test_ranges_must_be_single_where_required(self, capsys):
         code, _, _ = run_cli(
-            ["verify", "gen-kp", "--a", "1..2", "--d", "417", "--n-max", "5"],
-            capsys)
+            ["verify", "anchors", "--d", "63..64", "--N", "2"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("theorem", ["gen-kp", "gen-dkst", "modified-st"])
+    def test_a_d_statements_take_ranges(self, capsys, theorem):
+        code, out, _ = run_cli(
+            ["verify", theorem, "--a", "3..4", "--d", "315..316", "--n-min", "20",
+             "--n-max", "25"], capsys)
+        assert code == 0
+        params = [(r["params"]["a"], r["params"]["d"], r["params"]["n"])
+                  for r in json_lines(out)[:-1]]
+        assert params == [(a, d, n) for a in (3, 4) for d in (315, 316)
+                          for n in range(20, 26)]
+
+    def test_n_min_honoured(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "gen-kp", "--a", "4", "--d", "417", "--n-min", "420",
+             "--n-max", "425"], capsys)
+        assert code == 0
+        records = json_lines(out)[:-1]
+        assert [rec["params"]["n"] for rec in records] == list(range(420, 426))
+        assert [rec["params"]["n"] for rec in records
+                if rec["status"] == "exempt"] == [424]
+        assert json_lines(out)[-1]["summary"] == {"cells": 6, "exempt": 1, "holds": 5}
 
     def test_default_horizon_applied(self, capsys):
         code, out, _ = run_cli(["verify", "gen-kp", "--a", "4", "--d", "417"],
@@ -204,6 +225,17 @@ class TestVerify:
             assert code == 2 and out == ""
             assert "horizon cap" in err
             assert set(counting._tables) == built
+
+
+class TestStartup:
+    def test_cli_import_leaves_multiprocessing_out(self):
+        # only an inject pool needs it; every other command would pay its import
+        probe = ("import sys, alder.cli; "
+                 "print('multiprocessing' in sys.modules, "
+                 "'concurrent.futures.process' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             check=True, text=True).stdout
+        assert out.split() == ["False", "False"]
 
 
 class TestInject:

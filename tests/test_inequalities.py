@@ -1,19 +1,20 @@
-"""Grid verifiers, the comparison lemmas, and counterexample search."""
+"""Grid statements, the comparison lemmas, and counterexample search."""
 
 import pytest
 
 from alder.counting import big_q_minus, q_brute, q_count, rho_brute
-from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED, GridSpec,
-                                check_a_to_1, check_andrews,
-                                check_andrews_premises, check_ceiling,
-                                check_modified_st, check_shift,
-                                check_xy_differences, gen_kp_sets, n_hat,
-                                search_counterexamples, verify_a_to_1,
-                                verify_ceiling, verify_gen_dkst,
-                                verify_gen_kp, verify_modified_st,
-                                verify_shift_range, verify_smalln_anchors,
-                                verify_t_monotone, xy_difference_report)
-from alder.partset import pm_set, positive_integers, s_set, t_set
+from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
+                                STATEMENTS, GridSpec, check_andrews,
+                                dominates, evaluate_cell, gen_kp_sets, n_hat,
+                                search_counterexamples, verify,
+                                verify_smalln_anchors, verify_t_monotone,
+                                xy_difference_report)
+from alder.partset import RefusedInput, pm_set, positive_integers, s_set, t_set
+
+
+def verify_pair(name, a, d, n_max, **spec):
+    """``verify(name, ...)`` over n = 1..n_max at the single pair (a, d)."""
+    return verify(name, GridSpec(a_values=(a,), d_values=(d,), n_max=n_max, **spec))
 
 
 class TestNHat:
@@ -25,71 +26,78 @@ class TestNHat:
 
 class TestCheckShift:
     def test_at_case1_anchor(self):
-        assert check_shift(63, 2, 126) == q_count(1, 63, 126) - 2 >= 0
+        rec = evaluate_cell("shift", 126, N=2, d=63)
+        assert rec.status == HOLDS
+        assert rec.value == q_count(1, 63, 126) - 2 >= 0
 
     def test_littlelemon_start(self):
-        assert check_shift(105, 4, 107) >= 0
+        rec = evaluate_cell("shift", 107, N=4, d=105)
+        assert rec.status == HOLDS and rec.value >= 0
 
     def test_n1_both_sides_one(self):
-        assert check_shift(63, 2, 1) == 0
+        rec = evaluate_cell("shift", 1, N=2, d=63, evaluate_out_of_hypothesis=True)
+        assert rec.status == OUT and rec.value == 0
 
     def test_rejects_tiny_modulus(self):
-        with pytest.raises(ValueError):
-            check_shift(3, 4, 10)
+        # d-N+3 = 2: no such residue set; the grid has always skipped the cell
+        rec = evaluate_cell("shift", 10, N=4, d=3)
+        assert rec.status == SKIPPED and rec.value is None
+        assert rec.witness == {"reason": "modulus d-N+3 = 2 < 3"}
 
 
 class TestVerifyShiftRange:
     def test_small_in_hypothesis_grid(self):
         spec = GridSpec(d_values=(63, 64), N_values=(2,), n_min=66, n_max=400)
-        report = verify_shift_range(spec)
+        report = verify("shift", spec)
         assert report.ok
         assert report.summary == {HOLDS: 2 * 335}
 
     def test_out_of_hypothesis_is_labeled_not_failed(self):
         spec = GridSpec(d_values=(12,), N_values=(4,), n_min=50, n_max=50,
                         evaluate_out_of_hypothesis=True)
-        report = verify_shift_range(spec)
+        report = verify("shift", spec)
         (rec,) = report.records
         assert rec.status == OUT
         assert report.ok
 
     def test_unevaluated_out_of_hypothesis_has_no_value(self):
         spec = GridSpec(d_values=(63,), N_values=(2,), n_min=1, n_max=5)
-        report = verify_shift_range(spec)
+        report = verify("shift", spec)
         assert all(r.status == OUT and r.value is None for r in report.records)
 
     def test_invalid_cells_skipped(self):
         spec = GridSpec(d_values=(3,), N_values=(4,), n_min=1, n_max=3)
-        report = verify_shift_range(spec)
+        report = verify("shift", spec)
         assert {r.status for r in report.records} == {SKIPPED}
+        assert [r.params["n"] for r in report.records] == [1, 2, 3]
 
     def test_agrees_with_enumeration(self):
         from alder.injection import enumerate_partitions
         d, N, n = 63, 2, 130
-        assert check_shift(d, N, n) == \
+        assert evaluate_cell("shift", n, N=N, d=d).value == \
             q_count(1, d, n) - len(enumerate_partitions(s_set(d, N), n))
 
 
 class TestAndrews:
     def test_equality_at_n2_satisfies_premises(self):
         # x_1 = y_1 = 1 and x_2 = y_2 = d+2 at N = 2; indices >= 3 dominate
-        assert check_andrews_premises(s_set(63, 2), t_set(5, 63), 200)
+        assert dominates(s_set(63, 2), t_set(5, 63), 200)
 
     def test_premises_fail_only_at_i2_for_n3(self):
         S, T = s_set(63, 3), t_set(5, 63)
-        assert not check_andrews_premises(S, T, 200)
+        assert not dominates(S, T, 200)
         failing = [i for i in range(1, 201) if S.element(i) < T.element(i)]
         assert failing == [2]   # x_2 = 64 < 65 = y_2
 
     def test_unrestricted_dominates(self):
         T = positive_integers()
         S = s_set(63, 2)
-        assert check_andrews_premises(S, T, 100)
+        assert dominates(S, T, 100)
         assert check_andrews(S, T, 80).ok
 
     def test_identity_pair(self):
         T = t_set(5, 63)
-        assert check_andrews_premises(T, T, 100)
+        assert dominates(T, T, 100)
         report = check_andrews(T, T, 60)
         assert report.ok and all(r.value == 0 for r in report.records)
 
@@ -97,16 +105,16 @@ class TestAndrews:
 class TestCeiling:
     def test_example(self):
         assert q_count(2, 5, 9) == 2 and q_count(1, 3, 5) == 2
-        assert check_ceiling(2, 5, 9)
+        assert evaluate_cell("ceiling", 9, a=2, d=5).status == HOLDS
 
     def test_a1_reduces_to_identity(self):
-        assert all(check_ceiling(1, d, n) for d in (1, 5, 20)
-                   for n in range(d + 2, d + 40))
+        assert all(evaluate_cell("ceiling", n, a=1, d=d).status == HOLDS
+                   for d in (1, 5, 20) for n in range(d + 2, d + 40))
 
     def test_grid(self):
         spec = GridSpec(a_values=(1, 2, 3, 4), d_values=tuple(range(1, 41)),
                         n_min=1, n_max=300)
-        report = verify_ceiling(spec)
+        report = verify("ceiling", spec)
         assert report.ok
         assert report.summary[HOLDS] > 0 and FAILS not in report.summary
 
@@ -114,26 +122,29 @@ class TestCeiling:
 class TestAToOne:
     def test_example(self):
         assert big_q_minus(2, 5, 10) == 2 == big_q_minus(1, 1, 5)
-        assert check_a_to_1(2, 5, 5)
+        assert evaluate_cell("a-to-1", 5, a=2, d=5).status == HOLDS
 
     def test_a1_identity(self):
-        assert all(check_a_to_1(1, d, n) for d in (1, 4, 9) for n in range(60))
+        assert all(evaluate_cell("a-to-1", n, a=1, d=d).status == HOLDS
+                   for d in (1, 4, 9) for n in range(60))
 
     def test_rejects_nondivisor(self):
-        with pytest.raises(ValueError):
-            check_a_to_1(2, 4, 10)
+        # the grid has always skipped the whole (a, d) pair, with one record
+        rec = evaluate_cell("a-to-1", 10, a=2, d=4)
+        assert rec.status == SKIPPED and rec.params == {"a": 2, "d": 4}
+        assert rec.witness == {"reason": "2 does not divide d+3 = 7"}
 
     def test_grid(self):
         for a in (2, 3, 4):
             d_values = tuple(a * k - 3 for k in range(2, 31))
             spec = GridSpec(a_values=(a,), d_values=d_values, n_min=0, n_max=200)
-            assert verify_a_to_1(spec).ok
+            assert verify("a-to-1", spec).ok
 
     def test_degenerate_cells_skipped_not_fatal(self):
         # a = d+3 leaves no meaningful +-a residue pair; the grid skips it
         spec = GridSpec(a_values=(2, 3, 4), d_values=tuple(range(1, 10)),
                         n_min=0, n_max=30)
-        report = verify_a_to_1(spec)
+        report = verify("a-to-1", spec)
         assert report.ok
         skipped = [r for r in report.records if r.status == SKIPPED]
         assert {"a": 4, "d": 1} in [r.params for r in skipped]
@@ -143,7 +154,7 @@ class TestModifiedSt:
     def test_zero_shift_when_divisible(self):
         S, T = gen_kp_sets(4, 417)
         assert n_hat(4, 8) == 0
-        assert check_modified_st(4, S, T, 8)
+        assert evaluate_cell("modified-st", 8, a=4, d=417).status == HOLDS
 
     def test_gen_kp_pair_structure(self):
         S, T = gen_kp_sets(4, 417)
@@ -157,19 +168,43 @@ class TestModifiedSt:
     def test_premise_failure_rejected(self):
         bad_T = pm_set(2, 10)       # starts at 2, fine; but use a = 4
         S = pm_set(4, 20)
-        with pytest.raises(ValueError):
-            check_modified_st(4, S, bad_T, 10)
+        assert not dominates(S, bad_T, 200, a=4)
+        assert dominates(S, pm_set(4, 12), 200, a=4)
 
     def test_grid(self):
-        report = verify_modified_st(4, 417, 1500)
+        report = verify_pair("modified-st", 4, 417, 1500)
         assert report.ok
-        report = verify_modified_st(3, 315, 800)
+        report = verify_pair("modified-st", 3, 315, 800)
         assert report.ok
+
+    def test_failed_premise_is_out_of_hypothesis(self):
+        # a pair is out of hypothesis iff its premise fails; on this sweep
+        # that is exactly when T's modulus d + d_hat - a is 2a, where +-a
+        # collapses to one class and the exclusion m - a = a removes T's
+        # first element.  Such cells are evaluated only on request.
+        failed = []
+        for a in range(1, 13):
+            for d in range(1, 400):
+                try:
+                    S, T = gen_kp_sets(a, d)
+                except RefusedInput:
+                    continue
+                rec = evaluate_cell("modified-st", 1, a=a, d=d)
+                assert (rec.status == OUT) == (not dominates(S, T, 200, a)), (a, d)
+                if rec.status == OUT:
+                    failed.append((a, d))
+                    assert d + n_hat(a, d) - a == 2 * a, (a, d)
+        assert len(failed) == 77
+        report = verify_pair("modified-st", 3, 9, 80)
+        assert report.ok and report.summary == {OUT: 80}
+        forced = verify_pair("modified-st", 3, 9, 80, evaluate_out_of_hypothesis=True)
+        assert forced.ok and forced.summary == {OUT: 80}
+        assert min(r.value for r in forced.records) < 0
 
 
 class TestGenKp:
     def test_exceptional_cell_and_rest(self):
-        report = verify_gen_kp(4, 417, 1000)
+        report = verify_pair("gen-kp", 4, 417, 1000)
         assert report.ok
         by_status = {}
         for rec in report.records:
@@ -184,29 +219,29 @@ class TestGenKp:
         assert rho_brute(pm_set(4, 420, [416]), 424, limit=424) == 2
 
     def test_a3_no_failures_and_exempt_nonnegative(self):
-        report = verify_gen_kp(3, 315, 500)
+        report = verify_pair("gen-kp", 3, 315, 500)
         assert report.ok
         exempts = [r for r in report.records if r.status == EXEMPT]
         assert [r.params["n"] for r in exempts] == [321]
         assert exempts[0].value >= 0  # a <= 3 keeps even the exempt cell true
 
     def test_a1_no_failures(self):
-        report = verify_gen_kp(1, 105, 300)
+        report = verify_pair("gen-kp", 1, 105, 300)
         assert report.ok
         assert sum(1 for r in report.records if r.status == EXEMPT) == 1
 
     def test_exemption_only_when_d_is_minus_3_mod_a(self):
-        report = verify_gen_kp(4, 418, 500)   # 418 + 3 = 421 not div by 4
+        report = verify_pair("gen-kp", 4, 418, 500)   # 418 + 3 = 421 not div by 4
         assert EXEMPT not in report.summary
         assert report.ok
 
     def test_no_exempt_cell_below_d_plus_a_plus_3(self):
-        report = verify_gen_kp(4, 417, 400)   # exempt cell would be n = 424
+        report = verify_pair("gen-kp", 4, 417, 400)   # exempt cell would be n = 424
         assert EXEMPT not in report.summary
         assert report.ok
 
     def test_out_of_hypothesis_labeled(self):
-        report = verify_gen_kp(4, 100, 50)    # ceil(100/4) = 25 < 105
+        report = verify_pair("gen-kp", 4, 100, 50)    # ceil(100/4) = 25 < 105
         assert all(r.status == OUT for r in report.records)
         assert report.ok
 
@@ -214,13 +249,13 @@ class TestGenKp:
 class TestGenDkst:
     @pytest.mark.parametrize("a,d", [(4, 417), (2, 212), (3, 315)])
     def test_no_failures_no_exemptions(self, a, d):
-        report = verify_gen_dkst(a, d, 500)
+        report = verify_pair("gen-dkst", a, d, 500)
         assert report.ok
         assert EXEMPT not in report.summary
         assert report.summary[HOLDS] == 500
 
     def test_small_n_cells_are_zero(self):
-        report = verify_gen_dkst(4, 417, 3)
+        report = verify_pair("gen-dkst", 4, 417, 3)
         assert all(r.value == 0 for r in report.records)
 
 
@@ -242,7 +277,7 @@ class TestAnchors:
 class TestXyDifferences:
     @pytest.mark.parametrize("d,N", [(31, 2), (63, 2), (63, 5), (105, 4), (200, 8)])
     def test_pass(self, d, N):
-        assert check_xy_differences(d, N)
+        assert xy_difference_report(d, N).ok
 
     def test_branch_minimum_values(self):
         rep = xy_difference_report(63, 2)
@@ -305,6 +340,29 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_counterexamples("nope", GridSpec(a_values=(1,),
                                                     d_values=(1,), n_max=5))
+
+
+class TestEvaluateCell:
+    CELLS = {  # statement -> (axis values, grid horizon)
+        "shift": ({"N": 2, "d": 63}, 200),
+        "gen-kp": ({"a": 4, "d": 417}, 500),
+        "gen-dkst": ({"a": 3, "d": 315}, 400),
+        "ceiling": ({"a": 3, "d": 5}, 60),
+        "a-to-1": ({"a": 3, "d": 6}, 60),
+        "modified-st": ({"a": 4, "d": 417}, 500),
+        "delta": ({"a": 2, "d": 3}, 60),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STATEMENTS))
+    @pytest.mark.parametrize("force", [False, True])
+    def test_equals_the_grid_record(self, name, force):
+        params, n_max = self.CELLS[name]
+        spec = GridSpec(**{f"{k}_values": (v,) for k, v in params.items()},
+                        n_min=0, n_max=n_max, evaluate_out_of_hypothesis=force)
+        grid = verify(name, spec).records
+        assert len(grid) == n_max + 1
+        for rec in grid:
+            assert evaluate_cell(name, rec.params["n"], force, **params) == rec
 
 
 class TestGridSpec:

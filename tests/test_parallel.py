@@ -1,5 +1,7 @@
 """The worker-pool helper must preserve input order at any job count."""
 
+import concurrent.futures
+
 from alder import parallel
 from alder.parallel import parallel_map
 
@@ -40,7 +42,8 @@ class _RecordingPool:
 
 
 def test_pool_never_exceeds_items_or_cpus(monkeypatch):
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _RecordingPool)
+    # the pool branch imports the executor from concurrent.futures when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
     _RecordingPool.sizes = []
     assert parallel_map(_square, range(10), jobs=10 ** 9) == [x * x for x in range(10)]
