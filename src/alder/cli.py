@@ -8,8 +8,11 @@ Subcommands
              --a or --N and --d, each N or LO..HI, and --n-min/--n-max;
              littlelemon is shift at N = 4; anchors, xy-diff and
              t-monotone take single values)
-    inject   verify the piecewise injection per (d, N, n)
+    inject   verify the piecewise injection per (d, N, n), the last n
+             first: a range over a size cap is refused by that cell
     search   scan a grid for negative deltas (informational)
+
+--force (verify and inject only) also evaluates out-of-hypothesis cells.
 
 Reports are JSON lines by default, one object per cell with the fixed
 field order  v, cmd, params, status, value, witness  and counts encoded
@@ -171,7 +174,7 @@ def cmd_count(args) -> VerificationReport:
 
 # ---------------------------------------------------------------- verify
 
-def _grid_from_args(args, axes: tuple[str, str]) -> GridSpec:
+def _grid_from_args(args, axes: tuple[str, str], force: bool = False) -> GridSpec:
     """The grid of a statement over ``axes``, each a --flag N or LO..HI."""
     values = {}
     for axis in axes:
@@ -179,7 +182,7 @@ def _grid_from_args(args, axes: tuple[str, str]) -> GridSpec:
             raise UsageError(f"this verification needs --{axis}")
         values[f"{axis}_values"] = parse_range(getattr(args, axis))
     return GridSpec(**values, n_min=args.n_min, n_max=args.n_max,
-                    evaluate_out_of_hypothesis=args.force)
+                    evaluate_out_of_hypothesis=force)
 
 
 def _single(args, flag: str) -> int:
@@ -207,7 +210,7 @@ def cmd_verify(args) -> VerificationReport:
         theorem, args.N = "shift", "4"
     if theorem in inequalities.STATEMENTS:
         axes = inequalities.STATEMENTS[theorem].axes
-        return inequalities.verify(theorem, _grid_from_args(args, axes))
+        return inequalities.verify(theorem, _grid_from_args(args, axes, args.force))
     elif theorem == "anchors":
         return inequalities.verify_smalln_anchors(
             _single(args, "d"), _single(args, "N"), evaluate_out=args.force)
@@ -230,10 +233,11 @@ def _inject_cell(cell: tuple[int, int, int, bool]) -> injection.InjectionCellRep
 def cmd_inject(args) -> VerificationReport:
     d = _single(args, "d")
     N = _single(args, "N")
-    n_values = parse_range(args.n)
-    cells = [(d, N, n, args.force) for n in n_values]
-    injection.check_partition_cap(d, N, n_values[-1], args.force)
-    reports = parallel_map(_inject_cell, cells, args.jobs)
+    cells = [(d, N, n, args.force) for n in parse_range(args.n)]
+    # the last cell is over a cap exactly when some cell is (see injection),
+    # so a refused range runs no other cell and starts no pool
+    last = _inject_cell(cells[-1])
+    reports = [*parallel_map(_inject_cell, cells[:-1], args.jobs), last]
 
     records = []
     for rep in reports:
@@ -275,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for inject cells (default 1)")
         p.add_argument("--cache", metavar="DIR", default=None)
         p.add_argument("--out", metavar="FILE", default=None)
+
+    def force(p):  # count has no hypotheses and search ignores them
         p.add_argument("--force", action="store_true",
                        help="also evaluate out-of-hypothesis cells")
 
@@ -300,12 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=0)
     common(p)
+    force(p)
 
     p = sub.add_parser("inject", help="verify the piecewise injection per cell")
     p.add_argument("--d", required=True)
     p.add_argument("--N", required=True)
     p.add_argument("--n", required=True, help="N or LO..HI")
     common(p)
+    force(p)
 
     p = sub.add_parser("search", help="scan for negative deltas")
     p.add_argument("--kind", required=True, help="delta|delta_m|delta_mm|shift")

@@ -9,6 +9,7 @@ of the Alder conjecture literature:
     big_q(a, d, n)              Q_d^(a)(n):  parts == +-a (mod d+3)
     big_q_minus(a, d, n)        Q_d^(a,-):   additionally excluding d+3-a
     big_q_minus_minus(a, d, n)  Q_d^(a,--):  excluding both a and d+3-a
+    big_q_set(a, d, minus)      the part set behind each of the three
     delta* variants             q - Q differences
     rho(A, n)                   partitions of n with parts in the set A
 
@@ -249,25 +250,30 @@ def _pm_exclusions(a: int, d: int, minus: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _big_q_set(a: int, d: int, minus: int) -> ResidueClassSet:
-    if a < 1 or a >= d + 3:
+def big_q_set(a: int, d: int, minus: int) -> ResidueClassSet:
+    """The parts +-a (mod d+3) of Q_d^(a) (``minus`` = 0), without d+3-a for
+    Q_d^(a,-) (1), or without both a and d+3-a for Q_d^(a,--) (2); refused
+    outside 1 <= a < d+3, where there is no +-a residue pair."""
+    if a < 1:
         raise RefusedInput(f"need 1 <= a < d+3, got a={a}, d={d}")
+    if a >= d + 3:
+        raise RefusedInput(f"Q undefined for a = {a} >= d+3 = {d + 3}")
     return pm_set(a, d + 3, _pm_exclusions(a, d, minus))
 
 
 def big_q(a: int, d: int, n: int) -> int:
     """Q_d^(a)(n): partitions of n into parts == +-a (mod d+3)."""
-    return rho(_big_q_set(a, d, 0), n)
+    return rho(big_q_set(a, d, 0), n)
 
 
 def big_q_minus(a: int, d: int, n: int) -> int:
     """Q_d^(a,-)(n): as big_q but the part d+3-a is excluded."""
-    return rho(_big_q_set(a, d, 1), n)
+    return rho(big_q_set(a, d, 1), n)
 
 
 def big_q_minus_minus(a: int, d: int, n: int) -> int:
     """Q_d^(a,--)(n): as big_q but both parts a and d+3-a are excluded."""
-    return rho(_big_q_set(a, d, 2), n)
+    return rho(big_q_set(a, d, 2), n)
 
 
 def delta(a: int, d: int, n: int) -> int:

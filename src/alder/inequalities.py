@@ -10,29 +10,31 @@ one of:
     exempt             the single cell n = d+a+3 that the generalized
                        Kang-Park statement leaves out when d == -3 (mod a);
                        its actual value is recorded but not asserted
-    skipped            parameters for which the quantities are undefined
+    skipped            an axis pair whose part sets cannot be built; the
+                       witness gives the reason
 
 The n-indexed statements are declared once each, in ``STATEMENTS``:
 
   * shift:       q_d^(1)(n) >= Q_{d-N}^(1,-)(n) for N >= 2,
                  d >= max(63, 46N-79), n >= d+2 (N = 4, d >= 105 is the
-                 resolved level-4 case); skipped where d-N+3 < 3.
+                 resolved level-4 case).
   * gen-kp:      delta_minus(a, d, n) >= 0 for ceil(d/a) >= 105, all n,
                  except the exempt cell above.
   * gen-dkst:    delta_minus_minus(a, d, n) >= 0, same bounds, no exemption.
   * ceiling:     q_d^(a)(n) >= q_{ceil(d/a)}^(1)(ceil(n/a)) for n >= d+2a.
-  * a-to-1:      Q_d^(a,-)(a n) = Q_{(d+3)/a - 3}^(1,-)(n); skipped unless
-                 a | d+3 and a < d+3.
+  * a-to-1:      Q_d^(a,-)(a n) = Q_{(d+3)/a - 3}^(1,-)(n), where a | d+3.
   * modified-st: rho(T; n + n_hat) >= rho(S; n) for the divisibility-
                  shifted pair gen_kp_sets(a, d), where T starts at a and S
                  dominates T element-wise (``dominates``).
   * delta:       delta(a, d, n) >= 0 at a = 1 (Alder's theorem); only the
                  search scans it, at any a.
 
-Each is a ``Statement`` whose row factory gives a ``Row`` per axis pair.
-One engine runs them all: ``verify`` over a grid, ``evaluate_cell`` at one
-cell and ``search_counterexamples`` (negative cells only), each row
-through ``_row``, which builds every table it reads once, at its horizon.
+Each is a ``Statement`` whose row factory builds an axis pair's part sets
+and gives its ``Row``; a pair whose sets cannot be built is skipped, with
+the set constructor's refusal as the reason.  One engine runs them all:
+``verify`` over a grid, ``evaluate_cell`` at one cell and
+``search_counterexamples`` (negative cells only), each row through
+``_row``, which builds every table it reads once, at its horizon.
 
 Verified by their own functions, since they are not n-indexed:
 
@@ -54,8 +56,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .counting import (big_q, big_q_minus, big_q_minus_minus,
-                       largest_part_counts, q_count, rho)
+from .counting import big_q_set, largest_part_counts, q_count, rho
 from .partset import (RefusedInput, ResidueClassSet, pm_set, r_of, s_set,
                       shift_regime, t_set, x_closed, y_closed)
 
@@ -111,6 +112,8 @@ class GridSpec:
     evaluate_out_of_hypothesis: bool = False
 
     def __post_init__(self):
+        if self.n_min < 0:
+            raise RefusedInput(f"n must be >= 0, got {self.n_min}")
         if self.n_max < self.n_min:
             raise RefusedInput(f"empty n range [{self.n_min}, {self.n_max}]")
         if not self.a_values and not self.d_values and not self.N_values:
@@ -167,13 +170,14 @@ class Row(NamedTuple):
 @dataclass(frozen=True)
 class Statement:
     """An n-indexed grid statement: its report command, its two axes (read
-    from a GridSpec's ``<axis>_values``) and ``row(x, y)``, which gives the
-    Row of the axis pair or the reason the pair is skipped.  A skipped pair
-    is reported with one record per n if ``skip_each_n``, else one record."""
+    from a GridSpec's ``<axis>_values``) and ``row(x, y)``, which builds the
+    part sets of the axis pair and gives its Row, or raises RefusedInput if
+    they cannot be built.  Such a pair is skipped, with one record per n if
+    ``skip_each_n``, else one record."""
 
     cmd: str
     axes: tuple[str, str]
-    row: Callable[[int, int], Row | str]
+    row: Callable[[int, int], Row]
     skip_each_n: bool = False
 
 
@@ -259,7 +263,7 @@ def gen_kp_sets(a: int, d: int) -> tuple[ResidueClassSet, ResidueClassSet]:
     by ``dominates``; it fails when the modulus is 2a).
     """
     d_hat = n_hat(a, d)
-    S = pm_set(a, d + 3, [d + 3 - a])
+    S = big_q_set(a, d, 1)
     m = d + d_hat - a
     if m < 3 or a >= m:
         raise RefusedInput(f"gen_kp_sets: degenerate T modulus {m} for a={a}, d={d}")
@@ -274,14 +278,7 @@ def _divides(a: int, d: int) -> bool:
     return (d + 3) % a == 0
 
 
-def _q_undefined(a: int, d: int) -> str | None:
-    """Why Q_d^(a) is undefined (no +-a residue pair mod d+3), or None."""
-    return f"Q undefined for a = {a} >= d+3 = {d + 3}" if a >= d + 3 else None
-
-
-def _shift_row(N: int, d: int) -> Row | str:
-    if d - N + 3 < 3:
-        return f"modulus d-N+3 = {d - N + 3} < 3"
+def _shift_row(N: int, d: int) -> Row:
     S = s_set(d, N)
     regime = shift_regime(d, N)
     return Row(lambda n: q_count(1, d, n), lambda n: rho(S, n), ("q", "Q"),
@@ -294,12 +291,12 @@ def _ceiling_row(a: int, d: int) -> Row:
                ("lhs", "rhs"), lambda n: n >= d + 2 * a)
 
 
-def _a_to_1_row(a: int, d: int) -> Row | str:
+def _a_to_1_row(a: int, d: int) -> Row:
     if not _divides(a, d):
-        return f"{a} does not divide d+3 = {d + 3}"
-    return _q_undefined(a, d) or Row(
-        lambda n: big_q_minus(a, d, a * n),
-        lambda n: big_q_minus(1, (d + 3) // a - 3, n), ("lhs", "rhs"), equal=True)
+        raise RefusedInput(f"{a} does not divide d+3 = {d + 3}")
+    Q, Q1 = big_q_set(a, d, 1), big_q_set(1, (d + 3) // a - 3, 1)
+    return Row(lambda n: rho(Q, a * n), lambda n: rho(Q1, n), ("lhs", "rhs"),
+               equal=True)
 
 
 def _modified_st_row(a: int, d: int) -> Row:
@@ -309,13 +306,14 @@ def _modified_st_row(a: int, d: int) -> Row:
                ("rho_T", "rho_S"), lambda n: premise)
 
 
-def _delta_rows(big_q_fn, in_hypothesis, exempt: bool = False):
-    """Row factory of q_d^(a)(n) >= big_q_fn(a, d, n) where
+def _delta_rows(minus: int, in_hypothesis, exempt: bool = False):
+    """Row factory of q_d^(a)(n) >= rho(big_q_set(a, d, minus), n) where
     ``in_hypothesis(a, d)``; with ``exempt``, except at n = d+a+3 when
     a | d+3."""
     def row(a: int, d: int) -> Row:
+        Q = big_q_set(a, d, minus)
         hyp = in_hypothesis(a, d)
-        return Row(lambda n: q_count(a, d, n), lambda n: big_q_fn(a, d, n),
+        return Row(lambda n: q_count(a, d, n), lambda n: rho(Q, n),
                    ("q", "Q"), lambda n: hyp,
                    d + a + 3 if exempt and _divides(a, d) else None)
     return row
@@ -328,14 +326,14 @@ def _gen_kp_bound(a: int, d: int) -> bool:
 STATEMENTS: dict[str, Statement] = {
     "shift": Statement("verify-shift", ("N", "d"), _shift_row, skip_each_n=True),
     "gen-kp": Statement("verify-gen-kp", ("a", "d"),
-                        _delta_rows(big_q_minus, _gen_kp_bound, exempt=True)),
+                        _delta_rows(1, _gen_kp_bound, exempt=True)),
     "gen-dkst": Statement("verify-gen-dkst", ("a", "d"),
-                          _delta_rows(big_q_minus_minus, _gen_kp_bound)),
+                          _delta_rows(2, _gen_kp_bound)),
     "ceiling": Statement("verify-ceiling", ("a", "d"), _ceiling_row),
     "a-to-1": Statement("verify-a-to-1", ("a", "d"), _a_to_1_row),
     "modified-st": Statement("verify-modified-st", ("a", "d"), _modified_st_row),
     "delta": Statement("verify-delta", ("a", "d"),
-                       _delta_rows(big_q, lambda a, d: a == 1)),
+                       _delta_rows(0, lambda a, d: a == 1)),
 }
 
 #: search kind -> the statement whose rows it scans
@@ -346,11 +344,20 @@ SEARCH_KINDS = {"delta": "delta", "delta_m": "gen-kp", "delta_mm": "gen-dkst",
 # ---------------------------------------------------------------- engine
 
 def _rows(statement: Statement, spec: GridSpec):
-    """(base params, Row or skip reason) per axis pair, in the spec's order."""
+    """(base params, Row or skip reason) per axis pair, in the spec's order.
+
+    A refused row factory skips its pair.  Factories build part sets and
+    nothing else: ``_row`` reads every table later, so a table refusal
+    (``counting.MAX_HORIZON``) still refuses the whole grid.
+    """
     first, second = statement.axes
     for x in getattr(spec, f"{first}_values"):
         for y in getattr(spec, f"{second}_values"):
-            yield {first: x, second: y}, statement.row(x, y)
+            try:
+                row = statement.row(x, y)
+            except RefusedInput as exc:
+                row = str(exc)
+            yield {first: x, second: y}, row
 
 
 def verify(name: str, spec: GridSpec) -> VerificationReport:
@@ -391,19 +398,19 @@ def search_counterexamples(kind: str, spec: GridSpec) -> VerificationReport:
     """Exhaustively list the cells with lhs < rhs, in scan order.
 
     ``kind`` is one of delta, delta_m, delta_mm (the rows of delta, gen-kp
-    and gen-dkst over (a, d, n), skipping the pairs where Q is undefined)
-    or shift (the shift rows over (N, d, n)).  Hypotheses and exempt cells
-    do not apply, and skipped pairs are not scanned.  A delta-kind record's
-    params start with the kind and it is witnessed by both counts; a shift
-    record has neither.  The report contains one record per violation;
-    searching is informational, never a failure.
+    and gen-dkst over (a, d, n)) or shift (the shift rows over (N, d, n)).
+    Hypotheses and exempt cells do not apply, and skipped pairs are not
+    scanned.  A delta-kind record's params start with the kind and it is
+    witnessed by both counts; a shift record has neither.  The report
+    contains one record per violation; searching is informational, never a
+    failure.
     """
     if kind not in SEARCH_KINDS:
         raise RefusedInput(f"unknown search kind {kind!r}")
     report = VerificationReport(f"search-{kind}")
     tagged = kind != "shift"
     for base, row in _rows(STATEMENTS[SEARCH_KINDS[kind]], spec):
-        if isinstance(row, str) or (tagged and _q_undefined(base["a"], base["d"])):
+        if isinstance(row, str):
             continue
         if tagged:
             base = {"kind": kind, **base}

@@ -47,6 +47,11 @@ exhaustively, so its witnesses come in enumeration order.
 In-hypothesis cells satisfy N >= 2, d >= max(63, 46N-79), n >= 7d+14.
 Out-of-hypothesis cells run only when forced, and their failures are
 reported as exploration data, not refutations.
+
+What ``verify_injection`` caps grows with n: n itself, and rho(S, n),
+which never decreases since 1 is in S; the hypothesis is monotone in n.
+So the last cell of an n range is over a cap exactly when some cell of
+it is, and ``alder inject`` runs that cell first.
 """
 
 from __future__ import annotations
@@ -223,38 +228,6 @@ class InjectionCellReport:
         return "holds" if self.passed else "fails"
 
 
-def _cell_sets(d: int, N: int) -> tuple[ResidueClassSet, ResidueClassSet]:
-    """S(d, N) and T(5, d); RefusedInput when the cell is not constructible."""
-    y_closed(d, 1)  # the target ordering needs r_of(d) >= 5
-    return s_set(d, N), t_set(5, d)
-
-
-def _capped_rho(S: ResidueClassSet, d: int, N: int, n: int) -> int:
-    rho_s = counting.rho(S, n)
-    if rho_s > MAX_PARTITIONS:
-        raise RefusedInput(f"cell d={d}, N={N}, n={n} has {rho_s} partitions, "
-                           f"more than {MAX_PARTITIONS}")
-    return rho_s
-
-
-def check_partition_cap(d: int, N: int, n: int, force: bool = False) -> None:
-    """Raise RefusedInput if ``verify_injection(d, N, n, force)`` would refuse
-    its cell: n beyond ``counting.MAX_HORIZON`` or rho(S, n) over
-    MAX_PARTITIONS.
-
-    Nothing is enumerated; rho(S, n) is read off its count table.  It is
-    non-decreasing in n because 1 is in S, so checking the largest n of a
-    range refuses an over-cap range before any of its cells runs.
-    """
-    if not (force or in_hypothesis(d, N, n)):
-        return
-    try:
-        S, _ = _cell_sets(d, N)
-    except RefusedInput:
-        return  # not constructible: the cell checks nothing
-    _capped_rho(S, d, N, n)
-
-
 def _open_cell(d: int, N: int, n: int,
                force: bool) -> tuple[InjectionCellReport, ResidueClassSet | None]:
     """A cell's report before any partition is examined, with S(d, N) if the
@@ -268,14 +241,18 @@ def _open_cell(d: int, N: int, n: int,
         return report, None
 
     try:
-        S, T = _cell_sets(d, N)
+        y_closed(d, 1)  # the target ordering needs r_of(d) >= 5
+        S, T = s_set(d, N), t_set(5, d)
     except RefusedInput as exc:
         report.checks["constructible"] = False
         report.witnesses.append({"error": str(exc)})
         report.note = "cell not constructible"
         return report, None
 
-    report.rho_s = _capped_rho(S, d, N, n)
+    report.rho_s = counting.rho(S, n)
+    if report.rho_s > MAX_PARTITIONS:
+        raise RefusedInput(f"cell d={d}, N={N}, n={n} has {report.rho_s} "
+                           f"partitions, more than {MAX_PARTITIONS}")
     report.rho_t = counting.rho(T, n)
     return report, S
 

@@ -131,7 +131,7 @@ def s_set(d: int, N: int) -> ResidueClassSet:
     """The set S(d, N): x == +-1 (mod d-N+3), minus the value d-N+2."""
     m = d - N + 3
     if m < 3:
-        raise RefusedInput(f"s_set(d={d}, N={N}): modulus {m} < 3")
+        raise RefusedInput(f"modulus d-N+3 = {m} < 3")
     return ResidueClassSet(m, {1, m - 1}, {m - 1})
 
 

@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, caching, determinism across --jobs."""
 
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import sys
 import pytest
 
 from alder import cli, counting
-from alder.partset import s_set
+from alder.inequalities import gen_kp_sets
+from alder.partset import RefusedInput, s_set
 
 
 def run_cli(argv, capsys):
@@ -68,6 +70,21 @@ class TestCount:
         for theorem in ("a-to-1", "gen-kp", "gen-dkst", "modified-st"):  # a >= 1
             assert run_cli(["verify", theorem, "--a", "0", "--d", "5",
                             "--n-max", "10"], capsys)[0] == 2
+        for force in ([], ["--force"]):  # n >= 0, as for inject
+            assert run_cli(["verify", "shift", "--N", "2", "--d", "63", "--n-min",
+                            "-3", "--n-max", "70", *force], capsys)[0] == 2
+            assert run_cli(["verify", "gen-kp", "--a", "2", "--d", "19", "--n-min",
+                            "-2", "--n-max", "3", *force], capsys)[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        "count --kind q --a 1 --d 1 --n 5",
+        "search --kind delta --a 1 --d 1 --n-max 5"])
+    def test_force_only_where_hypotheses_apply(self, capsys, argv):
+        # count has no hypotheses and search ignores them: --force did nothing
+        assert run_cli(argv.split(), capsys)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv.split(), "--force"])
+        assert exc.value.code == 2
 
     def test_over_long_range_exits_2(self, capsys):
         # one value over the cap; with --a 0, code that built the range first
@@ -217,14 +234,52 @@ class TestVerify:
         assert json_lines(out)[:-1][0]["params"]["n_max"] == 2000
 
     def test_n_max_over_horizon_cap_exits_2(self, capsys):
-        # refused at the first table build, before any smaller table is built
-        for argv in (["shift", "--N", "2", "--d", "63"], ["t-monotone", "--d", "31"]):
+        # refused at the first table build, before any smaller table is built;
+        # a table refusal refuses the grid, it never skips the pair
+        for argv in (["shift", "--N", "2", "--d", "63"], ["t-monotone", "--d", "31"],
+                     ["gen-kp", "--a", "2", "--d", "19", "--force"],
+                     ["ceiling", "--a", "2", "--d", "3"],
+                     ["a-to-1", "--a", "2", "--d", "5"],
+                     ["modified-st", "--a", "4", "--d", "417"]):
             built = set(counting._tables)
             code, out, err = run_cli(
                 ["verify", *argv, "--n-max", str(counting.MAX_HORIZON + 1)], capsys)
             assert code == 2 and out == ""
             assert "horizon cap" in err
             assert set(counting._tables) == built
+
+    def test_unbuildable_modified_st_pairs_skipped(self, capsys):
+        # a degenerate T modulus skips its pair, with gen_kp_sets' refusal as
+        # the reason; the grid goes on
+        code, out, _ = run_cli(["verify", "modified-st", "--a", "1..12", "--d",
+                                "1..399", "--n-max", "5"], capsys)
+        assert code == 0
+        want = {}
+        for a in range(1, 13):
+            for d in range(1, 400):
+                try:
+                    gen_kp_sets(a, d)
+                except RefusedInput as exc:
+                    want[(a, d)] = str(exc)
+        lines = json_lines(out)
+        skipped = {(r["params"]["a"], r["params"]["d"]): r["witness"]["reason"]
+                   for r in lines[:-1] if r["status"] == "skipped"}
+        assert skipped == want and len(want) == 157
+        assert lines[-1]["summary"]["out-of-hypothesis"] == 77 * 5  # T modulus 2a
+
+    @pytest.mark.parametrize("theorem", ["gen-kp", "gen-dkst"])
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_undefined_q_pairs_skipped(self, capsys, theorem, force):
+        code, out, _ = run_cli(["verify", theorem, "--a", "1..8", "--d", "1..3",
+                                "--n-max", "5", *force], capsys)
+        assert code == 0
+        records = json_lines(out)[:-1]
+        skipped = [r for r in records if r["status"] == "skipped"]
+        assert [(r["params"], r["witness"]) for r in skipped] == [
+            ({"a": a, "d": d}, {"reason": f"Q undefined for a = {a} >= d+3 = {d + 3}"})
+            for a in range(1, 9) for d in range(1, 4) if a >= d + 3]
+        assert len(skipped) == 12
+        assert len(records) == 12 + 5 * 12  # one record per skipped pair
 
 
 class TestStartup:
@@ -277,14 +332,19 @@ class TestInject:
     def test_cell_over_partition_cap_exits_2(self, capsys, monkeypatch):
         rho_s = counting.rho(s_set(63, 2), 520)
         monkeypatch.setattr(cli.injection, "MAX_PARTITIONS", rho_s - 1)
-        enumerated = []
+        enumerated, pools = [], []
         monkeypatch.setattr(cli.injection, "enumerate_partitions",
                             lambda A, n: enumerated.append(n) or [])
-        code, out, err = run_cli(
-            ["inject", "--d", "63", "--N", "2", "--n", "455..520"], capsys)
-        assert code == 2 and out == ""
-        assert f"{rho_s} partitions, more than {rho_s - 1}" in err
-        assert enumerated == []  # the range was refused before its first cell
+        # the pool branch imports the executor from concurrent.futures when it runs
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: pools.append(args) or None)
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(["inject", "--d", "63", "--N", "2", "--n",
+                                      "455..520", "--jobs", jobs], capsys)
+            assert code == 2 and out == ""
+            assert f"{rho_s} partitions, more than {rho_s - 1}" in err
+        # the last cell, run first, refused the range before any other cell
+        assert enumerated == [] and pools == []
 
     def test_partition_cap_skips_cells_that_enumerate_nothing(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.injection, "MAX_PARTITIONS", 0)

@@ -20,8 +20,13 @@ not drift.  Two entries differ from that recording on purpose:
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 from alder import cli
+
+#: the benchmark's correctness gate: exit code and report sha256 per input
+BENCHMARK_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 GOLDEN = [
     ("verify shift --N 2..3 --d 63..64 --n-max 200", 0,
@@ -140,5 +145,22 @@ def test_reports_match_recorded_digests(capsys):
         out = capsys.readouterr().out
         sha = hashlib.sha256(out.encode()).hexdigest()
         if (code, sha) != (want_code, want_sha):
+            drift.append((argv, code, sha))
+    assert not drift
+
+
+def test_first_benchmark_input_of_each_command_matches(capsys):
+    # a drift here would fail every benchmark run of that workload
+    with open(BENCHMARK_EXPECTED, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    first = {}
+    for argv, want in expected.items():
+        first.setdefault(argv.split()[0], (argv, want))
+    assert sorted(first) == ["count", "inject", "search", "verify"]
+    drift = []
+    for argv, want in first.values():
+        code = cli.main(argv.split())
+        sha = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        if (code, sha) != (want["exit"], want["sha256"]):
             drift.append((argv, code, sha))
     assert not drift

@@ -369,3 +369,8 @@ class TestGridSpec:
     def test_rejects_empty_n_range(self):
         with pytest.raises(ValueError):
             GridSpec(d_values=(5,), n_min=10, n_max=5)
+
+    def test_rejects_negative_n_min(self):
+        with pytest.raises(RefusedInput, match="n must be >= 0, got -1"):
+            GridSpec(d_values=(5,), n_min=-1, n_max=5)
+        assert GridSpec(d_values=(5,), n_min=0, n_max=5).n_values() == range(6)
