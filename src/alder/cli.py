@@ -8,8 +8,8 @@ Subcommands
              --a or --N and --d, each N or LO..HI, and --n-min/--n-max;
              littlelemon is shift at N = 4; anchors, xy-diff and
              t-monotone take single values)
-    inject   verify the piecewise injection per (d, N, n), the last n
-             first: a range over a size cap is refused by that cell
+    inject   verify the piecewise injection per (d, N, n): a range is refused
+             if its first n < 0, or if its last cell, run first, is over a cap
     search   scan a grid for negative deltas (informational)
 
 --force (verify and inject only) also evaluates out-of-hypothesis cells.
@@ -25,15 +25,16 @@ is a flat projection for spreadsheets, and the human format is for
 reading at the terminal.
 
 Exit codes: 0 when every in-hypothesis assertion holds, 1 when at least
-one fails (a falsification candidate), 2 on usage errors (refused input
-and an unwritable --out included), 3 on an internal error (any other
-exception, a plain ValueError included).
+one fails (a falsification candidate), 2 on refused input (always
+``partset.RefusedInput``, an unwritable --out included), 3 on an internal
+error (any other exception, a plain ValueError included).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -46,16 +47,12 @@ from .counting import (big_q, big_q_minus, big_q_minus_minus, delta,
                        q_count, rho)
 from .inequalities import VIOLATION, CellRecord, GridSpec, VerificationReport
 from .parallel import parallel_map
-from .partset import RefusedInput, s_set, t_set
+from .partset import RefusedInput, check_n, s_set, t_set
 
 SCHEMA_VERSION = 1
 
 #: longest LO..HI range accepted; checked before the range is built
 MAX_RANGE_VALUES = 10 ** 6
-
-
-class UsageError(Exception):
-    pass
 
 
 def parse_range(text: str) -> tuple[int, ...]:
@@ -122,7 +119,7 @@ def _write_file(report: VerificationReport, fmt: str, path: str) -> None:
             _write(report, fmt, fh)
         os.replace(tmp, path)
     except OSError as exc:
-        raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+        raise RefusedInput(f"cannot write --out {path}: {exc.strerror or exc}") from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -141,30 +138,29 @@ def cmd_count(args) -> VerificationReport:
     if kind == "rho":
         if args.set == "T":
             if args.s is None or args.d is None:
-                raise UsageError("rho over T needs --s and --d")
+                raise RefusedInput("rho over T needs --s and --d")
             A = t_set(args.s, args.d)
             params_base = {"kind": kind, "set": "T", "s": args.s, "d": args.d}
         elif args.set == "S":
             if args.N is None or args.d is None:
-                raise UsageError("rho over S needs --N and --d")
+                raise RefusedInput("rho over S needs --N and --d")
             A = s_set(args.d, args.N)
             params_base = {"kind": kind, "set": "S", "d": args.d, "N": args.N}
         else:
-            raise UsageError("rho needs --set T or --set S")
-        fn = lambda n: rho(A, n)
+            raise RefusedInput("rho needs --set T or --set S")
+        fn = functools.partial(rho, A)
     elif kind in ("g", "l"):
         if args.d is None:
-            raise UsageError(f"kind {kind} needs --d")
-        fn = (lambda n: g_script(args.d, n)) if kind == "g" else \
-             (lambda n: l_script(args.d, n))
+            raise RefusedInput(f"kind {kind} needs --d")
+        fn = functools.partial(g_script if kind == "g" else l_script, args.d)
         params_base = {"kind": kind, "d": args.d}
     elif kind in _COUNT_FNS:
         if args.a is None or args.d is None:
-            raise UsageError(f"kind {kind} needs --a and --d")
-        fn = lambda n: _COUNT_FNS[kind](args.a, args.d, n)
+            raise RefusedInput(f"kind {kind} needs --a and --d")
+        fn = functools.partial(_COUNT_FNS[kind], args.a, args.d)
         params_base = {"kind": kind, "a": args.a, "d": args.d}
     else:
-        raise UsageError(f"unknown count kind {args.kind!r}")
+        raise RefusedInput(f"unknown count kind {args.kind!r}")
 
     n_values = parse_range(args.n)
     fn(n_values[-1])  # the largest n first: each table is built once, at its horizon
@@ -174,24 +170,23 @@ def cmd_count(args) -> VerificationReport:
 
 # ---------------------------------------------------------------- verify
 
+def _values(args, flag: str) -> tuple[int, ...]:
+    """The values of --flag, given as N or LO..HI."""
+    if getattr(args, flag) is None:
+        raise RefusedInput(f"this verification needs --{flag}")
+    return parse_range(getattr(args, flag))
+
+
 def _grid_from_args(args, axes: tuple[str, str], force: bool = False) -> GridSpec:
-    """The grid of a statement over ``axes``, each a --flag N or LO..HI."""
-    values = {}
-    for axis in axes:
-        if getattr(args, axis) is None:
-            raise UsageError(f"this verification needs --{axis}")
-        values[f"{axis}_values"] = parse_range(getattr(args, axis))
-    return GridSpec(**values, n_min=args.n_min, n_max=args.n_max,
-                    evaluate_out_of_hypothesis=force)
+    """The grid of a statement over ``axes``, each a --flag."""
+    return GridSpec(**{f"{axis}_values": _values(args, axis) for axis in axes},
+                    n_min=args.n_min, n_max=args.n_max, evaluate_out_of_hypothesis=force)
 
 
 def _single(args, flag: str) -> int:
-    value = getattr(args, flag)
-    if value is None:
-        raise UsageError(f"this verification needs --{flag}")
-    values = parse_range(value)
+    values = _values(args, flag)
     if len(values) != 1:
-        raise UsageError(f"--{flag} must be a single value here")
+        raise RefusedInput(f"--{flag} must be a single value here")
     return values[0]
 
 
@@ -211,33 +206,26 @@ def cmd_verify(args) -> VerificationReport:
     if theorem in inequalities.STATEMENTS:
         axes = inequalities.STATEMENTS[theorem].axes
         return inequalities.verify(theorem, _grid_from_args(args, axes, args.force))
-    elif theorem == "anchors":
+    if theorem == "anchors":
         return inequalities.verify_smalln_anchors(
             _single(args, "d"), _single(args, "N"), evaluate_out=args.force)
-    elif theorem == "xy-diff":
+    if theorem == "xy-diff":
         return inequalities.xy_difference_report(
             _single(args, "d"), _single(args, "N"))
-    elif theorem == "t-monotone":
-        return inequalities.verify_t_monotone(_single(args, "d"), args.n_max)
-    else:
-        raise UsageError(f"unknown theorem {theorem!r}")
+    return inequalities.verify_t_monotone(_single(args, "d"), args.n_max)  # t-monotone
 
 
 # ---------------------------------------------------------------- inject
 
-def _inject_cell(cell: tuple[int, int, int, bool]) -> injection.InjectionCellReport:
-    d, N, n, force = cell
-    return injection.verify_injection(d, N, n, force=force)
-
-
 def cmd_inject(args) -> VerificationReport:
-    d = _single(args, "d")
-    N = _single(args, "N")
-    cells = [(d, N, n, args.force) for n in parse_range(args.n)]
-    # the last cell is over a cap exactly when some cell is (see injection),
+    cell = functools.partial(injection.verify_injection,
+                             _single(args, "d"), _single(args, "N"), force=args.force)
+    n_values = parse_range(args.n)
+    # the first cell decides n >= 0 and the last one the caps (see injection),
     # so a refused range runs no other cell and starts no pool
-    last = _inject_cell(cells[-1])
-    reports = [*parallel_map(_inject_cell, cells[:-1], args.jobs), last]
+    check_n(n_values[0])
+    last = cell(n_values[-1])
+    reports = [*parallel_map(cell, n_values[:-1], args.jobs), last]
 
     records = []
     for rep in reports:
@@ -259,7 +247,7 @@ def cmd_inject(args) -> VerificationReport:
 def cmd_search(args) -> VerificationReport:
     kind = args.kind.replace("-", "_")
     if kind not in inequalities.SEARCH_KINDS:
-        raise UsageError(f"unknown search kind {args.kind!r}")
+        raise RefusedInput(f"unknown search kind {args.kind!r}")
     axes = inequalities.STATEMENTS[inequalities.SEARCH_KINDS[kind]].axes
     return inequalities.search_counterexamples(kind, _grid_from_args(args, axes))
 
@@ -338,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         if args.jobs < 1:
-            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+            raise RefusedInput(f"--jobs must be >= 1, got {args.jobs}")
         report = _DISPATCH[args.command](args)
         if args.out:
             _write_file(report, args.format, args.out)
@@ -349,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
             except BrokenPipeError:  # the reader stopped early (``| head``)
                 # the verdict stands; the unwritten rest must not fail at exit
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    except (UsageError, RefusedInput) as exc:
+    except RefusedInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -23,10 +23,12 @@ O(sqrt(n/M)) terms per entry, and each excluded value v is one pass
 multiplying by (1 - x^v); over any other set (T(s, d), a single class)
 ``rho`` is a coin-change pass over the set's elements, which is also
 the oracle the triple-product tables are tested against.  All are
-backed by dense tables per (set, horizon) that are built once, grown
-geometrically on demand, and read-only afterwards;
-``q_brute``/``rho_brute`` are the independent enumeration oracles used
-to pin them down in tests.
+backed by dense tables per (set, horizon), read through the one accessor
+``_table``: built once (or loaded from the cache), grown geometrically on
+demand, and read-only afterwards.  ``q_brute``/``rho_brute`` are the
+independent enumeration oracles used to pin them down in tests.  q_d^(a)
+is defined for a >= 1 and d >= 1 (``check_q_domain``), and every counter
+refuses n < 0 (``partset.check_n``).
 
 Two auxiliary counters bound q_d^(1) from below for d >= 63:
 ``g_script(d, n)`` counts pairs of a distinct-parts partition over the
@@ -41,7 +43,8 @@ import operator
 import threading
 
 from . import cache as _cache
-from .partset import RefusedInput, ResidueClassSet, pm_set, r_of, t_set
+from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
+                      t_set)
 
 #: refuse brute-force enumeration beyond this unless the caller raises it
 DEFAULT_BRUTE_LIMIT = 60
@@ -122,7 +125,14 @@ def _build_rho_table(A: ResidueClassSet, horizon: int) -> list[int]:
     return _build_part_table(A, horizon)
 
 
+def check_q_domain(a: int, d: int) -> None:
+    """Refuse (a, d) outside the domain a >= 1, d >= 1 of q_d^(a)."""
+    if a < 1 or d < 1:
+        raise RefusedInput(f"need a >= 1 and d >= 1, got a={a}, d={d}")
+
+
 def _build_gap_table(a: int, d: int, horizon: int) -> list[int]:
+    check_q_domain(a, d)
     out = [0] * (horizon + 1)
     out[0] = 1
     atmost = [0] * (horizon + 1)  # partitions into at most k parts, grown per k
@@ -153,14 +163,8 @@ def _build_g_table(d: int, horizon: int) -> list[int]:
     return dp
 
 
-_BUILDERS = {
-    "parts": _build_rho_table,
-    "gap": lambda spec, h: _build_gap_table(spec[0], spec[1], h),
-    "g": lambda spec, h: _build_g_table(spec, h),
-}
-
-
-def _table(kind: str, spec, key: str, n: int) -> tuple[int, ...]:
+def _table(key: str, n: int, build, *spec) -> tuple[int, ...]:
+    """The table ``key`` over 0..n or more, loaded or ``build(*spec, horizon)``."""
     tab = _tables.get(key)
     if tab is not None and len(tab) > n:
         return tab
@@ -174,7 +178,7 @@ def _table(kind: str, spec, key: str, n: int) -> tuple[int, ...]:
                       MAX_HORIZON)
         values = _cache.load(_cache_dir, key, horizon) if _cache_dir else None
         if values is None:
-            values = _BUILDERS[kind](spec, horizon)
+            values = build(*spec, horizon)
             if _cache_dir:
                 _cache.store(_cache_dir, key, values)
         tab = tuple(values)
@@ -182,21 +186,10 @@ def _table(kind: str, spec, key: str, n: int) -> tuple[int, ...]:
         return tab
 
 
-def _part_table(A: ResidueClassSet, n: int) -> tuple[int, ...]:
-    return _table("parts", A, "rho." + A.key(), n)
-
-
-def _gap_table(a: int, d: int, n: int) -> tuple[int, ...]:
-    if a < 1 or d < 1:
-        raise RefusedInput(f"need a >= 1 and d >= 1, got a={a}, d={d}")
-    return _table("gap", (a, d), f"q.a{a}.d{d}", n)
-
-
 def rho(A: ResidueClassSet, n: int) -> int:
     """Number of partitions of n with all parts in A (rho(A, 0) = 1)."""
-    if n < 0:
-        raise RefusedInput(f"n must be >= 0, got {n}")
-    return _part_table(A, n)[n]
+    check_n(n)
+    return _table("rho." + A.key(), n, _build_rho_table, A)[n]
 
 
 def rho_brute(A: ResidueClassSet, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
@@ -220,9 +213,8 @@ def rho_brute(A: ResidueClassSet, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> i
 
 def q_count(a: int, d: int, n: int) -> int:
     """q_d^(a)(n): partitions of n into parts >= a with successive gaps >= d."""
-    if n < 0:
-        raise RefusedInput(f"n must be >= 0, got {n}")
-    return _gap_table(a, d, n)[n]
+    check_n(n)
+    return _table(f"q.a{a}.d{d}", n, _build_gap_table, a, d)[n]
 
 
 def q_brute(a: int, d: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
@@ -295,9 +287,8 @@ def g_script(d: int, n: int) -> int:
     For d >= 63 and n >= 5d this sits between q_d^(1)(n) above and
     rho(T(5,d); n) below, which is the chain the tests pin down.
     """
-    if n < 0:
-        raise RefusedInput(f"n must be >= 0, got {n}")
-    return _table("g", d, f"g.d{d}", n)[n]
+    check_n(n)
+    return _table(f"g.d{d}", n, _build_g_table, d)[n]
 
 
 def l_script(d: int, n: int) -> int:

@@ -10,8 +10,9 @@ one of:
     exempt             the single cell n = d+a+3 that the generalized
                        Kang-Park statement leaves out when d == -3 (mod a);
                        its actual value is recorded but not asserted
-    skipped            an axis pair whose part sets cannot be built; the
-                       witness gives the reason
+    skipped            an axis pair whose part sets cannot be built, or
+                       whose q_d^(a) is undefined; the witness gives the
+                       reason
 
 The n-indexed statements are declared once each, in ``STATEMENTS``:
 
@@ -30,8 +31,9 @@ The n-indexed statements are declared once each, in ``STATEMENTS``:
                  search scans it, at any a.
 
 Each is a ``Statement`` whose row factory builds an axis pair's part sets
-and gives its ``Row``; a pair whose sets cannot be built is skipped, with
-the set constructor's refusal as the reason.  One engine runs them all:
+and gives its ``Row``; a pair whose sets cannot be built, or outside
+``counting.check_q_domain`` where the row reads q, is skipped, with the
+refusal as the reason.  One engine runs them all:
 ``verify`` over a grid, ``evaluate_cell`` at one cell and
 ``search_counterexamples`` (negative cells only), each row through
 ``_row``, which builds every table it reads once, at its horizon.
@@ -56,9 +58,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .counting import big_q_set, largest_part_counts, q_count, rho
-from .partset import (RefusedInput, ResidueClassSet, pm_set, r_of, s_set,
-                      shift_regime, t_set, x_closed, y_closed)
+from .counting import (big_q_set, check_q_domain, largest_part_counts,
+                       q_count, rho)
+from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
+                      s_set, shift_regime, t_set, x_closed, y_closed)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -112,12 +115,9 @@ class GridSpec:
     evaluate_out_of_hypothesis: bool = False
 
     def __post_init__(self):
-        if self.n_min < 0:
-            raise RefusedInput(f"n must be >= 0, got {self.n_min}")
+        check_n(self.n_min)
         if self.n_max < self.n_min:
             raise RefusedInput(f"empty n range [{self.n_min}, {self.n_max}]")
-        if not self.a_values and not self.d_values and not self.N_values:
-            raise RefusedInput("empty grid")
         if min(self.a_values, default=1) < 1:
             raise RefusedInput(f"a must be >= 1, got {min(self.a_values)}")
 
@@ -169,13 +169,13 @@ class Row(NamedTuple):
 
 @dataclass(frozen=True)
 class Statement:
-    """An n-indexed grid statement: its report command, its two axes (read
-    from a GridSpec's ``<axis>_values``) and ``row(x, y)``, which builds the
-    part sets of the axis pair and gives its Row, or raises RefusedInput if
-    they cannot be built.  Such a pair is skipped, with one record per n if
-    ``skip_each_n``, else one record."""
+    """An n-indexed grid statement: its two axes (read from a GridSpec's
+    ``<axis>_values``) and ``row(x, y)``, which builds the part sets of the
+    axis pair and gives its Row, or raises RefusedInput if they cannot be
+    built or a count it reads is undefined there.  Such a pair is skipped,
+    with one record per n if ``skip_each_n``, else one record.  Its report
+    command is ``verify-<name>``."""
 
-    cmd: str
     axes: tuple[str, str]
     row: Callable[[int, int], Row]
     skip_each_n: bool = False
@@ -280,12 +280,14 @@ def _divides(a: int, d: int) -> bool:
 
 def _shift_row(N: int, d: int) -> Row:
     S = s_set(d, N)
+    check_q_domain(1, d)
     regime = shift_regime(d, N)
     return Row(lambda n: q_count(1, d, n), lambda n: rho(S, n), ("q", "Q"),
                lambda n: regime and n >= d + 2)
 
 
 def _ceiling_row(a: int, d: int) -> Row:
+    check_q_domain(a, d)  # then ceil(d/a) >= 1 too
     return Row(lambda n: q_count(a, d, n),
                lambda n: q_count(1, math.ceil(d / a), math.ceil(n / a)),
                ("lhs", "rhs"), lambda n: n >= d + 2 * a)
@@ -312,6 +314,7 @@ def _delta_rows(minus: int, in_hypothesis, exempt: bool = False):
     a | d+3."""
     def row(a: int, d: int) -> Row:
         Q = big_q_set(a, d, minus)
+        check_q_domain(a, d)
         hyp = in_hypothesis(a, d)
         return Row(lambda n: q_count(a, d, n), lambda n: rho(Q, n),
                    ("q", "Q"), lambda n: hyp,
@@ -324,16 +327,13 @@ def _gen_kp_bound(a: int, d: int) -> bool:
 
 
 STATEMENTS: dict[str, Statement] = {
-    "shift": Statement("verify-shift", ("N", "d"), _shift_row, skip_each_n=True),
-    "gen-kp": Statement("verify-gen-kp", ("a", "d"),
-                        _delta_rows(1, _gen_kp_bound, exempt=True)),
-    "gen-dkst": Statement("verify-gen-dkst", ("a", "d"),
-                          _delta_rows(2, _gen_kp_bound)),
-    "ceiling": Statement("verify-ceiling", ("a", "d"), _ceiling_row),
-    "a-to-1": Statement("verify-a-to-1", ("a", "d"), _a_to_1_row),
-    "modified-st": Statement("verify-modified-st", ("a", "d"), _modified_st_row),
-    "delta": Statement("verify-delta", ("a", "d"),
-                       _delta_rows(0, lambda a, d: a == 1)),
+    "shift": Statement(("N", "d"), _shift_row, skip_each_n=True),
+    "gen-kp": Statement(("a", "d"), _delta_rows(1, _gen_kp_bound, exempt=True)),
+    "gen-dkst": Statement(("a", "d"), _delta_rows(2, _gen_kp_bound)),
+    "ceiling": Statement(("a", "d"), _ceiling_row),
+    "a-to-1": Statement(("a", "d"), _a_to_1_row),
+    "modified-st": Statement(("a", "d"), _modified_st_row),
+    "delta": Statement(("a", "d"), _delta_rows(0, lambda a, d: a == 1)),
 }
 
 #: search kind -> the statement whose rows it scans
@@ -347,12 +347,16 @@ def _rows(statement: Statement, spec: GridSpec):
     """(base params, Row or skip reason) per axis pair, in the spec's order.
 
     A refused row factory skips its pair.  Factories build part sets and
-    nothing else: ``_row`` reads every table later, so a table refusal
-    (``counting.MAX_HORIZON``) still refuses the whole grid.
+    check count domains, nothing else: ``_row`` reads every table later, so
+    a table refusal (``counting.MAX_HORIZON``) still refuses the whole grid,
+    as does an empty axis.
     """
     first, second = statement.axes
-    for x in getattr(spec, f"{first}_values"):
-        for y in getattr(spec, f"{second}_values"):
+    xs, ys = getattr(spec, f"{first}_values"), getattr(spec, f"{second}_values")
+    if not (xs and ys):
+        raise RefusedInput(f"empty grid: no {second if xs else first} values")
+    for x in xs:
+        for y in ys:
             try:
                 row = statement.row(x, y)
             except RefusedInput as exc:
@@ -367,7 +371,7 @@ def verify(name: str, spec: GridSpec) -> VerificationReport:
     gets one record per n if the statement says ``skip_each_n``, else one.
     """
     statement = STATEMENTS[name]
-    report = VerificationReport(statement.cmd)
+    report = VerificationReport(f"verify-{name}")
     for base, row in _rows(statement, spec):
         if isinstance(row, Row):
             _row(report, base, spec.n_values(), row,
@@ -469,7 +473,7 @@ def xy_in_hypothesis(d: int, N: int) -> bool:
     return N >= 2 and d >= max(31, 6 * N - 17)
 
 
-def xy_difference_report(d: int, N: int, i_horizon: int = 200) -> VerificationReport:
+def xy_difference_report(d: int, N: int) -> VerificationReport:
     """The ten closed-form differences, the period-10 relation, and the
     branch minimum min(d-2N-1, d-6N+17) of x_i - y_i over i >= 3."""
     if not xy_in_hypothesis(d, N):
@@ -493,7 +497,7 @@ def xy_difference_report(d: int, N: int, i_horizon: int = 200) -> VerificationRe
         {**base, "check": "period_mod_10"},
         HOLDS if period_ok else FAILS, d - 5 * N + 15))
 
-    got_min = min(diff(i) for i in range(3, i_horizon + 1))
+    got_min = min(diff(i) for i in range(3, 201))
     want_min = min(d - 2 * N - 1, d - 6 * N + 17)
     branch = d - 2 * N - 1 if N <= 4 else d - 6 * N + 17
     ok = got_min == want_min == branch and got_min >= 0

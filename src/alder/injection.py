@@ -51,7 +51,7 @@ reported as exploration data, not refutations.
 What ``verify_injection`` caps grows with n: n itself, and rho(S, n),
 which never decreases since 1 is in S; the hypothesis is monotone in n.
 So the last cell of an n range is over a cap exactly when some cell of
-it is, and ``alder inject`` runs that cell first.
+it is; ``alder inject`` checks the first n >= 0, then runs the last cell.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import counting
-from .partset import (RefusedInput, ResidueClassSet, s_set, shift_regime,
-                      t_set, x_closed, y_closed)
+from .partset import (RefusedInput, ResidueClassSet, check_n, s_set,
+                      shift_regime, t_set, x_closed, y_closed)
 
 #: largest rho(S, n) a cell may check; checked before any partition is examined
 MAX_PARTITIONS = 10 ** 6
@@ -96,8 +96,7 @@ def enumerate_partitions(A: ResidueClassSet, n: int) -> list[dict[int, int]]:
     much as possible into large parts and the last is all-smallest.  The
     smallest part takes the remainder in one step.
     """
-    if n < 0:
-        raise RefusedInput(f"n must be >= 0, got {n}")
+    check_n(n)
     elements = A.elements_upto(n)
     out: list[dict[int, int]] = []
     acc: list[tuple[int, int]] = []  # (i, p_i), largest index first
@@ -211,7 +210,6 @@ class InjectionCellReport:
     s2_sizes: dict[int, int] = field(default_factory=dict)  # beta -> count
     checks: dict[str, bool] = field(default_factory=dict)
     witnesses: list[dict] = field(default_factory=list)
-    note: str = ""
 
     @property
     def s2_size(self) -> int:
@@ -232,12 +230,10 @@ def _open_cell(d: int, N: int, n: int,
                force: bool) -> tuple[InjectionCellReport, ResidueClassSet | None]:
     """A cell's report before any partition is examined, with S(d, N) if the
     cell is to be checked (None if it is skipped or not constructible)."""
-    if n < 0:
-        raise RefusedInput(f"n must be >= 0, got {n}")
+    check_n(n)
     hyp = in_hypothesis(d, N, n)
     report = InjectionCellReport(d, N, n, in_hypothesis=hyp, evaluated=hyp or force)
     if not report.evaluated:
-        report.note = "skipped (out of hypothesis; pass force to evaluate)"
         return report, None
 
     try:
@@ -246,7 +242,6 @@ def _open_cell(d: int, N: int, n: int,
     except RefusedInput as exc:
         report.checks["constructible"] = False
         report.witnesses.append({"error": str(exc)})
-        report.note = "cell not constructible"
         return report, None
 
     report.rho_s = counting.rho(S, n)
@@ -309,8 +304,6 @@ def _check_exhaustively(report: InjectionCellReport, S: ResidueClassSet) -> None
     report.checks["piece_separation"] = separation_ok
     report.checks["rho_dominates"] = report.rho_t >= report.rho_s
     report.checks["p2_lower_bound"] = p2_ok
-    if report.s2_size == 0:
-        report.note = "S2 empty"
 
 
 def _s2_members(d: int, N: int, n: int, xs: list[int],
@@ -427,8 +420,6 @@ def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCe
         ("classification_partitions", "enumeration_matches_rho", "stats_defined",
          "images_valid", "injective", "piece_separation", "rho_dominates",
          "p2_lower_bound"), True)
-    if not s2_sizes:
-        report.note = "S2 empty"
     return report
 
 

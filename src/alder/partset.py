@@ -32,6 +32,12 @@ class RefusedInput(ValueError):
     reports it as a usage error."""
 
 
+def check_n(n: int) -> None:
+    """Refuse a negative weight n: every count and every cell starts at n = 0."""
+    if n < 0:
+        raise RefusedInput(f"n must be >= 0, got {n}")
+
+
 @dataclass(frozen=True)
 class ResidueClassSet:
     """The infinite set {x >= 1 : x mod modulus in residues} minus exclusions."""

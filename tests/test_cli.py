@@ -75,6 +75,17 @@ class TestCount:
                             "-3", "--n-max", "70", *force], capsys)[0] == 2
             assert run_cli(["verify", "gen-kp", "--a", "2", "--d", "19", "--n-min",
                             "-2", "--n-max", "3", *force], capsys)[0] == 2
+        for argv in ("count --kind rho --set T --d 63 --n 5",  # a missing flag
+                     "count --kind rho --set S --d 63 --n 5",
+                     "count --kind rho --d 63 --n 5",
+                     "count --kind g --n 5",
+                     "search --kind bogus --d 1 --n-max 5",
+                     "verify gen-kp --d 5 --n-max 5",
+                     "verify anchors --d 63",
+                     "count --kind q --a 1 --d 1 --n=-1",  # a value out of domain
+                     "count --kind g --d 63 --n=-1",
+                     "count --kind Q --a 0 --d 4 --n 5"):
+            assert run_cli(argv.split(), capsys)[:2] == (2, ""), argv
 
     @pytest.mark.parametrize("argv", [
         "count --kind q --a 1 --d 1 --n 5",
@@ -281,6 +292,26 @@ class TestVerify:
         assert len(skipped) == 12
         assert len(records) == 12 + 5 * 12  # one record per skipped pair
 
+    @pytest.mark.parametrize("argv", [
+        "verify gen-kp --a 1", "verify gen-kp --a 1 --force",
+        "verify gen-dkst --a 1", "verify gen-dkst --a 1 --force",
+        "verify ceiling --a 1", "verify ceiling --a 1 --force",
+        "verify shift --N 0", "verify shift --N 0 --force",
+        "search --kind delta --a 1", "search --kind shift --N 0"])
+    def test_pairs_outside_the_q_domain_skipped(self, capsys, argv):
+        # q_d^(a) needs d >= 1: the d = 0 pair is skipped, the grid goes on
+        code, out, _ = run_cli([*argv.split(), "--d", "0..2", "--n-max", "3"], capsys)
+        assert code == 0
+        records = json_lines(out)[:-1]
+        at_d0 = [r for r in records if r["params"]["d"] == 0]
+        assert at_d0 == [r for r in records if r["status"] == "skipped"]
+        assert {r["witness"]["reason"] for r in at_d0} <= {
+            "need a >= 1 and d >= 1, got a=1, d=0"}
+        # one record per n for shift, one per pair otherwise; search lists none
+        assert len(at_d0) == (0 if "search" in argv else 3 if "shift" in argv else 1)
+        _, rest, _ = run_cli([*argv.split(), "--d", "1..2", "--n-max", "3"], capsys)
+        assert records[len(at_d0):] == json_lines(rest)[:-1]
+
 
 class TestStartup:
     def test_cli_import_leaves_multiprocessing_out(self):
@@ -322,12 +353,24 @@ class TestInject:
         assert code == 2 and out == ""
         assert "horizon cap" in err
 
-    def test_negative_n_exits_2(self, capsys):
+    def test_negative_n_exits_2(self, capsys, monkeypatch):
         for force in ([], ["--force"]):
             code, out, err = run_cli(
                 ["inject", "--d", "63", "--N", "2", "--n=-5", *force], capsys)
             assert code == 2 and out == ""
             assert "n must be >= 0" in err
+        # the range's first n refuses it before its last cell or a pool runs
+        cells, pools = [], []
+        monkeypatch.setattr(cli.injection, "verify_injection",
+                            lambda *args, **kwargs: cells.append(args))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: pools.append(args) or None)
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(["inject", "--d", "63", "--N", "2",
+                                      "--n=-5..3", "--jobs", jobs], capsys)
+            assert code == 2 and out == ""
+            assert "n must be >= 0, got -5" in err
+        assert cells == [] and pools == []
 
     def test_cell_over_partition_cap_exits_2(self, capsys, monkeypatch):
         rho_s = counting.rho(s_set(63, 2), 520)

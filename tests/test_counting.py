@@ -253,7 +253,8 @@ class TestLargestPartCounts:
 
 class TestTables:
     def test_entry_zero_is_one(self):
-        tab = counting._part_table(s_set(63, 2), 10)
+        A = s_set(63, 2)
+        tab = counting._table("rho." + A.key(), 10, counting._build_rho_table, A)
         assert tab[0] == 1
 
     def test_horizon_cap_refuses_before_building(self, monkeypatch):

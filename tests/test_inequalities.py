@@ -370,6 +370,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(d_values=(5,), n_min=10, n_max=5)
 
+    def test_rejects_an_empty_axis(self):
+        # only the statement knows its axes, so the engine refuses, not GridSpec
+        with pytest.raises(RefusedInput, match="empty grid: no d values"):
+            verify("shift", GridSpec(N_values=(2,), n_max=5))
+        with pytest.raises(RefusedInput, match="empty grid: no d values"):
+            verify("gen-kp", GridSpec(d_values=(), n_max=5))
+        with pytest.raises(RefusedInput, match="empty grid: no N values"):
+            search_counterexamples("shift", GridSpec(d_values=(63,), n_max=5))
+
     def test_rejects_negative_n_min(self):
         with pytest.raises(RefusedInput, match="n must be >= 0, got -1"):
             GridSpec(d_values=(5,), n_min=-1, n_max=5)
