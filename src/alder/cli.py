@@ -245,11 +245,9 @@ def cmd_inject(args) -> VerificationReport:
 # ---------------------------------------------------------------- search
 
 def cmd_search(args) -> VerificationReport:
-    kind = args.kind.replace("-", "_")
-    if kind not in inequalities.SEARCH_KINDS:
-        raise RefusedInput(f"unknown search kind {args.kind!r}")
-    axes = inequalities.STATEMENTS[inequalities.SEARCH_KINDS[kind]].axes
-    return inequalities.search_counterexamples(kind, _grid_from_args(args, axes))
+    _, statement = inequalities.search_kind(args.kind)
+    return inequalities.search_counterexamples(
+        args.kind, _grid_from_args(args, statement.axes))
 
 
 # ---------------------------------------------------------------- main

@@ -25,10 +25,11 @@ multiplying by (1 - x^v); over any other set (T(s, d), a single class)
 the oracle the triple-product tables are tested against.  All are
 backed by dense tables per (set, horizon), read through the one accessor
 ``_table``: built once (or loaded from the cache), grown geometrically on
-demand, and read-only afterwards.  ``q_brute``/``rho_brute`` are the
-independent enumeration oracles used to pin them down in tests.  q_d^(a)
-is defined for a >= 1 and d >= 1 (``check_q_domain``), and every counter
-refuses n < 0 (``partset.check_n``).
+demand, and read-only afterwards.  ``column`` hands out a rho or q table
+whole, for slicing; ``rho`` and ``q_count`` are one entry of it.
+``q_brute``/``rho_brute`` are the independent enumeration oracles used to
+pin them down in tests.  q_d^(a) is defined for a >= 1 and d >= 1
+(``check_q_domain``), and every counter refuses n < 0 (``partset.check_n``).
 
 Two auxiliary counters bound q_d^(1) from below for d >= 63:
 ``g_script(d, n)`` counts pairs of a distinct-parts partition over the
@@ -39,6 +40,7 @@ class d+2^(r-1) (mod 2d) and an unrestricted partition over T(r-1, d);
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import threading
 
@@ -143,10 +145,9 @@ def _build_gap_table(a: int, d: int, horizon: int) -> list[int]:
         offset = a * k + d * k * (k - 1) // 2
         if offset > horizon:
             break
-        for m in range(k, horizon + 1):
-            atmost[m] += atmost[m - k]
-        for m in range(horizon - offset + 1):
-            out[offset + m] += atmost[m]
+        for r in range(k):  # atmost[m] += atmost[m - k], one residue chain at a time
+            atmost[r::k] = itertools.accumulate(atmost[r::k])
+        out[offset:] = map(operator.add, out[offset:], atmost[:horizon - offset + 1])
     return out
 
 
@@ -186,10 +187,17 @@ def _table(key: str, n: int, build, *spec) -> tuple[int, ...]:
         return tab
 
 
+def column(count: ResidueClassSet | tuple[int, int], n: int) -> tuple[int, ...]:
+    """The table over 0..n or more of rho over a set, or of q_d^(a) for (a, d)."""
+    if isinstance(count, ResidueClassSet):
+        return _table("rho." + count.key(), n, _build_rho_table, count)
+    return _table("q.a%d.d%d" % count, n, _build_gap_table, *count)
+
+
 def rho(A: ResidueClassSet, n: int) -> int:
     """Number of partitions of n with all parts in A (rho(A, 0) = 1)."""
     check_n(n)
-    return _table("rho." + A.key(), n, _build_rho_table, A)[n]
+    return column(A, n)[n]
 
 
 def rho_brute(A: ResidueClassSet, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
@@ -214,7 +222,7 @@ def rho_brute(A: ResidueClassSet, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> i
 def q_count(a: int, d: int, n: int) -> int:
     """q_d^(a)(n): partitions of n into parts >= a with successive gaps >= d."""
     check_n(n)
-    return _table(f"q.a{a}.d{d}", n, _build_gap_table, a, d)[n]
+    return column((a, d), n)[n]
 
 
 def q_brute(a: int, d: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:

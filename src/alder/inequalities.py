@@ -31,12 +31,13 @@ The n-indexed statements are declared once each, in ``STATEMENTS``:
                  search scans it, at any a.
 
 Each is a ``Statement`` whose row factory builds an axis pair's part sets
-and gives its ``Row``; a pair whose sets cannot be built, or outside
-``counting.check_q_domain`` where the row reads q, is skipped, with the
-refusal as the reason.  One engine runs them all:
-``verify`` over a grid, ``evaluate_cell`` at one cell and
+and declares its ``Row``: two count tables, each read at n -> m ceil(n/k),
+the first n in hypothesis and an optional exempt cell.  A pair whose sets
+cannot be built, or outside ``counting.check_q_domain`` where the row
+reads q, is skipped, with the refusal as the reason.  One engine runs
+them all: ``verify`` over a grid, ``evaluate_cell`` at one cell and
 ``search_counterexamples`` (negative cells only), each row through
-``_row``, which builds every table it reads once, at its horizon.
+``_row``, which reads each side as one slice of its table.
 
 Verified by their own functions, since they are not n-indexed:
 
@@ -54,12 +55,13 @@ rho(T; n) >= rho(S; n), whose premise is ``dominates``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .counting import (big_q_set, check_q_domain, largest_part_counts,
-                       q_count, rho)
+from .counting import (big_q_set, check_q_domain, column,
+                       largest_part_counts, rho)
 from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
                       s_set, shift_regime, t_set, x_closed, y_closed)
 
@@ -82,19 +84,11 @@ ANCHOR_MID_DISTRIBUTION = (1, 4, 5, 6, 5, 3, 2, 1, 1, 1)
 ANCHOR_TOP_DISTRIBUTION = (1, 7, 12, 20, 16, 18, 10, 10, 5, 5, 2, 2, 1, 1)
 ANCHOR_TOP_TOTAL = 110
 
-#: the ten closed-form differences x_i - y_i for i = 3..12
-XY_DIFFERENCE_FORMS = (
-    lambda d, N: d - 2 * N + 1,
-    lambda d, N: d - 2 * N - 1,
-    lambda d, N: 2 * d - 3 * N - 8,
-    lambda d, N: d - 3 * N + 9,
-    lambda d, N: d - 4 * N + 9,
-    lambda d, N: d - 4 * N + 9,
-    lambda d, N: 2 * d - 5 * N + 6,
-    lambda d, N: 2 * d - 5 * N,
-    lambda d, N: 2 * d - 6 * N + 16,
-    lambda d, N: d - 6 * N + 17,
-)
+#: the ten closed-form differences x_i - y_i for i = 3..12, each as the
+#: coefficients (u, v, w) of u*d + v*N + w
+XY_DIFFERENCE_FORMS = ((1, -2, 1), (1, -2, -1), (2, -3, -8), (1, -3, 9),
+                       (1, -4, 9), (1, -4, 9), (2, -5, 6), (2, -5, 0),
+                       (2, -6, 16), (1, -6, 17))
 
 
 @dataclass(frozen=True)
@@ -153,16 +147,25 @@ class VerificationReport:
         return not self.failures()
 
 
+class Side(NamedTuple):
+    """One side of a Row: the counts of ``count`` (rho over a set, or q_d^(a)
+    for a pair (a, d), as ``counting.column`` reads them) at m * ceil(n / k)."""
+
+    count: ResidueClassSet | tuple[int, int]
+    m: int = 1
+    k: int = 1
+
+
 class Row(NamedTuple):
-    """One grid row: ``lhs(n) >= rhs(n)`` (``==`` if ``equal``) is asserted
-    where ``hyp(n)`` holds (everywhere if ``hyp`` is None), except at
+    """One grid row: ``lhs >= rhs`` (``==`` if ``equal``) is asserted at
+    every n >= ``first`` (at no n if ``first`` is None), except at
     ``n == exempt``; a failing cell is witnessed by ``{names[0]: lhs,
     names[1]: rhs}``."""
 
-    lhs: Callable[[int], int]
-    rhs: Callable[[int], int]
+    lhs: Side
+    rhs: Side
     names: tuple[str, str] | None = None
-    hyp: Callable[[int], bool] | None = None
+    first: int | None = 0
     exempt: int | None = None
     equal: bool = False
 
@@ -171,10 +174,11 @@ class Row(NamedTuple):
 class Statement:
     """An n-indexed grid statement: its two axes (read from a GridSpec's
     ``<axis>_values``) and ``row(x, y)``, which builds the part sets of the
-    axis pair and gives its Row, or raises RefusedInput if they cannot be
-    built or a count it reads is undefined there.  Such a pair is skipped,
-    with one record per n if ``skip_each_n``, else one record.  Its report
-    command is ``verify-<name>``."""
+    axis pair and declares its Row (data only: no table is read yet), or
+    raises RefusedInput if they cannot be built or a count it reads is
+    undefined there.  Such a pair is skipped, with one record per n if
+    ``skip_each_n``, else one record.  Its report command is
+    ``verify-<name>``."""
 
     axes: tuple[str, str]
     row: Callable[[int, int], Row]
@@ -188,36 +192,43 @@ def n_hat(a: int, n: int) -> int:
     return (-n) % a
 
 
-def _row(report: VerificationReport, base: dict, n_values, row: Row,
+def _read(side: Side, lo: int, hi: int):
+    """The side's counts at n = lo..hi, from its table built at the last index."""
+    count, m, k = side
+    tab = column(count, m * -(-hi // k))
+    if k == 1:
+        return tab[m * lo:m * hi + 1:m]
+    return [tab[m * -(-n // k)] for n in range(lo, hi + 1)]
+
+
+def _row(report: VerificationReport, base: dict, lo: int, hi: int, row: Row,
          evaluate_out: bool = False, violations_only: bool = False) -> None:
-    """Append one grid row's records: ``row.lhs(n)`` against ``row.rhs(n)`` per n.
+    """Append one grid row's records at n = lo..hi: lhs against rhs.
 
     The comparison is asserted as ``Row`` describes; cells outside the
-    hypothesis are evaluated only if ``evaluate_out``.  The value is lhs -
-    rhs.  With ``violations_only`` every cell is evaluated, whatever the
-    hypothesis, and just those with lhs < rhs are kept, as violation
-    records, witnessed if the row has names.
-
-    The last cell is evaluated first: every index map here is
-    non-decreasing in n, so each table the row reads is built once, at the
-    row's horizon, and every other cell is a lookup.
+    hypothesis are evaluated only if ``evaluate_out``, and unevaluated ones
+    read no table.  The value is lhs - rhs.  With ``violations_only`` every
+    cell is evaluated, whatever the hypothesis, and just those with lhs <
+    rhs are kept, as violation records, witnessed if the row has names.
     """
-    lhs, rhs, names, hyp, exempt, equal = row
+    lhs, rhs, names, first, exempt, equal = row
     if violations_only:
-        hyp = None
-    cells = []
-    for n in reversed(n_values):
-        in_hyp = hyp is None or hyp(n)
-        if not in_hyp and not evaluate_out:
-            cells.append(CellRecord({**base, "n": n}, OUT))
-            continue
-        left, right = lhs(n), rhs(n)
+        first = 0
+    elif first is None:
+        first = hi + 1
+    start = lo if evaluate_out else min(max(first, lo), hi + 1)  # first evaluated n
+    records = report.records
+    records.extend(CellRecord({**base, "n": n}, OUT) for n in range(lo, start))
+    if start > hi:
+        return
+    for n, left, right in zip(range(start, hi + 1), _read(lhs, start, hi),
+                              _read(rhs, start, hi)):
         value = left - right
         if violations_only:
             if value >= 0:
                 continue
             status = VIOLATION
-        elif not in_hyp:
+        elif n < first:
             status = OUT
         elif n == exempt:
             status = EXEMPT
@@ -228,8 +239,7 @@ def _row(report: VerificationReport, base: dict, n_values, row: Row,
         witness = None
         if names and status in (FAILS, VIOLATION):
             witness = {names[0]: str(left), names[1]: str(right)}
-        cells.append(CellRecord({**base, "n": n}, status, value, witness))
-    report.records.extend(reversed(cells))
+        records.append(CellRecord({**base, "n": n}, status, value, witness))
 
 
 def dominates(S: ResidueClassSet, T: ResidueClassSet, i_max: int,
@@ -249,8 +259,7 @@ def check_andrews(S: ResidueClassSet, T: ResidueClassSet,
                   n_max: int) -> VerificationReport:
     """Per-n check of rho(T; n) >= rho(S; n), the set-domination count bound."""
     report = VerificationReport("verify-andrews")
-    _row(report, {}, range(n_max + 1),
-         Row(lambda n: rho(T, n), lambda n: rho(S, n), ("rho_T", "rho_S")))
+    _row(report, {}, 0, n_max, Row(Side(T), Side(S), ("rho_T", "rho_S")))
     return report
 
 
@@ -281,64 +290,62 @@ def _divides(a: int, d: int) -> bool:
 def _shift_row(N: int, d: int) -> Row:
     S = s_set(d, N)
     check_q_domain(1, d)
-    regime = shift_regime(d, N)
-    return Row(lambda n: q_count(1, d, n), lambda n: rho(S, n), ("q", "Q"),
-               lambda n: regime and n >= d + 2)
+    return Row(Side((1, d)), Side(S), ("q", "Q"),
+               d + 2 if shift_regime(d, N) else None)
 
 
 def _ceiling_row(a: int, d: int) -> Row:
     check_q_domain(a, d)  # then ceil(d/a) >= 1 too
-    return Row(lambda n: q_count(a, d, n),
-               lambda n: q_count(1, math.ceil(d / a), math.ceil(n / a)),
-               ("lhs", "rhs"), lambda n: n >= d + 2 * a)
+    return Row(Side((a, d)), Side((1, math.ceil(d / a)), 1, a), ("lhs", "rhs"),
+               d + 2 * a)
 
 
 def _a_to_1_row(a: int, d: int) -> Row:
     if not _divides(a, d):
         raise RefusedInput(f"{a} does not divide d+3 = {d + 3}")
     Q, Q1 = big_q_set(a, d, 1), big_q_set(1, (d + 3) // a - 3, 1)
-    return Row(lambda n: rho(Q, a * n), lambda n: rho(Q1, n), ("lhs", "rhs"),
-               equal=True)
+    return Row(Side(Q, a), Side(Q1), ("lhs", "rhs"), equal=True)
 
 
 def _modified_st_row(a: int, d: int) -> Row:
-    S, T = gen_kp_sets(a, d)
-    premise = dominates(S, T, PREMISE_HORIZON, a)
-    return Row(lambda n: rho(T, n + n_hat(a, n)), lambda n: rho(S, n),
-               ("rho_T", "rho_S"), lambda n: premise)
+    S, T = gen_kp_sets(a, d)  # T is read at n + n_hat(a, n) = a * ceil(n / a)
+    return Row(Side(T, a, a), Side(S), ("rho_T", "rho_S"),
+               0 if dominates(S, T, PREMISE_HORIZON, a) else None)
 
 
-def _delta_rows(minus: int, in_hypothesis, exempt: bool = False):
-    """Row factory of q_d^(a)(n) >= rho(big_q_set(a, d, minus), n) where
-    ``in_hypothesis(a, d)``; with ``exempt``, except at n = d+a+3 when
-    a | d+3."""
-    def row(a: int, d: int) -> Row:
-        Q = big_q_set(a, d, minus)
-        check_q_domain(a, d)
-        hyp = in_hypothesis(a, d)
-        return Row(lambda n: q_count(a, d, n), lambda n: rho(Q, n),
-                   ("q", "Q"), lambda n: hyp,
-                   d + a + 3 if exempt and _divides(a, d) else None)
-    return row
-
-
-def _gen_kp_bound(a: int, d: int) -> bool:
-    return math.ceil(d / a) >= 105
+def _delta_row(minus: int, a: int, d: int, exempt: bool = False) -> Row:
+    """q_d^(a)(n) >= rho(big_q_set(a, d, minus), n), in hypothesis at a = 1
+    for Q (Alder's theorem) and at ceil(d/a) >= 105 for Q^- and Q^--; with
+    ``exempt``, except at n = d+a+3 when a | d+3."""
+    Q = big_q_set(a, d, minus)
+    check_q_domain(a, d)
+    return Row(Side((a, d)), Side(Q), ("q", "Q"),
+               0 if (math.ceil(d / a) >= 105 if minus else a == 1) else None,
+               d + a + 3 if exempt and _divides(a, d) else None)
 
 
 STATEMENTS: dict[str, Statement] = {
     "shift": Statement(("N", "d"), _shift_row, skip_each_n=True),
-    "gen-kp": Statement(("a", "d"), _delta_rows(1, _gen_kp_bound, exempt=True)),
-    "gen-dkst": Statement(("a", "d"), _delta_rows(2, _gen_kp_bound)),
+    "gen-kp": Statement(("a", "d"), functools.partial(_delta_row, 1, exempt=True)),
+    "gen-dkst": Statement(("a", "d"), functools.partial(_delta_row, 2)),
     "ceiling": Statement(("a", "d"), _ceiling_row),
     "a-to-1": Statement(("a", "d"), _a_to_1_row),
     "modified-st": Statement(("a", "d"), _modified_st_row),
-    "delta": Statement(("a", "d"), _delta_rows(0, lambda a, d: a == 1)),
+    "delta": Statement(("a", "d"), functools.partial(_delta_row, 0)),
 }
 
 #: search kind -> the statement whose rows it scans
 SEARCH_KINDS = {"delta": "delta", "delta_m": "gen-kp", "delta_mm": "gen-dkst",
                 "shift": "shift"}
+
+
+def search_kind(kind: str) -> tuple[str, Statement]:
+    """The name of the search ``kind`` (``delta-m`` is ``delta_m``) and the
+    statement whose rows it scans, or a refusal naming ``kind`` as given."""
+    name = kind.replace("-", "_")
+    if name not in SEARCH_KINDS:
+        raise RefusedInput(f"unknown search kind {kind!r}")
+    return name, STATEMENTS[SEARCH_KINDS[name]]
 
 
 # ---------------------------------------------------------------- engine
@@ -374,7 +381,7 @@ def verify(name: str, spec: GridSpec) -> VerificationReport:
     report = VerificationReport(f"verify-{name}")
     for base, row in _rows(statement, spec):
         if isinstance(row, Row):
-            _row(report, base, spec.n_values(), row,
+            _row(report, base, spec.n_min, spec.n_max, row,
                  evaluate_out=spec.evaluate_out_of_hypothesis)
         elif statement.skip_each_n:
             report.records.extend(
@@ -402,25 +409,24 @@ def search_counterexamples(kind: str, spec: GridSpec) -> VerificationReport:
     """Exhaustively list the cells with lhs < rhs, in scan order.
 
     ``kind`` is one of delta, delta_m, delta_mm (the rows of delta, gen-kp
-    and gen-dkst over (a, d, n)) or shift (the shift rows over (N, d, n)).
-    Hypotheses and exempt cells do not apply, and skipped pairs are not
-    scanned.  A delta-kind record's params start with the kind and it is
-    witnessed by both counts; a shift record has neither.  The report
-    contains one record per violation; searching is informational, never a
-    failure.
+    and gen-dkst over (a, d, n)) or shift (the shift rows over (N, d, n)),
+    read by ``search_kind``.  Hypotheses and exempt cells do not apply,
+    and skipped pairs are not scanned.  A delta-kind record's params start
+    with the kind and it is witnessed by both counts; a shift record has
+    neither.  The report contains one record per violation; searching is
+    informational, never a failure.
     """
-    if kind not in SEARCH_KINDS:
-        raise RefusedInput(f"unknown search kind {kind!r}")
+    kind, statement = search_kind(kind)
     report = VerificationReport(f"search-{kind}")
     tagged = kind != "shift"
-    for base, row in _rows(STATEMENTS[SEARCH_KINDS[kind]], spec):
+    for base, row in _rows(statement, spec):
         if isinstance(row, str):
             continue
         if tagged:
             base = {"kind": kind, **base}
         else:
             row = row._replace(names=None)
-        _row(report, base, spec.n_values(), row, violations_only=True)
+        _row(report, base, spec.n_min, spec.n_max, row, violations_only=True)
     return report
 
 
@@ -435,57 +441,45 @@ def verify_smalln_anchors(d: int, N: int,
         report.records.append(CellRecord(base, OUT))
         return report
     S = s_set(d, N)
-    ood = lambda status: status if hyp else OUT
+
+    def anchor(name: str, n: int, value: int, ok: bool, witness: dict) -> None:
+        report.records.append(CellRecord(
+            {**base, "anchor": name, "n": n},
+            (HOLDS if ok else FAILS) if hyp else OUT, value, None if ok else witness))
 
     n1 = 2 * d - 2 * N + 4
     v1 = rho(S, n1)
-    report.records.append(CellRecord(
-        {**base, "anchor": "2d-2N+4", "n": n1},
-        ood(HOLDS if v1 == 2 else FAILS), v1,
-        None if v1 == 2 else {"expected": "2"}))
+    anchor("2d-2N+4", n1, v1, v1 == 2, {"expected": "2"})
 
     n2 = 5 * d - 5 * N + 16
-    dist2 = tuple(largest_part_counts(S, n2, 10))
+    dist2 = largest_part_counts(S, n2, 10)
     v2 = rho(S, n2)
-    ok2 = v2 == 29 and dist2 == ANCHOR_MID_DISTRIBUTION
-    report.records.append(CellRecord(
-        {**base, "anchor": "5d-5N+16", "n": n2},
-        ood(HOLDS if ok2 else FAILS), v2,
-        None if ok2 else {"expected": "29", "expected_distribution":
-                          list(ANCHOR_MID_DISTRIBUTION),
-                          "distribution": list(dist2)}))
+    anchor("5d-5N+16", n2, v2, v2 == 29 and tuple(dist2) == ANCHOR_MID_DISTRIBUTION,
+           {"expected": "29", "expected_distribution": list(ANCHOR_MID_DISTRIBUTION),
+            "distribution": dist2})
 
     n3 = 7 * d + 13
-    dist3 = tuple(largest_part_counts(S, n3, 14))
+    dist3 = largest_part_counts(S, n3, 14)
     v3 = rho(S, n3)
-    ok3 = (v3 <= ANCHOR_TOP_TOTAL
-           and all(c <= cap for c, cap in zip(dist3, ANCHOR_TOP_DISTRIBUTION)))
-    report.records.append(CellRecord(
-        {**base, "anchor": "7d+13", "n": n3},
-        ood(HOLDS if ok3 else FAILS), v3,
-        None if ok3 else {"cap": str(ANCHOR_TOP_TOTAL),
-                          "distribution_caps": list(ANCHOR_TOP_DISTRIBUTION),
-                          "distribution": list(dist3)}))
+    anchor("7d+13", n3, v3, v3 <= ANCHOR_TOP_TOTAL and all(
+        c <= cap for c, cap in zip(dist3, ANCHOR_TOP_DISTRIBUTION)),
+        {"cap": str(ANCHOR_TOP_TOTAL), "distribution_caps":
+         list(ANCHOR_TOP_DISTRIBUTION), "distribution": dist3})
     return report
-
-
-def xy_in_hypothesis(d: int, N: int) -> bool:
-    return N >= 2 and d >= max(31, 6 * N - 17)
 
 
 def xy_difference_report(d: int, N: int) -> VerificationReport:
     """The ten closed-form differences, the period-10 relation, and the
     branch minimum min(d-2N-1, d-6N+17) of x_i - y_i over i >= 3."""
-    if not xy_in_hypothesis(d, N):
+    if not (N >= 2 and d >= max(31, 6 * N - 17)):
         raise RefusedInput(f"xy differences: need N >= 2 and "
                            f"d >= max(31, 6N-17), got d={d}, N={N}")
     report = VerificationReport("verify-xy-diff")
     base = {"d": d, "N": N}
     diff = lambda i: x_closed(d, N, i) - y_closed(d, i)
 
-    for i in range(3, 13):
-        got = diff(i)
-        want = XY_DIFFERENCE_FORMS[i - 3](d, N)
+    for i, (u, v, w) in enumerate(XY_DIFFERENCE_FORMS, 3):
+        got, want = diff(i), u * d + v * N + w
         report.records.append(CellRecord(
             {**base, "check": f"difference_i{i}"},
             HOLDS if got == want else FAILS, got,
@@ -519,7 +513,7 @@ def verify_t_monotone(d: int, n_max: int) -> VerificationReport:
     for s in range(1, r + 1):
         T = t_set(s, d)
         rho(T, n_max)  # one build at the horizon, or a refusal before any work
-        tables[s] = [rho(T, n) for n in range(n_max + 1)]
+        tables[s] = column(T, n_max)[:n_max + 1]
     for s_lo in range(1, r + 1):
         for s_hi in range(s_lo, r + 1):
             slack = [hi - lo for lo, hi in zip(tables[s_lo], tables[s_hi])]

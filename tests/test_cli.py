@@ -177,7 +177,9 @@ class TestVerify:
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         # no in-hypothesis failures exist mathematically, so force one
-        monkeypatch.setattr(cli.inequalities, "rho", lambda A, n: 10 ** 6)
+        column = cli.inequalities.column  # a rho table of 10**6s; q tables stay
+        monkeypatch.setattr(cli.inequalities, "column", lambda count, n: (
+            column(count, n) if isinstance(count, tuple) else (10 ** 6,) * (n + 1)))
         code, out, _ = run_cli(
             ["verify", "shift", "--N", "2", "--d", "63", "--n-min", "65",
              "--n-max", "65"], capsys)
@@ -414,6 +416,30 @@ class TestSearch:
              "--n-max", "120"], capsys)
         assert code == 0
         assert json_lines(out)[-1]["summary"]["violations"] == 0
+
+    @pytest.mark.parametrize("kind", ["bogus", "delta-x", "delta_x"])
+    def test_unknown_kind_named_as_given_by_cli_and_library(self, capsys, kind):
+        code, out, err = run_cli(["search", "--kind", kind, "--a", "1", "--d", "1",
+                                  "--n-max", "5"], capsys)
+        with pytest.raises(RefusedInput) as exc:
+            cli.inequalities.search_counterexamples(
+                kind, cli.inequalities.GridSpec(a_values=(1,), d_values=(1,), n_max=5))
+        assert (code, out) == (2, "")
+        assert err == f"error: {exc.value}\n" == f"error: unknown search kind {kind!r}\n"
+
+    def test_dashed_kind_runs_as_the_underscored_one(self, capsys):
+        argv = ["--a", "1..4", "--d", "1..12", "--n-max", "60"]
+        dashed = run_cli(["search", "--kind", "delta-m", *argv], capsys)
+        underscored = run_cli(["search", "--kind", "delta_m", *argv], capsys)
+        assert dashed[:2] == underscored[:2] and dashed[0] == 0
+        records = json_lines(dashed[1])
+        assert records[0]["cmd"] == "search-delta_m"
+        assert records[-1]["summary"]["violations"] == len(records) - 1 > 0
+        spec = cli.inequalities.GridSpec(a_values=(1, 2, 3, 4), d_values=tuple(range(1, 13)),
+                                         n_max=60)
+        library = [cli.inequalities.search_counterexamples(kind, spec)
+                   for kind in ("delta-m", "delta_m")]
+        assert library[0] == library[1] and library[0].records
 
 
 class TestFormats:

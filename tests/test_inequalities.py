@@ -1,8 +1,12 @@
 """Grid statements, the comparison lemmas, and counterexample search."""
 
+import math
+
 import pytest
 
-from alder.counting import big_q_minus, q_brute, q_count, rho_brute
+from alder import counting
+from alder.counting import (big_q, big_q_minus, big_q_minus_minus, q_brute,
+                            q_count, rho, rho_brute)
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
                                 STATEMENTS, GridSpec, check_andrews,
                                 dominates, evaluate_cell, gen_kp_sets, n_hat,
@@ -363,6 +367,64 @@ class TestEvaluateCell:
         assert len(grid) == n_max + 1
         for rec in grid:
             assert evaluate_cell(name, rec.params["n"], force, **params) == rec
+
+
+def paper_cell(name, n, a=1, d=0, N=0):
+    """(in hypothesis, lhs, rhs) of one grid cell, from the per-n counters at
+    the paper's index maps and its hypotheses as stated there."""
+    if name == "shift":
+        return (N >= 2 and d >= max(63, 46 * N - 79) and n >= d + 2,
+                q_count(1, d, n), rho(s_set(d, N), n))
+    if name == "ceiling":
+        return (n >= d + 2 * a, q_count(a, d, n),
+                q_count(1, math.ceil(d / a), math.ceil(n / a)))
+    if name == "a-to-1":
+        return True, big_q_minus(a, d, a * n), big_q_minus(1, (d + 3) // a - 3, n)
+    if name == "modified-st":
+        S, T = gen_kp_sets(a, d)
+        return dominates(S, T, 200, a), rho(T, n + n_hat(a, n)), rho(S, n)
+    q_side = {"delta": big_q, "gen-kp": big_q_minus, "gen-dkst": big_q_minus_minus}
+    in_hypothesis = a == 1 if name == "delta" else math.ceil(d / a) >= 105
+    return in_hypothesis, q_count(a, d, n), q_side[name](a, d, n)
+
+
+class TestColumnReads:
+    """The grid reads each side as one table slice; pin every record to the
+    per-n counters, over tables built apart from the grid's."""
+
+    @pytest.mark.parametrize("name", sorted(STATEMENTS))
+    @pytest.mark.parametrize("force", [False, True])
+    def test_grid_records_match_per_n_counts(self, name, force, monkeypatch):
+        params, n_max = TestEvaluateCell.CELLS[name]
+        spec = GridSpec(**{f"{k}_values": (v,) for k, v in params.items()},
+                        n_min=0, n_max=n_max, evaluate_out_of_hypothesis=force)
+        monkeypatch.setattr(counting, "_tables", {})
+        grid = verify(name, spec).records
+        monkeypatch.setattr(counting, "_tables", {})
+        a, d = params.get("a"), params["d"]
+        exempt = d + a + 3 if name == "gen-kp" and (d + 3) % a == 0 else None
+        statuses = {}
+        for rec in grid:
+            n = rec.params["n"]
+            in_hypothesis, lhs, rhs = paper_cell(name, n, **params)
+            if not in_hypothesis:
+                want = (OUT, lhs - rhs if force else None)
+            elif n == exempt:
+                want = (EXEMPT, lhs - rhs)
+            elif lhs == rhs if name == "a-to-1" else lhs >= rhs:
+                want = (HOLDS, lhs - rhs)
+            else:
+                want = (FAILS, lhs - rhs)
+            assert (rec.status, rec.value) == want, n
+            statuses[n] = rec.status
+        assert sorted(statuses) == list(range(n_max + 1))
+        # the first-n thresholds, on both sides of the boundary
+        if name == "shift":
+            assert (statuses[d + 1], statuses[d + 2]) == (OUT, HOLDS)
+        if name == "ceiling":
+            assert (statuses[d + 2 * a - 1], statuses[d + 2 * a]) == (OUT, HOLDS)
+        if name == "gen-kp":
+            assert statuses[exempt] == EXEMPT
 
 
 class TestGridSpec:
