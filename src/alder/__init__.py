@@ -2,8 +2,7 @@
 
 from .counting import (big_q, big_q_minus, big_q_minus_minus, delta,
                        delta_minus, delta_minus_minus, g_script, l_script,
-                       q_brute, q_count, q_lower_bound, rho, rho_brute,
-                       set_cache_dir)
+                       q_count, rho, set_cache_dir)
 from .inequalities import (STATEMENTS, GridSpec, VerificationReport,
                            check_andrews, dominates, evaluate_cell,
                            gen_kp_sets, n_hat, search_counterexamples, verify,

@@ -14,9 +14,11 @@ Subcommands
 
 --force (verify and inject only) also evaluates out-of-hypothesis cells.
 
-Reports are JSON lines by default, one object per cell with the fixed
-field order  v, cmd, params, status, value, witness  and counts encoded
-as decimal strings; a final summary object carries the status tallies.
+Every command returns a report of blocks (``inequalities.VerificationReport``)
+and one writer, ``_write``, formats them.  Reports are JSON lines by default,
+one object per cell with the fixed field order  v, cmd, params, status,
+value, witness  and counts as decimal strings; a final summary object
+carries the status tallies.
 Output is byte-stable for a fixed invocation, so reports can be diffed
 across runs; wall-clock timing goes to stderr only.  --jobs K fans the
 cells of ``inject`` out over up to K worker processes (the report is
@@ -33,21 +35,19 @@ error (any other exception, a plain ValueError included).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
+import operator
 import os
 import sys
 import time
 import traceback
 
 from . import counting, inequalities, injection
-from .counting import (big_q, big_q_minus, big_q_minus_minus, delta,
-                       delta_minus, delta_minus_minus, g_script, l_script,
-                       q_count, rho)
-from .inequalities import VIOLATION, CellRecord, GridSpec, VerificationReport
+from .counting import big_q_set, column
+from .inequalities import VIOLATION, GridSpec, VerificationReport
 from .parallel import parallel_map
-from .partset import RefusedInput, check_n, s_set, t_set
+from .partset import RefusedInput, check_n, r_of, s_set, t_set
 
 SCHEMA_VERSION = 1
 
@@ -77,35 +77,51 @@ _json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _write(report: VerificationReport, fmt: str, out) -> None:
-    """Stream ``report`` to ``out``: its records, then the summary."""
-    records = report.records
-    summary = {"cells": len(records), **dict(sorted(report.summary.items()))}
+    """Stream ``report`` to ``out``, then the summary: params are formatted
+    once per block, status and witness once per run, n and value per cell."""
+    summary = report.summary
+    summary = {"cells": sum(summary.values()), **dict(sorted(summary.items()))}
     if report.cmd.startswith("search-"):
         summary["violations"] = summary.pop(VIOLATION, 0)
     if fmt == "json":
         head = f'{{"v":{SCHEMA_VERSION},"cmd":{_json(report.cmd)},'
-        for rec in records:
-            value = "null" if rec.value is None else f'"{rec.value}"'
-            witness = "null" if rec.witness is None else _json(rec.witness)
-            out.write(f'{head}"params":{_json(rec.params)},"status":"{rec.status}",'
-                      f'"value":{value},"witness":{witness}}}\n')
+        for base, runs in report.blocks:
+            bare = f'{head}"params":{_json(base)[:-1]}'  # params without the closing "}"
+            lead = f'{bare}{"," if base else ""}"n":'
+            for status, ns, values, witness in runs:
+                tail = f',"witness":{"null" if witness is None else _json(witness)}}}\n'
+                if values[0] is None:
+                    mid, values = f'}},"status":"{status}","value":null', ("",) * len(ns)
+                else:
+                    mid, tail = f'}},"status":"{status}","value":"', '"' + tail
+                pre, ns = (bare, ("",)) if ns[0] is None else (lead, ns)  # "" if no n
+                for i in range(0, len(ns), 1024):  # few writes, each of bounded size
+                    out.write("".join([f"{pre}{n}{mid}{v}{tail}" for n, v in
+                                       zip(ns[i:i + 1024], values[i:i + 1024])]))
         out.write(f'{head}"summary":{_json(summary)}}}\n')
     elif fmt == "csv":
-        param_keys = list(dict.fromkeys(k for rec in records for k in rec.params))
+        import csv  # here, so that only csv reports load it at start-up
+        keys = list(dict.fromkeys(k for base, runs in report.blocks for k in (
+            base if runs[0][1][0] is None else [*base, "n"])))  # the first cell's n
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["cmd", *param_keys, "status", "value"])
-        writer.writerows([report.cmd, *[rec.params.get(k, "") for k in param_keys],
-                          rec.status, "" if rec.value is None else rec.value]
-                         for rec in records)
+        writer.writerow(["cmd", *keys, "status", "value"])
+        for base, runs in report.blocks:
+            row = [report.cmd, *[base.get(k, "") for k in keys]]
+            at = 0 if runs[0][1][0] is None else keys.index("n") + 1
+            for status, ns, values, _ in runs:
+                for n, value in zip(ns, values):
+                    if at:
+                        row[at] = n
+                    writer.writerow([*row, status, "" if value is None else value])
     else:  # human
-        for rec in records:
-            params = " ".join(f"{k}={v}" for k, v in rec.params.items())
-            line = f"{params}  {rec.status}"
-            if rec.value is not None:
-                line += f"  value={rec.value}"
-            if rec.witness:
-                line += f"  witness={_json(rec.witness)}"
-            out.write(line + "\n")
+        for base, runs in report.blocks:
+            lead = " ".join(f"{k}={v}" for k, v in base.items())
+            for status, ns, values, witness in runs:
+                tail = f"  witness={_json(witness)}" if witness else ""
+                for n, value in zip(ns, values):
+                    params = lead if n is None else f"{lead} n={n}".lstrip()
+                    value = "" if value is None else f"  value={value}"
+                    out.write(f"{params}  {status}{value}{tail}\n")
         tallies = " ".join(f"{k}={v}" for k, v in summary.items())
         out.write(f"summary: {tallies}\n")
 
@@ -127,10 +143,9 @@ def _write_file(report: VerificationReport, fmt: str, path: str) -> None:
 
 # ---------------------------------------------------------------- count
 
-_COUNT_FNS = {
-    "q": q_count, "Q": big_q, "Qm": big_q_minus, "Qmm": big_q_minus_minus,
-    "delta": delta, "delta_m": delta_minus, "delta_mm": delta_minus_minus,
-}
+#: exclusions of the Q set (counting.big_q_set) of each count kind that reads
+#: one; a delta kind is q minus Q, and each count is one slice of its table
+_Q_EXCLUSIONS = {"Q": 0, "Qm": 1, "Qmm": 2, "delta": 0, "delta_m": 1, "delta_mm": 2}
 
 
 def cmd_count(args) -> VerificationReport:
@@ -148,24 +163,32 @@ def cmd_count(args) -> VerificationReport:
             params_base = {"kind": kind, "set": "S", "d": args.d, "N": args.N}
         else:
             raise RefusedInput("rho needs --set T or --set S")
-        fn = functools.partial(rho, A)
+        counts = [lambda: A]
     elif kind in ("g", "l"):
         if args.d is None:
             raise RefusedInput(f"kind {kind} needs --d")
-        fn = functools.partial(g_script if kind == "g" else l_script, args.d)
+        counts = [lambda: ("g", args.d) if kind == "g" else t_set(r_of(args.d), args.d)]
         params_base = {"kind": kind, "d": args.d}
-    elif kind in _COUNT_FNS:
+    elif kind == "q" or kind in _Q_EXCLUSIONS:
         if args.a is None or args.d is None:
             raise RefusedInput(f"kind {kind} needs --a and --d")
-        fn = functools.partial(_COUNT_FNS[kind], args.a, args.d)
+        counts = [lambda: (args.a, args.d)] if kind[0] != "Q" else []  # q or delta
+        if kind != "q":
+            counts.append(lambda: big_q_set(args.a, args.d, _Q_EXCLUSIONS[kind]))
         params_base = {"kind": kind, "a": args.a, "d": args.d}
     else:
         raise RefusedInput(f"unknown count kind {args.kind!r}")
 
     n_values = parse_range(args.n)
-    fn(n_values[-1])  # the largest n first: each table is built once, at its horizon
-    return VerificationReport("count", [CellRecord({**params_base, "n": n}, "ok", fn(n))
-                                        for n in n_values])
+    lo, hi = n_values[0], n_values[-1]
+    slices = []
+    for count in counts:  # each refused as its per-n counter is, at the last n
+        count = count()
+        check_n(hi)
+        slices.append(column(count, hi)[lo:hi + 1])  # one build, at the range's horizon
+    check_n(lo)
+    values = slices[0] if len(slices) == 1 else list(map(operator.sub, *slices))
+    return VerificationReport("count", [(params_base, [("ok", n_values, values, None)])])
 
 
 # ---------------------------------------------------------------- verify
@@ -227,7 +250,7 @@ def cmd_inject(args) -> VerificationReport:
     last = cell(n_values[-1])
     reports = [*parallel_map(cell, n_values[:-1], args.jobs), last]
 
-    records = []
+    report = VerificationReport("inject")
     for rep in reports:
         witness: dict | None = None
         if rep.evaluated:
@@ -237,9 +260,9 @@ def cmd_inject(args) -> VerificationReport:
                                                if not v)}
             if rep.witnesses:
                 witness["witnesses"] = rep.witnesses[:5]
-        records.append(CellRecord({"d": rep.d, "N": rep.N, "n": rep.n}, rep.status,
-                                  rep.size if rep.evaluated else None, witness))
-    return VerificationReport("inject", records)
+        report.add({"d": rep.d, "N": rep.N, "n": rep.n}, rep.status,
+                   rep.size if rep.evaluated else None, witness)
+    return report
 
 
 # ---------------------------------------------------------------- search

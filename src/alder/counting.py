@@ -25,10 +25,9 @@ multiplying by (1 - x^v); over any other set (T(s, d), a single class)
 the oracle the triple-product tables are tested against.  All are
 backed by dense tables per (set, horizon), read through the one accessor
 ``_table``: built once (or loaded from the cache), grown geometrically on
-demand, and read-only afterwards.  ``column`` hands out a rho or q table
-whole, for slicing; ``rho`` and ``q_count`` are one entry of it.
-``q_brute``/``rho_brute`` are the independent enumeration oracles used to
-pin them down in tests.  q_d^(a) is defined for a >= 1 and d >= 1
+demand, and read-only afterwards.  ``column`` hands out a rho, q or
+g_script table whole, for slicing; ``rho``, ``q_count`` and ``g_script``
+are one entry of it.  q_d^(a) is defined for a >= 1 and d >= 1
 (``check_q_domain``), and every counter refuses n < 0 (``partset.check_n``).
 
 Two auxiliary counters bound q_d^(1) from below for d >= 63:
@@ -47,9 +46,6 @@ import threading
 from . import cache as _cache
 from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
                       t_set)
-
-#: refuse brute-force enumeration beyond this unless the caller raises it
-DEFAULT_BRUTE_LIMIT = 60
 
 #: largest n a count table is built for; checked before the table is allocated
 MAX_HORIZON = 10 ** 5
@@ -187,10 +183,13 @@ def _table(key: str, n: int, build, *spec) -> tuple[int, ...]:
         return tab
 
 
-def column(count: ResidueClassSet | tuple[int, int], n: int) -> tuple[int, ...]:
-    """The table over 0..n or more of rho over a set, or of q_d^(a) for (a, d)."""
+def column(count: ResidueClassSet | tuple, n: int) -> tuple[int, ...]:
+    """The table over 0..n or more of rho over a set, of q_d^(a) for (a, d),
+    or of g_script(d, .) for ("g", d)."""
     if isinstance(count, ResidueClassSet):
         return _table("rho." + count.key(), n, _build_rho_table, count)
+    if count[0] == "g":
+        return _table(f"g.d{count[1]}", n, _build_g_table, count[1])
     return _table("q.a%d.d%d" % count, n, _build_gap_table, *count)
 
 
@@ -200,45 +199,10 @@ def rho(A: ResidueClassSet, n: int) -> int:
     return column(A, n)[n]
 
 
-def rho_brute(A: ResidueClassSet, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
-    """Oracle for rho: plain recursive enumeration of part multisets."""
-    if n > limit:
-        raise RefusedInput(f"rho_brute: n={n} beyond oracle limit {limit}")
-    elements = A.elements_upto(n)
-
-    def walk(remaining: int, max_idx: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
-        for idx in range(max_idx, -1, -1):
-            v = elements[idx]
-            if v <= remaining:
-                total += walk(remaining - v, idx)
-        return total
-
-    return walk(n, len(elements) - 1) if n else 1
-
-
 def q_count(a: int, d: int, n: int) -> int:
     """q_d^(a)(n): partitions of n into parts >= a with successive gaps >= d."""
     check_n(n)
     return column((a, d), n)[n]
-
-
-def q_brute(a: int, d: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
-    """Oracle for q_count: enumerate gap->=d part lists smallest-part first."""
-    if n > limit:
-        raise RefusedInput(f"q_brute: n={n} beyond oracle limit {limit}")
-
-    def walk(remaining: int, lo: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
-        for p in range(lo, remaining + 1):
-            total += walk(remaining - p, p + d)
-        return total
-
-    return walk(n, a)
 
 
 def _pm_exclusions(a: int, d: int, minus: int) -> list[int]:
@@ -296,21 +260,13 @@ def g_script(d: int, n: int) -> int:
     rho(T(5,d); n) below, which is the chain the tests pin down.
     """
     check_n(n)
-    return _table(f"g.d{d}", n, _build_g_table, d)[n]
+    return column(("g", d), n)[n]
 
 
 def l_script(d: int, n: int) -> int:
     """rho over T(r_of(d), d); for d = 2^r - 1 this is the classical
     lower-bound counter for q_d^(1)."""
     return rho(t_set(r_of(d), d), n)
-
-
-def q_lower_bound(d: int, n: int) -> int:
-    """max(1, floor((n-d)/2) + 1), a floor for q_d^(1)(n): the partition n
-    itself plus the two-part splits (n-k) + k with k <= (n-d)/2."""
-    if d < 1 or n < 1:
-        raise RefusedInput(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    return max(1, (n - d) // 2 + 1)
 
 
 def largest_part_counts(A: ResidueClassSet, n: int, i_max: int) -> list[int]:

@@ -37,7 +37,8 @@ cannot be built, or outside ``counting.check_q_domain`` where the row
 reads q, is skipped, with the refusal as the reason.  One engine runs
 them all: ``verify`` over a grid, ``evaluate_cell`` at one cell and
 ``search_counterexamples`` (negative cells only), each row through
-``_row``, which reads each side as one slice of its table.
+``_row``, which reads each side as one slice of its table and reports the
+row as one block of runs of cells (see ``VerificationReport``).
 
 Verified by their own functions, since they are not n-indexed:
 
@@ -56,7 +57,9 @@ rho(T; n) >= rho(S; n), whose premise is ``dominates``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -129,22 +132,41 @@ class CellRecord:
 
 @dataclass
 class VerificationReport:
+    """A report as blocks, each a pair (base params, runs), such as one grid
+    row.  A run is a tuple (status, ns, values, witness): cells with one
+    status and witness, the i-th with params base + {"n": ns[i]} and value
+    ``values[i]`` (None: not evaluated); an n of None stands for a block's
+    one cell, whose params are the base.  ``records`` builds one object
+    per cell, on demand; ``summary``, ``failures`` and ``ok`` read runs."""
+
     cmd: str
-    records: list[CellRecord] = field(default_factory=list)
+    blocks: list[tuple[dict, list[tuple]]] = field(default_factory=list)
+
+    def add(self, params: dict, status: str, value: int | None = None,
+            witness: dict | None = None) -> None:
+        """Append a block of one cell with these params."""
+        self.blocks.append((params, [(status, (None,), (value,), witness)]))
+
+    def _records(self, status: str | None = None) -> list[CellRecord]:
+        return [CellRecord(base if n is None else {**base, "n": n}, st, value, witness)
+                for base, runs in self.blocks for st, ns, values, witness in runs
+                if status in (None, st) for n, value in zip(ns, values)]
+    records = property(_records)
 
     @property
     def summary(self) -> dict[str, int]:
         tally: dict[str, int] = {}
-        for rec in self.records:
-            tally[rec.status] = tally.get(rec.status, 0) + 1
+        for _, runs in self.blocks:
+            for status, ns, _, _ in runs:
+                tally[status] = tally.get(status, 0) + len(ns)
         return tally
 
     def failures(self) -> list[CellRecord]:
-        return [r for r in self.records if r.status == FAILS]
+        return self._records(FAILS)
 
     @property
     def ok(self) -> bool:
-        return not self.failures()
+        return FAILS not in self.summary
 
 
 class Side(NamedTuple):
@@ -160,7 +182,8 @@ class Row(NamedTuple):
     """One grid row: ``lhs >= rhs`` (``==`` if ``equal``) is asserted at
     every n >= ``first`` (at no n if ``first`` is None), except at
     ``n == exempt``; a failing cell is witnessed by ``{names[0]: lhs,
-    names[1]: rhs}``."""
+    names[1]: rhs}``.  ``_row`` reports it as one block, its runs cut at
+    these boundaries and at each failing cell."""
 
     lhs: Side
     rhs: Side
@@ -176,8 +199,8 @@ class Statement:
     ``<axis>_values``) and ``row(x, y)``, which builds the part sets of the
     axis pair and declares its Row (data only: no table is read yet), or
     raises RefusedInput if they cannot be built or a count it reads is
-    undefined there.  Such a pair is skipped, with one record per n if
-    ``skip_each_n``, else one record.  Its report command is
+    undefined there.  Such a pair is skipped, with one cell per n if
+    ``skip_each_n``, else one cell.  Its report command is
     ``verify-<name>``."""
 
     axes: tuple[str, str]
@@ -203,43 +226,47 @@ def _read(side: Side, lo: int, hi: int):
 
 def _row(report: VerificationReport, base: dict, lo: int, hi: int, row: Row,
          evaluate_out: bool = False, violations_only: bool = False) -> None:
-    """Append one grid row's records at n = lo..hi: lhs against rhs.
+    """Append one grid row's block at n = lo..hi: lhs against rhs.
 
     The comparison is asserted as ``Row`` describes; cells outside the
     hypothesis are evaluated only if ``evaluate_out``, and unevaluated ones
     read no table.  The value is lhs - rhs.  With ``violations_only`` every
     cell is evaluated, whatever the hypothesis, and just those with lhs <
-    rhs are kept, as violation records, witnessed if the row has names.
+    rhs are kept, as violations (if none, no block).  Failing and violation
+    cells are witnessed if the row has names.
     """
     lhs, rhs, names, first, exempt, equal = row
     if violations_only:
-        first = 0
+        first, exempt = 0, None
     elif first is None:
         first = hi + 1
     start = lo if evaluate_out else min(max(first, lo), hi + 1)  # first evaluated n
-    records = report.records
-    records.extend(CellRecord({**base, "n": n}, OUT) for n in range(lo, start))
-    if start > hi:
-        return
-    for n, left, right in zip(range(start, hi + 1), _read(lhs, start, hi),
-                              _read(rhs, start, hi)):
-        value = left - right
-        if violations_only:
-            if value >= 0:
-                continue
-            status = VIOLATION
-        elif n < first:
-            status = OUT
-        elif n == exempt:
-            status = EXEMPT
-        elif (value == 0) if equal else (value >= 0):
-            status = HOLDS
-        else:
-            status = FAILS
-        witness = None
-        if names and status in (FAILS, VIOLATION):
-            witness = {names[0]: str(left), names[1]: str(right)}
-        records.append(CellRecord({**base, "n": n}, status, value, witness))
+    runs = [(OUT, range(lo, start), (None,) * (start - lo), None)] if lo < start else []
+    if start <= hi:
+        left, right = _read(lhs, start, hi), _read(rhs, start, hi)
+        values = None if violations_only else list(map(operator.sub, left, right))
+        at = min(max(first - start, 0), len(left))  # index of the first judged cell
+        if at:
+            runs.append((OUT, range(start, start + at), values[:at], None))
+        special = {}  # index -> status, for each judged cell that does not hold
+        if violations_only or (any(values[at:]) if equal
+                               else min(values[at:], default=0) < 0):
+            fails = map(operator.ne if equal else operator.lt, left[at:], right[at:])
+            special = dict.fromkeys(itertools.compress(range(at, len(left)), fails),
+                                    VIOLATION if violations_only else FAILS)
+        if exempt is not None and at <= exempt - start < len(left):
+            special[exempt - start] = EXEMPT
+        for i in [*sorted(special), len(left)]:  # runs of holding cells between
+            if at < i and not violations_only:
+                runs.append((HOLDS, range(start + at, start + i), values[at:i], None))
+            if i < len(left):
+                witness = None
+                if names and special[i] != EXEMPT:
+                    witness = {names[0]: str(left[i]), names[1]: str(right[i])}
+                runs.append((special[i], (start + i,), (left[i] - right[i],), witness))
+            at = i + 1
+    if runs:
+        report.blocks.append((base, runs))
 
 
 def dominates(S: ResidueClassSet, T: ResidueClassSet, i_max: int,
@@ -374,8 +401,9 @@ def _rows(statement: Statement, spec: GridSpec):
 def verify(name: str, spec: GridSpec) -> VerificationReport:
     """Evaluate the statement ``STATEMENTS[name]`` over the grid ``spec``.
 
-    Records follow the spec's axis order, then n.  A skipped axis pair
-    gets one record per n if the statement says ``skip_each_n``, else one.
+    Blocks follow the spec's axis order, one per axis pair, with cells in
+    n order.  A skipped axis pair gets one cell per n if the statement says
+    ``skip_each_n``, else one cell without n.
     """
     statement = STATEMENTS[name]
     report = VerificationReport(f"verify-{name}")
@@ -383,12 +411,10 @@ def verify(name: str, spec: GridSpec) -> VerificationReport:
         if isinstance(row, Row):
             _row(report, base, spec.n_min, spec.n_max, row,
                  evaluate_out=spec.evaluate_out_of_hypothesis)
-        elif statement.skip_each_n:
-            report.records.extend(
-                CellRecord({**base, "n": n}, SKIPPED, witness={"reason": row})
-                for n in spec.n_values())
         else:
-            report.records.append(CellRecord(base, SKIPPED, witness={"reason": row}))
+            ns = spec.n_values() if statement.skip_each_n else (None,)
+            report.blocks.append((base, [(SKIPPED, ns, (None,) * len(ns),
+                                          {"reason": row})]))
     return report
 
 
@@ -438,14 +464,16 @@ def verify_smalln_anchors(d: int, N: int,
     hyp = shift_regime(d, N)
     base = {"d": d, "N": N}
     if not hyp and not evaluate_out:
-        report.records.append(CellRecord(base, OUT))
+        report.add(base, OUT)
         return report
     S = s_set(d, N)
+    n3 = 7 * d + 13
+    rho(S, n3)  # the largest anchor first: S's table is built once, at its horizon
 
     def anchor(name: str, n: int, value: int, ok: bool, witness: dict) -> None:
-        report.records.append(CellRecord(
-            {**base, "anchor": name, "n": n},
-            (HOLDS if ok else FAILS) if hyp else OUT, value, None if ok else witness))
+        report.add({**base, "anchor": name, "n": n},
+                   (HOLDS if ok else FAILS) if hyp else OUT, value,
+                   None if ok else witness)
 
     n1 = 2 * d - 2 * N + 4
     v1 = rho(S, n1)
@@ -458,7 +486,6 @@ def verify_smalln_anchors(d: int, N: int,
            {"expected": "29", "expected_distribution": list(ANCHOR_MID_DISTRIBUTION),
             "distribution": dist2})
 
-    n3 = 7 * d + 13
     dist3 = largest_part_counts(S, n3, 14)
     v3 = rho(S, n3)
     anchor("7d+13", n3, v3, v3 <= ANCHOR_TOP_TOTAL and all(
@@ -480,25 +507,21 @@ def xy_difference_report(d: int, N: int) -> VerificationReport:
 
     for i, (u, v, w) in enumerate(XY_DIFFERENCE_FORMS, 3):
         got, want = diff(i), u * d + v * N + w
-        report.records.append(CellRecord(
-            {**base, "check": f"difference_i{i}"},
-            HOLDS if got == want else FAILS, got,
-            None if got == want else {"expected": str(want)}))
+        report.add({**base, "check": f"difference_i{i}"},
+                   HOLDS if got == want else FAILS, got,
+                   None if got == want else {"expected": str(want)})
 
     period_ok = all(diff(i + 10) == diff(i) + (d - 5 * N + 15)
                     for i in range(3, 51))
-    report.records.append(CellRecord(
-        {**base, "check": "period_mod_10"},
-        HOLDS if period_ok else FAILS, d - 5 * N + 15))
+    report.add({**base, "check": "period_mod_10"},
+               HOLDS if period_ok else FAILS, d - 5 * N + 15)
 
     got_min = min(diff(i) for i in range(3, 201))
     want_min = min(d - 2 * N - 1, d - 6 * N + 17)
     branch = d - 2 * N - 1 if N <= 4 else d - 6 * N + 17
     ok = got_min == want_min == branch and got_min >= 0
-    report.records.append(CellRecord(
-        {**base, "check": "branch_minimum"},
-        HOLDS if ok else FAILS, got_min,
-        None if ok else {"expected": str(want_min), "branch": str(branch)}))
+    report.add({**base, "check": "branch_minimum"}, HOLDS if ok else FAILS, got_min,
+               None if ok else {"expected": str(want_min), "branch": str(branch)})
     return report
 
 
@@ -521,7 +544,6 @@ def verify_t_monotone(d: int, n_max: int) -> VerificationReport:
             witness = None
             if worst < 0:
                 witness = {"n": next(i for i, v in enumerate(slack) if v < 0)}
-            report.records.append(CellRecord(
-                {"d": d, "s_lo": s_lo, "s_hi": s_hi, "n_max": n_max},
-                HOLDS if worst >= 0 else FAILS, worst, witness))
+            report.add({"d": d, "s_lo": s_lo, "s_hi": s_hi, "n_max": n_max},
+                       HOLDS if worst >= 0 else FAILS, worst, witness)
     return report

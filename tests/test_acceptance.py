@@ -11,13 +11,13 @@ import sys
 import time
 from contextlib import contextmanager
 
-from alder.counting import (delta, delta_minus_minus, g_script, q_brute,
-                            q_count, q_lower_bound, rho, rho_brute)
+from alder.counting import delta, delta_minus_minus, g_script, q_count, rho
 from alder.inequalities import (EXEMPT, HOLDS, OUT, GridSpec,
                                 search_counterexamples, verify,
                                 verify_smalln_anchors, xy_difference_report)
 from alder.injection import verify_injection
 from alder.partset import pm_set, s_set, t_set
+from oracles import q_brute, q_lower_bound, rho_brute
 
 
 @contextmanager
@@ -184,13 +184,17 @@ def test_criterion_11_bound_chain():
 
 
 def test_criterion_12_report_determinism():
-    with criterion(12, None, "criterion-5 reports byte-identical at jobs 1 vs 8"):
-        for N, d_lo in [(2, 63), (3, 63), (4, 105), (5, 151)]:
-            argv = [sys.executable, "-m", "alder", "verify", "shift",
-                    "--N", str(N), "--d", f"{d_lo}..{d_lo + 2}",
-                    "--n-min", str(d_lo + 2), "--n-max", "2000"]
+    with criterion(12, None, "criterion-5 and inject reports byte-identical "
+                             "at jobs 1 vs 8"):
+        runs = [["verify", "shift", "--N", str(N), "--d", f"{d_lo}..{d_lo + 2}",
+                 "--n-min", str(d_lo + 2), "--n-max", "2000"]
+                for N, d_lo in [(2, 63), (3, 63), (4, 105), (5, 151)]]
+        # inject is the command that fans its cells out over worker processes
+        runs.append(["inject", "--d", "63", "--N", "3", "--n", "455..600"])
+        for argv in runs:
+            argv = [sys.executable, "-m", "alder", *argv]
             one = subprocess.run([*argv, "--jobs", "1"], capture_output=True,
                                  check=True)
             eight = subprocess.run([*argv, "--jobs", "8"], capture_output=True,
                                    check=True)
-            assert one.stdout == eight.stdout and one.stdout, N
+            assert one.stdout == eight.stdout and one.stdout, argv

@@ -114,9 +114,9 @@ class TestCount:
         assert f"beyond the table horizon cap {counting.MAX_HORIZON}" in err
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
-        def broken(a, d, n):
+        def broken(count, n):
             raise RuntimeError("table invariant broken")
-        monkeypatch.setitem(cli._COUNT_FNS, "q", broken)
+        monkeypatch.setattr(cli, "column", broken)  # count's one table read
         code, out, err = run_cli(
             ["count", "--kind", "q", "--a", "1", "--d", "2", "--n", "1..3"], capsys)
         assert code == 3 and out == ""
@@ -131,7 +131,7 @@ class TestCount:
         def broken(*args, **kwargs):
             raise ValueError("invariant broken")
         if target == "counting":
-            monkeypatch.setitem(cli._COUNT_FNS, "q", broken)
+            monkeypatch.setattr(cli, "column", broken)
         else:
             monkeypatch.setattr(cli.injection, "verify_injection", broken)
         code, out, err = run_cli(argv.split(), capsys)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from alder import cli, counting
 from alder.counting import (big_q, big_q_minus, big_q_minus_minus, delta,
                             delta_minus, delta_minus_minus, g_script,
-                            l_script, largest_part_counts, q_brute, q_count,
-                            q_lower_bound, rho, rho_brute)
+                            l_script, largest_part_counts, q_count, rho)
 from alder.partset import ResidueClassSet, pm_set, r_of, s_set, t_set
+from oracles import q_brute, q_lower_bound, rho_brute
 
 
 class TestRho:

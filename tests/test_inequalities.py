@@ -5,8 +5,7 @@ import math
 import pytest
 
 from alder import counting
-from alder.counting import (big_q, big_q_minus, big_q_minus_minus, q_brute,
-                            q_count, rho, rho_brute)
+from alder.counting import big_q, big_q_minus, big_q_minus_minus, q_count, rho
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
                                 STATEMENTS, GridSpec, check_andrews,
                                 dominates, evaluate_cell, gen_kp_sets, n_hat,
@@ -14,6 +13,7 @@ from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
                                 verify_smalln_anchors, verify_t_monotone,
                                 xy_difference_report)
 from alder.partset import RefusedInput, pm_set, positive_integers, s_set, t_set
+from oracles import q_brute, rho_brute
 
 
 def verify_pair(name, a, d, n_max, **spec):
@@ -276,6 +276,18 @@ class TestAnchors:
     def test_out_of_hypothesis(self):
         report = verify_smalln_anchors(40, 2)
         assert report.records[0].status == OUT
+
+    def test_s_table_is_built_once_at_the_largest_anchor(self, monkeypatch):
+        stores = []
+
+        class Log(dict):
+            def __setitem__(self, key, table):
+                stores.append((key, len(table)))
+                super().__setitem__(key, table)
+
+        monkeypatch.setattr(counting, "_tables", Log())
+        assert verify_smalln_anchors(63, 2).ok
+        assert stores == [("rho.m64.r1,63.x63", 7 * 63 + 13 + 1)]
 
 
 class TestXyDifferences:
