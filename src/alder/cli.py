@@ -24,7 +24,11 @@ across runs; wall-clock timing goes to stderr only.  --jobs K fans the
 cells of ``inject`` out over up to K worker processes (the report is
 byte-identical at any K); the other commands run in one process.  CSV
 is a flat projection for spreadsheets, and the human format is for
-reading at the terminal.
+reading at the terminal.  --out FILE is written by ``cache.write_atomic``.
+
+Start-up loads only what every command needs: ``injection`` and
+``parallel`` are imported by ``inject``, ``csv`` by a csv report and
+``traceback`` by an internal error.
 
 Exit codes: 0 when every in-hypothesis assertion holds, 1 when at least
 one fails (a falsification candidate), 2 on refused input (always
@@ -41,12 +45,11 @@ import operator
 import os
 import sys
 import time
-import traceback
 
-from . import counting, inequalities, injection
+from . import counting, inequalities
+from .cache import write_atomic
 from .counting import big_q_set, column
 from .inequalities import VIOLATION, GridSpec, VerificationReport
-from .parallel import parallel_map
 from .partset import RefusedInput, check_n, r_of, s_set, t_set
 
 SCHEMA_VERSION = 1
@@ -124,21 +127,6 @@ def _write(report: VerificationReport, fmt: str, out) -> None:
                     out.write(f"{params}  {status}{value}{tail}\n")
         tallies = " ".join(f"{k}={v}" for k, v in summary.items())
         out.write(f"summary: {tallies}\n")
-
-
-def _write_file(report: VerificationReport, fmt: str, path: str) -> None:
-    """Write the report to ``path`` atomically: a temp file, then os.replace."""
-    # not mkstemp, whose 0600 mode would differ from a plain open's umask mode
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            _write(report, fmt, fh)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise RefusedInput(f"cannot write --out {path}: {exc.strerror or exc}") from None
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------- count
@@ -222,7 +210,7 @@ def _default_n_max(args) -> int:
 
 def cmd_verify(args) -> VerificationReport:
     theorem = args.theorem
-    if theorem not in ("anchors", "xy-diff") and args.n_max < 1:
+    if theorem not in ("anchors", "xy-diff") and args.n_max is None:
         args.n_max = _default_n_max(args)
     if theorem == "littlelemon":
         theorem, args.N = "shift", "4"
@@ -241,6 +229,8 @@ def cmd_verify(args) -> VerificationReport:
 # ---------------------------------------------------------------- inject
 
 def cmd_inject(args) -> VerificationReport:
+    from . import injection
+    from .parallel import parallel_map
     cell = functools.partial(injection.verify_injection,
                              _single(args, "d"), _single(args, "N"), force=args.force)
     n_values = parse_range(args.n)
@@ -313,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d")
     p.add_argument("--N")
     p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=0)
+    p.add_argument("--n-max", type=int)
     common(p)
     force(p)
 
@@ -350,7 +340,11 @@ def main(argv: list[str] | None = None) -> int:
             raise RefusedInput(f"--jobs must be >= 1, got {args.jobs}")
         report = _DISPATCH[args.command](args)
         if args.out:
-            _write_file(report, args.format, args.out)
+            try:
+                write_atomic(args.out, functools.partial(_write, report, args.format))
+            except OSError as exc:
+                raise RefusedInput(f"cannot write --out {args.out}: "
+                                   f"{exc.strerror or exc}") from None
         else:
             try:
                 _write(report, args.format, sys.stdout)
@@ -362,6 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -71,4 +71,19 @@ def test_entry_without_digest_rejected(tmp_path):
 def test_store_failure_is_nonfatal(tmp_path):
     target = tmp_path / "not-a-dir"
     target.write_text("file in the way")
-    cache.store(target, "k", [1])  # must not raise
+    cache.store(target, "k", [1])  # must not raise, and is a no-op
+    assert target.read_text() == "file in the way"
+    assert [p.name for p in tmp_path.iterdir()] == ["not-a-dir"]
+
+
+def test_failed_store_keeps_the_old_entry(tmp_path, monkeypatch):
+    cache.store(tmp_path, "k", [1, 2, 3])
+
+    def dump_then_fail(obj, fh):
+        fh.write('{"v": ')
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cache.json, "dump", dump_then_fail)
+    cache.store(tmp_path, "k", [1, 5, 7, 9])  # must not raise
+    monkeypatch.undo()
+    assert cache.load(tmp_path, "k", 2) == [1, 2, 3]
+    assert list(tmp_path.glob("*.tmp")) == []

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from alder import cli, counting
+from alder import cli, counting, injection
 from alder.inequalities import gen_kp_sets
 from alder.partset import RefusedInput, s_set
 
@@ -133,7 +133,7 @@ class TestCount:
         if target == "counting":
             monkeypatch.setattr(cli, "column", broken)
         else:
-            monkeypatch.setattr(cli.injection, "verify_injection", broken)
+            monkeypatch.setattr(injection, "verify_injection", broken)
         code, out, err = run_cli(argv.split(), capsys)
         assert code == 3 and out == ""
         assert "internal error: ValueError: invariant broken" in err
@@ -246,6 +246,16 @@ class TestVerify:
         assert code == 0
         assert json_lines(out)[:-1][0]["params"]["n_max"] == 2000
 
+    @pytest.mark.parametrize("argv", [
+        "shift --N 2 --d 63 --n-max -5", "shift --N 2 --d 63 --n-max 0",
+        "t-monotone --d 63 --n-max -5"])
+    def test_explicit_n_max_below_1_exits_2(self, capsys, argv):
+        # only an omitted --n-max takes the default horizon; a given one is
+        # refused like any other input, as search refuses it
+        code, out, err = run_cli(["verify", *argv.split()], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
     def test_n_max_over_horizon_cap_exits_2(self, capsys):
         # refused at the first table build, before any smaller table is built;
         # a table refusal refuses the grid, it never skips the pair
@@ -325,6 +335,29 @@ class TestStartup:
                              check=True, text=True).stdout
         assert out.split() == ["False", "False"]
 
+    def test_cli_import_loads_only_what_every_command_needs(self):
+        # compared with what was loaded before, since a site hook may preload
+        # some of these modules
+        probe = ("import sys; before = set(sys.modules); import alder; "
+                 "bare = set(sys.modules) - before; import alder.cli; "
+                 "print(sorted(m for m in bare if m.startswith('alder.'))); "
+                 "print(sorted((set(sys.modules) - before) & {'alder.injection', "
+                 "'alder.parallel', 'csv', 'traceback', 'tempfile', 'pathlib'}))")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             check=True, text=True).stdout
+        assert out.splitlines() == ["[]", "[]"]
+
+    def test_inject_imports_its_modules_when_run(self):
+        probe = ("import sys, alder.cli; "
+                 "code = alder.cli.main(['inject', '--d', '63', '--N', '2', "
+                 "'--n', '455']); "
+                 "print(code, 'alder.injection' in sys.modules, "
+                 "'alder.parallel' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              check=True, text=True)
+        assert proc.stderr.splitlines()[-1] == "0 True True"
+        assert json.loads(proc.stdout.splitlines()[0])["status"] == "holds"
+
 
 class TestInject:
     def test_pass_cells(self, capsys):
@@ -363,7 +396,7 @@ class TestInject:
             assert "n must be >= 0" in err
         # the range's first n refuses it before its last cell or a pool runs
         cells, pools = [], []
-        monkeypatch.setattr(cli.injection, "verify_injection",
+        monkeypatch.setattr(injection, "verify_injection",
                             lambda *args, **kwargs: cells.append(args))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda *args, **kwargs: pools.append(args) or None)
@@ -376,9 +409,9 @@ class TestInject:
 
     def test_cell_over_partition_cap_exits_2(self, capsys, monkeypatch):
         rho_s = counting.rho(s_set(63, 2), 520)
-        monkeypatch.setattr(cli.injection, "MAX_PARTITIONS", rho_s - 1)
+        monkeypatch.setattr(injection, "MAX_PARTITIONS", rho_s - 1)
         enumerated, pools = [], []
-        monkeypatch.setattr(cli.injection, "enumerate_partitions",
+        monkeypatch.setattr(injection, "enumerate_partitions",
                             lambda A, n: enumerated.append(n) or [])
         # the pool branch imports the executor from concurrent.futures when it runs
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
@@ -392,7 +425,7 @@ class TestInject:
         assert enumerated == [] and pools == []
 
     def test_partition_cap_skips_cells_that_enumerate_nothing(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.injection, "MAX_PARTITIONS", 0)
+        monkeypatch.setattr(injection, "MAX_PARTITIONS", 0)
         # out of hypothesis and not forced; forced but not constructible (d < 31)
         for argv in (["--d", "63", "--N", "2", "--n", "100..101"],
                      ["--d", "12", "--N", "4", "--n", "100", "--force"]):
@@ -496,14 +529,14 @@ class TestFormats:
 
     def test_reader_closing_early_keeps_the_verdict(self):
         # about 2 MB of report, far more than a pipe holds, so the write breaks
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "alder", "count", "--kind", "q", "--a", "1",
-             "--d", "200", "--n", "1..30000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert json.loads(proc.stdout.readline())["params"]["n"] == 1
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == 0
+        with subprocess.Popen(
+                [sys.executable, "-m", "alder", "count", "--kind", "q", "--a", "1",
+                 "--d", "200", "--n", "1..30000"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert json.loads(proc.stdout.readline())["params"]["n"] == 1
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 0
         assert "alder count: exit 0" in err and "Error" not in err
 
     @pytest.mark.parametrize("exc, want_code", [(OSError(28, "No space left on device"), 2),
