@@ -6,8 +6,8 @@ Subcommands
     verify   run one statement's grid and write a verification report
              (an n-indexed statement of inequalities.STATEMENTS takes
              --a or --N and --d, each N or LO..HI, and --n-min/--n-max;
-             littlelemon is shift at N = 4; anchors, xy-diff and
-             t-monotone take single values)
+             littlelemon is shift at N = 4 and refuses any other --N;
+             anchors, xy-diff and t-monotone take single values)
     inject   verify the piecewise injection per (d, N, n): a range is refused
              if its first n < 0, or if its last cell, run first, is over a cap
     search   scan a grid for negative deltas (informational)
@@ -213,6 +213,8 @@ def cmd_verify(args) -> VerificationReport:
     if theorem not in ("anchors", "xy-diff") and args.n_max is None:
         args.n_max = _default_n_max(args)
     if theorem == "littlelemon":
+        if args.N is not None and parse_range(args.N) != (4,):
+            raise RefusedInput(f"littlelemon is shift at N = 4, got --N {args.N}")
         theorem, args.N = "shift", "4"
     if theorem in inequalities.STATEMENTS:
         axes = inequalities.STATEMENTS[theorem].axes

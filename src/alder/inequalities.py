@@ -60,7 +60,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .counting import (big_q_set, check_q_domain, column,
@@ -94,16 +93,7 @@ XY_DIFFERENCE_FORMS = ((1, -2, 1), (1, -2, -1), (2, -3, -8), (1, -3, 9),
                        (2, -6, 16), (1, -6, 17))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """A finite parameter grid plus evaluation policy.
-
-    Unused dimensions may be left at their defaults; n ranges are always
-    inclusive.  ``evaluate_out_of_hypothesis`` controls whether cells
-    outside a statement's bounds are computed (they are labeled
-    out-of-hypothesis either way).
-    """
-
+class _Grid(NamedTuple):
     a_values: tuple[int, ...] = (1,)
     d_values: tuple[int, ...] = ()
     N_values: tuple[int, ...] = ()
@@ -111,10 +101,23 @@ class GridSpec:
     n_max: int = 0
     evaluate_out_of_hypothesis: bool = False
 
-    def __post_init__(self):
+
+class GridSpec(_Grid):
+    """A finite parameter grid plus evaluation policy, checked when built.
+
+    Unused dimensions may be left at their defaults; n ranges are always
+    inclusive.  ``evaluate_out_of_hypothesis`` controls whether cells
+    outside a statement's bounds are computed (they are labeled
+    out-of-hypothesis either way).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
         check_n(self.n_min)
         if self.n_max < self.n_min:
             raise RefusedInput(f"empty n range [{self.n_min}, {self.n_max}]")
+        # must stay: without it, _a_to_1_row's (d + 3) % a divides by zero at a = 0
         if min(self.a_values, default=1) < 1:
             raise RefusedInput(f"a must be >= 1, got {min(self.a_values)}")
 
@@ -122,15 +125,13 @@ class GridSpec:
         return range(self.n_min, self.n_max + 1)
 
 
-@dataclass
-class CellRecord:
+class CellRecord(NamedTuple):
     params: dict
     status: str
     value: int | None = None
     witness: dict | None = None
 
 
-@dataclass
 class VerificationReport:
     """A report as blocks, each a pair (base params, runs), such as one grid
     row.  A run is a tuple (status, ns, values, witness): cells with one
@@ -139,8 +140,11 @@ class VerificationReport:
     one cell, whose params are the base.  ``records`` builds one object
     per cell, on demand; ``summary``, ``failures`` and ``ok`` read runs."""
 
-    cmd: str
-    blocks: list[tuple[dict, list[tuple]]] = field(default_factory=list)
+    def __init__(self, cmd: str, blocks: list[tuple[dict, list[tuple]]] = ()):
+        self.cmd, self.blocks = cmd, list(blocks)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def add(self, params: dict, status: str, value: int | None = None,
             witness: dict | None = None) -> None:
@@ -193,8 +197,7 @@ class Row(NamedTuple):
     equal: bool = False
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """An n-indexed grid statement: its two axes (read from a GridSpec's
     ``<axis>_values``) and ``row(x, y)``, which builds the part sets of the
     axis pair and declares its Row (data only: no table is read yet), or

@@ -57,8 +57,7 @@ it is; ``alder inject`` checks the first n >= 0, then runs the last cell.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import counting
 from .partset import (RefusedInput, ResidueClassSet, check_n, s_set,
@@ -80,8 +79,7 @@ class MapViolation(Exception):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class PartitionStats:
+class PartitionStats(NamedTuple):
     alpha: int
     beta: int
     epsilon: int
@@ -194,26 +192,19 @@ def phi2(lam: dict[int, int], d: int, N: int,
     return _image(lam, d, N, q, "phi2")
 
 
-@dataclass
 class InjectionCellReport:
-    """Outcome of checking one (d, N, n) cell."""
+    """Outcome of checking one (d, N, n) cell: ``size`` is |S^N|, the number
+    of partitions of n, which ``s1_size`` and ``s2_size`` split by class."""
 
-    d: int
-    N: int
-    n: int
-    in_hypothesis: bool
-    evaluated: bool
-    size: int = 0                      # |S^N| = number of partitions of n
-    rho_s: int = 0
-    rho_t: int = 0
-    s1_size: int = 0
-    s2_sizes: dict[int, int] = field(default_factory=dict)  # beta -> count
-    checks: dict[str, bool] = field(default_factory=dict)
-    witnesses: list[dict] = field(default_factory=list)
+    def __init__(self, d: int, N: int, n: int, in_hypothesis: bool, evaluated: bool):
+        self.d, self.N, self.n = d, N, n
+        self.in_hypothesis, self.evaluated = in_hypothesis, evaluated
+        self.size = self.rho_s = self.rho_t = self.s1_size = self.s2_size = 0
+        self.checks: dict[str, bool] = {}
+        self.witnesses: list[dict] = []
 
-    @property
-    def s2_size(self) -> int:
-        return sum(self.s2_sizes.values())
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
 
     @property
     def passed(self) -> bool:
@@ -274,7 +265,7 @@ def _check_exhaustively(report: InjectionCellReport, S: ResidueClassSet) -> None
         if st.cls == "S1":
             report.s1_size += 1
         else:
-            report.s2_sizes[st.beta] = report.s2_sizes.get(st.beta, 0) + 1
+            report.s2_size += 1
             p2 = lam.get(2, 0)
             if p2 < 8:
                 p2_ok = False
@@ -356,14 +347,13 @@ def _s2_members(d: int, N: int, n: int, xs: list[int],
                                   parts + ((j, k),)))
 
 
-def _s2_sizes(d: int, N: int, n: int, S: ResidueClassSet) -> dict[int, int] | None:
-    """beta -> number of S2 partitions, if the structural argument settles the
+def _s2_size(d: int, N: int, n: int, S: ResidueClassSet) -> int | None:
+    """The number of S2 partitions, if the structural argument settles the
     cell; None if a premise or a check on an S2 member fails."""
     xs = [0, *S.elements_upto(n)]
     ys = [0, *(y_closed(d, i) for i in range(1, len(xs)))]
     if d - N - 1 < 1 or any(x < y for x, y in zip(xs[3:], ys[3:])):
         return None
-    sizes: dict[int, int] = {}
     images: set[tuple[tuple[int, int], ...]] = set()
     for lam in _s2_members(d, N, n, xs, ys):
         st = stats(lam, d, N)
@@ -379,8 +369,7 @@ def _s2_sizes(d: int, N: int, n: int, S: ResidueClassSet) -> dict[int, int] | No
         if lam[2] < 8 or img.get(2, 0) // 2 != st.beta or key in images or p1 >= 0:
             return None
         images.add(key)
-        sizes[st.beta] = sizes.get(st.beta, 0) + 1
-    return sizes
+    return len(images)  # one per S2 member: a repeated image returned None
 
 
 def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCellReport:
@@ -409,13 +398,12 @@ def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCe
     report, S = _open_cell(d, N, n, force)
     if S is None:
         return report
-    s2_sizes = _s2_sizes(d, N, n, S)
-    if s2_sizes is None or report.rho_t < report.rho_s:
+    s2_size = _s2_size(d, N, n, S)
+    if s2_size is None or report.rho_t < report.rho_s:
         _check_exhaustively(report, S)
         return report
-    report.size = report.rho_s
-    report.s2_sizes = s2_sizes
-    report.s1_size = report.size - report.s2_size
+    report.size, report.s2_size = report.rho_s, s2_size
+    report.s1_size = report.size - s2_size
     report.checks = dict.fromkeys(
         ("classification_partitions", "enumeration_matches_rho", "stats_defined",
          "images_valid", "injective", "piece_separation", "rho_dominates",

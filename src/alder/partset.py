@@ -22,7 +22,6 @@ test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -38,13 +37,15 @@ def check_n(n: int) -> None:
         raise RefusedInput(f"n must be >= 0, got {n}")
 
 
-@dataclass(frozen=True)
 class ResidueClassSet:
-    """The infinite set {x >= 1 : x mod modulus in residues} minus exclusions."""
+    """The infinite set {x >= 1 : x mod modulus in residues} minus exclusions.
 
-    modulus: int
-    residues: frozenset[int]
-    exclusions: frozenset[int] = frozenset()
+    Immutable; two sets are equal, and hash alike, when their ``key()`` is."""
+
+    __slots__ = ("_modulus", "_residues", "_exclusions", "_key")
+    modulus = property(lambda self: self._modulus)
+    residues = property(lambda self: self._residues)
+    exclusions = property(lambda self: self._exclusions)
 
     def __init__(self, modulus: int, residues: Iterable[int],
                  exclusions: Iterable[int] = ()):
@@ -62,26 +63,32 @@ class ResidueClassSet:
                 raise RefusedInput(f"exclusion {e} is not a positive integer")
             if e % modulus not in residues:
                 raise RefusedInput(f"exclusion {e} is not a member of the set")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residues", residues)
-        object.__setattr__(self, "exclusions", exclusions)
+        self._modulus, self._residues, self._exclusions = modulus, residues, exclusions
         rs = ",".join(str(r) for r in sorted(residues))
         es = ",".join(str(e) for e in sorted(exclusions))
-        # not a field: equality and hashing stay on the three fields above
-        object.__setattr__(self, "_key", f"m{modulus}.r{rs}.x{es}" if es
-                           else f"m{modulus}.r{rs}")
+        self._key = f"m{modulus}.r{rs}.x{es}" if es else f"m{modulus}.r{rs}"
+
+    def __eq__(self, other) -> bool:
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return (f"ResidueClassSet(modulus={self._modulus!r}, residues={self._residues!r}, "
+                f"exclusions={self._exclusions!r})")
 
     def __contains__(self, x: int) -> bool:
-        return x >= 1 and x % self.modulus in self.residues and x not in self.exclusions
+        return x >= 1 and x % self._modulus in self._residues and x not in self._exclusions
 
     def elements(self) -> Iterator[int]:
         """Yield the members in increasing order, forever."""
-        ordered = sorted(self.residues)
+        ordered = sorted(self._residues)
         k = 0
         while True:
             for r in ordered:
-                v = k * self.modulus + r
-                if v >= 1 and v not in self.exclusions:
+                v = k * self._modulus + r
+                if v >= 1 and v not in self._exclusions:
                     yield v
             k += 1
 

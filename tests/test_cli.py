@@ -170,6 +170,17 @@ class TestVerify:
         assert code == 0
         assert json_lines(out)[-1]["summary"]["holds"] == 194
 
+    def test_littlelemon_takes_only_N_4(self, capsys):
+        # littlelemon is shift at N = 4; another --N is refused, not replaced
+        for N in ("3", "2..4"):
+            code, out, err = run_cli(["verify", "littlelemon", "--d", "105",
+                                      "--N", N, "--n-max", "110"], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: littlelemon is shift at N = 4, got --N {N}\n"
+        code, out, _ = run_cli(["verify", "littlelemon", "--d", "105", "--N", "4",
+                                "--n-max", "110"], capsys)
+        assert code == 0 and json_lines(out)[-1]["summary"]["holds"] == 4
+
     def test_anchors(self, capsys):
         code, out, _ = run_cli(["verify", "anchors", "--d", "63", "--N", "2"],
                                capsys)
@@ -324,6 +335,14 @@ class TestVerify:
         _, rest, _ = run_cli([*argv.split(), "--d", "1..2", "--n-max", "3"], capsys)
         assert records[len(at_d0):] == json_lines(rest)[:-1]
 
+    @pytest.mark.parametrize("argv", [
+        "verify gen-kp --a 0..1 --d 5", "verify a-to-1 --a 0 --d 5",
+        "search --kind delta --a 0..1 --d 5 --n-max 5"])
+    def test_a_below_1_refuses_the_grid(self, capsys, argv):
+        # unlike d < 1, an a < 1 is not skipped per pair: GridSpec refuses it
+        code, out, err = run_cli(argv.split(), capsys)
+        assert (code, out, err) == (2, "", "error: a must be >= 1, got 0\n")
+
 
 class TestStartup:
     def test_cli_import_leaves_multiprocessing_out(self):
@@ -341,11 +360,33 @@ class TestStartup:
         probe = ("import sys; before = set(sys.modules); import alder; "
                  "bare = set(sys.modules) - before; import alder.cli; "
                  "print(sorted(m for m in bare if m.startswith('alder.'))); "
-                 "print(sorted((set(sys.modules) - before) & {'alder.injection', "
-                 "'alder.parallel', 'csv', 'traceback', 'tempfile', 'pathlib'}))")
+                 "cli = set(sys.modules) - before; import alder.injection; "
+                 "print(sorted(cli & {'alder.injection', 'alder.parallel', 'csv', "
+                 "'traceback', 'tempfile', 'pathlib', 'dataclasses', 'inspect'})); "
+                 "print(sorted((set(sys.modules) - before) & {'dataclasses', 'inspect'}))")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                              check=True, text=True).stdout
-        assert out.splitlines() == ["[]", "[]"]
+        assert out.splitlines() == ["[]", "[]", "[]"]
+
+    def test_every_command_loads_only_the_standard_library(self, tmp_path):
+        # alder has no runtime dependencies: every top-level module a run of
+        # each command loads is alder or part of the standard library
+        # (__mp_main__ is the name multiprocessing gives __main__ in a pool)
+        runs = [["count", "--kind", "delta_m", "--a", "2", "--d", "4", "--n", "1..50",
+                 "--cache", str(tmp_path)],
+                ["verify", "shift", "--N", "2", "--d", "63", "--n-max", "70",
+                 "--format", "csv"],
+                ["search", "--kind", "delta", "--a", "2", "--d", "1..10",
+                 "--n-max", "20", "--format", "human"],
+                ["inject", "--d", "63", "--N", "3", "--n", "455..458", "--jobs", "2"]]
+        probe = ("import sys; before = set(sys.modules); import alder.cli; "
+                 f"codes = [alder.cli.main(argv) for argv in {runs!r}]; "
+                 "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+                 "print(codes, sorted(new - set(sys.stdlib_module_names) "
+                 "- {'alder', '__mp_main__'}), file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              check=True, text=True)
+        assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0] []"
 
     def test_inject_imports_its_modules_when_run(self):
         probe = ("import sys, alder.cli; "

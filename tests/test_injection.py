@@ -1,7 +1,5 @@
 """The piecewise injection: statistics, both map pieces, cell verification."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -358,7 +356,7 @@ class TestStructuralCheck:
             for force in (False,) if in_hypothesis(d, N, n) else (False, True):
                 rep = verify_injection(d, N, n, force)
                 oracle = verify_injection_exhaustive(d, N, n, force)
-                assert dataclasses.asdict(rep) == dataclasses.asdict(oracle), \
+                assert vars(rep) == vars(oracle), \
                     (d, N, n, force)
                 assert list(rep.checks) == list(oracle.checks)
                 s2_passing += rep.s2_size > 0 and rep.passed

@@ -30,6 +30,15 @@ class TestResidueClassSet:
         with pytest.raises(ValueError):
             ResidueClassSet(5, {1}, {-1})
 
+    def test_immutable_and_compared_by_key(self):
+        A = ResidueClassSet(64, {1, 63}, {63})
+        with pytest.raises(AttributeError):
+            A.modulus = 65
+        with pytest.raises(AttributeError):
+            A.extra = 1
+        assert A == s_set(63, 2) and hash(A) == hash(s_set(63, 2))
+        assert A != ResidueClassSet(64, {1, 63}) and A.key() == "m64.r1,63.x63"
+
     def test_elements_increasing_and_indexed(self):
         A = t_set(5, 63)
         els = A.elements_upto(300)
