@@ -17,6 +17,7 @@ from alder.inequalities import (EXEMPT, HOLDS, OUT, GridSpec,
                                 verify_smalln_anchors, xy_difference_report)
 from alder.injection import verify_injection
 from alder.partset import pm_set, s_set, t_set
+from conftest import child_env
 from oracles import q_brute, q_lower_bound, rho_brute
 
 
@@ -194,7 +195,7 @@ def test_criterion_12_report_determinism():
         for argv in runs:
             argv = [sys.executable, "-m", "alder", *argv]
             one = subprocess.run([*argv, "--jobs", "1"], capture_output=True,
-                                 check=True)
+                                 check=True, env=child_env())
             eight = subprocess.run([*argv, "--jobs", "8"], capture_output=True,
-                                   check=True)
+                                   check=True, env=child_env())
             assert one.stdout == eight.stdout and one.stdout, argv

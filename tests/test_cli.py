@@ -8,8 +8,10 @@ import sys
 import pytest
 
 from alder import cli, counting, injection
+from alder.cache import sha256
 from alder.inequalities import gen_kp_sets
 from alder.partset import RefusedInput, s_set
+from conftest import child_env, rewrite_entry
 
 
 def run_cli(argv, capsys):
@@ -351,7 +353,7 @@ class TestStartup:
                  "print('multiprocessing' in sys.modules, "
                  "'concurrent.futures.process' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                             check=True, text=True).stdout
+                             check=True, text=True, env=child_env()).stdout
         assert out.split() == ["False", "False"]
 
     def test_cli_import_loads_only_what_every_command_needs(self):
@@ -365,7 +367,7 @@ class TestStartup:
                  "'traceback', 'tempfile', 'pathlib', 'dataclasses', 'inspect'})); "
                  "print(sorted((set(sys.modules) - before) & {'dataclasses', 'inspect'}))")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                             check=True, text=True).stdout
+                             check=True, text=True, env=child_env()).stdout
         assert out.splitlines() == ["[]", "[]", "[]"]
 
     def test_every_command_loads_only_the_standard_library(self, tmp_path):
@@ -385,7 +387,7 @@ class TestStartup:
                  "print(codes, sorted(new - set(sys.stdlib_module_names) "
                  "- {'alder', '__mp_main__'}), file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              check=True, text=True)
+                              check=True, text=True, env=child_env())
         assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0] []"
 
     def test_inject_imports_its_modules_when_run(self):
@@ -395,7 +397,7 @@ class TestStartup:
                  "print(code, 'alder.injection' in sys.modules, "
                  "'alder.parallel' in sys.modules, file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              check=True, text=True)
+                              check=True, text=True, env=child_env())
         assert proc.stderr.splitlines()[-1] == "0 True True"
         assert json.loads(proc.stdout.splitlines()[0])["status"] == "holds"
 
@@ -573,7 +575,8 @@ class TestFormats:
         with subprocess.Popen(
                 [sys.executable, "-m", "alder", "count", "--kind", "q", "--a", "1",
                  "--d", "200", "--n", "1..30000"],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=child_env()) as proc:
             assert json.loads(proc.stdout.readline())["params"]["n"] == 1
             proc.stdout.close()
             err = proc.stderr.read().decode()
@@ -615,10 +618,11 @@ class TestCache:
     def test_corrupted_cache_discarded(self, capsys, tmp_path):
         argv = ["count", "--kind", "q", "--a", "1", "--d", "63", "--n", "65",
                 "--cache", str(tmp_path)]
+        counting._tables.clear()  # force a real build so the cache is written
         run_cli(argv, capsys)
+        assert list(tmp_path.glob("*.json"))
         for path in tmp_path.glob("*.json"):
             path.write_text("{definitely not json")
-        from alder import counting
         counting._tables.clear()
         _, out, _ = run_cli(argv, capsys)
         assert json_lines(out)[0]["value"] == "2"
@@ -626,31 +630,47 @@ class TestCache:
     def test_tampered_values_rejected(self, capsys, tmp_path):
         argv = ["count", "--kind", "q", "--a", "1", "--d", "63", "--n", "65",
                 "--cache", str(tmp_path)]
+        counting._tables.clear()  # force a real build so the cache is written
         run_cli(argv, capsys)
-        from alder import counting
-        for path in tmp_path.glob("*.json"):
-            data = json.loads(path.read_text())
-            data["values"] = ["1"] * len(data["values"])  # silently wrong
-            data["key"] = "q.a9.d9"                       # key mismatch
-            path.write_text(json.dumps(data))
+        assert list(tmp_path.glob("*.json"))
+        for path in tmp_path.glob("*.json"):  # silently wrong values, key mismatch
+            rewrite_entry(path, lambda body: json.dumps([1] * len(json.loads(body))),
+                          key="q.a9.d9")
         counting._tables.clear()
         _, out, _ = run_cli(argv, capsys)
         assert json_lines(out)[0]["value"] == "2"
 
     def test_flipped_digit_rejected_and_rebuilt(self, capsys, tmp_path):
-        from alder import counting
         argv = ["verify", "ceiling", "--a", "2", "--d", "3", "--n-max", "60"]
         counting._tables.clear()
         uncached = run_cli(argv, capsys)[:2]
         counting._tables.clear()
         assert run_cli([*argv, "--cache", str(tmp_path)], capsys)[:2] == uncached
         path = tmp_path / "q.a2.d3.json"
-        data = json.loads(path.read_text())
-        data["values"][50] = "0"  # was "342"; trusted, it fails cell n=50
-        path.write_text(json.dumps(data))
+
+        def zero_at_50(body):  # was 342; trusted, it fails cell n=50
+            values = body.split(",")
+            values[50] = "0"
+            return ",".join(values)
+        rewrite_entry(path, zero_at_50)
         counting._tables.clear()
         assert run_cli([*argv, "--cache", str(tmp_path)], capsys)[:2] == uncached
-        assert json.loads(path.read_text())["values"][50] != "0"  # rebuilt
+        assert json.loads(path.read_text().split("\n")[1])[50] != 0  # rebuilt
+
+    def test_v2_entry_rejected_and_rewritten_as_v3(self, capsys, tmp_path):
+        argv = ["count", "--kind", "q", "--a", "1", "--d", "63", "--n", "65",
+                "--cache", str(tmp_path)]
+        # a well-formed v2 entry whose counts are all 1: trusted, n=65 gives 1
+        strings = ["1"] * 66
+        path = tmp_path / "q.a1.d63.json"
+        path.write_text(json.dumps(
+            {"v": 2, "key": "q.a1.d63", "horizon": 65, "values": strings,
+             "sha256": sha256(",".join(strings).encode()).hexdigest()}))
+        counting._tables.clear()
+        _, out, _ = run_cli(argv, capsys)
+        assert json_lines(out)[0]["value"] == "2"
+        head, body = path.read_text().split("\n")
+        assert json.loads(head)["v"] == 3 and json.loads(body)[65] == 2
 
 
 class TestDeterminism:
@@ -660,7 +680,7 @@ class TestDeterminism:
                         ["inject", "--d", "63", "--N", "2", "--n", "455..458"]):
             argv = [sys.executable, "-m", "alder", *command]
             runs = [subprocess.run([*argv, "--jobs", str(jobs)],
-                                   capture_output=True, check=True)
+                                   capture_output=True, check=True, env=child_env())
                     for jobs in (1, 4)]
             assert runs[0].stdout == runs[1].stdout
             assert runs[0].stdout  # nonempty
