@@ -14,7 +14,7 @@ Subcommands
 
 --force (verify and inject only) also evaluates out-of-hypothesis cells.
 
-Every command returns a report of blocks (``inequalities.VerificationReport``)
+Every command returns a report of blocks (``report.VerificationReport``)
 and one writer, ``_write``, formats them.  Reports are JSON lines by default,
 one object per cell with the fixed field order  v, cmd, params, status,
 value, witness  and counts as decimal strings; a final summary object
@@ -26,9 +26,11 @@ byte-identical at any K); the other commands run in one process.  CSV
 is a flat projection for spreadsheets, and the human format is for
 reading at the terminal.  --out FILE is written by ``cache.write_atomic``.
 
-Start-up loads only what every command needs: ``injection`` and
-``parallel`` are imported by ``inject``, ``csv`` by a csv report and
-``traceback`` by an internal error.
+Start-up loads only ``partset`` and ``report``, so ``--help`` and usage
+errors compile no engine.  After parsing, each command imports what it
+runs: ``counting``; ``inequalities`` for verify and search, ``injection``
+and ``parallel`` for inject; ``cache`` for --cache or --out, ``csv`` for
+a csv report and ``traceback`` for an internal error.
 
 Exit codes: 0 when every in-hypothesis assertion holds, 1 when at least
 one fails (a falsification candidate), 2 on refused input (always
@@ -46,11 +48,8 @@ import os
 import sys
 import time
 
-from . import counting, inequalities
-from .cache import write_atomic
-from .counting import big_q_set, column
-from .inequalities import VIOLATION, GridSpec, VerificationReport
 from .partset import RefusedInput, check_n, r_of, s_set, t_set
+from .report import VIOLATION, VerificationReport
 
 SCHEMA_VERSION = 1
 
@@ -137,6 +136,7 @@ _Q_EXCLUSIONS = {"Q": 0, "Qm": 1, "Qmm": 2, "delta": 0, "delta_m": 1, "delta_mm"
 
 
 def cmd_count(args) -> VerificationReport:
+    from .counting import big_q_set, column
     kind = args.kind.replace("-", "_")
     if kind == "rho":
         if args.set == "T":
@@ -188,8 +188,9 @@ def _values(args, flag: str) -> tuple[int, ...]:
     return parse_range(getattr(args, flag))
 
 
-def _grid_from_args(args, axes: tuple[str, str], force: bool = False) -> GridSpec:
-    """The grid of a statement over ``axes``, each a --flag."""
+def _grid_from_args(args, axes: tuple[str, str], force: bool = False):
+    """The inequalities.GridSpec of a statement over ``axes``, each a --flag."""
+    from .inequalities import GridSpec
     return GridSpec(**{f"{axis}_values": _values(args, axis) for axis in axes},
                     n_min=args.n_min, n_max=args.n_max, evaluate_out_of_hypothesis=force)
 
@@ -201,17 +202,13 @@ def _single(args, flag: str) -> int:
     return values[0]
 
 
-def _default_n_max(args) -> int:
-    """Grid horizon when --n-max is omitted: 2000 for a = 1 work, 1200 otherwise."""
-    a_values = parse_range(args.a) if getattr(args, "a", None) else (1,)
-    return (inequalities.DEFAULT_N_MAX_A1 if max(a_values) <= 1
-            else inequalities.DEFAULT_N_MAX_GENERAL)
-
-
 def cmd_verify(args) -> VerificationReport:
+    from . import inequalities
     theorem = args.theorem
     if theorem not in ("anchors", "xy-diff") and args.n_max is None:
-        args.n_max = _default_n_max(args)
+        a_values = parse_range(args.a) if args.a else (1,)
+        args.n_max = (inequalities.DEFAULT_N_MAX_A1 if max(a_values) <= 1
+                      else inequalities.DEFAULT_N_MAX_GENERAL)
     if theorem == "littlelemon":
         if args.N is not None and parse_range(args.N) != (4,):
             raise RefusedInput(f"littlelemon is shift at N = 4, got --N {args.N}")
@@ -260,6 +257,7 @@ def cmd_inject(args) -> VerificationReport:
 # ---------------------------------------------------------------- search
 
 def cmd_search(args) -> VerificationReport:
+    from . import inequalities
     _, statement = inequalities.search_kind(args.kind)
     return inequalities.search_counterexamples(
         args.kind, _grid_from_args(args, statement.axes))
@@ -335,6 +333,7 @@ _DISPATCH = {"count": cmd_count, "verify": cmd_verify,
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from . import counting  # after parsing: --help and usage errors load no engine
     counting.set_cache_dir(args.cache)
     started = time.monotonic()
     try:
@@ -342,6 +341,7 @@ def main(argv: list[str] | None = None) -> int:
             raise RefusedInput(f"--jobs must be >= 1, got {args.jobs}")
         report = _DISPATCH[args.command](args)
         if args.out:
+            from .cache import write_atomic
             try:
                 write_atomic(args.out, functools.partial(_write, report, args.format))
             except OSError as exc:

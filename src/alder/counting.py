@@ -43,7 +43,6 @@ import itertools
 import operator
 import threading
 
-from . import cache as _cache
 from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
                       t_set)
 
@@ -61,13 +60,23 @@ def set_cache_dir(path: str | None) -> None:
     _cache_dir = str(path) if path is not None else None
 
 
+def _add_multiples(dp: list[int], v: int) -> None:
+    """dp[m] += dp[m - v] for m = v, v+1, ... in turn (dp times 1/(1 - x^v)): by
+    running sums along the v residue chains if v*v <= len(dp), else v at a time."""
+    if v * v <= len(dp):
+        for r in range(v):
+            dp[r::v] = itertools.accumulate(dp[r::v])
+    else:
+        for m in range(v, len(dp), v):
+            dp[m:m + v] = map(operator.add, dp[m:m + v], dp[m - v:m])
+
+
 def _build_part_table(A: ResidueClassSet, horizon: int) -> list[int]:
     """rho(A, n) for n <= horizon by coin change, one pass per element of A."""
     dp = [0] * (horizon + 1)
     dp[0] = 1
     for v in A.elements_upto(horizon):
-        for m in range(v, horizon + 1):
-            dp[m] += dp[m - v]
+        _add_multiples(dp, v)
     return dp
 
 
@@ -141,9 +150,9 @@ def _build_gap_table(a: int, d: int, horizon: int) -> list[int]:
         offset = a * k + d * k * (k - 1) // 2
         if offset > horizon:
             break
-        for r in range(k):  # atmost[m] += atmost[m - k], one residue chain at a time
-            atmost[r::k] = itertools.accumulate(atmost[r::k])
-        out[offset:] = map(operator.add, out[offset:], atmost[:horizon - offset + 1])
+        del atmost[horizon - offset + 1:]  # offsets grow, so later k read less
+        _add_multiples(atmost, k)
+        out[offset:] = map(operator.add, out[offset:], atmost)
     return out
 
 
@@ -152,11 +161,8 @@ def _build_g_table(d: int, horizon: int) -> list[int]:
     if r < 2:
         raise RefusedInput(f"g_script: need r_of(d) >= 2, got d={d}")
     dp = _build_part_table(t_set(r - 1, d), horizon)
-    v = d + 2 ** (r - 1)  # distinct parts from this class, step 2d
-    while v <= horizon:
-        for m in range(horizon, v - 1, -1):
-            dp[m] += dp[m - v]
-        v += 2 * d
+    for v in range(d + 2 ** (r - 1), horizon + 1, 2 * d):  # distinct parts, dp times (1 + x^v)
+        dp[v:] = map(operator.add, dp[v:], dp[:horizon - v + 1])
     return dp
 
 
@@ -173,11 +179,14 @@ def _table(key: str, n: int, build, *spec) -> tuple[int, ...]:
             return tab
         horizon = min(max(n, 64, 2 * (len(tab) - 1) if tab is not None else 0),
                       MAX_HORIZON)
-        values = _cache.load(_cache_dir, key, horizon) if _cache_dir else None
+        values = None
+        if _cache_dir:
+            from . import cache  # only --cache runs load it
+            values = cache.load(_cache_dir, key, horizon)
         if values is None:
             values = build(*spec, horizon)
             if _cache_dir:
-                _cache.store(_cache_dir, key, values)
+                cache.store(_cache_dir, key, values)
         tab = tuple(values)
         _tables[key] = tab
         return tab
@@ -280,8 +289,7 @@ def largest_part_counts(A: ResidueClassSet, n: int, i_max: int) -> list[int]:
     dp[0] = 1
     out = []
     for v in elements:
-        for m in range(v, n + 1):
-            dp[m] += dp[m - v]
+        _add_multiples(dp, v)
         out.append(dp[n - v])
     out.extend([0] * (i_max - len(out)))
     return out

@@ -1,7 +1,7 @@
 """Grid verification of the shift inequality and its consequences.
 
 Each statement walks a finite parameter grid and labels every cell with
-one of:
+one of the statuses of ``report``:
 
     holds              in hypothesis, the asserted inequality is true
     fails              in hypothesis, the inequality is FALSE (witnessed)
@@ -38,7 +38,7 @@ reads q, is skipped, with the refusal as the reason.  One engine runs
 them all: ``verify`` over a grid, ``evaluate_cell`` at one cell and
 ``search_counterexamples`` (negative cells only), each row through
 ``_row``, which reads each side as one slice of its table and reports the
-row as one block of runs of cells (see ``VerificationReport``).
+row as one block of runs of cells (see ``report.VerificationReport``).
 
 Verified by their own functions, since they are not n-indexed:
 
@@ -66,13 +66,8 @@ from .counting import (big_q_set, check_q_domain, column,
                        largest_part_counts, rho)
 from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
                       s_set, shift_regime, t_set, x_closed, y_closed)
-
-HOLDS = "holds"
-FAILS = "fails"
-OUT = "out-of-hypothesis"
-EXEMPT = "exempt"
-SKIPPED = "skipped"
-VIOLATION = "violation"
+from .report import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED, VIOLATION, CellRecord,
+                     VerificationReport)
 
 #: default grid horizons: deep enough to be convincing, minutes at desk scale
 DEFAULT_N_MAX_A1 = 2000
@@ -123,54 +118,6 @@ class GridSpec(_Grid):
 
     def n_values(self) -> range:
         return range(self.n_min, self.n_max + 1)
-
-
-class CellRecord(NamedTuple):
-    params: dict
-    status: str
-    value: int | None = None
-    witness: dict | None = None
-
-
-class VerificationReport:
-    """A report as blocks, each a pair (base params, runs), such as one grid
-    row.  A run is a tuple (status, ns, values, witness): cells with one
-    status and witness, the i-th with params base + {"n": ns[i]} and value
-    ``values[i]`` (None: not evaluated); an n of None stands for a block's
-    one cell, whose params are the base.  ``records`` builds one object
-    per cell, on demand; ``summary``, ``failures`` and ``ok`` read runs."""
-
-    def __init__(self, cmd: str, blocks: list[tuple[dict, list[tuple]]] = ()):
-        self.cmd, self.blocks = cmd, list(blocks)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and vars(other) == vars(self)
-
-    def add(self, params: dict, status: str, value: int | None = None,
-            witness: dict | None = None) -> None:
-        """Append a block of one cell with these params."""
-        self.blocks.append((params, [(status, (None,), (value,), witness)]))
-
-    def _records(self, status: str | None = None) -> list[CellRecord]:
-        return [CellRecord(base if n is None else {**base, "n": n}, st, value, witness)
-                for base, runs in self.blocks for st, ns, values, witness in runs
-                if status in (None, st) for n, value in zip(ns, values)]
-    records = property(_records)
-
-    @property
-    def summary(self) -> dict[str, int]:
-        tally: dict[str, int] = {}
-        for _, runs in self.blocks:
-            for status, ns, _, _ in runs:
-                tally[status] = tally.get(status, 0) + len(ns)
-        return tally
-
-    def failures(self) -> list[CellRecord]:
-        return self._records(FAILS)
-
-    @property
-    def ok(self) -> bool:
-        return FAILS not in self.summary
 
 
 class Side(NamedTuple):

@@ -1,0 +1,62 @@
+"""Cell statuses and the report every command returns, apart from
+``inequalities``: ``count`` and ``inject`` build reports but evaluate no
+statement."""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+HOLDS = "holds"
+FAILS = "fails"
+OUT = "out-of-hypothesis"
+EXEMPT = "exempt"
+SKIPPED = "skipped"
+VIOLATION = "violation"
+
+
+class CellRecord(NamedTuple):
+    params: dict
+    status: str
+    value: int | None = None
+    witness: dict | None = None
+
+
+class VerificationReport:
+    """A report as blocks, each a pair (base params, runs), such as one grid
+    row.  A run is a tuple (status, ns, values, witness): cells with one
+    status and witness, the i-th with params base + {"n": ns[i]} and value
+    ``values[i]`` (None: not evaluated); an n of None stands for a block's
+    one cell, whose params are the base.  ``records`` builds one object
+    per cell, on demand; ``summary``, ``failures`` and ``ok`` read runs."""
+
+    def __init__(self, cmd: str, blocks: list[tuple[dict, list[tuple]]] = ()):
+        self.cmd, self.blocks = cmd, list(blocks)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def add(self, params: dict, status: str, value: int | None = None,
+            witness: dict | None = None) -> None:
+        """Append a block of one cell with these params."""
+        self.blocks.append((params, [(status, (None,), (value,), witness)]))
+
+    def _records(self, status: str | None = None) -> list[CellRecord]:
+        return [CellRecord(base if n is None else {**base, "n": n}, st, value, witness)
+                for base, runs in self.blocks for st, ns, values, witness in runs
+                if status in (None, st) for n, value in zip(ns, values)]
+    records = property(_records)
+
+    @property
+    def summary(self) -> dict[str, int]:
+        tally: dict[str, int] = {}
+        for _, runs in self.blocks:
+            for status, ns, _, _ in runs:
+                tally[status] = tally.get(status, 0) + len(ns)
+        return tally
+
+    def failures(self) -> list[CellRecord]:
+        return self._records(FAILS)
+
+    @property
+    def ok(self) -> bool:
+        return FAILS not in self.summary

@@ -1,10 +1,11 @@
 """Independent oracles that the tests pin the counters to.
 
-Plain recursive enumeration, exponential in n, so each refuses n beyond a
-limit unless the caller raises it.
+The brute-force ones are plain recursive enumeration, exponential in n, so
+each refuses n beyond a limit unless the caller raises it.  The table
+oracles are the plain loops that counting's slice passes replace.
 """
 
-from alder.partset import RefusedInput, ResidueClassSet
+from alder.partset import RefusedInput, ResidueClassSet, r_of, t_set
 
 #: refuse brute-force enumeration beyond this unless the caller raises it
 DEFAULT_BRUTE_LIMIT = 60
@@ -51,3 +52,50 @@ def q_lower_bound(d: int, n: int) -> int:
     if d < 1 or n < 1:
         raise RefusedInput(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     return max(1, (n - d) // 2 + 1)
+
+
+def coin_change(elements, horizon: int) -> list[int]:
+    """Oracle for the coin-change tables: the number of partitions of each
+    n <= horizon into ``elements``, one plain loop per element."""
+    dp = [0] * (horizon + 1)
+    dp[0] = 1
+    for v in elements:
+        for m in range(v, horizon + 1):
+            dp[m] += dp[m - v]
+    return dp
+
+
+def gap_table(a: int, d: int, horizon: int) -> list[int]:
+    """Oracle for the q_d^(a) table: the staircase bijection with plain loops,
+    partitions into at most k parts grown one k at a time over the whole
+    horizon."""
+    out = [1] + [0] * horizon
+    atmost = [1] + [0] * horizon
+    k, offset = 1, a
+    while offset <= horizon:
+        for m in range(k, horizon + 1):
+            atmost[m] += atmost[m - k]
+        for m in range(offset, horizon + 1):
+            out[m] += atmost[m - offset]
+        k += 1
+        offset = a * k + d * k * (k - 1) // 2
+    return out
+
+
+def g_table(d: int, horizon: int) -> list[int]:
+    """Oracle for the g_script table: T(r-1, d) by coin change, then one
+    descending loop per distinct part d + 2^(r-1) (mod 2d)."""
+    r = r_of(d)
+    dp = coin_change(t_set(r - 1, d).elements_upto(horizon), horizon)
+    for v in range(d + 2 ** (r - 1), horizon + 1, 2 * d):
+        for m in range(horizon, v - 1, -1):
+            dp[m] += dp[m - v]
+    return dp
+
+
+def largest_part_counts(A: ResidueClassSet, n: int, i_max: int) -> list[int]:
+    """Oracle for counting.largest_part_counts: the partitions of n whose
+    largest part is x_j are those of n - x_j into x_1..x_j."""
+    elements = A.elements_upto(n)[:i_max]
+    out = [coin_change(elements[:j + 1], n - v)[n - v] for j, v in enumerate(elements)]
+    return out + [0] * (i_max - len(out))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from alder import cli, counting, injection
+from alder import cli, counting, inequalities, injection
 from alder.cache import sha256
 from alder.inequalities import gen_kp_sets
 from alder.partset import RefusedInput, s_set
@@ -118,7 +118,7 @@ class TestCount:
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def broken(count, n):
             raise RuntimeError("table invariant broken")
-        monkeypatch.setattr(cli, "column", broken)  # count's one table read
+        monkeypatch.setattr(counting, "column", broken)  # count's one table read
         code, out, err = run_cli(
             ["count", "--kind", "q", "--a", "1", "--d", "2", "--n", "1..3"], capsys)
         assert code == 3 and out == ""
@@ -133,7 +133,7 @@ class TestCount:
         def broken(*args, **kwargs):
             raise ValueError("invariant broken")
         if target == "counting":
-            monkeypatch.setattr(cli, "column", broken)
+            monkeypatch.setattr(counting, "column", broken)
         else:
             monkeypatch.setattr(injection, "verify_injection", broken)
         code, out, err = run_cli(argv.split(), capsys)
@@ -190,8 +190,8 @@ class TestVerify:
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         # no in-hypothesis failures exist mathematically, so force one
-        column = cli.inequalities.column  # a rho table of 10**6s; q tables stay
-        monkeypatch.setattr(cli.inequalities, "column", lambda count, n: (
+        column = inequalities.column  # a rho table of 10**6s; q tables stay
+        monkeypatch.setattr(inequalities, "column", lambda count, n: (
             column(count, n) if isinstance(count, tuple) else (10 ** 6,) * (n + 1)))
         code, out, _ = run_cli(
             ["verify", "shift", "--N", "2", "--d", "63", "--n-min", "65",
@@ -363,8 +363,9 @@ class TestStartup:
                  "bare = set(sys.modules) - before; import alder.cli; "
                  "print(sorted(m for m in bare if m.startswith('alder.'))); "
                  "cli = set(sys.modules) - before; import alder.injection; "
-                 "print(sorted(cli & {'alder.injection', 'alder.parallel', 'csv', "
-                 "'traceback', 'tempfile', 'pathlib', 'dataclasses', 'inspect'})); "
+                 "print(sorted(cli & {'alder.injection', 'alder.parallel', 'alder.counting', "
+                 "'alder.inequalities', 'alder.cache', 'csv', 'traceback', 'tempfile', "
+                 "'pathlib', 'dataclasses', 'inspect'})); "
                  "print(sorted((set(sys.modules) - before) & {'dataclasses', 'inspect'}))")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                              check=True, text=True, env=child_env()).stdout
@@ -389,6 +390,45 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               check=True, text=True, env=child_env())
         assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0] []"
+
+    def test_help_and_usage_errors_load_no_engine(self):
+        probe = ("import sys, alder.cli\n"
+                 "codes = []\n"
+                 "for argv in (['--help'], ['count', '--bogus']):\n"
+                 "    try:\n"
+                 "        alder.cli.main(argv)\n"
+                 "    except SystemExit as exc:\n"
+                 "        codes.append(exc.code)\n"
+                 "print(codes, sorted(m for m in sys.modules if m.startswith('alder')), "
+                 "file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              check=True, text=True, env=child_env())
+        assert proc.stderr.splitlines()[-1] == \
+            "[0, 2] ['alder', 'alder.cli', 'alder.partset', 'alder.report']"
+
+    def test_count_and_inject_load_neither_statements_nor_cache(self, tmp_path):
+        # they build reports but evaluate no statement; only --cache loads cache
+        probe = ("import sys, alder.cli; "
+                 "loaded = lambda: [m in sys.modules for m in "
+                 "('alder.inequalities', 'alder.cache')]; "
+                 "codes = [alder.cli.main(argv) for argv in ("
+                 "['count', '--kind', 'delta', '--a', '1', '--d', '4', '--n', '1..50'], "
+                 "['inject', '--d', '63', '--N', '2', '--n', '455'])]; "
+                 "print(codes, loaded(), file=sys.stderr); "
+                 "code = alder.cli.main(['count', '--kind', 'q', '--a', '3', '--d', "
+                 f"'4', '--n', '5', '--cache', {str(tmp_path)!r}]); "
+                 "print(code, loaded(), file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              check=True, text=True, env=child_env())
+        assert [line for line in proc.stderr.splitlines()
+                if not line.startswith("alder ")] == [
+            "[0, 0] [False, False]", "0 [False, True]"]
+
+    def test_report_types_are_the_ones_inequalities_exports(self):
+        from alder import report
+        from alder.inequalities import HOLDS, CellRecord, VerificationReport
+        assert VerificationReport is report.VerificationReport
+        assert CellRecord is report.CellRecord and HOLDS == report.HOLDS == "holds"
 
     def test_inject_imports_its_modules_when_run(self):
         probe = ("import sys, alder.cli; "
@@ -498,8 +538,8 @@ class TestSearch:
         code, out, err = run_cli(["search", "--kind", kind, "--a", "1", "--d", "1",
                                   "--n-max", "5"], capsys)
         with pytest.raises(RefusedInput) as exc:
-            cli.inequalities.search_counterexamples(
-                kind, cli.inequalities.GridSpec(a_values=(1,), d_values=(1,), n_max=5))
+            inequalities.search_counterexamples(
+                kind, inequalities.GridSpec(a_values=(1,), d_values=(1,), n_max=5))
         assert (code, out) == (2, "")
         assert err == f"error: {exc.value}\n" == f"error: unknown search kind {kind!r}\n"
 
@@ -511,9 +551,9 @@ class TestSearch:
         records = json_lines(dashed[1])
         assert records[0]["cmd"] == "search-delta_m"
         assert records[-1]["summary"]["violations"] == len(records) - 1 > 0
-        spec = cli.inequalities.GridSpec(a_values=(1, 2, 3, 4), d_values=tuple(range(1, 13)),
-                                         n_max=60)
-        library = [cli.inequalities.search_counterexamples(kind, spec)
+        spec = inequalities.GridSpec(a_values=(1, 2, 3, 4), d_values=tuple(range(1, 13)),
+                                     n_max=60)
+        library = [inequalities.search_counterexamples(kind, spec)
                    for kind in ("delta-m", "delta_m")]
         assert library[0] == library[1] and library[0].records
 

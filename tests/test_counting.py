@@ -12,6 +12,7 @@ from alder.counting import (big_q, big_q_minus, big_q_minus_minus, delta,
                             delta_minus, delta_minus_minus, g_script,
                             l_script, largest_part_counts, q_count, rho)
 from alder.partset import ResidueClassSet, pm_set, r_of, s_set, t_set
+import oracles
 from oracles import q_brute, q_lower_bound, rho_brute
 
 
@@ -369,6 +370,43 @@ class TestTripleProductTables:
         for n in range(50):
             big_q_minus(5, 29, n)
         assert built == []
+
+
+class TestSlicePasses:
+    """The table builders' slice passes against the plain loops of oracles."""
+
+    def test_add_multiples_on_both_sides_of_v_squared(self):
+        rng = random.Random(5)
+        for size in (1, 2, 15, 16, 17, 50):
+            for v in range(1, size + 2):  # v*v below, at and above len(dp)
+                dp = [rng.randrange(-9, 10) for _ in range(size)]
+                want = dp[:]
+                for m in range(v, size):
+                    want[m] += want[m - v]
+                counting._add_multiples(dp, v)
+                assert dp == want, (size, v)
+
+    @pytest.mark.parametrize("d", [3, 7, 15, 31, 63, 100, 255])
+    def test_t_sets_and_g_script(self, d):
+        for s in range(1, r_of(d) + 1):
+            T = t_set(s, d)
+            assert counting._build_part_table(T, 1500) == \
+                oracles.coin_change(T.elements_upto(1500), 1500), s
+        assert counting._build_g_table(d, 3000) == oracles.g_table(d, 3000)
+
+    @pytest.mark.parametrize("a,d", [(1, 1), (1, 4), (2, 3), (5, 30), (4, 417)])
+    def test_gap_tables(self, a, d):
+        for horizon in (0, 1, a, 700):
+            assert counting._build_gap_table(a, d, horizon) == \
+                oracles.gap_table(a, d, horizon)
+
+    def test_anchor_largest_part_counts(self):
+        for d in range(63, 90, 3):
+            for N in range(2, 6):
+                S = s_set(d, N)
+                for n, i_max in ((5 * d - 5 * N + 16, 10), (7 * d + 13, 14), (0, 3)):
+                    assert counting.largest_part_counts(S, n, i_max) == \
+                        oracles.largest_part_counts(S, n, i_max), (d, N, n)
 
 
 class TestIdentityOracles:
