@@ -1,16 +1,21 @@
 """On-disk memo for count tables.
 
-A cache entry is one file per table key, two lines long.  Line 1 is a
-compact JSON header ``{"v":3,"key":...,"horizon":...,"sha256":...}``;
-line 2 is the counts 0..horizon as one compact JSON array of integers
-(counts overflow 64 bits well inside the scales this tool targets, and
-JSON integers are exact at any size), and ``sha256`` is the digest of
-line 2's bytes.  The cache is a pure memo: a valid hit must reproduce
-exactly what a fresh build would give, and anything malformed, mismatched
-or failing its digest is discarded and rebuilt rather than trusted, and
-so is an entry of an older layout, which its rebuild overwrites in place.
-``write_atomic`` writes an entry, and the CLI's --out file, through a
-temp file renamed over the target, so readers never observe a torn file.
+A cache entry is one file per table key: a compact JSON header line
+``{"v":4,"key":...,"horizon":...,"encoding":...,"blake2b":...}``, then
+the body, the counts 0..horizon, whose BLAKE2b digest the header holds.
+When every count lies in [0, 2^64) the body (``"u64le"``) is horizon+1
+little-endian 64-bit words, unpacked in one call.  Otherwise (the
+partition function passes 2^64 near n = 416) it is one compact JSON
+array of integers (``"json"``): exact at any size, and for counts two or
+more words wide no slower to decode than 64-bit limbs.  A word takes 8
+bytes where the short decimals of a small-count table take about 5, so
+such entries are about 1.5 times larger on disk.  The cache is a pure
+memo: a valid hit must reproduce exactly what a fresh build would give,
+and anything malformed, mismatched or failing its digest is discarded
+and rebuilt rather than trusted, and so is an entry of an older layout,
+which its rebuild overwrites in place.  ``write_atomic`` writes an
+entry, and the CLI's --out file, through a temp file renamed over the
+target, so readers never observe a torn file.
 """
 
 from __future__ import annotations
@@ -18,13 +23,14 @@ from __future__ import annotations
 import json
 import os
 import re
+import struct
 
 try:  # hashlib loads OpenSSL, about 3.5 MB of RSS in every run; this is lean
-    from _sha256 import sha256
+    from _blake2 import blake2b
 except ImportError:
-    from hashlib import sha256
+    from hashlib import blake2b
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -37,25 +43,30 @@ def load(cache_dir: str | os.PathLike, key: str, horizon: int) -> list[int] | No
     """Return cached values [0..h] with h >= horizon, or None on any defect."""
     try:
         with open(_path(cache_dir, key), "rb") as fh:
-            head, body = fh.read().split(b"\n")
+            head, body = fh.read().split(b"\n", 1)
         header = json.loads(head)
+        size = header["horizon"] + 1
         if (header["v"] != CACHE_VERSION or header["key"] != key
-                or header["horizon"] < horizon or sha256(body).hexdigest() != header["sha256"]):
+                or header["horizon"] < horizon or blake2b(body).hexdigest() != header["blake2b"]):
             return None
+        if header["encoding"] == "u64le" and len(body) == 8 * size:
+            values = list(struct.unpack_from(f"<{size}Q", body))
         # only "[", digits, commas and "]": no sign, fraction, literal or string
-        if body.translate(None, b"0123456789,") != b"[]":
+        elif header["encoding"] == "json" and body.translate(None, b"0123456789,") == b"[]":
+            values = json.loads(body)
+        else:
             return None
-        values = json.loads(body)
-        if len(values) != header["horizon"] + 1 or values[0] != 1:
+        if len(values) != size or values[0] != 1:
             return None
         return values
-    except (OSError, ValueError, KeyError, TypeError, IndexError):
+    except (OSError, ValueError, KeyError, TypeError, IndexError, struct.error):
         return None
 
 
 def write_atomic(path: str, write) -> None:
     """Call ``write(fh)`` on ``<path>.<pid>.tmp``, then rename it over
-    ``path``; on any failure the temp file is removed and ``path`` unchanged."""
+    ``path``; on any failure the temp file is removed and ``path`` unchanged.
+    ``fh`` is a UTF-8 text file; bytes go to ``fh.buffer``."""
     tmp = f"{path}.{os.getpid()}.tmp"  # a plain open keeps the umask mode, not 0600
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
@@ -68,12 +79,16 @@ def write_atomic(path: str, write) -> None:
 
 def store(cache_dir: str | os.PathLike, key: str, values: list[int]) -> None:
     """Write a table to the cache; failures are non-fatal (cache is advisory)."""
-    body = json.dumps(values, separators=(",", ":"))
+    if min(values, default=0) >= 0 and max(values, default=0) < 1 << 64:
+        encoding, body = "u64le", struct.pack(f"<{len(values)}Q", *values)
+    else:
+        encoding, body = "json", json.dumps(values, separators=(",", ":")).encode("ascii")
     header = json.dumps({"v": CACHE_VERSION, "key": key, "horizon": len(values) - 1,
-                         "sha256": sha256(body.encode("ascii")).hexdigest()},
+                         "encoding": encoding, "blake2b": blake2b(body).hexdigest()},
                         separators=(",", ":"))
     try:
         os.makedirs(cache_dir, exist_ok=True)
-        write_atomic(_path(cache_dir, key), lambda fh: fh.write(f"{header}\n{body}"))
+        write_atomic(_path(cache_dir, key),
+                     lambda fh: fh.buffer.write(header.encode("ascii") + b"\n" + body))
     except OSError:
         pass

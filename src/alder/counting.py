@@ -6,11 +6,9 @@ machine words are never trusted).  Names follow the standard notation
 of the Alder conjecture literature:
 
     q_count(a, d, n)            q_d^(a)(n):  parts >= a, successive gaps >= d
-    big_q(a, d, n)              Q_d^(a)(n):  parts == +-a (mod d+3)
-    big_q_minus(a, d, n)        Q_d^(a,-):   additionally excluding d+3-a
-    big_q_minus_minus(a, d, n)  Q_d^(a,--):  excluding both a and d+3-a
-    big_q_set(a, d, minus)      the part set behind each of the three
-    delta* variants             q - Q differences
+    big_q_set(a, d, minus)      the parts of Q_d^(a) (== +-a (mod d+3)), of
+                                Q_d^(a,-) (also excluding d+3-a) and of
+                                Q_d^(a,--) (excluding both a and d+3-a)
     rho(A, n)                   partitions of n with parts in the set A
 
 ``q_count`` uses the classical staircase bijection: a gap->=d partition
@@ -30,10 +28,9 @@ g_script table whole, for slicing; ``rho``, ``q_count`` and ``g_script``
 are one entry of it.  q_d^(a) is defined for a >= 1 and d >= 1
 (``check_q_domain``), and every counter refuses n < 0 (``partset.check_n``).
 
-Two auxiliary counters bound q_d^(1) from below for d >= 63:
+An auxiliary counter bounds q_d^(1) from below for d >= 63:
 ``g_script(d, n)`` counts pairs of a distinct-parts partition over the
-class d+2^(r-1) (mod 2d) and an unrestricted partition over T(r-1, d);
-``l_script(d, n)`` is rho over T(r_of(d), d).
+class d+2^(r-1) (mod 2d) and an unrestricted partition over T(r-1, d).
 """
 
 from __future__ import annotations
@@ -234,33 +231,6 @@ def big_q_set(a: int, d: int, minus: int) -> ResidueClassSet:
     return pm_set(a, d + 3, _pm_exclusions(a, d, minus))
 
 
-def big_q(a: int, d: int, n: int) -> int:
-    """Q_d^(a)(n): partitions of n into parts == +-a (mod d+3)."""
-    return rho(big_q_set(a, d, 0), n)
-
-
-def big_q_minus(a: int, d: int, n: int) -> int:
-    """Q_d^(a,-)(n): as big_q but the part d+3-a is excluded."""
-    return rho(big_q_set(a, d, 1), n)
-
-
-def big_q_minus_minus(a: int, d: int, n: int) -> int:
-    """Q_d^(a,--)(n): as big_q but both parts a and d+3-a are excluded."""
-    return rho(big_q_set(a, d, 2), n)
-
-
-def delta(a: int, d: int, n: int) -> int:
-    return q_count(a, d, n) - big_q(a, d, n)
-
-
-def delta_minus(a: int, d: int, n: int) -> int:
-    return q_count(a, d, n) - big_q_minus(a, d, n)
-
-
-def delta_minus_minus(a: int, d: int, n: int) -> int:
-    return q_count(a, d, n) - big_q_minus_minus(a, d, n)
-
-
 def g_script(d: int, n: int) -> int:
     """Pairs (D, U) of total weight n: D distinct parts == d+2^(r-1) (mod 2d),
     U an unrestricted multiset over T(r-1, d), where r = r_of(d).
@@ -270,12 +240,6 @@ def g_script(d: int, n: int) -> int:
     """
     check_n(n)
     return column(("g", d), n)[n]
-
-
-def l_script(d: int, n: int) -> int:
-    """rho over T(r_of(d), d); for d = 2^r - 1 this is the classical
-    lower-bound counter for q_d^(1)."""
-    return rho(t_set(r_of(d), d), n)
 
 
 def largest_part_counts(A: ResidueClassSet, n: int, i_max: int) -> list[int]:

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from alder import counting
-from alder.cache import sha256
+from alder.cache import blake2b
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -25,14 +25,15 @@ def child_env():
 
 
 def rewrite_entry(path, edit=lambda body: body, redigest=False, **header):
-    """Rewrite the two-line cache entry at ``path``: ``edit`` maps its counts
-    line to the new one, and each keyword replaces a header field (None
-    drops it).  With ``redigest`` the sha256 is taken over the new counts
-    line, so that only a guard after the digest check can reject the entry."""
-    head, body = path.read_text().split("\n")
+    """Rewrite the cache entry at ``path``: ``edit`` maps its body bytes (the
+    packed words or the JSON array that the header's ``encoding`` names) to
+    the new body, and each keyword replaces a header field (None drops it).
+    With ``redigest`` the BLAKE2b digest is taken over the new body, so that
+    only a guard after the digest check can reject the entry."""
+    head, body = path.read_bytes().split(b"\n", 1)
     fields = {**json.loads(head), **header}
     body = edit(body)
     if redigest:
-        fields["sha256"] = sha256(body.encode()).hexdigest()
+        fields["blake2b"] = blake2b(body).hexdigest()
     fields = {k: v for k, v in fields.items() if v is not None}
-    path.write_text(json.dumps(fields) + "\n" + body)
+    path.write_bytes(json.dumps(fields).encode() + b"\n" + body)

@@ -2,9 +2,12 @@
 
 The brute-force ones are plain recursive enumeration, exponential in n, so
 each refuses n beyond a limit unless the caller raises it.  The table
-oracles are the plain loops that counting's slice passes replace.
+oracles are the plain loops that counting's slice passes replace.  The
+last two helpers are no oracles: they read one entry of counting's tables
+under the paper's names, for tests that check one count at a time.
 """
 
+from alder import counting
 from alder.partset import RefusedInput, ResidueClassSet, r_of, t_set
 
 #: refuse brute-force enumeration beyond this unless the caller raises it
@@ -99,3 +102,13 @@ def largest_part_counts(A: ResidueClassSet, n: int, i_max: int) -> list[int]:
     elements = A.elements_upto(n)[:i_max]
     out = [coin_change(elements[:j + 1], n - v)[n - v] for j, v in enumerate(elements)]
     return out + [0] * (i_max - len(out))
+
+
+def big_q(a: int, d: int, n: int, minus: int = 0) -> int:
+    """Q_d^(a)(n), or Q_d^(a,-)(n) and Q_d^(a,--)(n) at ``minus`` 1 and 2."""
+    return counting.rho(counting.big_q_set(a, d, minus), n)
+
+
+def delta(a: int, d: int, n: int, minus: int = 0) -> int:
+    """q_d^(a)(n) - Q_d^(a)(n), or minus Q_d^(a,-) or Q_d^(a,--) as in big_q."""
+    return counting.q_count(a, d, n) - big_q(a, d, n, minus)

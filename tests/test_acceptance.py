@@ -11,14 +11,14 @@ import sys
 import time
 from contextlib import contextmanager
 
-from alder.counting import delta, delta_minus_minus, g_script, q_count, rho
+from alder.counting import g_script, q_count, rho
 from alder.inequalities import (EXEMPT, HOLDS, OUT, GridSpec,
                                 search_counterexamples, verify,
                                 verify_smalln_anchors, xy_difference_report)
 from alder.injection import verify_injection
 from alder.partset import pm_set, s_set, t_set
 from conftest import child_env
-from oracles import q_brute, q_lower_bound, rho_brute
+from oracles import delta, q_brute, q_lower_bound, rho_brute
 
 
 @contextmanager
@@ -135,7 +135,7 @@ def test_criterion_08_gen_dkst():
                                                  n_max=1000))
             assert report.ok and EXEMPT not in report.summary, (a, d)
             assert report.summary[HOLDS] == 1000
-            assert delta_minus_minus(a, d, d + a + 3) >= 0  # former exception
+            assert delta(a, d, d + a + 3, minus=2) >= 0  # former exception
 
 
 def test_criterion_09_kang_park_search():

@@ -1,8 +1,10 @@
 """Disk cache semantics: pure memo, never trusted when malformed."""
 
+import hashlib
 import json
+import struct
 
-from alder import cache
+from alder import cache, counting
 from conftest import rewrite_entry
 
 
@@ -14,11 +16,38 @@ def test_roundtrip(tmp_path):
 
 
 def test_entry_is_a_digest_header_and_one_integer_array(tmp_path):
-    cache.store(tmp_path, "k", [1, 0, 12])
+    cache.store(tmp_path, "k", [1, 0, 2 ** 64])
     head, body = (tmp_path / "k.json").read_bytes().split(b"\n")
-    assert body == b"[1,0,12]"
-    assert json.loads(head) == {"v": 3, "key": "k", "horizon": 2,
-                                "sha256": cache.sha256(body).hexdigest()}
+    assert body == b"[1,0,18446744073709551616]"
+    assert json.loads(head) == {"v": 4, "key": "k", "horizon": 2, "encoding": "json",
+                                "blake2b": cache.blake2b(body).hexdigest()}
+
+
+def test_small_counts_are_packed_words(tmp_path):
+    cache.store(tmp_path, "k", [1, 0, 12])
+    head, body = (tmp_path / "k.json").read_bytes().split(b"\n", 1)
+    assert body == struct.pack("<3Q", 1, 0, 12)
+    assert json.loads(head) == {"v": 4, "key": "k", "horizon": 2, "encoding": "u64le",
+                                "blake2b": cache.blake2b(body).hexdigest()}
+
+
+def test_word_limit_picks_the_encoding(tmp_path):
+    # 2^64 - 1 is the largest word, and the same table decodes equal from
+    # a JSON body; 2^64 and a negative count (which store must not raise
+    # on) go to JSON
+    path = tmp_path / "k.json"
+    for values, encoding in (([1, 7, 2 ** 64 - 1], "u64le"), ([1, 7, 2 ** 64], "json"),
+                             ([1, -1], "json")):
+        cache.store(tmp_path, "k", values)
+        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["encoding"] == encoding
+    words = [1, 7, 2 ** 64 - 1]
+    cache.store(tmp_path, "k", words)
+    assert cache.load(tmp_path, "k", 1) == words
+    rewrite_entry(path, lambda body: json.dumps(words, separators=(",", ":")).encode(),
+                  redigest=True, encoding="json")
+    assert cache.load(tmp_path, "k", 1) == words
+    cache.store(tmp_path, "k", [1, 7, 2 ** 64])
+    assert cache.load(tmp_path, "k", 1) == [1, 7, 2 ** 64]
 
 
 def test_larger_horizon_served_for_smaller_request(tmp_path):
@@ -58,25 +87,73 @@ def test_negative_or_bad_entry_rejected(tmp_path):
     # re-digested, so the body guards and not the digest reject each: a sign,
     # a fraction, a literal, a leading zero, a string, whitespace, nesting, a
     # dropped element, a truncated body, values[0] != 1 and an extra element
-    cache.store(tmp_path, "k", [1, 2])
+    cache.store(tmp_path, "k", [1, 2 ** 64])
     path = next(tmp_path.glob("*.json"))
     for body in ["[1,-3]", "[1,1.5]", "[1,true]", "[1,01]", '[1,"2"]', "[1,null]",
                  "[1, 2]", "[[1,2]]", "[1]", "[1,2", "[2,2]", "[1,2,3]"]:
-        rewrite_entry(path, lambda old: body, redigest=True)
+        rewrite_entry(path, lambda old: body.encode(), redigest=True)
         assert cache.load(tmp_path, "k", 1) is None, body
+    for encoding in ("u64le", "text", None):  # a good body under another encoding
+        rewrite_entry(path, lambda old: b"[1,2]", redigest=True, encoding=encoding)
+        assert cache.load(tmp_path, "k", 1) is None, encoding
+    rewrite_entry(path, lambda old: b"[1,2]", redigest=True, encoding="json")
+    assert cache.load(tmp_path, "k", 1) == [1, 2]
+
+
+def test_bad_word_body_rejected(tmp_path):
+    # re-digested, so the body guards and not the digest reject each: a
+    # truncated body, one extra word, a word count the horizon disagrees
+    # with, values[0] != 1 and an encoding the loader does not know
+    cache.store(tmp_path, "k", [1, 2, 3])
+    path = next(tmp_path.glob("*.json"))
+    good = path.read_bytes()
+    for edit, header in [(lambda body: body[:-1], {}),
+                         (lambda body: body + struct.pack("<Q", 4), {}),
+                         (lambda body: body, {"horizon": 1}),
+                         (lambda body: body, {"horizon": 3}),
+                         (lambda body: struct.pack("<Q", 2) + body[8:], {}),
+                         (lambda body: body, {"encoding": "u32le"}),
+                         (lambda body: body, {"encoding": None})]:
+        path.write_bytes(good)
+        rewrite_entry(path, edit, redigest=True, **header)
+        assert cache.load(tmp_path, "k", 1) is None, header
+    path.write_bytes(good)
+    assert cache.load(tmp_path, "k", 1) == [1, 2, 3]
 
 
 def test_flipped_digit_rejected(tmp_path):
     cache.store(tmp_path, "k", [1, 2, 35, 10 ** 30])
     rewrite_entry(next(tmp_path.glob("*.json")),
-                  lambda body: body.replace(",35,", ",36,"))
+                  lambda body: body.replace(b",35,", b",36,"))
+    assert cache.load(tmp_path, "k", 1) is None
+
+
+def test_flipped_word_byte_rejected(tmp_path):
+    cache.store(tmp_path, "k", [1, 2, 35, 10 ** 9])
+    rewrite_entry(next(tmp_path.glob("*.json")),
+                  lambda body: body[:16] + bytes([body[16] ^ 1]) + body[17:])
     assert cache.load(tmp_path, "k", 1) is None
 
 
 def test_entry_without_digest_rejected(tmp_path):
-    cache.store(tmp_path, "k", [1, 2])
-    rewrite_entry(next(tmp_path.glob("*.json")), sha256=None)
-    assert cache.load(tmp_path, "k", 1) is None
+    for values in ([1, 2], [1, 2 ** 64]):
+        cache.store(tmp_path, "k", values)
+        rewrite_entry(next(tmp_path.glob("*.json")), blake2b=None)
+        assert cache.load(tmp_path, "k", 1) is None
+
+
+def test_v3_entry_rebuilt_and_rewritten_as_v4(tmp_path, monkeypatch):
+    # a well-formed v3 entry whose counts are all 1: trusted, n=65 gives 1
+    body = json.dumps([1] * 66, separators=(",", ":")).encode()
+    path = tmp_path / "q.a1.d63.json"
+    path.write_bytes(json.dumps({"v": 3, "key": "q.a1.d63", "horizon": 65,
+                                 "sha256": hashlib.sha256(body).hexdigest()}).encode()
+                     + b"\n" + body)
+    monkeypatch.setattr(counting, "_tables", {})
+    counting.set_cache_dir(tmp_path)
+    assert counting.q_count(1, 63, 65) == 2
+    assert json.loads(path.read_bytes().split(b"\n", 1)[0])["v"] == 4
+    assert cache.load(tmp_path, "q.a1.d63", 65)[65] == 2
 
 
 def test_store_failure_is_nonfatal(tmp_path):
@@ -93,14 +170,14 @@ def test_failed_store_keeps_the_old_entry(tmp_path, monkeypatch):
 
     def open_then_fail_mid_write(*args, **kwargs):
         fh = open(*args, **kwargs)
-        write = fh.write
+        write = fh.buffer.write
 
-        def write_half_then_fail(text):
+        def write_half_then_fail(data):
             written.append(fh.name)
-            write(text[:len(text) // 2])
-            fh.flush()
+            write(data[:len(data) // 2])
+            fh.buffer.flush()
             raise OSError(28, "No space left on device")
-        fh.write = write_half_then_fail
+        fh.buffer.write = write_half_then_fail
         return fh
     monkeypatch.setattr(cache, "open", open_then_fail_mid_write, raising=False)
     cache.store(tmp_path, "k", [1, 5, 7, 9])  # must not raise

@@ -1,14 +1,21 @@
 """CLI surface: formats, exit codes, caching, determinism across --jobs."""
 
+import collections
 import concurrent.futures
+import contextlib
+import csv
+import hashlib
+import io
 import json
+import struct
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alder import cli, counting, inequalities, injection
-from alder.cache import sha256
+from alder import cache, cli, counting, inequalities, injection
 from alder.inequalities import gen_kp_sets
 from alder.partset import RefusedInput, s_set
 from conftest import child_env, rewrite_entry
@@ -674,7 +681,7 @@ class TestCache:
         run_cli(argv, capsys)
         assert list(tmp_path.glob("*.json"))
         for path in tmp_path.glob("*.json"):  # silently wrong values, key mismatch
-            rewrite_entry(path, lambda body: json.dumps([1] * len(json.loads(body))),
+            rewrite_entry(path, lambda body: struct.pack("<Q", 1) * (len(body) // 8),
                           key="q.a9.d9")
         counting._tables.clear()
         _, out, _ = run_cli(argv, capsys)
@@ -689,15 +696,13 @@ class TestCache:
         path = tmp_path / "q.a2.d3.json"
 
         def zero_at_50(body):  # was 342; trusted, it fails cell n=50
-            values = body.split(",")
-            values[50] = "0"
-            return ",".join(values)
+            return body[:8 * 50] + struct.pack("<Q", 0) + body[8 * 51:]
         rewrite_entry(path, zero_at_50)
         counting._tables.clear()
         assert run_cli([*argv, "--cache", str(tmp_path)], capsys)[:2] == uncached
-        assert json.loads(path.read_text().split("\n")[1])[50] != 0  # rebuilt
+        assert cache.load(tmp_path, "q.a2.d3", 60)[50] == 342  # rebuilt
 
-    def test_v2_entry_rejected_and_rewritten_as_v3(self, capsys, tmp_path):
+    def test_v2_entry_rejected_and_rewritten_as_v4(self, capsys, tmp_path):
         argv = ["count", "--kind", "q", "--a", "1", "--d", "63", "--n", "65",
                 "--cache", str(tmp_path)]
         # a well-formed v2 entry whose counts are all 1: trusted, n=65 gives 1
@@ -705,12 +710,106 @@ class TestCache:
         path = tmp_path / "q.a1.d63.json"
         path.write_text(json.dumps(
             {"v": 2, "key": "q.a1.d63", "horizon": 65, "values": strings,
-             "sha256": sha256(",".join(strings).encode()).hexdigest()}))
+             "sha256": hashlib.sha256(",".join(strings).encode()).hexdigest()}))
         counting._tables.clear()
         _, out, _ = run_cli(argv, capsys)
         assert json_lines(out)[0]["value"] == "2"
-        head, body = path.read_text().split("\n")
-        assert json.loads(head)["v"] == 3 and json.loads(body)[65] == 2
+        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["v"] == 4
+        assert cache.load(tmp_path, "q.a1.d63", 65)[65] == 2
+
+
+def _value(lo, hi):
+    """An integer argument or a LO..HI range of them, and one time in ten a
+    malformed one."""
+    n = st.integers(lo, hi)
+    good = st.one_of(n.map(str), st.tuples(n, n).map(sorted).map("{0[0]}..{0[1]}".format))
+    bad = st.sampled_from(["", "x", "3..", "5..2", "2.5"])
+    return st.tuples(st.integers(0, 9), good, bad).map(lambda t: t[1] if t[0] < 9 else t[2])
+
+
+def _argv(command, positional, required, optional):
+    """argv of ``command``: one positional choice (if any), every required
+    flag and any subset of the optional ones (True marks a bare switch)."""
+    flags = st.fixed_dictionaries(required, optional=optional)
+    return st.tuples(positional, flags).map(lambda pf: [command, *pf[0], *[
+        x for k, v in pf[1].items() for x in ((k,) if v is True else (k, v))]])
+
+
+_int = st.integers(-3, 70).map(str)
+
+#: small argv of every subcommand: values -3..70 (n up to 40 for inject,
+#: whose forced cells may be enumerated, and n-max always given to verify,
+#: whose default is 1200 or 2000), known and unknown kinds and flags
+CLI_ARGV = st.one_of(
+    _argv("count", st.just(()),
+          {"--kind": st.sampled_from("q Q Qm Qmm rho g l delta delta_m delta-mm x".split()),
+           "--a": st.integers(-3, 12).map(str), "--d": _int, "--n": _value(-3, 70)},
+          {"--N": st.integers(-3, 6).map(str), "--s": st.integers(-3, 7).map(str),
+           "--set": st.sampled_from("T S".split())}),
+    _argv("verify", st.tuples(st.sampled_from(
+              "shift littlelemon gen-kp gen-dkst anchors xy-diff ceiling a-to-1 "
+              "modified-st t-monotone".split())),
+          {"--a": _value(-3, 12), "--d": _value(-3, 70), "--N": _value(-3, 6),
+           "--n-max": _int},
+          {"--n-min": _int, "--force": st.just(True)}),
+    _argv("inject", st.just(()),
+          {"--d": _int, "--N": st.integers(-3, 6).map(str), "--n": _value(-3, 40)},
+          {"--force": st.just(True)}),
+    _argv("search", st.just(()),
+          {"--kind": st.sampled_from("delta delta_m delta-mm shift Q".split()),
+           "--a": _value(-3, 12), "--d": _value(-3, 70), "--N": _value(-3, 6),
+           "--n-max": _int},
+          {"--n-min": _int}))
+
+
+def _run_in_process(argv):
+    """(exit code, stdout) of one run; an argparse error gives code None."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv  # argparse's usage error
+            code = None
+    return code, out.getvalue()
+
+
+def _tallies(fmt, out):
+    """Cells per status of one report, read as that format's reader would."""
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        return collections.Counter(row[rows[0].index("status")] for row in rows[1:])
+    if fmt == "human":
+        summary = dict(item.split("=") for item in out.splitlines()[-1].split()[1:])
+    else:
+        *records, last = json_lines(out)
+        summary = last["summary"]
+    cells = int(summary.pop("cells"))
+    tallies = +collections.Counter({("violation" if k == "violations" else k): int(v)
+                                    for k, v in summary.items()})  # drops a zero
+    assert sum(tallies.values()) == cells
+    if fmt == "json":
+        assert collections.Counter(rec["status"] for rec in records) == tallies
+    return tallies
+
+
+class TestExitContract:
+    @given(CLI_ARGV)
+    @settings(max_examples=150, deadline=None)
+    def test_exit_codes_and_reports_agree_across_formats(self, argv):
+        runs = {fmt: _run_in_process([*argv, "--format", fmt])
+                for fmt in ("json", "csv", "human")}
+        codes = {code for code, _ in runs.values()}
+        assert len(codes) == 1, (argv, runs)
+        code = codes.pop()
+        assert code in (0, 1, 2, None), argv
+        if code in (2, None):
+            assert all(out == "" for _, out in runs.values()), argv
+            return
+        if argv[0] in ("count", "search"):
+            assert code == 0, argv
+        tallies = [_tallies(fmt, out) for fmt, (_, out) in runs.items()]
+        assert tallies[0] == tallies[1] == tallies[2], (argv, tallies)
 
 
 class TestDeterminism:

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alder import cli, counting
-from alder.counting import (big_q, big_q_minus, big_q_minus_minus, delta,
-                            delta_minus, delta_minus_minus, g_script,
-                            l_script, largest_part_counts, q_count, rho)
+from alder.counting import g_script, largest_part_counts, q_count, rho
 from alder.partset import ResidueClassSet, pm_set, r_of, s_set, t_set
 import oracles
-from oracles import q_brute, q_lower_bound, rho_brute
+from oracles import big_q, delta, q_brute, q_lower_bound, rho_brute
 
 
 class TestRho:
@@ -102,21 +100,21 @@ class TestBigQ:
         assert big_q(2, 3, 6) == 2  # 2+2+2; 2+4
 
     def test_minus_paper_value(self):
-        assert big_q_minus(1, 61, 321) == 29
+        assert big_q(1, 61, 321, minus=1) == 29
 
     def test_minus_minus_single_part(self):
-        assert big_q_minus_minus(4, 417, 424) == 1
+        assert big_q(4, 417, 424, minus=2) == 1
 
     def test_minus_vs_set(self):
         # Q_{d-N}^(1,-) is rho over s_set(d, N)
         for (d, N) in [(63, 2), (63, 3), (105, 4)]:
             for n in (0, 1, 64, 126, 200):
-                assert big_q_minus(1, d - N, n) == rho(s_set(d, N), n)
+                assert big_q(1, d - N, n, minus=1) == rho(s_set(d, N), n)
 
     def test_coincident_residue_handled(self):
         # a = (d+3)/2: one residue class; the two exclusions collapse
         assert big_q(3, 3, 6) == rho_brute(pm_set(3, 6), 6)
-        assert big_q_minus(3, 3, 9) == big_q_minus_minus(3, 3, 9)
+        assert big_q(3, 3, 9, minus=1) == big_q(3, 3, 9, minus=2)
 
     def test_rejects_large_a(self):
         with pytest.raises(ValueError):
@@ -140,19 +138,19 @@ class TestDelta:
         assert delta(2, 3, 6) == -1
 
     def test_delta_minus_exceptional_cell(self):
-        assert delta_minus(4, 417, 424) == -1
+        assert delta(4, 417, 424, minus=1) == -1
         # both sides pinned by the enumeration oracles
         assert q_brute(4, 417, 424, limit=424) == 1
         assert rho_brute(pm_set(4, 420, [416]), 424, limit=424) == 2
 
     def test_minus_minus_at_same_cell(self):
-        assert delta_minus_minus(4, 417, 424) == 0
+        assert delta(4, 417, 424, minus=2) == 0
 
     def test_qminus_not_monotone_for_large_a(self):
-        # big_q_minus(4, 417, .) descends somewhere below 500 (e.g. after
+        # big_q(4, 417, ., minus=1) descends somewhere below 500 (e.g. after
         # n = d+a+3); recorded as an existence scan, no single cell pinned.
         descents = [n for n in range(1, 500)
-                    if big_q_minus(4, 417, n + 1) < big_q_minus(4, 417, n)]
+                    if big_q(4, 417, n + 1, minus=1) < big_q(4, 417, n, minus=1)]
         assert descents
 
 
@@ -205,9 +203,9 @@ class TestGScript:
 
 class TestLScript:
     def test_values(self):
-        assert l_script(15, 0) == 1
-        assert l_script(31, 33) == 2   # 1^33 and the part 33 = d+2
-        assert l_script(63, 1) == 1
+        assert rho(t_set(r_of(15), 15), 0) == 1
+        assert rho(t_set(r_of(31), 31), 33) == 2   # 1^33 and the part 33 = d+2
+        assert rho(t_set(r_of(63), 63), 1) == 1
 
 
 class TestQLowerBound:
@@ -334,14 +332,14 @@ class TestTripleProductTables:
 
     def test_pm_and_s_sets_take_the_closed_form(self, builds):
         big_q(2, 4, 100)
-        big_q_minus(1, 61, 321)
-        big_q_minus_minus(4, 417, 424)
+        big_q(1, 61, 321, minus=1)
+        big_q(4, 417, 424, minus=2)
         rho(s_set(63, 3), 200)
         assert builds == ["_build_pm_table"] * 4
 
     def test_t_sets_and_single_classes_take_coin_change(self, builds):
         rho(t_set(5, 63), 200)
-        l_script(31, 100)
+        rho(t_set(r_of(31), 31), 100)  # the l kind
         big_q(3, 3, 60)  # 3 == 6 - 3: one residue class
         rho(ResidueClassSet(1, {0}), 50)
         rho(ResidueClassSet(10, {1, 3}), 50)  # two classes, 1 + 3 != 10
@@ -364,11 +362,11 @@ class TestTripleProductTables:
             {"q.a2.d4": 4001, "rho.m7.r2,5": 4001}
 
     def test_big_q_sets_are_built_once(self, monkeypatch):
-        big_q_minus(5, 29, 10)
+        big_q(5, 29, 10, minus=1)
         built = []
         monkeypatch.setattr(counting, "pm_set", lambda *args: built.append(args))
         for n in range(50):
-            big_q_minus(5, 29, n)
+            big_q(5, 29, n, minus=1)
         assert built == []
 
 

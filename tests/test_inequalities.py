@@ -5,7 +5,7 @@ import math
 import pytest
 
 from alder import counting
-from alder.counting import big_q, big_q_minus, big_q_minus_minus, q_count, rho
+from alder.counting import q_count, rho
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
                                 STATEMENTS, GridSpec, check_andrews,
                                 dominates, evaluate_cell, gen_kp_sets, n_hat,
@@ -13,7 +13,7 @@ from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
                                 verify_smalln_anchors, verify_t_monotone,
                                 xy_difference_report)
 from alder.partset import RefusedInput, pm_set, positive_integers, s_set, t_set
-from oracles import q_brute, rho_brute
+from oracles import big_q, q_brute, rho_brute
 
 
 def verify_pair(name, a, d, n_max, **spec):
@@ -125,7 +125,7 @@ class TestCeiling:
 
 class TestAToOne:
     def test_example(self):
-        assert big_q_minus(2, 5, 10) == 2 == big_q_minus(1, 1, 5)
+        assert big_q(2, 5, 10, minus=1) == 2 == big_q(1, 1, 5, minus=1)
         assert evaluate_cell("a-to-1", 5, a=2, d=5).status == HOLDS
 
     def test_a1_identity(self):
@@ -391,13 +391,13 @@ def paper_cell(name, n, a=1, d=0, N=0):
         return (n >= d + 2 * a, q_count(a, d, n),
                 q_count(1, math.ceil(d / a), math.ceil(n / a)))
     if name == "a-to-1":
-        return True, big_q_minus(a, d, a * n), big_q_minus(1, (d + 3) // a - 3, n)
+        return True, big_q(a, d, a * n, minus=1), big_q(1, (d + 3) // a - 3, n, minus=1)
     if name == "modified-st":
         S, T = gen_kp_sets(a, d)
         return dominates(S, T, 200, a), rho(T, n + n_hat(a, n)), rho(S, n)
-    q_side = {"delta": big_q, "gen-kp": big_q_minus, "gen-dkst": big_q_minus_minus}
+    minus = {"delta": 0, "gen-kp": 1, "gen-dkst": 2}[name]
     in_hypothesis = a == 1 if name == "delta" else math.ceil(d / a) >= 105
-    return in_hypothesis, q_count(a, d, n), q_side[name](a, d, n)
+    return in_hypothesis, q_count(a, d, n), big_q(a, d, n, minus)
 
 
 class TestColumnReads:
