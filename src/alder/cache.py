@@ -39,8 +39,8 @@ def _path(cache_dir: str | os.PathLike, key: str) -> str:
     return os.path.join(cache_dir, _SAFE.sub("_", key) + ".json")
 
 
-def load(cache_dir: str | os.PathLike, key: str, horizon: int) -> list[int] | None:
-    """Return cached values [0..h] with h >= horizon, or None on any defect."""
+def load(cache_dir: str | os.PathLike, key: str, horizon: int) -> tuple[int, ...] | None:
+    """Return cached values (0..h) with h >= horizon, or None on any defect."""
     try:
         with open(_path(cache_dir, key), "rb") as fh:
             head, body = fh.read().split(b"\n", 1)
@@ -50,10 +50,10 @@ def load(cache_dir: str | os.PathLike, key: str, horizon: int) -> list[int] | No
                 or header["horizon"] < horizon or blake2b(body).hexdigest() != header["blake2b"]):
             return None
         if header["encoding"] == "u64le" and len(body) == 8 * size:
-            values = list(struct.unpack_from(f"<{size}Q", body))
+            values = struct.unpack_from(f"<{size}Q", body)
         # only "[", digits, commas and "]": no sign, fraction, literal or string
         elif header["encoding"] == "json" and body.translate(None, b"0123456789,") == b"[]":
-            values = json.loads(body)
+            values = tuple(json.loads(body))
         else:
             return None
         if len(values) != size or values[0] != 1:

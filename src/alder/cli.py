@@ -45,6 +45,7 @@ import functools
 import json
 import operator
 import os
+import re
 import sys
 import time
 
@@ -332,6 +333,10 @@ _DISPATCH = {"count": cmd_count, "verify": cmd_verify,
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse would read "-3..5" as an option
+        if argv[i - 1] in ("--a", "--d", "--N", "--n") and re.match(r"-\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     from . import counting  # after parsing: --help and usage errors load no engine
     counting.set_cache_dir(args.cache)

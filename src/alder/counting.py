@@ -23,10 +23,11 @@ multiplying by (1 - x^v); over any other set (T(s, d), a single class)
 the oracle the triple-product tables are tested against.  All are
 backed by dense tables per (set, horizon), read through the one accessor
 ``_table``: built once (or loaded from the cache), grown geometrically on
-demand, and read-only afterwards.  ``column`` hands out a rho, q or
+demand, and read-only while held.  ``column`` hands out a rho, q or
 g_script table whole, for slicing; ``rho``, ``q_count`` and ``g_script``
-are one entry of it.  q_d^(a) is defined for a >= 1 and d >= 1
-(``check_q_domain``), and every counter refuses n < 0 (``partset.check_n``).
+are one entry of it.  A grid ``release``s each table after its last
+reader.  q_d^(a) is defined for a >= 1 and d >= 1 (``check_q_domain``),
+and every counter refuses n < 0 (``partset.check_n``).
 
 An auxiliary counter bounds q_d^(1) from below for d >= 63:
 ``g_script(d, n)`` counts pairs of a distinct-parts partition over the
@@ -163,13 +164,18 @@ def _build_g_table(d: int, horizon: int) -> list[int]:
     return dp
 
 
+def check_horizon(n: int) -> None:
+    """Refuse a table over 0..n beyond ``MAX_HORIZON``."""
+    if n > MAX_HORIZON:
+        raise RefusedInput(f"n={n} is beyond the table horizon cap {MAX_HORIZON}")
+
+
 def _table(key: str, n: int, build, *spec) -> tuple[int, ...]:
     """The table ``key`` over 0..n or more, loaded or ``build(*spec, horizon)``."""
     tab = _tables.get(key)
     if tab is not None and len(tab) > n:
         return tab
-    if n > MAX_HORIZON:
-        raise RefusedInput(f"n={n} is beyond the table horizon cap {MAX_HORIZON}")
+    check_horizon(n)
     with _build_lock:
         tab = _tables.get(key)
         if tab is not None and len(tab) > n:
@@ -189,14 +195,25 @@ def _table(key: str, n: int, build, *spec) -> tuple[int, ...]:
         return tab
 
 
+def _spec(count: ResidueClassSet | tuple) -> tuple:
+    """The table key of ``count``, its builder and the builder's arguments."""
+    if isinstance(count, ResidueClassSet):
+        return "rho." + count.key(), _build_rho_table, count
+    if count[0] == "g":
+        return f"g.d{count[1]}", _build_g_table, count[1]
+    return ("q.a%d.d%d" % count, _build_gap_table, *count)
+
+
 def column(count: ResidueClassSet | tuple, n: int) -> tuple[int, ...]:
     """The table over 0..n or more of rho over a set, of q_d^(a) for (a, d),
     or of g_script(d, .) for ("g", d)."""
-    if isinstance(count, ResidueClassSet):
-        return _table("rho." + count.key(), n, _build_rho_table, count)
-    if count[0] == "g":
-        return _table(f"g.d{count[1]}", n, _build_g_table, count[1])
-    return _table("q.a%d.d%d" % count, n, _build_gap_table, *count)
+    key, build, *spec = _spec(count)
+    return _table(key, n, build, *spec)
+
+
+def release(count: ResidueClassSet | tuple) -> None:
+    """Drop the table of ``count`` (as ``column`` takes it), if one is held."""
+    _tables.pop(_spec(count)[0], None)
 
 
 def rho(A: ResidueClassSet, n: int) -> int:

@@ -39,6 +39,8 @@ them all: ``verify`` over a grid, ``evaluate_cell`` at one cell and
 ``search_counterexamples`` (negative cells only), each row through
 ``_row``, which reads each side as one slice of its table and reports the
 row as one block of runs of cells (see ``report.VerificationReport``).
+The engine lists a grid's rows first: it refuses a horizon over
+``counting.MAX_HORIZON`` before any build, then frees each table after its last reader.
 
 Verified by their own functions, since they are not n-indexed:
 
@@ -49,21 +51,19 @@ Verified by their own functions, since they are not n-indexed:
                  their period-10 growth, and the branch minimum
                  min(d-2N-1, d-6N+17).
   * t-monotone:  rho(T(s,d); n) weakly increasing in s for s <= r_of(d).
-
-Also here: ``check_andrews``, the per-n set-domination count bound
-rho(T; n) >= rho(S; n), whose premise is ``dominates``.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import operator
 from typing import Callable, NamedTuple
 
-from .counting import (big_q_set, check_q_domain, column,
-                       largest_part_counts, rho)
+from .counting import (big_q_set, check_horizon, check_q_domain, column,
+                       largest_part_counts, release, rho)
 from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
                       s_set, shift_regime, t_set, x_closed, y_closed)
 from .report import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED, VIOLATION, CellRecord,
@@ -224,20 +224,12 @@ def dominates(S: ResidueClassSet, T: ResidueClassSet, i_max: int,
     """True iff T starts at a and, for every i <= i_max, a divides y_i and
     x_i >= y_i, where x_i and y_i are the i-th elements of S and T.
 
-    The premise of the set-domination bound rho(T; n) >= rho(S; n) (a = 1,
-    ``check_andrews``) and of its divisibility-shifted form, modified-st.
+    The premise of the set-domination bound rho(T; n) >= rho(S; n) (a = 1)
+    and of its divisibility-shifted form, modified-st.
     """
     return T.element(1) == a and all(
         x >= y and y % a == 0
         for _, x, y in zip(range(i_max), S.elements(), T.elements()))
-
-
-def check_andrews(S: ResidueClassSet, T: ResidueClassSet,
-                  n_max: int) -> VerificationReport:
-    """Per-n check of rho(T; n) >= rho(S; n), the set-domination count bound."""
-    report = VerificationReport("verify-andrews")
-    _row(report, {}, 0, n_max, Row(Side(T), Side(S), ("rho_T", "rho_S")))
-    return report
 
 
 def gen_kp_sets(a: int, d: int) -> tuple[ResidueClassSet, ResidueClassSet]:
@@ -331,9 +323,9 @@ def _rows(statement: Statement, spec: GridSpec):
     """(base params, Row or skip reason) per axis pair, in the spec's order.
 
     A refused row factory skips its pair.  Factories build part sets and
-    check count domains, nothing else: ``_row`` reads every table later, so
-    a table refusal (``counting.MAX_HORIZON``) still refuses the whole grid,
-    as does an empty axis.
+    check count domains, nothing else: ``_held`` checks every table horizon
+    later, so a table refusal (``counting.MAX_HORIZON``) still refuses the
+    whole grid, as does an empty axis.
     """
     first, second = statement.axes
     xs, ys = getattr(spec, f"{first}_values"), getattr(spec, f"{second}_values")
@@ -348,6 +340,29 @@ def _rows(statement: Statement, spec: GridSpec):
             yield {first: x, second: y}, row
 
 
+def _held(rows: list, spec: GridSpec, **how):
+    """Yield, and take off ``rows``, its (base, Row or skip reason) pairs in
+    order.  First check each table horizon that ``_row`` (with keywords
+    ``how``) will read; then, as the caller asks for each next pair, release
+    each table of the Row just run that no later Row reads."""
+    hi, readers = spec.n_max, collections.Counter()
+    for _, row in rows:
+        if isinstance(row, Row):
+            if any(how.values()) or row.first is not None and row.first <= hi:
+                for _, m, k in row[:2]:  # _row evaluates some n, so reads these
+                    check_horizon(m * -(-hi // k))
+            readers.update((row.lhs.count, row.rhs.count))
+    rows.reverse()  # popped from the end, so that each row is freed once it has run
+    while rows:
+        base, row = rows.pop()
+        yield base, row
+        if isinstance(row, Row):
+            for side in row[:2]:
+                readers[side.count] -= 1
+                if not readers[side.count]:
+                    release(side.count)
+
+
 def verify(name: str, spec: GridSpec) -> VerificationReport:
     """Evaluate the statement ``STATEMENTS[name]`` over the grid ``spec``.
 
@@ -357,10 +372,10 @@ def verify(name: str, spec: GridSpec) -> VerificationReport:
     """
     statement = STATEMENTS[name]
     report = VerificationReport(f"verify-{name}")
-    for base, row in _rows(statement, spec):
+    how = {"evaluate_out": spec.evaluate_out_of_hypothesis}
+    for base, row in _held(list(_rows(statement, spec)), spec, **how):
         if isinstance(row, Row):
-            _row(report, base, spec.n_min, spec.n_max, row,
-                 evaluate_out=spec.evaluate_out_of_hypothesis)
+            _row(report, base, spec.n_min, spec.n_max, row, **how)
         else:
             ns = spec.n_values() if statement.skip_each_n else (None,)
             report.blocks.append((base, [(SKIPPED, ns, (None,) * len(ns),
@@ -394,14 +409,10 @@ def search_counterexamples(kind: str, spec: GridSpec) -> VerificationReport:
     """
     kind, statement = search_kind(kind)
     report = VerificationReport(f"search-{kind}")
-    tagged = kind != "shift"
-    for base, row in _rows(statement, spec):
-        if isinstance(row, str):
-            continue
-        if tagged:
-            base = {"kind": kind, **base}
-        else:
-            row = row._replace(names=None)
+    rows = [({"kind": kind, **base}, row) if kind != "shift"
+            else (base, row._replace(names=None))
+            for base, row in _rows(statement, spec) if isinstance(row, Row)]
+    for base, row in _held(rows, spec, violations_only=True):
         _row(report, base, spec.n_min, spec.n_max, row, violations_only=True)
     return report
 

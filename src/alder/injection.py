@@ -39,9 +39,9 @@ injectivity within S2.  An S2 image q equals an S1 image iff its
 phi1-preimage, p_i = q_i (i >= 2) with p_1 = q_1 - alpha(q) + (N-2) q_2,
 has p_1 >= 0, which is one closed-form sum per image.
 
-``verify_injection_exhaustive`` enumerates every partition of n and maps
-it.  It is the oracle the structural check is tested against, and its
-fallback: a cell whose premises fail, or where any check fails, is rerun
+``_check_exhaustively`` enumerates every partition of n and maps it.  It
+is the structural check's fallback (and, in the tests, its oracle): a
+cell whose premises fail, or where any check fails, is rerun
 exhaustively, so its witnesses come in enumeration order.
 
 In-hypothesis cells satisfy N >= 2, d >= max(63, 46N-79), n >= 7d+14.
@@ -385,9 +385,9 @@ def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCe
     The cell is settled structurally when it can be (see the module
     docstring): only the S2 members are walked and mapped, and the
     report's size is rho(S, n) read from its count table.  When a premise
-    or any check fails, the cell is rerun by
-    ``verify_injection_exhaustive``, so the report, witnesses included,
-    is always the one the exhaustive check gives.
+    or any check fails, the cell is rerun by ``_check_exhaustively``, so
+    the report, witnesses included, is always the one the exhaustive
+    check gives.
 
     Out-of-hypothesis cells are evaluated only when ``force`` is set and
     are labeled as such, never as failures of the inequality.  Raises
@@ -408,17 +408,4 @@ def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCe
         ("classification_partitions", "enumeration_matches_rho", "stats_defined",
          "images_valid", "injective", "piece_separation", "rho_dominates",
          "p2_lower_bound"), True)
-    return report
-
-
-def verify_injection_exhaustive(d: int, N: int, n: int,
-                                force: bool = False) -> InjectionCellReport:
-    """``verify_injection`` by enumerating and mapping every partition of n.
-
-    The oracle of the structural check and its fallback: slower, and the
-    only path that produces witnesses, in enumeration order.
-    """
-    report, S = _open_cell(d, N, n, force)
-    if S is not None:
-        _check_exhaustively(report, S)
     return report

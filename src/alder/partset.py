@@ -22,6 +22,7 @@ test suite.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator
 
 
@@ -145,6 +146,11 @@ def s_set(d: int, N: int) -> ResidueClassSet:
     m = d - N + 3
     if m < 3:
         raise RefusedInput(f"modulus d-N+3 = {m} < 3")
+    return _s_set(m)
+
+
+@functools.lru_cache(maxsize=None)  # one set per modulus: a grid holds its rows' sets
+def _s_set(m: int) -> ResidueClassSet:
     return ResidueClassSet(m, {1, m - 1}, {m - 1})
 
 
@@ -164,11 +170,6 @@ def pm_set(a: int, modulus: int, exclusions: Iterable[int] = ()) -> ResidueClass
     single congruence class.
     """
     return ResidueClassSet(modulus, {a % modulus, (modulus - a) % modulus}, exclusions)
-
-
-def positive_integers() -> ResidueClassSet:
-    """All of 1, 2, 3, ... as a residue class set (modulus 1, residue 0)."""
-    return ResidueClassSet(1, {0})
 
 
 def x_closed(d: int, N: int, i: int) -> int:

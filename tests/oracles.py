@@ -3,12 +3,17 @@
 The brute-force ones are plain recursive enumeration, exponential in n, so
 each refuses n beyond a limit unless the caller raises it.  The table
 oracles are the plain loops that counting's slice passes replace.  The
-last two helpers are no oracles: they read one entry of counting's tables
-under the paper's names, for tests that check one count at a time.
+last helpers are no oracles: ``big_q`` and ``delta`` read one entry of
+counting's tables under the paper's names, for tests that check one count
+at a time; ``check_andrews`` runs the set-domination bound as one grid row,
+``positive_integers`` is the set of all parts, and
+``verify_injection_exhaustive`` runs an inject cell by its fallback path.
 """
 
-from alder import counting
+from alder import counting, inequalities, injection
+from alder.inequalities import Row, Side
 from alder.partset import RefusedInput, ResidueClassSet, r_of, t_set
+from alder.report import VerificationReport
 
 #: refuse brute-force enumeration beyond this unless the caller raises it
 DEFAULT_BRUTE_LIMIT = 60
@@ -112,3 +117,28 @@ def big_q(a: int, d: int, n: int, minus: int = 0) -> int:
 def delta(a: int, d: int, n: int, minus: int = 0) -> int:
     """q_d^(a)(n) - Q_d^(a)(n), or minus Q_d^(a,-) or Q_d^(a,--) as in big_q."""
     return counting.q_count(a, d, n) - big_q(a, d, n, minus)
+
+
+def check_andrews(S: ResidueClassSet, T: ResidueClassSet,
+                  n_max: int) -> VerificationReport:
+    """Per-n check of rho(T; n) >= rho(S; n), the set-domination count bound
+    whose premise is ``inequalities.dominates``: one row over n = 0..n_max,
+    with no params."""
+    report = VerificationReport("verify-andrews")
+    inequalities._row(report, {}, 0, n_max, Row(Side(T), Side(S), ("rho_T", "rho_S")))
+    return report
+
+
+def positive_integers() -> ResidueClassSet:
+    """All of 1, 2, 3, ... as a residue class set (modulus 1, residue 0)."""
+    return ResidueClassSet(1, {0})
+
+
+def verify_injection_exhaustive(d: int, N: int, n: int, force: bool = False):
+    """``injection.verify_injection`` by enumerating and mapping every
+    partition of n, as its fallback does: the oracle of the structural
+    check, and the only path that produces witnesses, in enumeration order."""
+    report, S = injection._open_cell(d, N, n, force)
+    if S is not None:
+        injection._check_exhaustively(report, S)
+    return report

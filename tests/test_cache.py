@@ -12,7 +12,7 @@ def test_roundtrip(tmp_path):
     # p(10^5), the largest count a table within MAX_HORIZON reaches, has 346 digits
     values = [1, 0, 2, 5, 10 ** 30, 3 * 10 ** 349 + 7]
     cache.store(tmp_path, "q.a1.d2", values)
-    assert cache.load(tmp_path, "q.a1.d2", 5) == values
+    assert cache.load(tmp_path, "q.a1.d2", 5) == tuple(values)
 
 
 def test_entry_is_a_digest_header_and_one_integer_array(tmp_path):
@@ -42,17 +42,17 @@ def test_word_limit_picks_the_encoding(tmp_path):
         assert json.loads(path.read_bytes().split(b"\n", 1)[0])["encoding"] == encoding
     words = [1, 7, 2 ** 64 - 1]
     cache.store(tmp_path, "k", words)
-    assert cache.load(tmp_path, "k", 1) == words
+    assert cache.load(tmp_path, "k", 1) == tuple(words)
     rewrite_entry(path, lambda body: json.dumps(words, separators=(",", ":")).encode(),
                   redigest=True, encoding="json")
-    assert cache.load(tmp_path, "k", 1) == words
+    assert cache.load(tmp_path, "k", 1) == tuple(words)
     cache.store(tmp_path, "k", [1, 7, 2 ** 64])
-    assert cache.load(tmp_path, "k", 1) == [1, 7, 2 ** 64]
+    assert cache.load(tmp_path, "k", 1) == (1, 7, 2 ** 64)
 
 
 def test_larger_horizon_served_for_smaller_request(tmp_path):
     cache.store(tmp_path, "k", [1, 2, 3, 4])
-    assert cache.load(tmp_path, "k", 1) == [1, 2, 3, 4]
+    assert cache.load(tmp_path, "k", 1) == (1, 2, 3, 4)
 
 
 def test_short_horizon_rejected(tmp_path):
@@ -97,7 +97,7 @@ def test_negative_or_bad_entry_rejected(tmp_path):
         rewrite_entry(path, lambda old: b"[1,2]", redigest=True, encoding=encoding)
         assert cache.load(tmp_path, "k", 1) is None, encoding
     rewrite_entry(path, lambda old: b"[1,2]", redigest=True, encoding="json")
-    assert cache.load(tmp_path, "k", 1) == [1, 2]
+    assert cache.load(tmp_path, "k", 1) == (1, 2)
 
 
 def test_bad_word_body_rejected(tmp_path):
@@ -118,7 +118,7 @@ def test_bad_word_body_rejected(tmp_path):
         rewrite_entry(path, edit, redigest=True, **header)
         assert cache.load(tmp_path, "k", 1) is None, header
     path.write_bytes(good)
-    assert cache.load(tmp_path, "k", 1) == [1, 2, 3]
+    assert cache.load(tmp_path, "k", 1) == (1, 2, 3)
 
 
 def test_flipped_digit_rejected(tmp_path):
@@ -183,5 +183,5 @@ def test_failed_store_keeps_the_old_entry(tmp_path, monkeypatch):
     cache.store(tmp_path, "k", [1, 5, 7, 9])  # must not raise
     assert written and written[0].endswith(".tmp")
     monkeypatch.undo()
-    assert cache.load(tmp_path, "k", 2) == [1, 2, 3]
+    assert cache.load(tmp_path, "k", 2) == (1, 2, 3)
     assert list(tmp_path.glob("*.tmp")) == []

@@ -291,6 +291,40 @@ class TestVerify:
             assert "horizon cap" in err
             assert set(counting._tables) == built
 
+    @pytest.mark.parametrize("argv,n_max", [
+        # the first rows fit; then a = 2 reads Q at 2 n_max, a = 3 reads T at
+        # 3 ceil(n_max / 3)
+        ("a-to-1 --a 1..2 --d 5", counting.MAX_HORIZON // 2 + 1),
+        ("modified-st --a 1..3 --d 417 --force", counting.MAX_HORIZON)])
+    def test_over_horizon_grid_refused_before_any_build(self, capsys, monkeypatch,
+                                                        argv, n_max):
+        built = []
+        for name in ("_build_rho_table", "_build_gap_table", "_build_g_table"):
+            monkeypatch.setattr(counting, name, lambda *args, name=name: built.append(name))
+        code, out, err = run_cli(["verify", *argv.split(), "--n-max", str(n_max)], capsys)
+        assert code == 2 and out == ""
+        assert f"beyond the table horizon cap {counting.MAX_HORIZON}" in err
+        assert built == []
+
+    def test_over_horizon_grid_without_evaluated_cells_accepted(self, capsys, monkeypatch):
+        # ceil(d/a) < 105 puts every cell out of hypothesis: nothing is read
+        monkeypatch.setattr(counting, "MAX_HORIZON", 50)
+        code, out, _ = run_cli(["verify", "gen-kp", "--a", "1..2", "--d", "10",
+                                "--n-max", "60"], capsys)
+        assert code == 0
+        assert json_lines(out)[-1]["summary"] == {"cells": 120, "out-of-hypothesis": 120}
+
+    @pytest.mark.parametrize("argv,refusal", [
+        ("verify gen-kp --a -3..5 --d 10 --n-max 20", "a must be >= 1, got -3"),
+        ("search --kind delta --a -3..5 --d 10 --n-max 20", "a must be >= 1, got -3"),
+        ("count --kind q --a 1 --d 1 --n -3..5", "n must be >= 0, got -3"),
+        ("inject --d 63 --N 2 --n -3..5", "n must be >= 0, got -3")])
+    def test_negative_range_gets_its_own_refusal(self, capsys, argv, refusal):
+        # not argparse's "expected one argument": the range reaches its check
+        code, out, err = run_cli(argv.split(), capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {refusal}\n"
+
     def test_unbuildable_modified_st_pairs_skipped(self, capsys):
         # a degenerate T modulus skips its pair, with gen_kp_sets' refusal as
         # the reason; the grid goes on

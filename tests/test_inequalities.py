@@ -4,16 +4,17 @@ import math
 
 import pytest
 
-from alder import counting
+from alder import counting, inequalities
 from alder.counting import q_count, rho
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
-                                STATEMENTS, GridSpec, check_andrews,
+                                STATEMENTS, GridSpec,
                                 dominates, evaluate_cell, gen_kp_sets, n_hat,
                                 search_counterexamples, verify,
                                 verify_smalln_anchors, verify_t_monotone,
                                 xy_difference_report)
-from alder.partset import RefusedInput, pm_set, positive_integers, s_set, t_set
-from oracles import big_q, q_brute, rho_brute
+from alder.partset import RefusedInput, pm_set, s_set, t_set
+from oracles import (big_q, check_andrews, positive_integers, q_brute,
+                     rho_brute)
 
 
 def verify_pair(name, a, d, n_max, **spec):
@@ -437,6 +438,61 @@ class TestColumnReads:
             assert (statuses[d + 2 * a - 1], statuses[d + 2 * a]) == (OUT, HOLDS)
         if name == "gen-kp":
             assert statuses[exempt] == EXEMPT
+
+
+class TestRelease:
+    """A grid holds a table only until the last row that reads it has run."""
+
+    class Log(dict):
+        """Stand-in for ``counting._tables``: every key stored, in order, and
+        the number of tables held after each store."""
+
+        def __init__(self):
+            super().__init__()
+            self.stored, self.held = [], []
+
+        def __setitem__(self, key, table):
+            super().__setitem__(key, table)
+            self.stored.append(key)
+            self.held.append(len(self))
+
+    def test_delta_search_holds_one_rows_tables(self, monkeypatch):
+        # delta rows share no table: q(a, d) and Q(a, d) per pair
+        spec = GridSpec(a_values=(1, 2), d_values=tuple(range(1, 13)), n_max=200)
+        monkeypatch.setattr(counting, "_tables", {})
+        monkeypatch.setattr(inequalities, "release", lambda count: None)
+        kept = search_counterexamples("delta", spec).records
+        assert len(counting._tables) == 2 * 24
+        monkeypatch.setattr(inequalities, "release", counting.release)
+        log = self.Log()
+        monkeypatch.setattr(counting, "_tables", log)
+        assert search_counterexamples("delta", spec).records == kept
+        assert len(log.stored) == 2 * 24 and max(log.held) == 2
+        assert log == {}
+
+    @pytest.mark.parametrize("name,axes", [
+        # q(1, d) is read across N, S(d, N) along d - N, and the N = 4, 5
+        # rows (out of the shift regime) read nothing
+        ("shift", {"N_values": (2, 3, 4, 5), "d_values": tuple(range(63, 71))}),
+        # q(1, ceil(d/a)) is read by the a = 1 row and again at a = 2, 3
+        ("ceiling", {"a_values": (1, 2, 3), "d_values": tuple(range(1, 13))})])
+    def test_shared_tables_built_once(self, monkeypatch, name, axes):
+        log = self.Log()
+        monkeypatch.setattr(counting, "_tables", log)
+        assert verify(name, GridSpec(n_max=200, **axes)).ok
+        assert log.stored and len(set(log.stored)) == len(log.stored)
+        assert log == {}
+
+    def test_released_table_is_rebuilt(self, monkeypatch):
+        builds = []
+        real = counting._build_gap_table
+        monkeypatch.setattr(counting, "_tables", {})
+        monkeypatch.setattr(counting, "_build_gap_table",
+                            lambda *args: builds.append(args) or real(*args))
+        spec = GridSpec(a_values=(2,), d_values=(1, 2), n_max=60)
+        first = search_counterexamples("delta", spec).records
+        assert search_counterexamples("delta", spec).records == first
+        assert builds == [(2, 1, 64), (2, 2, 64)] * 2
 
 
 class TestGridSpec:

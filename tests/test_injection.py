@@ -8,10 +8,10 @@ from alder import injection
 from alder.counting import MAX_HORIZON, rho
 from alder.injection import (HypothesisViolation, MapViolation,
                              enumerate_partitions, in_hypothesis, phi1, phi2,
-                             stats, verify_injection,
-                             verify_injection_exhaustive)
-from alder.partset import (RefusedInput, pm_set, positive_integers, s_set,
-                           shift_regime, t_set, x_closed, y_closed)
+                             stats, verify_injection)
+from alder.partset import (RefusedInput, pm_set, s_set, shift_regime, t_set,
+                           x_closed, y_closed)
+from oracles import positive_integers, verify_injection_exhaustive
 
 
 def weight_s(lam, d, N):

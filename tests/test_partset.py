@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alder.partset import (ResidueClassSet, pm_set, positive_integers, r_of,
-                           s_set, t_set, x_closed, y_closed)
+from alder.partset import (ResidueClassSet, pm_set, r_of, s_set, t_set,
+                           x_closed, y_closed)
+from oracles import positive_integers
 
 XY_GRID = [(31, 2), (63, 2), (63, 3), (63, 5), (105, 4), (200, 8)]
 
@@ -123,6 +124,11 @@ class TestSSet:
     def test_rejects_small_modulus(self):
         with pytest.raises(ValueError):
             s_set(2, 3)
+
+    def test_one_set_per_modulus(self):
+        # S(d, N) depends on d - N only; a shift grid holds one set per diagonal
+        assert s_set(64, 3) is s_set(63, 2) is s_set(70, 9)
+        assert s_set(64, 2) is not s_set(63, 2)
 
 
 class TestElementExamples:
