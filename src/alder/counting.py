@@ -14,7 +14,11 @@ of the Alder conjecture literature:
 ``q_count`` uses the classical staircase bijection: a gap->=d partition
 into exactly k parts with minimum >= a corresponds, after removing the
 staircase a+(k-j)d from the j-th largest part, to a partition of
-n - a*k - d*k*(k-1)/2 into at most k parts.  ``rho`` over a set
+n - off_k, off_k = a*k + d*k*(k-1)/2, into at most k parts.  So the
+table is the staircase sum over k of x^off_k / ((1-x)...(1-x^k)),
+evaluated by Horner's rule from the largest k <= K ~ sqrt(2n/d) down:
+one running-sum pass per k, and a shift by off_k - off_(k-1) that
+copies references and adds nothing.  ``rho`` over a set
 x == +-r (mod M) with 2r != M (every Q-type set and S(d, N)) follows
 from the Jacobi triple product as a sparse recurrence with
 O(sqrt(n/M)) terms per entry, and each excluded value v is one pass
@@ -138,20 +142,16 @@ def check_q_domain(a: int, d: int) -> None:
 
 def _build_gap_table(a: int, d: int, horizon: int) -> list[int]:
     check_q_domain(a, d)
-    out = [0] * (horizon + 1)
-    out[0] = 1
-    atmost = [0] * (horizon + 1)  # partitions into at most k parts, grown per k
-    atmost[0] = 1
-    k = 0
-    while True:
-        k += 1
-        offset = a * k + d * k * (k - 1) // 2
-        if offset > horizon:
-            break
-        del atmost[horizon - offset + 1:]  # offsets grow, so later k read less
-        _add_multiples(atmost, k)
-        out[offset:] = map(operator.add, out[offset:], atmost)
-    return out
+    # off_k = a k + d k(k-1)/2 for k = 0..K, the k with off_k <= horizon
+    offsets = list(itertools.takewhile(horizon.__ge__,
+                                       itertools.accumulate(itertools.count(a, d), initial=0)))
+    # Horner from k = K down, T = 1 at first: T <- 1 + x^(off_k - off_(k-1)) T / (1 - x^k),
+    # padded so that T always reaches exponent horizon - off_(k-1)
+    table = [1] + [0] * (horizon - offsets[-1])
+    for k in range(len(offsets) - 1, 0, -1):
+        _add_multiples(table, k)
+        table = [1] + [0] * (offsets[k] - offsets[k - 1] - 1) + table
+    return table
 
 
 def _build_g_table(d: int, horizon: int) -> list[int]:

@@ -2,12 +2,15 @@
 
 The brute-force ones are plain recursive enumeration, exponential in n, so
 each refuses n beyond a limit unless the caller raises it.  The table
-oracles are the plain loops that counting's slice passes replace.  The
-last helpers are no oracles: ``big_q`` and ``delta`` read one entry of
-counting's tables under the paper's names, for tests that check one count
-at a time; ``check_andrews`` runs the set-domination bound as one grid row,
-``positive_integers`` is the set of all parts, and
-``verify_injection_exhaustive`` runs an inject cell by its fallback path.
+oracles are the plain loops that counting's slice passes replace;
+``gap_table`` is also the two-pass form of the q_d^(a) table (grow "at
+most k parts", then add it in at off_k) that counting's Horner
+evaluation no longer uses.  The last helpers are no oracles: ``big_q``
+and ``delta`` read one entry of counting's tables under the paper's
+names, for tests that check one count at a time; ``check_andrews`` runs
+the set-domination bound as one grid row, ``positive_integers`` is the
+set of all parts, and ``verify_injection_exhaustive`` runs an inject
+cell by its fallback path.
 """
 
 from alder import counting, inequalities, injection

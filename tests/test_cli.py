@@ -306,6 +306,19 @@ class TestVerify:
         assert f"beyond the table horizon cap {counting.MAX_HORIZON}" in err
         assert built == []
 
+    @pytest.mark.parametrize("argv", [
+        "rho --set T --s 1 --d 1", "rho --set S --N 2 --d 63", "g --d 63", "l --d 63",
+        "q --a 1 --d 1", "delta --a 2 --d 4", "Q --a 1 --d 4",
+        "q --a 0 --d 1"])  # invalid twice: the n refusal comes first
+    def test_negative_first_n_refused_before_any_build(self, capsys, monkeypatch, argv):
+        built = []
+        for name in ("_build_rho_table", "_build_gap_table", "_build_g_table"):
+            monkeypatch.setattr(counting, name, lambda *args, name=name: built.append(name))
+        code, out, err = run_cli(["count", "--kind", *argv.split(), "--n=-3..5000"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: n must be >= 0, got -3\n"
+        assert built == []
+
     def test_over_horizon_grid_without_evaluated_cells_accepted(self, capsys, monkeypatch):
         # ceil(d/a) < 105 puts every cell out of hypothesis: nothing is read
         monkeypatch.setattr(counting, "MAX_HORIZON", 50)

@@ -392,11 +392,15 @@ class TestSlicePasses:
                 oracles.coin_change(T.elements_upto(1500), 1500), s
         assert counting._build_g_table(d, 3000) == oracles.g_table(d, 3000)
 
-    @pytest.mark.parametrize("a,d", [(1, 1), (1, 4), (2, 3), (5, 30), (4, 417)])
+    @pytest.mark.parametrize("a,d", [(1, 1), (1, 4), (2, 3), (5, 30), (4, 417), (2, 4), (3, 4)])
     def test_gap_tables(self, a, d):
-        for horizon in (0, 1, a, 700):
+        offsets = [a * k + d * k * (k - 1) // 2 for k in range(1, 5)]
+        # below a no k fits; around off_k the k-th staircase term comes in;
+        # 4000 is the horizon of the count_stream benchmark's q(1..3, 4) tables
+        horizons = {0, 1, a - 1, 700, 4000, *(o + e for o in offsets for e in (-1, 0, 1))}
+        for horizon in sorted(horizons):
             assert counting._build_gap_table(a, d, horizon) == \
-                oracles.gap_table(a, d, horizon)
+                oracles.gap_table(a, d, horizon), horizon
 
     def test_anchor_largest_part_counts(self):
         for d in range(63, 90, 3):
