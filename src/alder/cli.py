@@ -171,7 +171,7 @@ def cmd_count(args) -> VerificationReport:
     n_values = parse_range(args.n)
     lo, hi = n_values[0], n_values[-1]
     check_n(lo)  # before any build; hi >= lo
-    # each refused as its per-n counter is; one build, at the range's horizon
+    # each refused by its table's builder or horizon cap; one build, at the range's horizon
     slices = [column(count(), hi)[lo:hi + 1] for count in counts]
     values = slices[0] if len(slices) == 1 else list(map(operator.sub, *slices))
     return VerificationReport("count", [(params_base, [("ok", n_values, values, None)])])

@@ -5,13 +5,13 @@ bits already near n = 416 for the unrestricted partition function, so
 machine words are never trusted).  Names follow the standard notation
 of the Alder conjecture literature:
 
-    q_count(a, d, n)            q_d^(a)(n):  parts >= a, successive gaps >= d
+    column((a, d), n)           q_d^(a):  parts >= a, successive gaps >= d
     big_q_set(a, d, minus)      the parts of Q_d^(a) (== +-a (mod d+3)), of
                                 Q_d^(a,-) (also excluding d+3-a) and of
                                 Q_d^(a,--) (excluding both a and d+3-a)
     rho(A, n)                   partitions of n with parts in the set A
 
-``q_count`` uses the classical staircase bijection: a gap->=d partition
+The q_d^(a) table uses the classical staircase bijection: a gap->=d partition
 into exactly k parts with minimum >= a corresponds, after removing the
 staircase a+(k-j)d from the j-th largest part, to a partition of
 n - off_k, off_k = a*k + d*k*(k-1)/2, into at most k parts.  So the
@@ -26,16 +26,12 @@ multiplying by (1 - x^v); over any other set (T(s, d), a single class)
 ``rho`` is a coin-change pass over the set's elements, which is also
 the oracle the triple-product tables are tested against.  All are
 backed by dense tables per (set, horizon), read through the one accessor
-``_table``: built once (or loaded from the cache), grown geometrically on
-demand, and read-only while held.  ``column`` hands out a rho, q or
-g_script table whole, for slicing; ``rho``, ``q_count`` and ``g_script``
-are one entry of it.  A grid ``release``s each table after its last
-reader.  q_d^(a) is defined for a >= 1 and d >= 1 (``check_q_domain``),
-and every counter refuses n < 0 (``partset.check_n``).
-
-An auxiliary counter bounds q_d^(1) from below for d >= 63:
-``g_script(d, n)`` counts pairs of a distinct-parts partition over the
-class d+2^(r-1) (mod 2d) and an unrestricted partition over T(r-1, d).
+``column``, which hands out a rho, q or ("g", d) table whole, for
+slicing: built once (or loaded from the cache), grown geometrically on
+demand, and read-only while held.  A grid ``release``s each table after
+its last reader.  q_d^(a) is defined for a >= 1 and d >= 1
+(``check_q_domain``).  ``rho`` is one entry of a table, with n < 0
+refused (``partset.check_n``); callers of ``column`` check their n first.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import threading
 
 from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
                       t_set)
@@ -53,7 +48,6 @@ MAX_HORIZON = 10 ** 5
 
 _cache_dir: str | None = None
 _tables: dict[str, tuple[int, ...]] = {}  # key -> counts for 0..horizon
-_build_lock = threading.Lock()
 
 
 def set_cache_dir(path: str | None) -> None:
@@ -155,6 +149,10 @@ def _build_gap_table(a: int, d: int, horizon: int) -> list[int]:
 
 
 def _build_g_table(d: int, horizon: int) -> list[int]:
+    """G(d, n) for n <= horizon: pairs (D, U) of total weight n, D distinct
+    parts == d+2^(r-1) (mod 2d), U an unrestricted multiset over T(r-1, d),
+    where r = r_of(d).  For d >= 63 and n >= 5d this sits between q_d^(1)(n)
+    above and rho(T(5,d); n) below, which is the chain the tests pin down."""
     r = r_of(d)
     if r < 2:
         raise RefusedInput(f"g_script: need r_of(d) >= 2, got d={d}")
@@ -170,31 +168,6 @@ def check_horizon(n: int) -> None:
         raise RefusedInput(f"n={n} is beyond the table horizon cap {MAX_HORIZON}")
 
 
-def _table(key: str, n: int, build, *spec) -> tuple[int, ...]:
-    """The table ``key`` over 0..n or more, loaded or ``build(*spec, horizon)``."""
-    tab = _tables.get(key)
-    if tab is not None and len(tab) > n:
-        return tab
-    check_horizon(n)
-    with _build_lock:
-        tab = _tables.get(key)
-        if tab is not None and len(tab) > n:
-            return tab
-        horizon = min(max(n, 64, 2 * (len(tab) - 1) if tab is not None else 0),
-                      MAX_HORIZON)
-        values = None
-        if _cache_dir:
-            from . import cache  # only --cache runs load it
-            values = cache.load(_cache_dir, key, horizon)
-        if values is None:
-            values = build(*spec, horizon)
-            if _cache_dir:
-                cache.store(_cache_dir, key, values)
-        tab = tuple(values)
-        _tables[key] = tab
-        return tab
-
-
 def _spec(count: ResidueClassSet | tuple) -> tuple:
     """The table key of ``count``, its builder and the builder's arguments."""
     if isinstance(count, ResidueClassSet):
@@ -206,9 +179,25 @@ def _spec(count: ResidueClassSet | tuple) -> tuple:
 
 def column(count: ResidueClassSet | tuple, n: int) -> tuple[int, ...]:
     """The table over 0..n or more of rho over a set, of q_d^(a) for (a, d),
-    or of g_script(d, .) for ("g", d)."""
+    or of G(d, .) for ("g", d) (``_build_g_table``): the held one, or one
+    loaded from the cache or built, then held."""
     key, build, *spec = _spec(count)
-    return _table(key, n, build, *spec)
+    tab = _tables.get(key)
+    if tab is not None and len(tab) > n:
+        return tab
+    check_horizon(n)
+    # doubling: spawn/forkserver --jobs workers inherit no tables and read ascending n
+    horizon = min(max(n, 64, 2 * (len(tab) - 1) if tab is not None else 0), MAX_HORIZON)
+    values = None
+    if _cache_dir:
+        from . import cache  # only --cache runs load it
+        values = cache.load(_cache_dir, key, horizon)
+    if values is None:
+        values = build(*spec, horizon)
+        if _cache_dir:
+            cache.store(_cache_dir, key, values)
+    tab = _tables[key] = tuple(values)
+    return tab
 
 
 def release(count: ResidueClassSet | tuple) -> None:
@@ -220,12 +209,6 @@ def rho(A: ResidueClassSet, n: int) -> int:
     """Number of partitions of n with all parts in A (rho(A, 0) = 1)."""
     check_n(n)
     return column(A, n)[n]
-
-
-def q_count(a: int, d: int, n: int) -> int:
-    """q_d^(a)(n): partitions of n into parts >= a with successive gaps >= d."""
-    check_n(n)
-    return column((a, d), n)[n]
 
 
 def _pm_exclusions(a: int, d: int, minus: int) -> list[int]:
@@ -246,17 +229,6 @@ def big_q_set(a: int, d: int, minus: int) -> ResidueClassSet:
     if a >= d + 3:
         raise RefusedInput(f"Q undefined for a = {a} >= d+3 = {d + 3}")
     return pm_set(a, d + 3, _pm_exclusions(a, d, minus))
-
-
-def g_script(d: int, n: int) -> int:
-    """Pairs (D, U) of total weight n: D distinct parts == d+2^(r-1) (mod 2d),
-    U an unrestricted multiset over T(r-1, d), where r = r_of(d).
-
-    For d >= 63 and n >= 5d this sits between q_d^(1)(n) above and
-    rho(T(5,d); n) below, which is the chain the tests pin down.
-    """
-    check_n(n)
-    return column(("g", d), n)[n]
 
 
 def largest_part_counts(A: ResidueClassSet, n: int, i_max: int) -> list[int]:

@@ -35,8 +35,8 @@ and declares its ``Row``: two count tables, each read at n -> m ceil(n/k),
 the first n in hypothesis and an optional exempt cell.  A pair whose sets
 cannot be built, or outside ``counting.check_q_domain`` where the row
 reads q, is skipped, with the refusal as the reason.  One engine runs
-them all: ``verify`` over a grid, ``evaluate_cell`` at one cell and
-``search_counterexamples`` (negative cells only), each row through
+them all: ``verify`` over a grid (one cell is a grid with n_min == n_max)
+and ``search_counterexamples`` (negative cells only), each row through
 ``_row``, which reads each side as one slice of its table and reports the
 row as one block of runs of cells (see ``report.VerificationReport``).
 The engine lists a grid's rows first: it refuses a horizon over
@@ -66,8 +66,7 @@ from .counting import (big_q_set, check_horizon, check_q_domain, column,
                        largest_part_counts, release, rho)
 from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
                       s_set, shift_regime, t_set, x_closed, y_closed)
-from .report import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED, VIOLATION, CellRecord,
-                     VerificationReport)
+from .report import EXEMPT, FAILS, HOLDS, OUT, SKIPPED, VIOLATION, VerificationReport
 
 #: default grid horizons: deep enough to be convincing, minutes at desk scale
 DEFAULT_N_MAX_A1 = 2000
@@ -383,19 +382,6 @@ def verify(name: str, spec: GridSpec) -> VerificationReport:
     return report
 
 
-def evaluate_cell(name: str, n: int, evaluate_out_of_hypothesis: bool = False,
-                  **params: int) -> CellRecord:
-    """The record of ``verify(name, ...)`` at one cell: the axis values
-    ``params`` (``N=2, d=63`` for shift, ``a=4, d=417`` otherwise) and n.
-    A skipped pair's record is returned as the grid reports it."""
-    spec = GridSpec(**{f"{axis}_values": (params[axis],)
-                       for axis in STATEMENTS[name].axes},
-                    n_min=n, n_max=n,
-                    evaluate_out_of_hypothesis=evaluate_out_of_hypothesis)
-    (record,) = verify(name, spec).records
-    return record
-
-
 def search_counterexamples(kind: str, spec: GridSpec) -> VerificationReport:
     """Exhaustively list the cells with lhs < rhs, in scan order.
 
@@ -493,11 +479,8 @@ def verify_t_monotone(d: int, n_max: int) -> VerificationReport:
     n <= n_max and a failing pair carries the first violating n."""
     report = VerificationReport("verify-t-monotone")
     r = r_of(d)
-    tables = {}
-    for s in range(1, r + 1):
-        T = t_set(s, d)
-        rho(T, n_max)  # one build at the horizon, or a refusal before any work
-        tables[s] = column(T, n_max)[:n_max + 1]
+    check_n(n_max)  # a refusal before any work; each table is one build at n_max
+    tables = {s: column(t_set(s, d), n_max)[:n_max + 1] for s in range(1, r + 1)}
     for s_lo in range(1, r + 1):
         for s_hi in range(s_lo, r + 1):
             slack = [hi - lo for lo, hi in zip(tables[s_lo], tables[s_hi])]

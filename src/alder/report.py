@@ -27,7 +27,7 @@ class VerificationReport:
     status and witness, the i-th with params base + {"n": ns[i]} and value
     ``values[i]`` (None: not evaluated); an n of None stands for a block's
     one cell, whose params are the base.  ``records`` builds one object
-    per cell, on demand; ``summary``, ``failures`` and ``ok`` read runs."""
+    per cell, on demand; ``summary`` and ``ok`` read runs."""
 
     def __init__(self, cmd: str, blocks: list[tuple[dict, list[tuple]]] = ()):
         self.cmd, self.blocks = cmd, list(blocks)
@@ -40,11 +40,11 @@ class VerificationReport:
         """Append a block of one cell with these params."""
         self.blocks.append((params, [(status, (None,), (value,), witness)]))
 
-    def _records(self, status: str | None = None) -> list[CellRecord]:
-        return [CellRecord(base if n is None else {**base, "n": n}, st, value, witness)
-                for base, runs in self.blocks for st, ns, values, witness in runs
-                if status in (None, st) for n, value in zip(ns, values)]
-    records = property(_records)
+    @property
+    def records(self) -> list[CellRecord]:
+        return [CellRecord(base if n is None else {**base, "n": n}, status, value, witness)
+                for base, runs in self.blocks for status, ns, values, witness in runs
+                for n, value in zip(ns, values)]
 
     @property
     def summary(self) -> dict[str, int]:
@@ -53,9 +53,6 @@ class VerificationReport:
             for status, ns, _, _ in runs:
                 tally[status] = tally.get(status, 0) + len(ns)
         return tally
-
-    def failures(self) -> list[CellRecord]:
-        return self._records(FAILS)
 
     @property
     def ok(self) -> bool:

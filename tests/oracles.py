@@ -42,7 +42,7 @@ def rho_brute(A: ResidueClassSet, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> i
 
 
 def q_brute(a: int, d: int, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
-    """Oracle for q_count: enumerate gap->=d part lists smallest-part first."""
+    """Oracle for the q_d^(a) table: enumerate gap->=d part lists smallest-part first."""
     if n > limit:
         raise RefusedInput(f"q_brute: n={n} beyond oracle limit {limit}")
 
@@ -119,7 +119,7 @@ def big_q(a: int, d: int, n: int, minus: int = 0) -> int:
 
 def delta(a: int, d: int, n: int, minus: int = 0) -> int:
     """q_d^(a)(n) - Q_d^(a)(n), or minus Q_d^(a,-) or Q_d^(a,--) as in big_q."""
-    return counting.q_count(a, d, n) - big_q(a, d, n, minus)
+    return counting.column((a, d), n)[n] - big_q(a, d, n, minus)
 
 
 def check_andrews(S: ResidueClassSet, T: ResidueClassSet,

@@ -11,7 +11,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from alder.counting import g_script, q_count, rho
+from alder.counting import column, rho
 from alder.inequalities import (EXEMPT, HOLDS, OUT, GridSpec,
                                 search_counterexamples, verify,
                                 verify_smalln_anchors, xy_difference_report)
@@ -104,7 +104,7 @@ def test_criterion_06_littlelemon_grid():
         spec = GridSpec(N_values=(4,), d_values=tuple(range(105, 111)),
                         n_min=107, n_max=2000)
         report = verify("shift", spec)
-        assert not report.failures()
+        assert report.ok
         assert report.summary[HOLDS] == sum(2000 - (d + 2) + 1
                                             for d in range(105, 111))
         # cells below d+2 for d > 105 are labeled, never failed
@@ -124,7 +124,7 @@ def test_criterion_07_gen_kp():
         assert all(rec.status == HOLDS for n, rec in statuses.items() if n != 424)
 
         report = verify("gen-kp", GridSpec(a_values=(3,), d_values=(315,), n_max=800))
-        assert not report.failures()
+        assert report.ok
         assert all(rec.value >= 0 for rec in report.records)
 
 
@@ -151,11 +151,12 @@ def test_criterion_09_kang_park_search():
 
 
 def test_criterion_10_oracle_equivalence():
-    with criterion(10, 60, "q_count == q_brute, rho == enumeration, plus spot checks"):
+    with criterion(10, 60, "q table == q_brute, rho == enumeration, plus spot checks"):
         for a in range(1, 9):
             for d in range(1, 9):
+                q = column((a, d), 40)
                 for n in range(41):
-                    assert q_count(a, d, n) == q_brute(a, d, n)
+                    assert q[n] == q_brute(a, d, n)
                 if a < d + 3:
                     sets = [pm_set(a, d + 3),
                             pm_set(a, d + 3, [d + 3 - a]),
@@ -166,7 +167,7 @@ def test_criterion_10_oracle_equivalence():
         rng = random.Random(20260811)
         for _ in range(60):
             a, d, n = rng.randint(1, 8), rng.randint(2, 12), rng.randint(41, 90)
-            assert q_count(a, d, n) == q_brute(a, d, n, limit=n)
+            assert column((a, d), n)[n] == q_brute(a, d, n, limit=n)
         for _ in range(40):
             a, d, n = rng.randint(1, 6), rng.randint(1, 10), rng.randint(41, 80)
             if a >= d + 3:
@@ -178,10 +179,11 @@ def test_criterion_10_oracle_equivalence():
 def test_criterion_11_bound_chain():
     with criterion(11, None, "q >= G >= rho(T5) and q >= floor bound, d in {63,105}"):
         for d in (63, 105):
-            for n in range(5 * d, 5 * d + 101):
-                q = q_count(1, d, n)
-                assert q >= g_script(d, n) >= rho(t_set(5, d), n), (d, n)
-                assert q >= q_lower_bound(d, n), (d, n)
+            n_max = 5 * d + 100
+            q, g, t5 = (column(count, n_max) for count in ((1, d), ("g", d), t_set(5, d)))
+            for n in range(5 * d, n_max + 1):
+                assert q[n] >= g[n] >= t5[n], (d, n)
+                assert q[n] >= q_lower_bound(d, n), (d, n)
 
 
 def test_criterion_12_report_determinism():

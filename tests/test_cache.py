@@ -151,7 +151,7 @@ def test_v3_entry_rebuilt_and_rewritten_as_v4(tmp_path, monkeypatch):
                      + b"\n" + body)
     monkeypatch.setattr(counting, "_tables", {})
     counting.set_cache_dir(tmp_path)
-    assert counting.q_count(1, 63, 65) == 2
+    assert counting.column((1, 63), 65)[65] == 2
     assert json.loads(path.read_bytes().split(b"\n", 1)[0])["v"] == 4
     assert cache.load(tmp_path, "q.a1.d63", 65)[65] == 2
 

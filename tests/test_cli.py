@@ -93,6 +93,7 @@ class TestCount:
                      "verify anchors --d 63",
                      "count --kind q --a 1 --d 1 --n=-1",  # a value out of domain
                      "count --kind g --d 63 --n=-1",
+                     "count --kind g --d 2 --n 5",  # r_of(2) = 1: no G table
                      "count --kind Q --a 0 --d 4 --n 5"):
             assert run_cli(argv.split(), capsys)[:2] == (2, ""), argv
 
@@ -275,6 +276,12 @@ class TestVerify:
         code, out, err = run_cli(["verify", *argv.split()], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+    def test_t_monotone_refuses_negative_n_max_before_any_build(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "_tables", {})
+        code, out, err = run_cli("verify t-monotone --d 5 --n-max -3".split(), capsys)
+        assert (code, out, err) == (2, "", "error: n must be >= 0, got -3\n")
+        assert counting._tables == {}
 
     def test_n_max_over_horizon_cap_exits_2(self, capsys):
         # refused at the first table build, before any smaller table is built;
@@ -480,9 +487,9 @@ class TestStartup:
 
     def test_report_types_are_the_ones_inequalities_exports(self):
         from alder import report
-        from alder.inequalities import HOLDS, CellRecord, VerificationReport
+        from alder.inequalities import HOLDS, VerificationReport
         assert VerificationReport is report.VerificationReport
-        assert CellRecord is report.CellRecord and HOLDS == report.HOLDS == "holds"
+        assert HOLDS == report.HOLDS == "holds"
 
     def test_inject_imports_its_modules_when_run(self):
         probe = ("import sys, alder.cli; "

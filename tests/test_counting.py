@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alder import cli, counting
-from alder.counting import g_script, largest_part_counts, q_count, rho
+from alder.counting import column, largest_part_counts, rho
 from alder.partset import ResidueClassSet, pm_set, r_of, s_set, t_set
 import oracles
 from oracles import big_q, delta, q_brute, q_lower_bound, rho_brute
@@ -52,31 +52,33 @@ class TestQCount:
         (1, 63, 65, 2),  # 65; 64+1
     ])
     def test_examples(self, a, d, n, expected):
-        assert q_count(a, d, n) == expected
+        assert column((a, d), n)[n] == expected
 
     def test_boundary_values(self):
-        assert q_count(3, 5, 0) == 1
-        assert q_count(3, 5, 3) == 1
-        assert q_count(3, 5, 2) == 0
-        assert q_count(3, 5, 1) == 0
+        q = column((3, 5), 3)
+        assert q[0] == 1
+        assert q[3] == 1
+        assert q[2] == 0
+        assert q[1] == 0
 
     def test_monotone_in_n_for_a1(self):
         for d in (1, 2, 5, 63):
-            vals = [q_count(1, d, n) for n in range(121)]
+            vals = column((1, d), 120)[:121]
             assert all(lo <= hi for lo, hi in zip(vals, vals[1:]))
 
     def test_matches_brute(self):
         for a in range(1, 5):
             for d in range(1, 5):
+                q = column((a, d), 30)
                 for n in range(31):
-                    assert q_count(a, d, n) == q_brute(a, d, n)
+                    assert q[n] == q_brute(a, d, n)
 
     @given(st.integers(min_value=1, max_value=6),
            st.integers(min_value=1, max_value=8),
            st.integers(min_value=0, max_value=36))
     @settings(max_examples=80)
     def test_matches_brute_random(self, a, d, n):
-        assert q_count(a, d, n) == q_brute(a, d, n)
+        assert column((a, d), n)[n] == q_brute(a, d, n)
 
 
 class TestQBrute:
@@ -92,7 +94,7 @@ class TestQBrute:
     def test_limit_enforced(self):
         with pytest.raises(ValueError):
             q_brute(1, 1, 61)
-        assert q_brute(1, 40, 61, limit=100) == q_count(1, 40, 61)
+        assert q_brute(1, 40, 61, limit=100) == column((1, 40), 61)[61]
 
 
 class TestBigQ:
@@ -156,8 +158,8 @@ class TestDelta:
 
 class TestGScript:
     def test_weight_zero(self):
-        assert g_script(63, 0) == 1
-        assert g_script(105, 0) == 1
+        assert column(("g", 63), 0)[0] == 1
+        assert column(("g", 105), 0)[0] == 1
 
     def test_brute_comparison(self):
         # pairs (D, U): distinct parts from the d+2^(r-1) (mod 2d) class,
@@ -179,26 +181,29 @@ class TestGScript:
             return walk(0, n)
 
         for d in (4, 31, 63):
+            g = column(("g", d), 130)
             for n in (0, 1, 50, 95, 96, 130):
-                assert g_script(d, n) == g_oracle(d, n)
+                assert g[n] == g_oracle(d, n)
 
     def test_example_63_95(self):
         # the lone distinct part 95 plus the five T-only partitions
-        assert g_script(63, 95) == rho(t_set(5, 63), 95) + 1 == 6
+        assert column(("g", 63), 95)[95] == rho(t_set(5, 63), 95) + 1 == 6
 
     def test_chain_at_5d(self):
         for d in (63, 105):
             n = 5 * d
-            assert q_count(1, d, n) >= g_script(d, n) >= rho(t_set(5, d), n)
+            assert column((1, d), n)[n] >= column(("g", d), n)[n] >= rho(t_set(5, d), n)
 
     def test_q_dominates_t5_window(self):
         for d in (63, 64, 105):
-            for n in range(5 * d, 5 * d + 101):
-                assert q_count(1, d, n) >= rho(t_set(5, d), n)
+            n_max = 5 * d + 100
+            q, t5 = column((1, d), n_max), column(t_set(5, d), n_max)
+            for n in range(5 * d, n_max + 1):
+                assert q[n] >= t5[n]
 
     def test_rejects_r_below_2(self):
-        with pytest.raises(ValueError):
-            g_script(2, 10)
+        with pytest.raises(ValueError, match="need r_of"):
+            column(("g", 2), 10)
 
 
 class TestLScript:
@@ -216,9 +221,10 @@ class TestQLowerBound:
 
     def test_bounds_q_count(self):
         for d in (1, 7, 63, 127):
+            q = column((1, d), 1000)
             for n in range(1, 1001):
-                assert q_count(1, d, n) >= q_lower_bound(d, n)
-        assert q_count(1, 63, 189) >= 64
+                assert q[n] >= q_lower_bound(d, n)
+        assert column((1, 63), 189)[189] >= 64
 
 
 class TestTMonotoneCounts:
@@ -252,9 +258,21 @@ class TestLargestPartCounts:
 
 class TestTables:
     def test_entry_zero_is_one(self):
-        A = s_set(63, 2)
-        tab = counting._table("rho." + A.key(), 10, counting._build_rho_table, A)
-        assert tab[0] == 1
+        assert column(s_set(63, 2), 10)[0] == 1
+
+    def test_ascending_reads_double_the_horizon(self, monkeypatch):
+        # a --jobs worker under spawn or forkserver starts with no tables and
+        # reads its cells in ascending n: one build per doubling, not per n
+        class Log(dict):
+            def __setitem__(self, key, table):
+                horizons.append(len(table) - 1)
+                super().__setitem__(key, table)
+
+        horizons = []
+        monkeypatch.setattr(counting, "_tables", Log())
+        A = pm_set(2, 11)
+        assert [rho(A, n) for n in range(1001)] == list(column(A, 1000)[:1001])
+        assert horizons == [64, 128, 256, 512, 1024]
 
     def test_horizon_cap_refuses_before_building(self, monkeypatch):
         monkeypatch.setattr(counting, "MAX_HORIZON", 100)
@@ -433,4 +451,4 @@ class TestRandomSpotChecks:
             a = rng.randint(1, 8)
             d = rng.randint(2, 12)
             n = rng.randint(41, 90)
-            assert q_count(a, d, n) == q_brute(a, d, n, limit=n)
+            assert column((a, d), n)[n] == q_brute(a, d, n, limit=n)

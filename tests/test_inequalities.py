@@ -5,10 +5,10 @@ import math
 import pytest
 
 from alder import counting, inequalities
-from alder.counting import q_count, rho
+from alder.counting import column, rho
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
                                 STATEMENTS, GridSpec,
-                                dominates, evaluate_cell, gen_kp_sets, n_hat,
+                                dominates, gen_kp_sets, n_hat,
                                 search_counterexamples, verify,
                                 verify_smalln_anchors, verify_t_monotone,
                                 xy_difference_report)
@@ -22,6 +22,12 @@ def verify_pair(name, a, d, n_max, **spec):
     return verify(name, GridSpec(a_values=(a,), d_values=(d,), n_max=n_max, **spec))
 
 
+def verify_shift(N, d, n_min, n_max, **spec):
+    """``verify("shift", ...)`` over n = n_min..n_max at the single pair (N, d)."""
+    return verify("shift", GridSpec(N_values=(N,), d_values=(d,), n_min=n_min,
+                                    n_max=n_max, **spec))
+
+
 class TestNHat:
     @pytest.mark.parametrize("a,n,expected", [(4, 7, 1), (1, 9, 0), (5, 10, 0),
                                               (3, 1, 2)])
@@ -31,21 +37,21 @@ class TestNHat:
 
 class TestCheckShift:
     def test_at_case1_anchor(self):
-        rec = evaluate_cell("shift", 126, N=2, d=63)
+        (rec,) = verify_shift(2, 63, 126, 126).records
         assert rec.status == HOLDS
-        assert rec.value == q_count(1, 63, 126) - 2 >= 0
+        assert rec.value == column((1, 63), 126)[126] - 2 >= 0
 
     def test_littlelemon_start(self):
-        rec = evaluate_cell("shift", 107, N=4, d=105)
+        (rec,) = verify_shift(4, 105, 107, 107).records
         assert rec.status == HOLDS and rec.value >= 0
 
     def test_n1_both_sides_one(self):
-        rec = evaluate_cell("shift", 1, N=2, d=63, evaluate_out_of_hypothesis=True)
+        (rec,) = verify_shift(2, 63, 1, 1, evaluate_out_of_hypothesis=True).records
         assert rec.status == OUT and rec.value == 0
 
     def test_rejects_tiny_modulus(self):
         # d-N+3 = 2: no such residue set; the grid has always skipped the cell
-        rec = evaluate_cell("shift", 10, N=4, d=3)
+        (rec,) = verify_shift(4, 3, 10, 10).records
         assert rec.status == SKIPPED and rec.value is None
         assert rec.witness == {"reason": "modulus d-N+3 = 2 < 3"}
 
@@ -79,8 +85,8 @@ class TestVerifyShiftRange:
     def test_agrees_with_enumeration(self):
         from alder.injection import enumerate_partitions
         d, N, n = 63, 2, 130
-        assert evaluate_cell("shift", n, N=N, d=d).value == \
-            q_count(1, d, n) - len(enumerate_partitions(s_set(d, N), n))
+        assert verify_shift(N, d, n, n).records[0].value == \
+            column((1, d), n)[n] - len(enumerate_partitions(s_set(d, N), n))
 
 
 class TestAndrews:
@@ -109,12 +115,12 @@ class TestAndrews:
 
 class TestCeiling:
     def test_example(self):
-        assert q_count(2, 5, 9) == 2 and q_count(1, 3, 5) == 2
-        assert evaluate_cell("ceiling", 9, a=2, d=5).status == HOLDS
+        assert column((2, 5), 9)[9] == 2 and column((1, 3), 5)[5] == 2
+        assert verify_pair("ceiling", 2, 5, 9, n_min=9).summary == {HOLDS: 1}
 
     def test_a1_reduces_to_identity(self):
-        assert all(evaluate_cell("ceiling", n, a=1, d=d).status == HOLDS
-                   for d in (1, 5, 20) for n in range(d + 2, d + 40))
+        assert all(verify_pair("ceiling", 1, d, d + 39, n_min=d + 2).summary == {HOLDS: 38}
+                   for d in (1, 5, 20))
 
     def test_grid(self):
         spec = GridSpec(a_values=(1, 2, 3, 4), d_values=tuple(range(1, 41)),
@@ -127,15 +133,15 @@ class TestCeiling:
 class TestAToOne:
     def test_example(self):
         assert big_q(2, 5, 10, minus=1) == 2 == big_q(1, 1, 5, minus=1)
-        assert evaluate_cell("a-to-1", 5, a=2, d=5).status == HOLDS
+        assert verify_pair("a-to-1", 2, 5, 5, n_min=5).summary == {HOLDS: 1}
 
     def test_a1_identity(self):
-        assert all(evaluate_cell("a-to-1", n, a=1, d=d).status == HOLDS
-                   for d in (1, 4, 9) for n in range(60))
+        assert all(verify_pair("a-to-1", 1, d, 59, n_min=0).summary == {HOLDS: 60}
+                   for d in (1, 4, 9))
 
     def test_rejects_nondivisor(self):
         # the grid has always skipped the whole (a, d) pair, with one record
-        rec = evaluate_cell("a-to-1", 10, a=2, d=4)
+        (rec,) = verify_pair("a-to-1", 2, 4, 10, n_min=10).records
         assert rec.status == SKIPPED and rec.params == {"a": 2, "d": 4}
         assert rec.witness == {"reason": "2 does not divide d+3 = 7"}
 
@@ -159,7 +165,7 @@ class TestModifiedSt:
     def test_zero_shift_when_divisible(self):
         S, T = gen_kp_sets(4, 417)
         assert n_hat(4, 8) == 0
-        assert evaluate_cell("modified-st", 8, a=4, d=417).status == HOLDS
+        assert verify_pair("modified-st", 4, 417, 8, n_min=8).summary == {HOLDS: 1}
 
     def test_gen_kp_pair_structure(self):
         S, T = gen_kp_sets(4, 417)
@@ -188,17 +194,19 @@ class TestModifiedSt:
         # collapses to one class and the exclusion m - a = a removes T's
         # first element.  Such cells are evaluated only on request.
         failed = []
-        for a in range(1, 13):
-            for d in range(1, 400):
-                try:
-                    S, T = gen_kp_sets(a, d)
-                except RefusedInput:
-                    continue
-                rec = evaluate_cell("modified-st", 1, a=a, d=d)
-                assert (rec.status == OUT) == (not dominates(S, T, 200, a)), (a, d)
-                if rec.status == OUT:
-                    failed.append((a, d))
-                    assert d + n_hat(a, d) - a == 2 * a, (a, d)
+        grid = verify("modified-st", GridSpec(a_values=tuple(range(1, 13)),
+                                              d_values=tuple(range(1, 400)), n_min=1, n_max=1))
+        for rec in grid.records:
+            a, d = rec.params["a"], rec.params["d"]
+            try:
+                S, T = gen_kp_sets(a, d)
+            except RefusedInput:
+                continue
+            assert rec.params["n"] == 1
+            assert (rec.status == OUT) == (not dominates(S, T, 200, a)), (a, d)
+            if rec.status == OUT:
+                failed.append((a, d))
+                assert d + n_hat(a, d) - a == 2 * a, (a, d)
         assert len(failed) == 77
         report = verify_pair("modified-st", 3, 9, 80)
         assert report.ok and report.summary == {OUT: 80}
@@ -360,6 +368,8 @@ class TestSearch:
 
 
 class TestEvaluateCell:
+    """Evaluating one cell: a grid with n_min == n_max."""
+
     CELLS = {  # statement -> (axis values, grid horizon)
         "shift": ({"N": 2, "d": 63}, 200),
         "gen-kp": ({"a": 4, "d": 417}, 500),
@@ -379,31 +389,39 @@ class TestEvaluateCell:
         grid = verify(name, spec).records
         assert len(grid) == n_max + 1
         for rec in grid:
-            assert evaluate_cell(name, rec.params["n"], force, **params) == rec
+            n = rec.params["n"]
+            one = GridSpec(**{f"{k}_values": (v,) for k, v in params.items()},
+                           n_min=n, n_max=n, evaluate_out_of_hypothesis=force)
+            assert verify(name, one).records == [rec]
 
 
-def paper_cell(name, n, a=1, d=0, N=0):
-    """(in hypothesis, lhs, rhs) of one grid cell, from the per-n counters at
-    the paper's index maps and its hypotheses as stated there."""
+def paper_cells(name, n_max, a=1, d=0, N=0):
+    """(in hypothesis, lhs, rhs) of each grid cell n = 0..n_max, from whole
+    tables read at the paper's index maps and its hypotheses as stated there."""
+    ns = range(n_max + 1)
     if name == "shift":
-        return (N >= 2 and d >= max(63, 46 * N - 79) and n >= d + 2,
-                q_count(1, d, n), rho(s_set(d, N), n))
+        q, S = column((1, d), n_max), column(s_set(d, N), n_max)
+        return [(N >= 2 and d >= max(63, 46 * N - 79) and n >= d + 2, q[n], S[n])
+                for n in ns]
     if name == "ceiling":
-        return (n >= d + 2 * a, q_count(a, d, n),
-                q_count(1, math.ceil(d / a), math.ceil(n / a)))
+        q, q1 = column((a, d), n_max), column((1, math.ceil(d / a)), math.ceil(n_max / a))
+        return [(n >= d + 2 * a, q[n], q1[math.ceil(n / a)]) for n in ns]
     if name == "a-to-1":
-        return True, big_q(a, d, a * n, minus=1), big_q(1, (d + 3) // a - 3, n, minus=1)
+        return [(True, big_q(a, d, a * n, minus=1), big_q(1, (d + 3) // a - 3, n, minus=1))
+                for n in ns]
     if name == "modified-st":
         S, T = gen_kp_sets(a, d)
-        return dominates(S, T, 200, a), rho(T, n + n_hat(a, n)), rho(S, n)
+        premise = dominates(S, T, 200, a)
+        return [(premise, rho(T, n + n_hat(a, n)), rho(S, n)) for n in ns]
     minus = {"delta": 0, "gen-kp": 1, "gen-dkst": 2}[name]
     in_hypothesis = a == 1 if name == "delta" else math.ceil(d / a) >= 105
-    return in_hypothesis, q_count(a, d, n), big_q(a, d, n, minus)
+    q = column((a, d), n_max)
+    return [(in_hypothesis, q[n], big_q(a, d, n, minus)) for n in ns]
 
 
 class TestColumnReads:
     """The grid reads each side as one table slice; pin every record to the
-    per-n counters, over tables built apart from the grid's."""
+    paper's statement, over tables built apart from the grid's."""
 
     @pytest.mark.parametrize("name", sorted(STATEMENTS))
     @pytest.mark.parametrize("force", [False, True])
@@ -416,10 +434,11 @@ class TestColumnReads:
         monkeypatch.setattr(counting, "_tables", {})
         a, d = params.get("a"), params["d"]
         exempt = d + a + 3 if name == "gen-kp" and (d + 3) % a == 0 else None
+        cells = paper_cells(name, n_max, **params)
         statuses = {}
         for rec in grid:
             n = rec.params["n"]
-            in_hypothesis, lhs, rhs = paper_cell(name, n, **params)
+            in_hypothesis, lhs, rhs = cells[n]
             if not in_hypothesis:
                 want = (OUT, lhs - rhs if force else None)
             elif n == exempt:
