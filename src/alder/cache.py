@@ -63,15 +63,17 @@ def load(cache_dir: str | os.PathLike, key: str, horizon: int) -> tuple[int, ...
         return None
 
 
-def write_atomic(path: str, write) -> None:
+def write_atomic(path: str, write):
     """Call ``write(fh)`` on ``<path>.<pid>.tmp``, then rename it over
-    ``path``; on any failure the temp file is removed and ``path`` unchanged.
-    ``fh`` is a UTF-8 text file; bytes go to ``fh.buffer``."""
+    ``path`` and return what ``write`` returned; on any failure the temp file
+    is removed and ``path`` unchanged.  ``fh`` is a UTF-8 text file; bytes
+    go to ``fh.buffer``."""
     tmp = f"{path}.{os.getpid()}.tmp"  # a plain open keeps the umask mode, not 0600
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
-            write(fh)
+            result = write(fh)
         os.replace(tmp, path)
+        return result
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

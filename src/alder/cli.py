@@ -14,34 +14,35 @@ Subcommands
 
 --force (verify and inject only) also evaluates out-of-hypothesis cells.
 
-Every command returns a report of blocks (``report.VerificationReport``)
-and one writer, ``_write``, formats them.  Reports are JSON lines by default,
-one object per cell with the fixed field order  v, cmd, params, status,
-value, witness  and counts as decimal strings; a final summary object
-carries the status tallies.
-Output is byte-stable for a fixed invocation, so reports can be diffed
-across runs; wall-clock timing goes to stderr only.  --jobs K fans the
-cells of ``inject`` out over up to K worker processes (the report is
-byte-identical at any K); the other commands run in one process.  CSV
-is a flat projection for spreadsheets, and the human format is for
-reading at the terminal.  --out FILE is written by ``cache.write_atomic``.
+Every command makes a report of blocks (``report.VerificationReport``)
+and one writer, ``_write``, writes them, a grid's (verify, search) row by
+row as each is evaluated, after every refusal.  Reports are JSON lines by
+default, one object per cell with the fixed field order  v, cmd, params,
+status, value, witness  and counts as decimal strings; a final summary
+object tallies the cells written.  Output is byte-stable, so reports can
+be diffed; timing goes to stderr.  --jobs K fans the cells of ``inject``
+out over up to K worker processes (the report is byte-identical at any
+K).  CSV is a flat projection for spreadsheets, the human format is for
+the terminal.  --out FILE goes through ``cache.write_atomic``.
 
 Start-up loads only ``partset`` and ``report``, so ``--help`` and usage
 errors compile no engine.  After parsing, each command imports what it
 runs: ``counting``; ``inequalities`` for verify and search, ``injection``
 and ``parallel`` for inject; ``cache`` for --cache or --out, ``csv`` for
-a csv report and ``traceback`` for an internal error.
+a csv report and ``traceback`` for an internal error or a failed --out.
 
 Exit codes: 0 when every in-hypothesis assertion holds, 1 when at least
 one fails (a falsification candidate), 2 on refused input (always
 ``partset.RefusedInput``, an unwritable --out included), 3 on an internal
-error (any other exception, a plain ValueError included).
+error (any other exception, a plain ValueError included), which may come
+after part of a grid's report is on stdout (--out is then left as it was).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import operator
 import os
@@ -50,7 +51,7 @@ import sys
 import time
 
 from .partset import RefusedInput, check_n, r_of, s_set, t_set
-from .report import VIOLATION, VerificationReport
+from .report import FAILS, VIOLATION, VerificationReport
 
 SCHEMA_VERSION = 1
 
@@ -61,13 +62,9 @@ MAX_RANGE_VALUES = 10 ** 6
 def parse_range(text: str) -> tuple[int, ...]:
     """'5' -> (5,); '3..7' -> (3, 4, 5, 6, 7)."""
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ValueError
-        else:
-            lo = hi = int(text)
+        lo, hi = map(int, text.split("..", 1)) if ".." in text else (int(text),) * 2
+        if hi < lo:
+            raise ValueError
     except ValueError:
         raise RefusedInput(f"bad range {text!r} (expected N or LO..HI)") from None
     if hi - lo >= MAX_RANGE_VALUES:
@@ -79,16 +76,32 @@ def parse_range(text: str) -> tuple[int, ...]:
 _json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _write(report: VerificationReport, fmt: str, out) -> None:
-    """Stream ``report`` to ``out``, then the summary: params are formatted
-    once per block, status and witness once per run, n and value per cell."""
-    summary = report.summary
-    summary = {"cells": sum(summary.values()), **dict(sorted(summary.items()))}
-    if report.cmd.startswith("search-"):
-        summary["violations"] = summary.pop(VIOLATION, 0)
-    if fmt == "json":
-        head = f'{{"v":{SCHEMA_VERSION},"cmd":{_json(report.cmd)},'
-        for base, runs in report.blocks:
+def _write(report: VerificationReport, fmt: str, out) -> dict[str, int]:
+    """Write ``report`` to ``out`` block by block as each comes, then the
+    summary of the cells written, which is returned.  Params are formatted
+    once per block, status and witness once per run, n and value per cell.
+    CSV holds the blocks without n (a pair skipped as one cell) up to the
+    first with n: their keys make the header; no later block adds one."""
+    tally: dict[str, int] = {}
+    blocks = iter(report.blocks)
+    if fmt == "csv":
+        import csv  # here, so that only csv reports load it at start-up
+        writer = csv.writer(out, lineterminator="\n")
+        held = []
+        for block in blocks:
+            held.append(block)
+            if block[1][0][1][0] is not None:  # the first cell's n
+                break
+        keys = list(dict.fromkeys(k for base, runs in held for k in (
+            base if runs[0][1][0] is None else [*base, "n"])))
+        writer.writerow(["cmd", *keys, "status", "value"])
+        blocks = itertools.chain(iter(held), blocks)  # each let go once written
+        del held
+    head = f'{{"v":{SCHEMA_VERSION},"cmd":{_json(report.cmd)},'
+    for base, runs in blocks:
+        for status, ns, _, _ in runs:
+            tally[status] = tally.get(status, 0) + len(ns)
+        if fmt == "json":
             bare = f'{head}"params":{_json(base)[:-1]}'  # params without the closing "}"
             lead = f'{bare}{"," if base else ""}"n":'
             for status, ns, values, witness in runs:
@@ -101,14 +114,7 @@ def _write(report: VerificationReport, fmt: str, out) -> None:
                 for i in range(0, len(ns), 1024):  # few writes, each of bounded size
                     out.write("".join([f"{pre}{n}{mid}{v}{tail}" for n, v in
                                        zip(ns[i:i + 1024], values[i:i + 1024])]))
-        out.write(f'{head}"summary":{_json(summary)}}}\n')
-    elif fmt == "csv":
-        import csv  # here, so that only csv reports load it at start-up
-        keys = list(dict.fromkeys(k for base, runs in report.blocks for k in (
-            base if runs[0][1][0] is None else [*base, "n"])))  # the first cell's n
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["cmd", *keys, "status", "value"])
-        for base, runs in report.blocks:
+        elif fmt == "csv":
             row = [report.cmd, *[base.get(k, "") for k in keys]]
             at = 0 if runs[0][1][0] is None else keys.index("n") + 1
             for status, ns, values, _ in runs:
@@ -116,8 +122,7 @@ def _write(report: VerificationReport, fmt: str, out) -> None:
                     if at:
                         row[at] = n
                     writer.writerow([*row, status, "" if value is None else value])
-    else:  # human
-        for base, runs in report.blocks:
+        else:  # human
             lead = " ".join(f"{k}={v}" for k, v in base.items())
             for status, ns, values, witness in runs:
                 tail = f"  witness={_json(witness)}" if witness else ""
@@ -125,8 +130,26 @@ def _write(report: VerificationReport, fmt: str, out) -> None:
                     params = lead if n is None else f"{lead} n={n}".lstrip()
                     value = "" if value is None else f"  value={value}"
                     out.write(f"{params}  {status}{value}{tail}\n")
-        tallies = " ".join(f"{k}={v}" for k, v in summary.items())
-        out.write(f"summary: {tallies}\n")
+    summary = {"cells": sum(tally.values()), **dict(sorted(tally.items()))}
+    if report.cmd.startswith("search-"):
+        summary["violations"] = summary.pop(VIOLATION, 0)
+    if fmt == "json":
+        out.write(f'{head}"summary":{_json(summary)}}}\n')
+    elif fmt == "human":
+        out.write(f"summary: {' '.join(f'{k}={v}' for k, v in summary.items())}\n")
+    return summary
+
+
+class _Stdout:
+    """stdout until its reader stops (``| head``), then os.devnull: the run goes on to its verdict."""
+
+    def write(self, text: str, flush: bool = False) -> None:
+        try:
+            sys.stdout.write(text)
+            if flush:
+                sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------- count
@@ -140,18 +163,14 @@ def cmd_count(args) -> VerificationReport:
     from .counting import big_q_set, column
     kind = args.kind.replace("-", "_")
     if kind == "rho":
-        if args.set == "T":
-            if args.s is None or args.d is None:
-                raise RefusedInput("rho over T needs --s and --d")
-            A = t_set(args.s, args.d)
-            params_base = {"kind": kind, "set": "T", "s": args.s, "d": args.d}
-        elif args.set == "S":
-            if args.N is None or args.d is None:
-                raise RefusedInput("rho over S needs --N and --d")
-            A = s_set(args.d, args.N)
-            params_base = {"kind": kind, "set": "S", "d": args.d, "N": args.N}
-        else:
+        if args.set is None:
             raise RefusedInput("rho needs --set T or --set S")
+        other = "s" if args.set == "T" else "N"  # T(s, d) or S(d, N)
+        if getattr(args, other) is None or args.d is None:
+            raise RefusedInput(f"rho over {args.set} needs --{other} and --d")
+        A = t_set(args.s, args.d) if other == "s" else s_set(args.d, args.N)
+        params_base = {"kind": kind, "set": args.set, **(
+            {"s": args.s, "d": args.d} if other == "s" else {"d": args.d, "N": args.N})}
         counts = [lambda: A]
     elif kind in ("g", "l"):
         if args.d is None:
@@ -177,7 +196,7 @@ def cmd_count(args) -> VerificationReport:
     return VerificationReport("count", [(params_base, [("ok", n_values, values, None)])])
 
 
-# ---------------------------------------------------------------- verify
+# ------------------------------------------------------- verify and search
 
 def _values(args, flag: str) -> tuple[int, ...]:
     """The values of --flag, given as N or LO..HI."""
@@ -213,14 +232,21 @@ def cmd_verify(args) -> VerificationReport:
         theorem, args.N = "shift", "4"
     if theorem in inequalities.STATEMENTS:
         axes = inequalities.STATEMENTS[theorem].axes
-        return inequalities.verify(theorem, _grid_from_args(args, axes, args.force))
+        return VerificationReport(*inequalities.grid(
+            f"verify-{theorem}", _grid_from_args(args, axes, args.force)))
     if theorem == "anchors":
         return inequalities.verify_smalln_anchors(
             _single(args, "d"), _single(args, "N"), evaluate_out=args.force)
     if theorem == "xy-diff":
-        return inequalities.xy_difference_report(
-            _single(args, "d"), _single(args, "N"))
+        return inequalities.xy_difference_report(_single(args, "d"), _single(args, "N"))
     return inequalities.verify_t_monotone(_single(args, "d"), args.n_max)  # t-monotone
+
+
+def cmd_search(args) -> VerificationReport:
+    from . import inequalities
+    _, statement = inequalities.search_kind(args.kind)
+    return VerificationReport(*inequalities.grid(
+        f"search-{args.kind}", _grid_from_args(args, statement.axes)))
 
 
 # ---------------------------------------------------------------- inject
@@ -235,30 +261,8 @@ def cmd_inject(args) -> VerificationReport:
     # so a refused range runs no other cell and starts no pool
     check_n(n_values[0])
     last = cell(n_values[-1])
-    reports = [*parallel_map(cell, n_values[:-1], args.jobs), last]
-
-    report = VerificationReport("inject")
-    for rep in reports:
-        witness: dict | None = None
-        if rep.evaluated:
-            witness = {"rho_S": str(rep.rho_s), "rho_T": str(rep.rho_t),
-                       "s1": rep.s1_size, "s2": rep.s2_size,
-                       "failed_checks": sorted(k for k, v in rep.checks.items()
-                                               if not v)}
-            if rep.witnesses:
-                witness["witnesses"] = rep.witnesses[:5]
-        report.add({"d": rep.d, "N": rep.N, "n": rep.n}, rep.status,
-                   rep.size if rep.evaluated else None, witness)
-    return report
-
-
-# ---------------------------------------------------------------- search
-
-def cmd_search(args) -> VerificationReport:
-    from . import inequalities
-    _, statement = inequalities.search_kind(args.kind)
-    return inequalities.search_counterexamples(
-        args.kind, _grid_from_args(args, statement.axes))
+    cells = [*parallel_map(cell, n_values[:-1], args.jobs), last]
+    return VerificationReport("inject", [rep.block for rep in cells])
 
 
 # ---------------------------------------------------------------- main
@@ -281,13 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true",
                        help="also evaluate out-of-hypothesis cells")
 
+    def grid(p, **n_max):  # the grid flags of verify and search
+        for flag in ("--a", "--d", "--N"):
+            p.add_argument(flag)
+        p.add_argument("--n-min", type=int, default=1)
+        p.add_argument("--n-max", type=int, **n_max)
+
     p = sub.add_parser("count", help="stream exact counter values")
     p.add_argument("--kind", required=True,
                    help="q|Q|Qm|Qmm|rho|g|l|delta|delta_m|delta_mm")
-    p.add_argument("--a", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--s", type=int)
+    for flag in ("--a", "--d", "--N", "--s"):
+        p.add_argument(flag, type=int)
     p.add_argument("--set", choices=("T", "S"))
     p.add_argument("--n", required=True, help="N or LO..HI")
     common(p)
@@ -297,11 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("shift", "littlelemon", "gen-kp", "gen-dkst",
                             "anchors", "xy-diff", "ceiling", "a-to-1",
                             "modified-st", "t-monotone"))
-    p.add_argument("--a")
-    p.add_argument("--d")
-    p.add_argument("--N")
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int)
+    grid(p)
     common(p)
     force(p)
 
@@ -314,11 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="scan for negative deltas")
     p.add_argument("--kind", required=True, help="delta|delta_m|delta_mm|shift")
-    p.add_argument("--a")
-    p.add_argument("--d")
-    p.add_argument("--N")
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, required=True)
+    grid(p, required=True)
     common(p)
 
     return parser
@@ -345,17 +345,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             from .cache import write_atomic
             try:
-                write_atomic(args.out, functools.partial(_write, report, args.format))
+                summary = write_atomic(args.out, functools.partial(_write, report, args.format))
             except OSError as exc:
+                import traceback  # an OSError raised in evaluating a grid is not the file's
+                if any(frame.f_code is getattr(report.blocks, "gi_code", None)
+                       for frame, _ in traceback.walk_tb(exc.__traceback__)):
+                    raise
                 raise RefusedInput(f"cannot write --out {args.out}: "
                                    f"{exc.strerror or exc}") from None
         else:
-            try:
-                _write(report, args.format, sys.stdout)
-                sys.stdout.flush()
-            except BrokenPipeError:  # the reader stopped early (``| head``)
-                # the verdict stands; the unwritten rest must not fail at exit
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            out = _Stdout()
+            summary = _write(report, args.format, out)
+            out.write("", flush=True)
     except RefusedInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -365,9 +366,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    code = 0 if report.ok else 1
-    elapsed = time.monotonic() - started
-    print(f"alder {args.command}: exit {code}, {elapsed:.2f}s wall",
+    code = 1 if FAILS in summary else 0
+    print(f"alder {args.command}: exit {code}, {time.monotonic() - started:.2f}s wall",
           file=sys.stderr)
     return code
 

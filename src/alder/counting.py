@@ -155,7 +155,7 @@ def _build_g_table(d: int, horizon: int) -> list[int]:
     above and rho(T(5,d); n) below, which is the chain the tests pin down."""
     r = r_of(d)
     if r < 2:
-        raise RefusedInput(f"g_script: need r_of(d) >= 2, got d={d}")
+        raise RefusedInput(f"kind g: need r_of(d) >= 2, got d={d}")
     dp = _build_part_table(t_set(r - 1, d), horizon)
     for v in range(d + 2 ** (r - 1), horizon + 1, 2 * d):  # distinct parts, dp times (1 + x^v)
         dp[v:] = map(operator.add, dp[v:], dp[:horizon - v + 1])

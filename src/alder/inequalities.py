@@ -35,12 +35,14 @@ and declares its ``Row``: two count tables, each read at n -> m ceil(n/k),
 the first n in hypothesis and an optional exempt cell.  A pair whose sets
 cannot be built, or outside ``counting.check_q_domain`` where the row
 reads q, is skipped, with the refusal as the reason.  One engine runs
-them all: ``verify`` over a grid (one cell is a grid with n_min == n_max)
-and ``search_counterexamples`` (negative cells only), each row through
-``_row``, which reads each side as one slice of its table and reports the
-row as one block of runs of cells (see ``report.VerificationReport``).
-The engine lists a grid's rows first: it refuses a horizon over
-``counting.MAX_HORIZON`` before any build, then frees each table after its last reader.
+them all, ``grid``: a verification (one cell is a grid with n_min ==
+n_max) or a search (negative cells only), each row through ``_row``,
+which reads each side as one slice of its table and makes the row one
+block of runs of cells (see ``report.VerificationReport``).  It lists a
+grid's rows first and refuses a horizon over ``counting.MAX_HORIZON``
+before any build; then it yields each row's block as it is asked for,
+freeing each table after its last reader.  ``verify`` and
+``search_counterexamples`` collect the blocks into one report.
 
 Verified by their own functions, since they are not n-indexed:
 
@@ -60,7 +62,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .counting import (big_q_set, check_horizon, check_q_domain, column,
                        largest_part_counts, release, rho)
@@ -173,16 +175,16 @@ def _read(side: Side, lo: int, hi: int):
     return [tab[m * -(-n // k)] for n in range(lo, hi + 1)]
 
 
-def _row(report: VerificationReport, base: dict, lo: int, hi: int, row: Row,
-         evaluate_out: bool = False, violations_only: bool = False) -> None:
-    """Append one grid row's block at n = lo..hi: lhs against rhs.
+def _row(base: dict, lo: int, hi: int, row: Row, evaluate_out: bool = False,
+         violations_only: bool = False) -> tuple[dict, list[tuple]] | None:
+    """One grid row's block at n = lo..hi: lhs against rhs.
 
     The comparison is asserted as ``Row`` describes; cells outside the
     hypothesis are evaluated only if ``evaluate_out``, and unevaluated ones
     read no table.  The value is lhs - rhs.  With ``violations_only`` every
     cell is evaluated, whatever the hypothesis, and just those with lhs <
-    rhs are kept, as violations (if none, no block).  Failing and violation
-    cells are witnessed if the row has names.
+    rhs are kept, as violations (if none, no block: None).  Failing and
+    violation cells are witnessed if the row has names.
     """
     lhs, rhs, names, first, exempt, equal = row
     if violations_only:
@@ -214,8 +216,7 @@ def _row(report: VerificationReport, base: dict, lo: int, hi: int, row: Row,
                     witness = {names[0]: str(left[i]), names[1]: str(right[i])}
                 runs.append((special[i], (start + i,), (left[i] - right[i],), witness))
             at = i + 1
-    if runs:
-        report.blocks.append((base, runs))
+    return (base, runs) if runs else None
 
 
 def dominates(S: ResidueClassSet, T: ResidueClassSet, i_max: int,
@@ -322,9 +323,9 @@ def _rows(statement: Statement, spec: GridSpec):
     """(base params, Row or skip reason) per axis pair, in the spec's order.
 
     A refused row factory skips its pair.  Factories build part sets and
-    check count domains, nothing else: ``_held`` checks every table horizon
-    later, so a table refusal (``counting.MAX_HORIZON``) still refuses the
-    whole grid, as does an empty axis.
+    check count domains, nothing else: ``grid`` checks every table
+    horizon later, so a table refusal (``counting.MAX_HORIZON``) still
+    refuses the whole grid, as does an empty axis.
     """
     first, second = statement.axes
     xs, ys = getattr(spec, f"{first}_values"), getattr(spec, f"{second}_values")
@@ -339,11 +340,49 @@ def _rows(statement: Statement, spec: GridSpec):
             yield {first: x, second: y}, row
 
 
-def _held(rows: list, spec: GridSpec, **how):
-    """Yield, and take off ``rows``, its (base, Row or skip reason) pairs in
-    order.  First check each table horizon that ``_row`` (with keywords
-    ``how``) will read; then, as the caller asks for each next pair, release
-    each table of the Row just run that no later Row reads."""
+def _held(rows: list, spec: GridSpec, readers: collections.Counter,
+          skip_each_n: bool, **how):
+    """Yield the block of each (base, Row or skip reason) taken off ``rows``,
+    in order, as it is asked for: a Row's from ``_row`` (with keywords
+    ``how``; none if it has none), after releasing each table it read that
+    no later Row reads (``readers`` counts the Rows that read each table)."""
+    lo, hi = spec.n_min, spec.n_max
+    rows.reverse()  # popped from the end, so that each row is let go once it has run
+    while rows:
+        base, row = rows.pop()
+        if isinstance(row, Row):
+            block = _row(base, lo, hi, row, **how)
+            for side in row[:2]:
+                readers[side.count] -= 1
+                if not readers[side.count]:
+                    release(side.count)
+            if block:
+                yield block
+        else:
+            ns = spec.n_values() if skip_each_n else (None,)
+            yield base, [(SKIPPED, ns, (None,) * len(ns), {"reason": row})]
+
+
+def grid(cmd: str, spec: GridSpec) -> tuple[str, Iterator[tuple[dict, list[tuple]]]]:
+    """The report ``cmd``, ``verify-<statement>`` (see ``verify``) or
+    ``search-<kind>`` (``search_counterexamples``), over ``spec``, as (cmd
+    as the report names it, blocks).  Every refusal comes from this call:
+    it lists the rows and checks each table horizon they will read.  The
+    blocks are a generator that evaluates each row when its block is asked
+    for, so a reader that lets each block go holds one row's tables and
+    one block at a time.
+    """
+    verb, _, name = cmd.partition("-")
+    if verb == "search":
+        kind, statement = search_kind(name)
+        cmd, how = f"search-{kind}", {"violations_only": True}
+        rows = [({"kind": kind, **base}, row) if kind != "shift"
+                else (base, row._replace(names=None))
+                for base, row in _rows(statement, spec) if isinstance(row, Row)]
+    else:
+        statement = STATEMENTS[name]
+        how = {"evaluate_out": spec.evaluate_out_of_hypothesis}
+        rows = list(_rows(statement, spec))
     hi, readers = spec.n_max, collections.Counter()
     for _, row in rows:
         if isinstance(row, Row):
@@ -351,39 +390,24 @@ def _held(rows: list, spec: GridSpec, **how):
                 for _, m, k in row[:2]:  # _row evaluates some n, so reads these
                     check_horizon(m * -(-hi // k))
             readers.update((row.lhs.count, row.rhs.count))
-    rows.reverse()  # popped from the end, so that each row is freed once it has run
-    while rows:
-        base, row = rows.pop()
-        yield base, row
-        if isinstance(row, Row):
-            for side in row[:2]:
-                readers[side.count] -= 1
-                if not readers[side.count]:
-                    release(side.count)
+    return cmd, _held(rows, spec, readers, statement.skip_each_n, **how)
 
 
 def verify(name: str, spec: GridSpec) -> VerificationReport:
-    """Evaluate the statement ``STATEMENTS[name]`` over the grid ``spec``.
+    """Evaluate the statement ``STATEMENTS[name]`` over the grid ``spec``,
+    as one report (``grid`` streams it).
 
     Blocks follow the spec's axis order, one per axis pair, with cells in
     n order.  A skipped axis pair gets one cell per n if the statement says
     ``skip_each_n``, else one cell without n.
     """
-    statement = STATEMENTS[name]
-    report = VerificationReport(f"verify-{name}")
-    how = {"evaluate_out": spec.evaluate_out_of_hypothesis}
-    for base, row in _held(list(_rows(statement, spec)), spec, **how):
-        if isinstance(row, Row):
-            _row(report, base, spec.n_min, spec.n_max, row, **how)
-        else:
-            ns = spec.n_values() if statement.skip_each_n else (None,)
-            report.blocks.append((base, [(SKIPPED, ns, (None,) * len(ns),
-                                          {"reason": row})]))
-    return report
+    cmd, blocks = grid(f"verify-{name}", spec)
+    return VerificationReport(cmd, list(blocks))
 
 
 def search_counterexamples(kind: str, spec: GridSpec) -> VerificationReport:
-    """Exhaustively list the cells with lhs < rhs, in scan order.
+    """Exhaustively list the cells with lhs < rhs, in scan order, as one
+    report (``grid`` streams it).
 
     ``kind`` is one of delta, delta_m, delta_mm (the rows of delta, gen-kp
     and gen-dkst over (a, d, n)) or shift (the shift rows over (N, d, n)),
@@ -393,14 +417,8 @@ def search_counterexamples(kind: str, spec: GridSpec) -> VerificationReport:
     neither.  The report contains one record per violation; searching is
     informational, never a failure.
     """
-    kind, statement = search_kind(kind)
-    report = VerificationReport(f"search-{kind}")
-    rows = [({"kind": kind, **base}, row) if kind != "shift"
-            else (base, row._replace(names=None))
-            for base, row in _rows(statement, spec) if isinstance(row, Row)]
-    for base, row in _held(rows, spec, violations_only=True):
-        _row(report, base, spec.n_min, spec.n_max, row, violations_only=True)
-    return report
+    cmd, blocks = grid(f"search-{kind}", spec)
+    return VerificationReport(cmd, list(blocks))
 
 
 def verify_smalln_anchors(d: int, N: int,

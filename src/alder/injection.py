@@ -216,6 +216,21 @@ class InjectionCellReport:
             return "out-of-hypothesis"
         return "holds" if self.passed else "fails"
 
+    @property
+    def block(self) -> tuple[dict, list[tuple]]:
+        """The cell as one block of a report (``report.VerificationReport``):
+        its value is |S^N| and its witness the counts, the failed checks and
+        up to five map witnesses, if it was evaluated."""
+        witness: dict | None = None
+        if self.evaluated:
+            witness = {"rho_S": str(self.rho_s), "rho_T": str(self.rho_t),
+                       "s1": self.s1_size, "s2": self.s2_size,
+                       "failed_checks": sorted(k for k, v in self.checks.items() if not v)}
+            if self.witnesses:
+                witness["witnesses"] = self.witnesses[:5]
+        return ({"d": self.d, "N": self.N, "n": self.n},
+                [(self.status, (None,), (self.size if self.evaluated else None,), witness)])
+
 
 def _open_cell(d: int, N: int, n: int,
                force: bool) -> tuple[InjectionCellReport, ResidueClassSet | None]:

@@ -4,7 +4,7 @@ statement."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -26,11 +26,11 @@ class VerificationReport:
     row.  A run is a tuple (status, ns, values, witness): cells with one
     status and witness, the i-th with params base + {"n": ns[i]} and value
     ``values[i]`` (None: not evaluated); an n of None stands for a block's
-    one cell, whose params are the base.  ``records`` builds one object
-    per cell, on demand; ``summary`` and ``ok`` read runs."""
+    one cell, whose params are the base.  ``records`` (one object per cell),
+    ``summary`` and ``ok`` read a list; ``cli._write`` also reads an iterator."""
 
-    def __init__(self, cmd: str, blocks: list[tuple[dict, list[tuple]]] = ()):
-        self.cmd, self.blocks = cmd, list(blocks)
+    def __init__(self, cmd: str, blocks: list | Iterator | None = None):
+        self.cmd, self.blocks = cmd, [] if blocks is None else blocks
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and vars(other) == vars(self)

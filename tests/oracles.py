@@ -127,9 +127,8 @@ def check_andrews(S: ResidueClassSet, T: ResidueClassSet,
     """Per-n check of rho(T; n) >= rho(S; n), the set-domination count bound
     whose premise is ``inequalities.dominates``: one row over n = 0..n_max,
     with no params."""
-    report = VerificationReport("verify-andrews")
-    inequalities._row(report, {}, 0, n_max, Row(Side(T), Side(S), ("rho_T", "rho_S")))
-    return report
+    return VerificationReport("verify-andrews", [
+        inequalities._row({}, 0, n_max, Row(Side(T), Side(S), ("rho_T", "rho_S")))])
 
 
 def positive_integers() -> ResidueClassSet:

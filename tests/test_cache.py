@@ -60,6 +60,13 @@ def test_short_horizon_rejected(tmp_path):
     assert cache.load(tmp_path, "k", 5) is None
 
 
+def test_horizon_boundary(tmp_path):
+    # an entry one short of the horizon asked for must not be trusted
+    cache.store(tmp_path, "k", [1, 2, 3, 4])
+    assert cache.load(tmp_path, "k", 4) is None
+    assert cache.load(tmp_path, "k", 3) == (1, 2, 3, 4)
+
+
 def test_missing_file(tmp_path):
     assert cache.load(tmp_path, "nothing.here", 1) is None
 

@@ -8,8 +8,10 @@ import hashlib
 import io
 import json
 import struct
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from alder import cache, cli, counting, inequalities, injection
 from alder.inequalities import gen_kp_sets
 from alder.partset import RefusedInput, s_set
+from alder.report import VerificationReport
 from conftest import child_env, rewrite_entry
 
 
@@ -96,6 +99,16 @@ class TestCount:
                      "count --kind g --d 2 --n 5",  # r_of(2) = 1: no G table
                      "count --kind Q --a 0 --d 4 --n 5"):
             assert run_cli(argv.split(), capsys)[:2] == (2, ""), argv
+
+    @pytest.mark.parametrize("argv,refusal", [
+        ("rho --set T --d 5", "rho over T needs --s and --d"),
+        ("rho --set T --s 2", "rho over T needs --s and --d"),
+        ("rho --set S --d 63", "rho over S needs --N and --d"),
+        ("rho --d 63", "rho needs --set T or --set S"),
+        ("g --d 2", "kind g: need r_of(d) >= 2, got d=2")])  # the CLI's name of the count
+    def test_count_refusals_name_what_is_missing(self, capsys, argv, refusal):
+        code, out, err = run_cli(["count", "--kind", *argv.split(), "--n", "5"], capsys)
+        assert (code, out, err) == (2, "", f"error: {refusal}\n")
 
     @pytest.mark.parametrize("argv", [
         "count --kind q --a 1 --d 1 --n 5",
@@ -701,6 +714,152 @@ class TestFormats:
         assert code == want_code and out == ""
         assert target.read_bytes() == b"old report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.jsonl"]
+
+
+class _ReaderGoneAfterFirstWrite:
+    """A stdout whose first write is kept and whose reader then goes away:
+    each later write goes to a pipe with no reader, so it raises
+    BrokenPipeError until something else is put at its file descriptor."""
+
+    def __init__(self):
+        read, write = os.pipe()
+        os.close(read)
+        self.pipe, self.first = open(write, "w", encoding="utf-8"), None
+
+    def write(self, text):
+        if self.first is None:
+            self.first = text
+        else:
+            self.pipe.write(text)
+            self.pipe.flush()
+
+    def flush(self):
+        self.pipe.flush()
+
+    def fileno(self):
+        return self.pipe.fileno()
+
+
+def _patch_row(monkeypatch, at, fail=None):
+    """Make ``inequalities._row`` relabel the first run of the row with base
+    params ``at`` as failing, or raise ``fail`` there; return the bases of
+    the rows run."""
+    real, ran = inequalities._row, []
+
+    def row(base, *args, **kwargs):
+        ran.append(base)
+        block = real(base, *args, **kwargs)
+        if base != at:
+            return block
+        if fail is not None:
+            raise fail
+        (_, ns, values, witness), *rest = block[1]
+        return base, [("fails", ns, values, witness), *rest]
+    monkeypatch.setattr(inequalities, "_row", row)
+    return ran
+
+
+class TestStreaming:
+    """Grid reports are written row by row, as each row is evaluated."""
+
+    GRID = ["verify", "gen-kp", "--a", "1", "--d", "1..6", "--n-max", "300", "--force"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    @pytest.mark.parametrize("argv", [
+        "verify shift --N 2 --d 63", "verify gen-kp --a 1 --d 1..3 --force",
+        "search --kind delta --a 1 --d 1..3"])
+    def test_horizon_refusal_before_the_first_byte(self, capsys, fmt, argv):
+        code, out, err = run_cli([*argv.split(), "--n-max", str(counting.MAX_HORIZON + 1),
+                                  "--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert "horizon cap" in err
+
+    def test_rows_run_as_they_are_written(self, capsys, monkeypatch):
+        ran = _patch_row(monkeypatch, None)
+        written_before = []
+        real_write = cli._Stdout.write
+        monkeypatch.setattr(cli._Stdout, "write", lambda self, text, flush=False: (
+            written_before.append(len(ran)), real_write(self, text, flush)))
+        code, out, _ = run_cli(self.GRID, capsys)
+        assert code == 0 and len(ran) == 6
+        assert written_before[0] == 1  # the first row is written before the second runs
+
+    def test_reader_gone_keeps_evaluating_to_the_verdict(self, capsys, monkeypatch):
+        ran = _patch_row(monkeypatch, {"a": 1, "d": 6})  # the last row fails
+        stdout = _ReaderGoneAfterFirstWrite()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            code = cli.main(self.GRID)
+        finally:
+            stdout.pipe.close()
+        assert code == 1 and len(ran) == 6
+        assert stdout.first.startswith('{"v":1,"cmd":"verify-gen-kp","params":{"a":1,"d":1,"n":1}')
+        err = capsys.readouterr().err
+        assert "alder verify: exit 1" in err and "Error" not in err
+
+    def test_reader_closing_early_keeps_the_grid_verdict(self):
+        # about 14 MB of report, far more than a pipe holds
+        with subprocess.Popen(
+                [sys.executable, "-m", "alder", "verify", "shift", "--N", "2",
+                 "--d", "63..70", "--n-max", "20000", "--force"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=child_env()) as proc:
+            assert json.loads(proc.stdout.readline())["params"] == {"N": 2, "d": 63, "n": 1}
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 0
+        assert "alder verify: exit 0" in err and "Error" not in err
+
+    @pytest.mark.parametrize("exc", [RuntimeError("row invariant broken"),
+                                     OSError(5, "Input/output error")])
+    def test_error_in_the_second_row_exits_3_after_the_first(self, capsys, monkeypatch,
+                                                              exc):
+        _patch_row(monkeypatch, {"a": 1, "d": 2}, fail=exc)
+        code, out, err = run_cli(self.GRID, capsys)
+        assert code == 3
+        assert {rec["params"]["d"] for rec in json_lines(out)} == {1}
+        assert f"internal error: {type(exc).__name__}: " in err
+        assert "cannot write" not in err
+
+    @pytest.mark.parametrize("exc", [RuntimeError("row invariant broken"),
+                                     OSError(5, "Input/output error")])
+    def test_error_in_the_second_row_keeps_the_old_out_file(self, capsys, tmp_path,
+                                                            monkeypatch, exc):
+        # an OSError of evaluation is an internal error, not a failed write
+        target = tmp_path / "report.jsonl"
+        target.write_bytes(b"old report\n")
+        _patch_row(monkeypatch, {"a": 1, "d": 2}, fail=exc)
+        code, out, err = run_cli([*self.GRID, "--out", str(target)], capsys)
+        assert (code, out) == (3, "")
+        assert f"internal error: {type(exc).__name__}: " in err
+        assert "cannot write" not in err
+        assert target.read_bytes() == b"old report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.jsonl"]
+
+    def test_streamed_grid_holds_about_one_block(self, monkeypatch):
+        # tables of distinct big counts, so that each block costs memory and
+        # the 30 collected blocks cost about 30 times one
+        monkeypatch.setattr(inequalities, "column", lambda count, n: tuple(
+            range(10 ** 20, 10 ** 20 + 7 * n + 1, 7) if isinstance(count, tuple)
+            else range(n + 1)))
+
+        class Null:
+            def write(self, text):
+                pass
+        spec = inequalities.GridSpec(a_values=(1,), d_values=tuple(range(1, 31)),
+                                     n_max=2000, evaluate_out_of_hypothesis=True)
+        tracemalloc.start()
+        try:
+            summary = cli._write(VerificationReport(*inequalities.grid(
+                "verify-gen-kp", spec)), "json", Null())
+            streamed = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            report = inequalities.verify("gen-kp", spec)
+            collected = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary["cells"] == len(report.records) == 30 * 2000
+        assert streamed * 4 < collected, (streamed, collected)
 
 
 class TestCache:

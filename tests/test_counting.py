@@ -202,7 +202,7 @@ class TestGScript:
                 assert q[n] >= t5[n]
 
     def test_rejects_r_below_2(self):
-        with pytest.raises(ValueError, match="need r_of"):
+        with pytest.raises(ValueError, match=r"^kind g: need r_of\(d\) >= 2, got d=2$"):
             column(("g", 2), 10)
 
 

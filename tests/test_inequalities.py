@@ -13,6 +13,7 @@ from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
                                 verify_smalln_anchors, verify_t_monotone,
                                 xy_difference_report)
 from alder.partset import RefusedInput, pm_set, s_set, t_set
+from alder.report import VerificationReport
 from oracles import (big_q, check_andrews, positive_integers, q_brute,
                      rho_brute)
 
@@ -512,6 +513,41 @@ class TestRelease:
         first = search_counterexamples("delta", spec).records
         assert search_counterexamples("delta", spec).records == first
         assert builds == [(2, 1, 64), (2, 2, 64)] * 2
+
+
+class TestGrid:
+    """``grid`` refuses when called and evaluates each row when asked for it."""
+
+    @pytest.mark.parametrize("cmd,axes", [
+        ("verify-shift", {"N_values": (2,), "d_values": (63,)}),
+        ("search-delta", {"a_values": (1, 2), "d_values": (1,)})])
+    def test_refusals_come_from_the_call(self, monkeypatch, cmd, axes):
+        monkeypatch.setattr(inequalities, "_row", lambda *args, **kwargs: pytest.fail())
+        with pytest.raises(RefusedInput, match="horizon cap"):
+            inequalities.grid(cmd, GridSpec(n_max=counting.MAX_HORIZON + 1, **axes))
+        with pytest.raises(RefusedInput, match="empty grid: no d values"):
+            inequalities.grid(cmd, GridSpec(n_max=5, **{**axes, "d_values": ()}))
+        with pytest.raises(RefusedInput, match="unknown search kind 'Q'"):
+            inequalities.grid("search-Q", GridSpec(n_max=5, **axes))
+
+    def test_each_row_runs_when_its_block_is_asked_for(self, monkeypatch):
+        real, ran = inequalities._row, []
+        monkeypatch.setattr(inequalities, "_row", lambda base, *args, **kwargs: (
+            ran.append(base) or real(base, *args, **kwargs)))
+        spec = GridSpec(a_values=(1,), d_values=(1, 2, 3), n_max=20)
+        cmd, blocks = inequalities.grid("verify-delta", spec)
+        assert cmd == "verify-delta" and ran == []
+        assert next(blocks)[0] == {"a": 1, "d": 1} and ran == [{"a": 1, "d": 1}]
+        assert [base for base, _ in blocks] == [{"a": 1, "d": 2}, {"a": 1, "d": 3}]
+        assert list(blocks) == [] and len(ran) == 3
+        assert verify("delta", spec) == VerificationReport(cmd, [
+            block for block in inequalities.grid("verify-delta", spec)[1]])
+
+    def test_search_command_names_the_kind_as_the_report_does(self):
+        spec = GridSpec(a_values=(1, 2, 3, 4), d_values=tuple(range(1, 13)), n_max=60)
+        cmd, blocks = inequalities.grid("search-delta-m", spec)
+        assert cmd == "search-delta_m"
+        assert search_counterexamples("delta-m", spec) == VerificationReport(cmd, list(blocks))
 
 
 class TestGridSpec:

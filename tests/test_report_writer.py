@@ -3,10 +3,11 @@
 ``cli._write`` formats a report block by block, each block's params once.
 Here every kind of report is written that way and compared, byte for
 byte, with a plain writer over ``VerificationReport.records`` that
-encodes each record with ``json.dumps`` and ``csv.writer``.  The records
-themselves, and ``summary`` and ``ok``, are pinned to a
-list-of-records model of the engine: one ``CellRecord`` per cell, each
-status decided cell by cell.
+encodes each record with ``json.dumps`` and ``csv.writer``.  So is every
+grid as the CLI streams it, its blocks read once from ``inequalities.grid``
+as they are evaluated.  The records themselves, and ``summary`` and
+``ok``, are pinned to a list-of-records model of the engine: one
+``CellRecord`` per cell, each status decided cell by cell.
 """
 
 import csv
@@ -22,7 +23,7 @@ from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED, STATEMENTS,
                                 VIOLATION, GridSpec, Row, search_counterexamples,
                                 verify)
 from alder.partset import pm_set
-from alder.report import CellRecord
+from alder.report import CellRecord, VerificationReport
 from oracles import check_andrews
 
 FORMATS = ("json", "csv", "human")
@@ -74,6 +75,16 @@ def assert_writes_as_reference(report):
     assert report.records, "a report with no cells pins nothing"
     for fmt in FORMATS:
         assert written(report, fmt) == reference(report, fmt), fmt
+
+
+def assert_streams_as_reference(cmd, spec, report):
+    """The grid ``cmd`` over ``spec``, streamed as the CLI writes it, equals
+    the reference writer over the collected ``report``, in every format."""
+    for fmt in FORMATS:
+        out = io.StringIO()
+        summary = cli._write(VerificationReport(*inequalities.grid(cmd, spec)), fmt, out)
+        assert out.getvalue() == reference(report, fmt), fmt
+        assert summary["cells"] == len(report.records)
 
 
 # ------------------------------------------------- list-of-records model
@@ -166,6 +177,7 @@ def test_every_statement_writes_as_reference(name, force):
     report = verify(name, spec)
     assert_matches_model(report, model_verify(name, spec))
     assert_writes_as_reference(report)
+    assert_streams_as_reference(f"verify-{name}", spec, report)
 
 
 def test_grids_cover_every_verify_status():
@@ -186,6 +198,25 @@ def test_skipped_pairs_per_n_and_per_pair():
         [({"a": 30, "d": 19}, SKIPPED)]
     for report in (shift, gen_kp):
         assert_writes_as_reference(report)
+
+
+def test_csv_header_waits_for_the_first_block_with_n():
+    # gen-kp skips (4, 1) as one cell without n; (4, 2) and (4, 3) have n
+    spec = GridSpec(a_values=(4,), d_values=(1, 2, 3), n_max=3)
+    report = verify("gen-kp", spec)
+    assert [r.params for r in report.records][:2] == [{"a": 4, "d": 1},
+                                                      {"a": 4, "d": 2, "n": 1}]
+    assert_streams_as_reference("verify-gen-kp", spec, report)
+    assert reference(report, "csv").startswith("cmd,a,d,n,status,value\n")
+
+
+@pytest.mark.parametrize("argv,header", [
+    ("verify gen-kp --a 10 --d 1 --n-max 3", "cmd,a,d,status,value\n"),  # every pair skipped
+    ("search --kind shift --N 2 --d 1..3 --n-max 3", "cmd,status,value\n")])  # no violation
+def test_csv_header_of_a_grid_without_cells_with_n(capsys, argv, header):
+    assert cli.main([*argv.split(), "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(header) and (out == header) == argv.startswith("search")
 
 
 def test_exempt_cell():
@@ -232,6 +263,7 @@ def test_search_violations_tagged_and_untagged(kind, axes):
     assert witnessed == {kind != "shift"}
     assert_matches_model(report, model_search(kind, spec))
     assert_writes_as_reference(report)
+    assert_streams_as_reference(f"search-{kind}", spec, report)
 
 
 def test_search_without_violations_writes_no_params():
@@ -241,6 +273,8 @@ def test_search_without_violations_writes_no_params():
     for fmt in FORMATS:
         assert written(report, fmt) == reference(report, fmt)
     assert written(report, "csv") == "cmd,status,value\n"
+    assert_streams_as_reference("search-delta-mm", GridSpec(
+        a_values=(2, 3), d_values=tuple(range(1, 13)), n_max=60), report)
 
 
 COUNTS = ["--kind q --a 1 --d 2", "--kind Q --a 2 --d 4", "--kind Qm --a 1 --d 4",
