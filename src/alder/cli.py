@@ -149,7 +149,9 @@ class _Stdout:
             if flush:
                 sys.stdout.flush()
         except BrokenPipeError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
 
 
 # ---------------------------------------------------------------- count
@@ -168,10 +170,9 @@ def cmd_count(args) -> VerificationReport:
         other = "s" if args.set == "T" else "N"  # T(s, d) or S(d, N)
         if getattr(args, other) is None or args.d is None:
             raise RefusedInput(f"rho over {args.set} needs --{other} and --d")
-        A = t_set(args.s, args.d) if other == "s" else s_set(args.d, args.N)
         params_base = {"kind": kind, "set": args.set, **(
             {"s": args.s, "d": args.d} if other == "s" else {"d": args.d, "N": args.N})}
-        counts = [lambda: A]
+        counts = [lambda: t_set(args.s, args.d) if other == "s" else s_set(args.d, args.N)]
     elif kind in ("g", "l"):
         if args.d is None:
             raise RefusedInput(f"kind {kind} needs --d")

@@ -227,9 +227,8 @@ def dominates(S: ResidueClassSet, T: ResidueClassSet, i_max: int,
     The premise of the set-domination bound rho(T; n) >= rho(S; n) (a = 1)
     and of its divisibility-shifted form, modified-st.
     """
-    return T.element(1) == a and all(
-        x >= y and y % a == 0
-        for _, x, y in zip(range(i_max), S.elements(), T.elements()))
+    xs, ys = (A.elements_upto(A.element(i_max)) for A in (S, T))
+    return ys[0] == a and all(x >= y and y % a == 0 for x, y in zip(xs, ys))
 
 
 def gen_kp_sets(a: int, d: int) -> tuple[ResidueClassSet, ResidueClassSet]:

@@ -33,11 +33,12 @@ S1 check therefore holds by construction once two premises hold, both
 checked per index, not per partition: x_i >= y_i for every i >= 3 with
 x_i <= n (so alpha is defined and nonnegative), and d - N - 1 >= 1.
 Under them S1 has rho(S, n) - |S2| members, and S2 is empty when
-N <= 2.  ``verify_injection`` walks the S2 members alone, maps each by
-phi2, and checks its image, the piece separation, p_2 >= 8 and
-injectivity within S2.  An S2 image q equals an S1 image iff its
-phi1-preimage, p_i = q_i (i >= 2) with p_1 = q_1 - alpha(q) + (N-2) q_2,
-has p_1 >= 0, which is one closed-form sum per image.
+N <= 2.  ``verify_injection`` walks the S2 members alone, maps and checks
+each by ``_map_checked`` (its image, p_2 >= 8, the piece separation), as
+the exhaustive check does every partition, and checks injectivity
+within S2.  An S2 image q equals an S1 image iff its phi1-preimage,
+p_i = q_i (i >= 2) with p_1 = q_1 - alpha(q) + (N-2) q_2, has p_1 >= 0,
+which is one closed-form sum per image.
 
 ``_check_exhaustively`` enumerates every partition of n and maps it.  It
 is the structural check's fallback (and, in the tests, its oracle): a
@@ -203,9 +204,6 @@ class InjectionCellReport:
         self.checks: dict[str, bool] = {}
         self.witnesses: list[dict] = []
 
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and vars(other) == vars(self)
-
     @property
     def passed(self) -> bool:
         return self.evaluated and all(self.checks.values())
@@ -258,58 +256,67 @@ def _open_cell(d: int, N: int, n: int,
     return report, S
 
 
+def _map_checked(lam: dict[int, int], d: int, N: int,
+                 failed: list[dict]) -> tuple[str | None, dict[int, int] | None]:
+    """Classify one partition and map it by its class's piece.
+
+    Appends the witness of each check it fails to ``failed``, in this
+    order: its statistics, p_2 >= 8 (an S2 member), the map, and the beta
+    piece separation (an S2 image).  Returns the class and the image,
+    each None if it is not defined.
+    """
+    try:
+        st = stats(lam, d, N)
+    except HypothesisViolation as exc:
+        failed.append({"source": lam, "error": str(exc)})
+        return None, None
+    if st.cls == "S2" and lam.get(2, 0) < 8:
+        failed.append({"check": "p2_lower_bound", "source": lam, "p2": lam.get(2, 0)})
+    try:
+        img = phi1(lam, d, N, st) if st.cls == "S1" else phi2(lam, d, N, st)
+    except MapViolation as exc:
+        failed.append(exc.witness)
+        return st.cls, None
+    if st.cls == "S2" and img.get(2, 0) // 2 != st.beta:
+        failed.append({"check": "piece_separation", "source": lam,
+                       "beta": st.beta, "q2": img.get(2, 0)})
+    return st.cls, img
+
+
+def _settle(report: InjectionCellReport, mapped: int, distinct: int,
+            failed: list[dict]) -> None:
+    """Set the checks of an evaluated cell whose sizes are filled in:
+    ``mapped`` of its partitions have an image, ``distinct`` images in all,
+    and ``failed`` holds the witnesses of ``_map_checked``."""
+    report.witnesses += failed
+    classified = report.s1_size + report.s2_size == report.size
+    report.checks = {
+        "classification_partitions": classified,
+        "enumeration_matches_rho": report.size == report.rho_s,
+        "stats_defined": classified,  # a partition is classified iff its stats are
+        "images_valid": mapped == report.size,  # _image rejects any weight drift
+        "injective": distinct == mapped,
+        "piece_separation": True,  # these two fail by a witness that names them
+        "rho_dominates": report.rho_t >= report.rho_s,
+        "p2_lower_bound": True}
+    report.checks.update((witness["check"], False) for witness in failed if "check" in witness)
+
+
 def _check_exhaustively(report: InjectionCellReport, S: ResidueClassSet) -> None:
     """Enumerate every partition of n over S, map it and fill in ``report``."""
-    d, N, n = report.d, report.N, report.n
-    partitions = enumerate_partitions(S, n)
+    partitions = enumerate_partitions(S, report.n)
     report.size = len(partitions)
     images: set[tuple[tuple[int, int], ...]] = set()
     mapped = 0
-    image_ok = True
-    separation_ok = True
-    p2_ok = True
-    stats_ok = True
-
+    failed: list[dict] = []
     for lam in partitions:
-        try:
-            st = stats(lam, d, N)
-        except HypothesisViolation as exc:
-            stats_ok = False
-            report.witnesses.append({"source": lam, "error": str(exc)})
-            continue
-        if st.cls == "S1":
-            report.s1_size += 1
-        else:
-            report.s2_size += 1
-            p2 = lam.get(2, 0)
-            if p2 < 8:
-                p2_ok = False
-                report.witnesses.append(
-                    {"check": "p2_lower_bound", "source": lam, "p2": p2})
-        try:
-            img = phi1(lam, d, N, st) if st.cls == "S1" else phi2(lam, d, N, st)
-        except MapViolation as exc:
-            image_ok = False
-            report.witnesses.append(exc.witness)
-            continue
-        if st.cls == "S2" and img.get(2, 0) // 2 != st.beta:
-            separation_ok = False
-            report.witnesses.append(
-                {"check": "piece_separation", "source": lam,
-                 "beta": st.beta, "q2": img.get(2, 0)})
-        mapped += 1
-        images.add(tuple(img.items()))
-
-    report.checks["classification_partitions"] = (
-        report.s1_size + report.s2_size == report.size)
-    report.checks["enumeration_matches_rho"] = report.size == report.rho_s
-    report.checks["stats_defined"] = stats_ok
-    # _image already rejected any weight drift, so mapped == well-defined
-    report.checks["images_valid"] = image_ok and mapped == report.size
-    report.checks["injective"] = len(images) == mapped
-    report.checks["piece_separation"] = separation_ok
-    report.checks["rho_dominates"] = report.rho_t >= report.rho_s
-    report.checks["p2_lower_bound"] = p2_ok
+        cls, img = _map_checked(lam, report.d, report.N, failed)
+        report.s1_size += cls == "S1"
+        report.s2_size += cls == "S2"
+        if img is not None:
+            mapped += 1
+            images.add(tuple(img.items()))
+    _settle(report, mapped, len(images), failed)
 
 
 def _s2_members(d: int, N: int, n: int, xs: list[int],
@@ -370,18 +377,17 @@ def _s2_size(d: int, N: int, n: int, S: ResidueClassSet) -> int | None:
     if d - N - 1 < 1 or any(x < y for x, y in zip(xs[3:], ys[3:])):
         return None
     images: set[tuple[tuple[int, int], ...]] = set()
+    failed: list[dict] = []
     for lam in _s2_members(d, N, n, xs, ys):
-        st = stats(lam, d, N)
-        try:
-            img = phi2(lam, d, N, st)
-        except MapViolation:
+        _, img = _map_checked(lam, d, N, failed)
+        if failed:
             return None
         key = tuple(img.items())
         # the phi1-preimage of img; a partition of n, in S1, iff its p_1 >= 0
         p1 = (img.get(1, 0) + (N - 2) * img.get(2, 0)
               - sum((x_closed(d, N, i) - y_closed(d, i)) * m
                     for i, m in img.items() if i >= 3))
-        if lam[2] < 8 or img.get(2, 0) // 2 != st.beta or key in images or p1 >= 0:
+        if key in images or p1 >= 0:
             return None
         images.add(key)
     return len(images)  # one per S2 member: a repeated image returned None
@@ -419,8 +425,5 @@ def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCe
         return report
     report.size, report.s2_size = report.rho_s, s2_size
     report.s1_size = report.size - s2_size
-    report.checks = dict.fromkeys(
-        ("classification_partitions", "enumeration_matches_rho", "stats_defined",
-         "images_valid", "injective", "piece_separation", "rho_dominates",
-         "p2_lower_bound"), True)
+    _settle(report, report.size, report.size, [])  # every check holds
     return report

@@ -23,7 +23,8 @@ test suite.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator
+import itertools
+from typing import Iterable
 
 
 class RefusedInput(ValueError):
@@ -82,34 +83,21 @@ class ResidueClassSet:
     def __contains__(self, x: int) -> bool:
         return x >= 1 and x % self._modulus in self._residues and x not in self._exclusions
 
-    def elements(self) -> Iterator[int]:
-        """Yield the members in increasing order, forever."""
-        ordered = sorted(self._residues)
-        k = 0
-        while True:
-            for r in ordered:
-                v = k * self._modulus + r
-                if v >= 1 and v not in self._exclusions:
-                    yield v
-            k += 1
+    def elements_upto(self, limit: int) -> list[int]:
+        """All members <= limit, increasing: the one enumeration of the set."""
+        m = self._modulus
+        merged = sorted(itertools.chain.from_iterable(
+            range(r or m, limit + 1, m) for r in self._residues))
+        return [v for v in merged if v not in self._exclusions]
 
     def element(self, i: int) -> int:
-        """The i-th smallest member (i >= 1)."""
+        """The i-th smallest member (i >= 1).  1..k*modulus holds k members of
+        each residue class, so it holds i members once k*|residues| >= i +
+        |exclusions|."""
         if i < 1:
             raise RefusedInput(f"index must be >= 1, got {i}")
-        for count, v in enumerate(self.elements(), start=1):
-            if count == i:
-                return v
-        raise AssertionError("unreachable: the set is infinite")
-
-    def elements_upto(self, limit: int) -> list[int]:
-        """All members <= limit, increasing."""
-        out = []
-        for v in self.elements():
-            if v > limit:
-                break
-            out.append(v)
-        return out
+        k = -(-(i + len(self._exclusions)) // len(self._residues))
+        return self.elements_upto(k * self._modulus)[i - 1]
 
     def key(self) -> str:
         """Canonical text key, used for cache file naming."""

@@ -329,7 +329,8 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [
         "rho --set T --s 1 --d 1", "rho --set S --N 2 --d 63", "g --d 63", "l --d 63",
         "q --a 1 --d 1", "delta --a 2 --d 4", "Q --a 1 --d 4",
-        "q --a 0 --d 1"])  # invalid twice: the n refusal comes first
+        "q --a 0 --d 1", "rho --set T --s 0 --d 5",
+        "rho --set S --N 9 --d 5"])  # invalid twice: the n refusal comes first
     def test_negative_first_n_refused_before_any_build(self, capsys, monkeypatch, argv):
         built = []
         for name in ("_build_rho_table", "_build_gap_table", "_build_g_table"):
@@ -788,11 +789,17 @@ class TestStreaming:
         ran = _patch_row(monkeypatch, {"a": 1, "d": 6})  # the last row fails
         stdout = _ReaderGoneAfterFirstWrite()
         monkeypatch.setattr(sys, "stdout", stdout)
+        opened, real_open = [], os.open
+        monkeypatch.setattr(os, "open",
+                            lambda *args: opened.append(real_open(*args)) or opened[-1])
         try:
             code = cli.main(self.GRID)
         finally:
             stdout.pipe.close()
         assert code == 1 and len(ran) == 6
+        assert len(opened) == 1  # os.devnull, put at stdout's descriptor and closed
+        with pytest.raises(OSError):
+            os.fstat(opened[0])
         assert stdout.first.startswith('{"v":1,"cmd":"verify-gen-kp","params":{"a":1,"d":1,"n":1}')
         err = capsys.readouterr().err
         assert "alder verify: exit 1" in err and "Error" not in err

@@ -324,6 +324,22 @@ class TestTMonotone:
         assert report.ok
         assert len(report.records) == 21     # pairs with 1 <= lo <= hi <= 6
 
+    def test_failing_pair_names_its_first_violating_n(self, monkeypatch):
+        # rho(T(2, 7); n) patched 10 low at n = 4 and 20 low at n = 6
+        real = inequalities.column
+
+        def column(count, n):
+            table = list(real(count, n))
+            if count == t_set(2, 7):
+                table[4] -= 10
+                table[6] -= 20
+            return table
+
+        monkeypatch.setattr(inequalities, "column", column)
+        failing = [r for r in verify_t_monotone(7, 10).records if r.status != HOLDS]
+        assert failing == [({"d": 7, "s_lo": 1, "s_hi": 2, "n_max": 10}, FAILS, -20,
+                            {"n": 4})]
+
 
 class TestSearch:
     def test_kang_park_observation(self):

@@ -1,5 +1,7 @@
 """The piecewise injection: statistics, both map pieces, cell verification."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +152,13 @@ class TestPhi1:
             phi1({2: 5}, 63, 3)
         assert exc.value.witness == {"piece": "phi1", "source": {2: 5},
                                      "negative": {1: -5}}
+
+    def test_weight_mismatch_is_a_violation(self):
+        # no piece changes the weight; _image checks it of any q it is given
+        with pytest.raises(MapViolation, match="changed the weight 3 -> 2") as exc:
+            injection._image({1: 3}, 63, 2, {1: 2}, "phi1")
+        assert exc.value.witness == {"piece": "phi1", "source": {1: 3},
+                                     "image": {1: 2}, "weight": 2, "expected": 3}
 
 
 class TestPhi2:
@@ -419,3 +428,25 @@ class TestStructuralCheck:
         rep = verify_injection(63, 3, 519)
         assert enumerated == [519]
         assert rep.status == "holds" and rep.s2_size == 1
+
+    def test_p2_boundary_witnessed(self, enumerated):
+        # the forced cell's one S2 member {2: 7} is walked and fails p_2 >= 8;
+        # the rerun reports it, the witness formatted as in the report
+        xs = [0, *s_set(31, 3).elements_upto(224)]
+        ys = [0, *(y_closed(31, i) for i in range(1, len(xs)))]
+        assert list(injection._s2_members(31, 3, 224, xs, ys)) == [{2: 7}]
+        rep = verify_injection(31, 3, 224, force=True)
+        assert enumerated == [224]
+        assert rep.s2_size == 1 and not rep.checks["p2_lower_bound"]
+        assert json.dumps(rep.block[1][0][3]["witnesses"], separators=(",", ":")) == \
+            '[{"check":"p2_lower_bound","source":{"2":7},"p2":7}]'
+
+    def test_piece_separation_failure_witnessed(self, monkeypatch, enumerated):
+        # phi2 patched to put q_2 = 2 in piece beta = 1 of a beta = 0 member
+        real = injection.phi2
+        monkeypatch.setattr(injection, "phi2", lambda *args: {**real(*args), 2: 2})
+        rep = verify_injection(63, 3, 519)
+        assert enumerated == [519]
+        assert [k for k, v in rep.checks.items() if not v] == ["piece_separation"]
+        assert rep.witnesses == [{"check": "piece_separation", "source": {1: 7, 2: 8},
+                                  "beta": 0, "q2": 2}]
