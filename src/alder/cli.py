@@ -8,8 +8,7 @@ Subcommands
              --a or --N and --d, each N or LO..HI, and --n-min/--n-max;
              littlelemon is shift at N = 4 and refuses any other --N;
              anchors, xy-diff and t-monotone take single values)
-    inject   verify the piecewise injection per (d, N, n): a range is refused
-             if its first n < 0, or if its last cell, run first, is over a cap
+    inject   verify the piecewise injection per (d, N, n) over an n range
     search   scan a grid for negative deltas (informational)
 
 --force (verify and inject only) also evaluates out-of-hypothesis cells.
@@ -28,7 +27,8 @@ the terminal.  --out FILE goes through ``cache.write_atomic``.
 Start-up loads only ``partset`` and ``report``, so ``--help`` and usage
 errors compile no engine.  After parsing, each command imports what it
 runs: ``counting``; ``inequalities`` for verify and search, ``injection``
-and ``parallel`` for inject; ``cache`` for --cache or --out, ``csv`` for
+for inject (and ``concurrent.futures`` for its pool, in
+``injection.verify_range``); ``cache`` for --cache or --out, ``csv`` for
 a csv report and ``traceback`` for an internal error or a failed --out.
 
 Exit codes: 0 when every in-hypothesis assertion holds, 1 when at least
@@ -253,16 +253,9 @@ def cmd_search(args) -> VerificationReport:
 # ---------------------------------------------------------------- inject
 
 def cmd_inject(args) -> VerificationReport:
-    from . import injection
-    from .parallel import parallel_map
-    cell = functools.partial(injection.verify_injection,
-                             _single(args, "d"), _single(args, "N"), force=args.force)
-    n_values = parse_range(args.n)
-    # the first cell decides n >= 0 and the last one the caps (see injection),
-    # so a refused range runs no other cell and starts no pool
-    check_n(n_values[0])
-    last = cell(n_values[-1])
-    cells = [*parallel_map(cell, n_values[:-1], args.jobs), last]
+    from .injection import verify_range
+    cells = verify_range(_single(args, "d"), _single(args, "N"), parse_range(args.n),
+                         args.force, args.jobs)
     return VerificationReport("inject", [rep.block for rep in cells])
 
 

@@ -38,7 +38,7 @@ reads q, is skipped, with the refusal as the reason.  One engine runs
 them all, ``grid``: a verification (one cell is a grid with n_min ==
 n_max) or a search (negative cells only), each row through ``_row``,
 which reads each side as one slice of its table and makes the row one
-block of runs of cells (see ``report.VerificationReport``).  It lists a
+block of runs of cells (see ``report.VerificationReport``).  It walks a
 grid's rows first and refuses a horizon over ``counting.MAX_HORIZON``
 before any build; then it yields each row's block as it is asked for,
 freeing each table after its last reader.  ``verify`` and
@@ -339,18 +339,15 @@ def _rows(statement: Statement, spec: GridSpec):
             yield {first: x, second: y}, row
 
 
-def _held(rows: list, spec: GridSpec, readers: collections.Counter,
+def _held(rows: Iterator, spec: GridSpec, readers: collections.Counter,
           skip_each_n: bool, **how):
-    """Yield the block of each (base, Row or skip reason) taken off ``rows``,
-    in order, as it is asked for: a Row's from ``_row`` (with keywords
+    """Yield the block of each (base, Row or skip reason) of ``rows``, in
+    order, as it is asked for: a Row's from ``_row`` (with keywords
     ``how``; none if it has none), after releasing each table it read that
     no later Row reads (``readers`` counts the Rows that read each table)."""
-    lo, hi = spec.n_min, spec.n_max
-    rows.reverse()  # popped from the end, so that each row is let go once it has run
-    while rows:
-        base, row = rows.pop()
+    for base, row in rows:
         if isinstance(row, Row):
-            block = _row(base, lo, hi, row, **how)
+            block = _row(base, spec.n_min, spec.n_max, row, **how)
             for side in row[:2]:
                 readers[side.count] -= 1
                 if not readers[side.count]:
@@ -366,7 +363,7 @@ def grid(cmd: str, spec: GridSpec) -> tuple[str, Iterator[tuple[dict, list[tuple
     """The report ``cmd``, ``verify-<statement>`` (see ``verify``) or
     ``search-<kind>`` (``search_counterexamples``), over ``spec``, as (cmd
     as the report names it, blocks).  Every refusal comes from this call:
-    it lists the rows and checks each table horizon they will read.  The
+    it makes the rows and checks each table horizon they will read.  The
     blocks are a generator that evaluates each row when its block is asked
     for, so a reader that lets each block go holds one row's tables and
     one block at a time.
@@ -375,21 +372,23 @@ def grid(cmd: str, spec: GridSpec) -> tuple[str, Iterator[tuple[dict, list[tuple
     if verb == "search":
         kind, statement = search_kind(name)
         cmd, how = f"search-{kind}", {"violations_only": True}
-        rows = [({"kind": kind, **base}, row) if kind != "shift"
-                else (base, row._replace(names=None))
-                for base, row in _rows(statement, spec) if isinstance(row, Row)]
+        def rows():
+            return (({"kind": kind, **base}, row) if kind != "shift"
+                    else (base, row._replace(names=None))
+                    for base, row in _rows(statement, spec) if isinstance(row, Row))
     else:
         statement = STATEMENTS[name]
         how = {"evaluate_out": spec.evaluate_out_of_hypothesis}
-        rows = list(_rows(statement, spec))
+        rows = functools.partial(_rows, statement, spec)
     hi, readers = spec.n_max, collections.Counter()
-    for _, row in rows:
+    for _, row in rows():
         if isinstance(row, Row):
             if any(how.values()) or row.first is not None and row.first <= hi:
                 for _, m, k in row[:2]:  # _row evaluates some n, so reads these
                     check_horizon(m * -(-hi // k))
             readers.update((row.lhs.count, row.rhs.count))
-    return cmd, _held(rows, spec, readers, statement.skip_each_n, **how)
+    # made again to run, so that none is held: factories only build part sets
+    return cmd, _held(rows(), spec, readers, statement.skip_each_n, **how)
 
 
 def verify(name: str, spec: GridSpec) -> VerificationReport:

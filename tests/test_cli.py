@@ -506,14 +506,16 @@ class TestStartup:
         assert HOLDS == report.HOLDS == "holds"
 
     def test_inject_imports_its_modules_when_run(self):
-        probe = ("import sys, alder.cli; "
+        # a --jobs 1 range runs in-process: only a pool loads concurrent.futures
+        probe = ("import sys; before = set(sys.modules); import alder.cli; "
                  "code = alder.cli.main(['inject', '--d', '63', '--N', '2', "
-                 "'--n', '455']); "
-                 "print(code, 'alder.injection' in sys.modules, "
-                 "'alder.parallel' in sys.modules, file=sys.stderr)")
+                 "'--n', '455..458', '--jobs', '1']); "
+                 "new = set(sys.modules) - before; "
+                 "print(code, [m in new for m in ('alder.injection', 'alder.parallel', "
+                 "'concurrent.futures')], file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               check=True, text=True, env=child_env())
-        assert proc.stderr.splitlines()[-1] == "0 True True"
+        assert proc.stderr.splitlines()[-1] == "0 [True, False, False]"
         assert json.loads(proc.stdout.splitlines()[0])["status"] == "holds"
 
 

@@ -1,5 +1,6 @@
 """The piecewise injection: statistics, both map pieces, cell verification."""
 
+import concurrent.futures
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from alder import injection
 from alder.counting import MAX_HORIZON, rho
 from alder.injection import (HypothesisViolation, MapViolation,
                              enumerate_partitions, in_hypothesis, phi1, phi2,
-                             stats, verify_injection)
+                             stats, verify_injection, verify_range)
 from alder.partset import (RefusedInput, pm_set, s_set, shift_regime, t_set,
                            x_closed, y_closed)
 from oracles import positive_integers, verify_injection_exhaustive
@@ -450,3 +451,64 @@ class TestStructuralCheck:
         assert [k for k, v in rep.checks.items() if not v] == ["piece_separation"]
         assert rep.witnesses == [{"check": "piece_separation", "source": {1: 7, 2: 8},
                                   "beta": 0, "q2": 2}]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestVerifyRange:
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_cells_come_back_in_input_order(self, jobs):
+        # (63, 3) has S2 members from n = 455 on, so each cell walks some
+        cells = range(455, 471)
+        assert [rep.block for rep in verify_range(63, 3, cells, jobs=jobs)] == \
+            [verify_injection(63, 3, n).block for n in cells]
+
+    def test_last_cell_runs_first(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(injection, "verify_injection",
+                            lambda d, N, n, force: ran.append(n) or n)
+        assert verify_range(63, 2, (455, 456, 457)) == [455, 456, 457]
+        assert ran == [457, 455, 456]
+        with pytest.raises(RefusedInput, match="n must be >= 0, got -1"):
+            verify_range(63, 2, (-1, 0, 1))
+        assert ran == [457, 455, 456]  # a negative first n runs no cell
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        # the pool branch imports the executor from concurrent.futures when it runs
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(injection.os, "cpu_count", lambda: 4)
+        _RecordingPool.sizes = []
+        return _RecordingPool.sizes
+
+    def test_one_remaining_cell_starts_no_pool(self, pools):
+        for cells in ((455,), (455, 456)):
+            assert [rep.n for rep in verify_range(63, 2, cells, jobs=8)] == list(cells)
+        assert pools == []
+
+    def test_pool_never_exceeds_cells_or_cpus(self, monkeypatch, pools):
+        cells = range(455, 466)  # ten cells besides the last
+        for jobs in (10 ** 9, 3):
+            assert [rep.n for rep in verify_range(63, 2, cells, jobs=jobs)] == list(cells)
+        assert [rep.n for rep in verify_range(63, 2, (455, 456, 457), jobs=10 ** 9)] == \
+            [455, 456, 457]
+        assert pools == [4, 3, 2]
+        monkeypatch.setattr(injection.os, "cpu_count", lambda: None)
+        assert [rep.n for rep in verify_range(63, 2, cells, jobs=8)] == list(cells)
+        assert pools == [4, 3, 2]  # one CPU: no pool at all
