@@ -19,17 +19,16 @@ row as each is evaluated, after every refusal.  Reports are JSON lines by
 default, one object per cell with the fixed field order  v, cmd, params,
 status, value, witness  and counts as decimal strings; a final summary
 object tallies the cells written.  Output is byte-stable, so reports can
-be diffed; timing goes to stderr.  --jobs K fans the cells of ``inject``
-out over up to K worker processes (the report is byte-identical at any
-K).  CSV is a flat projection for spreadsheets, the human format is for
-the terminal.  --out FILE goes through ``cache.write_atomic``.
+be diffed; timing goes to stderr.  --jobs K is accepted and ignored:
+every command runs in one process.  CSV is a flat projection for
+spreadsheets, the human format is for the terminal.  --out FILE goes
+through ``cache.write_atomic``.
 
 Start-up loads only ``partset`` and ``report``, so ``--help`` and usage
 errors compile no engine.  After parsing, each command imports what it
 runs: ``counting``; ``inequalities`` for verify and search, ``injection``
-for inject (and ``concurrent.futures`` for its pool, in
-``injection.verify_range``); ``cache`` for --cache or --out, ``csv`` for
-a csv report and ``traceback`` for an internal error or a failed --out.
+for inject; ``cache`` for --cache or --out, ``csv`` for a csv report and
+``traceback`` for an internal error or a failed --out.
 
 Exit codes: 0 when every in-hypothesis assertion holds, 1 when at least
 one fails (a falsification candidate), 2 on refused input (always
@@ -255,7 +254,7 @@ def cmd_search(args) -> VerificationReport:
 def cmd_inject(args) -> VerificationReport:
     from .injection import verify_range
     cells = verify_range(_single(args, "d"), _single(args, "N"), parse_range(args.n),
-                         args.force, args.jobs)
+                         args.force)
     return VerificationReport("inject", [rep.block for rep in cells])
 
 
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv", "human"), default="json")
         p.add_argument("--jobs", type=int, default=1, metavar="K",
-                       help="worker processes for inject cells (default 1)")
+                       help="accepted and ignored: every command runs in one process")
         p.add_argument("--cache", metavar="DIR", default=None)
         p.add_argument("--out", metavar="FILE", default=None)
 

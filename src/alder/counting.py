@@ -186,7 +186,7 @@ def column(count: ResidueClassSet | tuple, n: int) -> tuple[int, ...]:
     if tab is not None and len(tab) > n:
         return tab
     check_horizon(n)
-    # doubling: verify_range's spawn/forkserver workers inherit no tables, read ascending n
+    # doubling: a caller that reads ascending n builds once per doubling, not per n
     horizon = min(max(n, 64, 2 * (len(tab) - 1) if tab is not None else 0), MAX_HORIZON)
     values = None
     if _cache_dir:

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import os
 from typing import Iterator, NamedTuple, Sequence
 
 from . import counting
@@ -431,22 +430,13 @@ def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCe
     return report
 
 
-def verify_range(d: int, N: int, n_values: Sequence[int], force: bool = False,
-                 jobs: int = 1) -> list[InjectionCellReport]:
+def verify_range(d: int, N: int, n_values: Sequence[int],
+                 force: bool = False) -> list[InjectionCellReport]:
     """``verify_injection`` at (d, N, n) for each n of the ascending
     ``n_values``, in order.  The first n is checked and the last cell runs
     first (see the module docstring), so a range over a cap runs no other
-    cell and starts no pool; the rest run on up to ``jobs`` processes."""
+    cell."""
     check_n(n_values[0])
     cell = functools.partial(verify_injection, d, N, force=force)
-    last, rest = cell(n_values[-1]), n_values[:-1]
-    # fork starts every worker up front: never more than the cells or CPUs
-    workers = min(jobs, len(rest), os.cpu_count() or 1)
-    if workers <= 1:
-        return [*map(cell, rest), last]
-    # cells come back in input order, so the report is byte-identical at any
-    # jobs; fork workers inherit the tables built so far, while spawn and
-    # forkserver workers rebuild them.  Imported here: only a pool pays for it
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [*pool.map(cell, rest, chunksize=max(1, len(rest) // (workers * 8))), last]
+    last = cell(n_values[-1])
+    return [*map(cell, n_values[:-1]), last]

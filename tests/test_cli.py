@@ -1,7 +1,6 @@
 """CLI surface: formats, exit codes, caching, determinism across --jobs."""
 
 import collections
-import concurrent.futures
 import contextlib
 import csv
 import hashlib
@@ -423,7 +422,7 @@ class TestVerify:
 
 class TestStartup:
     def test_cli_import_leaves_multiprocessing_out(self):
-        # only an inject pool needs it; every other command would pay its import
+        # no command runs a process pool, so none pays for its import
         probe = ("import sys, alder.cli; "
                  "print('multiprocessing' in sys.modules, "
                  "'concurrent.futures.process' in sys.modules)")
@@ -449,7 +448,6 @@ class TestStartup:
     def test_every_command_loads_only_the_standard_library(self, tmp_path):
         # alder has no runtime dependencies: every top-level module a run of
         # each command loads is alder or part of the standard library
-        # (__mp_main__ is the name multiprocessing gives __main__ in a pool)
         runs = [["count", "--kind", "delta_m", "--a", "2", "--d", "4", "--n", "1..50",
                  "--cache", str(tmp_path)],
                 ["verify", "shift", "--N", "2", "--d", "63", "--n-max", "70",
@@ -461,7 +459,7 @@ class TestStartup:
                  f"codes = [alder.cli.main(argv) for argv in {runs!r}]; "
                  "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
                  "print(codes, sorted(new - set(sys.stdlib_module_names) "
-                 "- {'alder', '__mp_main__'}), file=sys.stderr)")
+                 "- {'alder'}), file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               check=True, text=True, env=child_env())
         assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0] []"
@@ -506,7 +504,7 @@ class TestStartup:
         assert HOLDS == report.HOLDS == "holds"
 
     def test_inject_imports_its_modules_when_run(self):
-        # a --jobs 1 range runs in-process: only a pool loads concurrent.futures
+        # a range runs in one process: it loads no process pool
         probe = ("import sys; before = set(sys.modules); import alder.cli; "
                  "code = alder.cli.main(['inject', '--d', '63', '--N', '2', "
                  "'--n', '455..458', '--jobs', '1']); "
@@ -554,35 +552,30 @@ class TestInject:
                 ["inject", "--d", "63", "--N", "2", "--n=-5", *force], capsys)
             assert code == 2 and out == ""
             assert "n must be >= 0" in err
-        # the range's first n refuses it before its last cell or a pool runs
-        cells, pools = [], []
+        # the range's first n refuses it before its last cell runs
+        cells = []
         monkeypatch.setattr(injection, "verify_injection",
                             lambda *args, **kwargs: cells.append(args))
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            lambda *args, **kwargs: pools.append(args) or None)
         for jobs in ("1", "2"):
             code, out, err = run_cli(["inject", "--d", "63", "--N", "2",
                                       "--n=-5..3", "--jobs", jobs], capsys)
             assert code == 2 and out == ""
             assert "n must be >= 0, got -5" in err
-        assert cells == [] and pools == []
+        assert cells == []
 
     def test_cell_over_partition_cap_exits_2(self, capsys, monkeypatch):
         rho_s = counting.rho(s_set(63, 2), 520)
         monkeypatch.setattr(injection, "MAX_PARTITIONS", rho_s - 1)
-        enumerated, pools = [], []
+        enumerated = []
         monkeypatch.setattr(injection, "enumerate_partitions",
                             lambda A, n: enumerated.append(n) or [])
-        # the pool branch imports the executor from concurrent.futures when it runs
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            lambda *args, **kwargs: pools.append(args) or None)
         for jobs in ("1", "2"):
             code, out, err = run_cli(["inject", "--d", "63", "--N", "2", "--n",
                                       "455..520", "--jobs", jobs], capsys)
             assert code == 2 and out == ""
             assert f"{rho_s} partitions, more than {rho_s - 1}" in err
         # the last cell, run first, refused the range before any other cell
-        assert enumerated == [] and pools == []
+        assert enumerated == []
 
     def test_partition_cap_skips_cells_that_enumerate_nothing(self, capsys, monkeypatch):
         monkeypatch.setattr(injection, "MAX_PARTITIONS", 0)

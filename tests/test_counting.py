@@ -261,9 +261,8 @@ class TestTables:
         assert column(s_set(63, 2), 10)[0] == 1
 
     def test_ascending_reads_double_the_horizon(self, monkeypatch):
-        # an injection.verify_range pool worker under spawn or forkserver starts
-        # with no tables and reads its cells in ascending n: one build per
-        # doubling, not per n
+        # a library caller that reads rho in ascending n with no table held
+        # pays one build per doubling, not per n
         class Log(dict):
             def __setitem__(self, key, table):
                 horizons.append(len(table) - 1)

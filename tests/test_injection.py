@@ -1,6 +1,5 @@
 """The piecewise injection: statistics, both map pieces, cell verification."""
 
-import concurrent.futures
 import json
 
 import pytest
@@ -453,30 +452,11 @@ class TestStructuralCheck:
                                   "beta": 0, "q2": 2}]
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
-
-
 class TestVerifyRange:
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_cells_come_back_in_input_order(self, jobs):
+    def test_cells_come_back_in_input_order(self):
         # (63, 3) has S2 members from n = 455 on, so each cell walks some
         cells = range(455, 471)
-        assert [rep.block for rep in verify_range(63, 3, cells, jobs=jobs)] == \
+        assert [rep.block for rep in verify_range(63, 3, cells)] == \
             [verify_injection(63, 3, n).block for n in cells]
 
     def test_last_cell_runs_first(self, monkeypatch):
@@ -488,27 +468,3 @@ class TestVerifyRange:
         with pytest.raises(RefusedInput, match="n must be >= 0, got -1"):
             verify_range(63, 2, (-1, 0, 1))
         assert ran == [457, 455, 456]  # a negative first n runs no cell
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        # the pool branch imports the executor from concurrent.futures when it runs
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(injection.os, "cpu_count", lambda: 4)
-        _RecordingPool.sizes = []
-        return _RecordingPool.sizes
-
-    def test_one_remaining_cell_starts_no_pool(self, pools):
-        for cells in ((455,), (455, 456)):
-            assert [rep.n for rep in verify_range(63, 2, cells, jobs=8)] == list(cells)
-        assert pools == []
-
-    def test_pool_never_exceeds_cells_or_cpus(self, monkeypatch, pools):
-        cells = range(455, 466)  # ten cells besides the last
-        for jobs in (10 ** 9, 3):
-            assert [rep.n for rep in verify_range(63, 2, cells, jobs=jobs)] == list(cells)
-        assert [rep.n for rep in verify_range(63, 2, (455, 456, 457), jobs=10 ** 9)] == \
-            [455, 456, 457]
-        assert pools == [4, 3, 2]
-        monkeypatch.setattr(injection.os, "cpu_count", lambda: None)
-        assert [rep.n for rep in verify_range(63, 2, cells, jobs=8)] == list(cells)
-        assert pools == [4, 3, 2]  # one CPU: no pool at all
