@@ -28,7 +28,8 @@ the oracle the triple-product tables are tested against.  All are
 backed by dense tables per (set, horizon), read through the one accessor
 ``column``, which hands out a rho, q or ("g", d) table whole, for
 slicing: built once (or loaded from the cache), grown geometrically on
-demand, and read-only while held.  A grid ``release``s each table after
+demand, and read-only while held.  A table has one name, ``table_name``,
+its key here and in the cache; a grid ``release``s it by that name after
 its last reader.  q_d^(a) is defined for a >= 1 and d >= 1
 (``check_q_domain``).  ``rho`` is one entry of a table, with n < 0
 refused (``partset.check_n``); callers of ``column`` check their n first.
@@ -36,7 +37,6 @@ refused (``partset.check_n``); callers of ``column`` check their n first.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 
@@ -47,7 +47,7 @@ from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
 MAX_HORIZON = 10 ** 5
 
 _cache_dir: str | None = None
-_tables: dict[str, tuple[int, ...]] = {}  # key -> counts for 0..horizon
+_tables: dict[str, tuple[int, ...]] = {}  # table name -> counts for 0..horizon
 
 
 def set_cache_dir(path: str | None) -> None:
@@ -169,7 +169,7 @@ def check_horizon(n: int) -> None:
 
 
 def _spec(count: ResidueClassSet | tuple) -> tuple:
-    """The table key of ``count``, its builder and the builder's arguments."""
+    """The table name of ``count``, its builder and the builder's arguments."""
     if isinstance(count, ResidueClassSet):
         return "rho." + count.key(), _build_rho_table, count
     if count[0] == "g":
@@ -177,12 +177,18 @@ def _spec(count: ResidueClassSet | tuple) -> tuple:
     return ("q.a%d.d%d" % count, _build_gap_table, *count)
 
 
+def table_name(count: ResidueClassSet | tuple) -> str:
+    """The name of the table of ``count`` (as ``column`` takes it), such as
+    ``q.a5.d300`` or ``rho.m303.r5,298.x298``: its key here and in the cache."""
+    return _spec(count)[0]
+
+
 def column(count: ResidueClassSet | tuple, n: int) -> tuple[int, ...]:
     """The table over 0..n or more of rho over a set, of q_d^(a) for (a, d),
     or of G(d, .) for ("g", d) (``_build_g_table``): the held one, or one
     loaded from the cache or built, then held."""
-    key, build, *spec = _spec(count)
-    tab = _tables.get(key)
+    name, build, *spec = _spec(count)
+    tab = _tables.get(name)
     if tab is not None and len(tab) > n:
         return tab
     check_horizon(n)
@@ -191,18 +197,18 @@ def column(count: ResidueClassSet | tuple, n: int) -> tuple[int, ...]:
     values = None
     if _cache_dir:
         from . import cache  # only --cache runs load it
-        values = cache.load(_cache_dir, key, horizon)
+        values = cache.load(_cache_dir, name, horizon)
     if values is None:
         values = build(*spec, horizon)
         if _cache_dir:
-            cache.store(_cache_dir, key, values)
-    tab = _tables[key] = tuple(values)
+            cache.store(_cache_dir, name, values)
+    tab = _tables[name] = tuple(values)
     return tab
 
 
-def release(count: ResidueClassSet | tuple) -> None:
-    """Drop the table of ``count`` (as ``column`` takes it), if one is held."""
-    _tables.pop(_spec(count)[0], None)
+def release(name: str) -> None:
+    """Drop the table named ``name`` (``table_name``), if one is held."""
+    _tables.pop(name, None)
 
 
 def rho(A: ResidueClassSet, n: int) -> int:
@@ -211,24 +217,15 @@ def rho(A: ResidueClassSet, n: int) -> int:
     return column(A, n)[n]
 
 
-def _pm_exclusions(a: int, d: int, minus: int) -> list[int]:
-    if minus == 0:
-        return []
-    if minus == 1:
-        return [d + 3 - a]
-    return sorted({a, d + 3 - a})
-
-
-@functools.lru_cache(maxsize=None)
 def big_q_set(a: int, d: int, minus: int) -> ResidueClassSet:
     """The parts +-a (mod d+3) of Q_d^(a) (``minus`` = 0), without d+3-a for
     Q_d^(a,-) (1), or without both a and d+3-a for Q_d^(a,--) (2); refused
-    outside 1 <= a < d+3, where there is no +-a residue pair."""
+    outside 1 <= a < d+3, where there is no +-a residue pair; built anew each call."""
     if a < 1:
         raise RefusedInput(f"need 1 <= a < d+3, got a={a}, d={d}")
     if a >= d + 3:
         raise RefusedInput(f"Q undefined for a = {a} >= d+3 = {d + 3}")
-    return pm_set(a, d + 3, _pm_exclusions(a, d, minus))
+    return pm_set(a, d + 3, ((), (d + 3 - a,), (a, d + 3 - a))[minus])
 
 
 def largest_part_counts(A: ResidueClassSet, n: int, i_max: int) -> list[int]:

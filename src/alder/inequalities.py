@@ -39,10 +39,11 @@ them all, ``grid``: a verification (one cell is a grid with n_min ==
 n_max) or a search (negative cells only), each row through ``_row``,
 which reads each side as one slice of its table and makes the row one
 block of runs of cells (see ``report.VerificationReport``).  It walks a
-grid's rows first and refuses a horizon over ``counting.MAX_HORIZON``
-before any build; then it yields each row's block as it is asked for,
-freeing each table after its last reader.  ``verify`` and
-``search_counterexamples`` collect the blocks into one report.
+grid's rows first, refuses a horizon over ``counting.MAX_HORIZON``
+before any build and counts each table's readers by its name
+(``counting.table_name``); then it yields each row's block as it is
+asked for, releasing a table by that name after its last reader.
+``verify`` and ``search_counterexamples`` collect the blocks into one report.
 
 Verified by their own functions, since they are not n-indexed:
 
@@ -65,7 +66,7 @@ import operator
 from typing import Callable, Iterator, NamedTuple
 
 from .counting import (big_q_set, check_horizon, check_q_domain, column,
-                       largest_part_counts, release, rho)
+                       largest_part_counts, release, rho, table_name)
 from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
                       s_set, shift_regime, t_set, x_closed, y_closed)
 from .report import EXEMPT, FAILS, HOLDS, OUT, SKIPPED, VIOLATION, VerificationReport
@@ -344,14 +345,15 @@ def _held(rows: Iterator, spec: GridSpec, readers: collections.Counter,
     """Yield the block of each (base, Row or skip reason) of ``rows``, in
     order, as it is asked for: a Row's from ``_row`` (with keywords
     ``how``; none if it has none), after releasing each table it read that
-    no later Row reads (``readers`` counts the Rows that read each table)."""
+    no later Row reads (``readers`` counts the Row sides by table name)."""
     for base, row in rows:
         if isinstance(row, Row):
             block = _row(base, spec.n_min, spec.n_max, row, **how)
-            for side in row[:2]:
-                readers[side.count] -= 1
-                if not readers[side.count]:
-                    release(side.count)
+            for name in (table_name(row.lhs.count), table_name(row.rhs.count)):
+                readers[name] -= 1
+                if not readers[name]:
+                    del readers[name]
+                    release(name)
             if block:
                 yield block
         else:
@@ -372,23 +374,23 @@ def grid(cmd: str, spec: GridSpec) -> tuple[str, Iterator[tuple[dict, list[tuple
     if verb == "search":
         kind, statement = search_kind(name)
         cmd, how = f"search-{kind}", {"violations_only": True}
-        def rows():
-            return (({"kind": kind, **base}, row) if kind != "shift"
-                    else (base, row._replace(names=None))
-                    for base, row in _rows(statement, spec) if isinstance(row, Row))
     else:
         statement = STATEMENTS[name]
         how = {"evaluate_out": spec.evaluate_out_of_hypothesis}
-        rows = functools.partial(_rows, statement, spec)
-    hi, readers = spec.n_max, collections.Counter()
-    for _, row in rows():
+    hi, readers = spec.n_max, collections.Counter()  # table name -> Row sides
+    for _, row in _rows(statement, spec):
         if isinstance(row, Row):
             if any(how.values()) or row.first is not None and row.first <= hi:
                 for _, m, k in row[:2]:  # _row evaluates some n, so reads these
                     check_horizon(m * -(-hi // k))
-            readers.update((row.lhs.count, row.rhs.count))
+            readers.update((table_name(row.lhs.count), table_name(row.rhs.count)))
     # made again to run, so that none is held: factories only build part sets
-    return cmd, _held(rows(), spec, readers, statement.skip_each_n, **how)
+    rows = _rows(statement, spec)
+    if verb == "search":  # skipped pairs are not scanned
+        rows = (({"kind": kind, **base}, row) if kind != "shift"
+                else (base, row._replace(names=None))
+                for base, row in rows if isinstance(row, Row))
+    return cmd, _held(rows, spec, readers, statement.skip_each_n, **how)
 
 
 def verify(name: str, spec: GridSpec) -> VerificationReport:

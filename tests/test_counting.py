@@ -379,14 +379,6 @@ class TestTripleProductTables:
         assert {k: len(v) for k, v in counting._tables.items()} == \
             {"q.a2.d4": 4001, "rho.m7.r2,5": 4001}
 
-    def test_big_q_sets_are_built_once(self, monkeypatch):
-        big_q(5, 29, 10, minus=1)
-        built = []
-        monkeypatch.setattr(counting, "pm_set", lambda *args: built.append(args))
-        for n in range(50):
-            big_q(5, 29, n, minus=1)
-        assert built == []
-
 
 class TestSlicePasses:
     """The table builders' slice passes against the plain loops of oracles."""

@@ -1,5 +1,6 @@
 """Grid statements, the comparison lemmas, and counterexample search."""
 
+import gc
 import math
 
 import pytest
@@ -12,7 +13,7 @@ from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
                                 search_counterexamples, verify,
                                 verify_smalln_anchors, verify_t_monotone,
                                 xy_difference_report)
-from alder.partset import RefusedInput, pm_set, s_set, t_set
+from alder.partset import RefusedInput, ResidueClassSet, pm_set, s_set, t_set
 from alder.report import VerificationReport
 from oracles import (big_q, check_andrews, positive_integers, q_brute,
                      rho_brute)
@@ -496,7 +497,7 @@ class TestRelease:
         # delta rows share no table: q(a, d) and Q(a, d) per pair
         spec = GridSpec(a_values=(1, 2), d_values=tuple(range(1, 13)), n_max=200)
         monkeypatch.setattr(counting, "_tables", {})
-        monkeypatch.setattr(inequalities, "release", lambda count: None)
+        monkeypatch.setattr(inequalities, "release", lambda name: None)
         kept = search_counterexamples("delta", spec).records
         assert len(counting._tables) == 2 * 24
         monkeypatch.setattr(inequalities, "release", counting.release)
@@ -517,6 +518,28 @@ class TestRelease:
         monkeypatch.setattr(counting, "_tables", log)
         assert verify(name, GridSpec(n_max=200, **axes)).ok
         assert log.stored and len(set(log.stored)) == len(log.stored)
+        assert log == {}
+
+    @pytest.mark.parametrize("name,a_values,tables", [
+        # 200 rows, each with its own Q set; at n <= 1 none is in hypothesis,
+        # so none reads a table
+        ("gen-kp", (1, 2), 0),
+        # an a = 1 row reads Q_d^(1,-) on both sides; of the a = 2 rows (odd
+        # d), those at d = 5, 7, ..., 99 read again the Q^(1,-) table of an
+        # a = 1 row, and those at d = 1, 3 read Q_(-1)^(1,-) and Q_0^(1,-)
+        ("a-to-1", (1, 2), 100 + 50 + 2)])
+    def test_grid_keeps_no_part_set(self, monkeypatch, name, a_values, tables):
+        def part_sets():
+            gc.collect()
+            return sum(isinstance(obj, ResidueClassSet) for obj in gc.get_objects())
+
+        log = self.Log()
+        monkeypatch.setattr(counting, "_tables", log)
+        before = part_sets()
+        verify(name, GridSpec(a_values=a_values, d_values=tuple(range(1, 101)), n_max=1))
+        assert part_sets() <= before
+        # each table built once, and released after its last reader
+        assert len(set(log.stored)) == len(log.stored) == tables
         assert log == {}
 
     def test_released_table_is_rebuilt(self, monkeypatch):
