@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: the parser and ``main``.
 
 Subcommands
 
@@ -12,23 +12,15 @@ Subcommands
     search   scan a grid for negative deltas (informational)
 
 --force (verify and inject only) also evaluates out-of-hypothesis cells.
+The commands and the report writer, with the report formats, are in
+``commands``.
 
-Every command makes a report of blocks (``report.VerificationReport``)
-and one writer, ``_write``, writes them, a grid's (verify, search) row by
-row as each is evaluated, after every refusal.  Reports are JSON lines by
-default, one object per cell with the fixed field order  v, cmd, params,
-status, value, witness  and counts as decimal strings; a final summary
-object tallies the cells written.  Output is byte-stable, so reports can
-be diffed; timing goes to stderr.  --jobs K is accepted and ignored:
-every command runs in one process.  CSV is a flat projection for
-spreadsheets, the human format is for the terminal.  --out FILE goes
-through ``cache.write_atomic``.
-
-Start-up loads only ``partset`` and ``report``, so ``--help`` and usage
-errors compile no engine.  After parsing, each command imports what it
-runs: ``counting``; ``inequalities`` for verify and search, ``injection``
-for inject; ``cache`` for --cache or --out, ``csv`` for a csv report and
-``traceback`` for an internal error or a failed --out.
+Start-up loads no other alder module and no ``json``, so ``--help`` and
+usage errors compile only this one.  After parsing, ``main`` imports
+``commands`` (with ``partset`` and ``report``) and ``counting``, and each
+command imports what it runs: ``inequalities`` for verify and search,
+``injection`` for inject; ``cache`` for --cache or --out, ``csv`` for a
+csv report and ``traceback`` for an internal error or a failed --out.
 
 Exit codes: 0 when every in-hypothesis assertion holds, 1 when at least
 one fails (a falsification candidate), 2 on refused input (always
@@ -41,224 +33,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
-import json
-import operator
-import os
 import re
 import sys
 import time
 
-from .partset import RefusedInput, check_n, r_of, s_set, t_set
-from .report import FAILS, VIOLATION, VerificationReport
-
-SCHEMA_VERSION = 1
-
-#: longest LO..HI range accepted; checked before the range is built
-MAX_RANGE_VALUES = 10 ** 6
-
-
-def parse_range(text: str) -> tuple[int, ...]:
-    """'5' -> (5,); '3..7' -> (3, 4, 5, 6, 7)."""
-    try:
-        lo, hi = map(int, text.split("..", 1)) if ".." in text else (int(text),) * 2
-        if hi < lo:
-            raise ValueError
-    except ValueError:
-        raise RefusedInput(f"bad range {text!r} (expected N or LO..HI)") from None
-    if hi - lo >= MAX_RANGE_VALUES:
-        raise RefusedInput(f"range {text!r} has {hi - lo + 1} values, "
-                           f"more than {MAX_RANGE_VALUES}")
-    return tuple(range(lo, hi + 1))
-
-
-_json = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _write(report: VerificationReport, fmt: str, out) -> dict[str, int]:
-    """Write ``report`` to ``out`` block by block as each comes, then the
-    summary of the cells written, which is returned.  Params are formatted
-    once per block, status and witness once per run, n and value per cell.
-    CSV holds the blocks without n (a pair skipped as one cell) up to the
-    first with n: their keys make the header; no later block adds one."""
-    tally: dict[str, int] = {}
-    blocks = iter(report.blocks)
-    if fmt == "csv":
-        import csv  # here, so that only csv reports load it at start-up
-        writer = csv.writer(out, lineterminator="\n")
-        held = []
-        for block in blocks:
-            held.append(block)
-            if block[1][0][1][0] is not None:  # the first cell's n
-                break
-        keys = list(dict.fromkeys(k for base, runs in held for k in (
-            base if runs[0][1][0] is None else [*base, "n"])))
-        writer.writerow(["cmd", *keys, "status", "value"])
-        blocks = itertools.chain(iter(held), blocks)  # each let go once written
-        del held
-    head = f'{{"v":{SCHEMA_VERSION},"cmd":{_json(report.cmd)},'
-    for base, runs in blocks:
-        for status, ns, _, _ in runs:
-            tally[status] = tally.get(status, 0) + len(ns)
-        if fmt == "json":
-            bare = f'{head}"params":{_json(base)[:-1]}'  # params without the closing "}"
-            lead = f'{bare}{"," if base else ""}"n":'
-            for status, ns, values, witness in runs:
-                tail = f',"witness":{"null" if witness is None else _json(witness)}}}\n'
-                if values[0] is None:
-                    mid, values = f'}},"status":"{status}","value":null', ("",) * len(ns)
-                else:
-                    mid, tail = f'}},"status":"{status}","value":"', '"' + tail
-                pre, ns = (bare, ("",)) if ns[0] is None else (lead, ns)  # "" if no n
-                for i in range(0, len(ns), 1024):  # few writes, each of bounded size
-                    out.write("".join([f"{pre}{n}{mid}{v}{tail}" for n, v in
-                                       zip(ns[i:i + 1024], values[i:i + 1024])]))
-        elif fmt == "csv":
-            row = [report.cmd, *[base.get(k, "") for k in keys]]
-            at = 0 if runs[0][1][0] is None else keys.index("n") + 1
-            for status, ns, values, _ in runs:
-                for n, value in zip(ns, values):
-                    if at:
-                        row[at] = n
-                    writer.writerow([*row, status, "" if value is None else value])
-        else:  # human
-            lead = " ".join(f"{k}={v}" for k, v in base.items())
-            for status, ns, values, witness in runs:
-                tail = f"  witness={_json(witness)}" if witness else ""
-                for n, value in zip(ns, values):
-                    params = lead if n is None else f"{lead} n={n}".lstrip()
-                    value = "" if value is None else f"  value={value}"
-                    out.write(f"{params}  {status}{value}{tail}\n")
-    summary = {"cells": sum(tally.values()), **dict(sorted(tally.items()))}
-    if report.cmd.startswith("search-"):
-        summary["violations"] = summary.pop(VIOLATION, 0)
-    if fmt == "json":
-        out.write(f'{head}"summary":{_json(summary)}}}\n')
-    elif fmt == "human":
-        out.write(f"summary: {' '.join(f'{k}={v}' for k, v in summary.items())}\n")
-    return summary
-
-
-class _Stdout:
-    """stdout until its reader stops (``| head``), then os.devnull: the run goes on to its verdict."""
-
-    def write(self, text: str, flush: bool = False) -> None:
-        try:
-            sys.stdout.write(text)
-            if flush:
-                sys.stdout.flush()
-        except BrokenPipeError:
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
-
-
-# ---------------------------------------------------------------- count
-
-#: exclusions of the Q set (counting.big_q_set) of each count kind that reads
-#: one; a delta kind is q minus Q, and each count is one slice of its table
-_Q_EXCLUSIONS = {"Q": 0, "Qm": 1, "Qmm": 2, "delta": 0, "delta_m": 1, "delta_mm": 2}
-
-
-def cmd_count(args) -> VerificationReport:
-    from .counting import big_q_set, column
-    kind = args.kind.replace("-", "_")
-    if kind == "rho":
-        if args.set is None:
-            raise RefusedInput("rho needs --set T or --set S")
-        other = "s" if args.set == "T" else "N"  # T(s, d) or S(d, N)
-        if getattr(args, other) is None or args.d is None:
-            raise RefusedInput(f"rho over {args.set} needs --{other} and --d")
-        params_base = {"kind": kind, "set": args.set, **(
-            {"s": args.s, "d": args.d} if other == "s" else {"d": args.d, "N": args.N})}
-        counts = [lambda: t_set(args.s, args.d) if other == "s" else s_set(args.d, args.N)]
-    elif kind in ("g", "l"):
-        if args.d is None:
-            raise RefusedInput(f"kind {kind} needs --d")
-        counts = [lambda: ("g", args.d) if kind == "g" else t_set(r_of(args.d), args.d)]
-        params_base = {"kind": kind, "d": args.d}
-    elif kind == "q" or kind in _Q_EXCLUSIONS:
-        if args.a is None or args.d is None:
-            raise RefusedInput(f"kind {kind} needs --a and --d")
-        counts = [lambda: (args.a, args.d)] if kind[0] != "Q" else []  # q or delta
-        if kind != "q":
-            counts.append(lambda: big_q_set(args.a, args.d, _Q_EXCLUSIONS[kind]))
-        params_base = {"kind": kind, "a": args.a, "d": args.d}
-    else:
-        raise RefusedInput(f"unknown count kind {args.kind!r}")
-
-    n_values = parse_range(args.n)
-    lo, hi = n_values[0], n_values[-1]
-    check_n(lo)  # before any build; hi >= lo
-    # each refused by its table's builder or horizon cap; one build, at the range's horizon
-    slices = [column(count(), hi)[lo:hi + 1] for count in counts]
-    values = slices[0] if len(slices) == 1 else list(map(operator.sub, *slices))
-    return VerificationReport("count", [(params_base, [("ok", n_values, values, None)])])
-
-
-# ------------------------------------------------------- verify and search
-
-def _values(args, flag: str) -> tuple[int, ...]:
-    """The values of --flag, given as N or LO..HI."""
-    if getattr(args, flag) is None:
-        raise RefusedInput(f"this verification needs --{flag}")
-    return parse_range(getattr(args, flag))
-
-
-def _grid_from_args(args, axes: tuple[str, str], force: bool = False):
-    """The inequalities.GridSpec of a statement over ``axes``, each a --flag."""
-    from .inequalities import GridSpec
-    return GridSpec(**{f"{axis}_values": _values(args, axis) for axis in axes},
-                    n_min=args.n_min, n_max=args.n_max, evaluate_out_of_hypothesis=force)
-
-
-def _single(args, flag: str) -> int:
-    values = _values(args, flag)
-    if len(values) != 1:
-        raise RefusedInput(f"--{flag} must be a single value here")
-    return values[0]
-
-
-def cmd_verify(args) -> VerificationReport:
-    from . import inequalities
-    theorem = args.theorem
-    if theorem not in ("anchors", "xy-diff") and args.n_max is None:
-        a_values = parse_range(args.a) if args.a else (1,)
-        args.n_max = (inequalities.DEFAULT_N_MAX_A1 if max(a_values) <= 1
-                      else inequalities.DEFAULT_N_MAX_GENERAL)
-    if theorem == "littlelemon":
-        if args.N is not None and parse_range(args.N) != (4,):
-            raise RefusedInput(f"littlelemon is shift at N = 4, got --N {args.N}")
-        theorem, args.N = "shift", "4"
-    if theorem in inequalities.STATEMENTS:
-        axes = inequalities.STATEMENTS[theorem].axes
-        return VerificationReport(*inequalities.grid(
-            f"verify-{theorem}", _grid_from_args(args, axes, args.force)))
-    if theorem == "anchors":
-        return inequalities.verify_smalln_anchors(
-            _single(args, "d"), _single(args, "N"), evaluate_out=args.force)
-    if theorem == "xy-diff":
-        return inequalities.xy_difference_report(_single(args, "d"), _single(args, "N"))
-    return inequalities.verify_t_monotone(_single(args, "d"), args.n_max)  # t-monotone
-
-
-def cmd_search(args) -> VerificationReport:
-    from . import inequalities
-    _, statement = inequalities.search_kind(args.kind)
-    return VerificationReport(*inequalities.grid(
-        f"search-{args.kind}", _grid_from_args(args, statement.axes)))
-
-
-# ---------------------------------------------------------------- inject
-
-def cmd_inject(args) -> VerificationReport:
-    from .injection import verify_range
-    cells = verify_range(_single(args, "d"), _single(args, "N"), parse_range(args.n),
-                         args.force)
-    return VerificationReport("inject", [rep.block for rep in cells])
-
-
-# ---------------------------------------------------------------- main
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -317,10 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {"count": cmd_count, "verify": cmd_verify,
-             "inject": cmd_inject, "search": cmd_search}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -328,17 +102,20 @@ def main(argv: list[str] | None = None) -> int:
         if argv[i - 1] in ("--a", "--d", "--N", "--n") and re.match(r"-\d", argv[i]):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
-    from . import counting  # after parsing: --help and usage errors load no engine
+    from . import commands, counting  # after parsing: --help and usage errors load neither
+    from .partset import RefusedInput
+    from .report import FAILS
     counting.set_cache_dir(args.cache)
     started = time.monotonic()
     try:
         if args.jobs < 1:
             raise RefusedInput(f"--jobs must be >= 1, got {args.jobs}")
-        report = _DISPATCH[args.command](args)
+        report = commands._DISPATCH[args.command](args)
         if args.out:
             from .cache import write_atomic
             try:
-                summary = write_atomic(args.out, functools.partial(_write, report, args.format))
+                summary = write_atomic(args.out, functools.partial(
+                    commands._write, report, args.format))
             except OSError as exc:
                 import traceback  # an OSError raised in evaluating a grid is not the file's
                 if any(frame.f_code is getattr(report.blocks, "gi_code", None)
@@ -347,8 +124,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise RefusedInput(f"cannot write --out {args.out}: "
                                    f"{exc.strerror or exc}") from None
         else:
-            out = _Stdout()
-            summary = _write(report, args.format, out)
+            out = commands._Stdout()
+            summary = commands._write(report, args.format, out)
             out.write("", flush=True)
     except RefusedInput as exc:
         print(f"error: {exc}", file=sys.stderr)

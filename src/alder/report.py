@@ -27,7 +27,7 @@ class VerificationReport:
     status and witness, the i-th with params base + {"n": ns[i]} and value
     ``values[i]`` (None: not evaluated); an n of None stands for a block's
     one cell, whose params are the base.  ``records`` (one object per cell),
-    ``summary`` and ``ok`` read a list; ``cli._write`` also reads an iterator."""
+    ``summary`` and ``ok`` read a list; ``commands._write`` also reads an iterator."""
 
     def __init__(self, cmd: str, blocks: list | Iterator | None = None):
         self.cmd, self.blocks = cmd, [] if blocks is None else blocks

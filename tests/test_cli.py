@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alder import cache, cli, counting, inequalities, injection
+from alder import cache, cli, commands, counting, inequalities, injection
 from alder.inequalities import gen_kp_sets
 from alder.partset import RefusedInput, s_set
 from alder.report import VerificationReport
@@ -124,9 +124,9 @@ class TestCount:
         # would fail cheaply at its first cell, with another message
         code, out, err = run_cli(
             ["count", "--kind", "q", "--a", "0", "--d", "1", "--n",
-             f"1..{cli.MAX_RANGE_VALUES + 1}"], capsys)
+             f"1..{commands.MAX_RANGE_VALUES + 1}"], capsys)
         assert code == 2 and out == ""
-        assert f"more than {cli.MAX_RANGE_VALUES}" in err
+        assert f"more than {commands.MAX_RANGE_VALUES}" in err
 
     def test_over_horizon_cap_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -465,19 +465,78 @@ class TestStartup:
         assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0] []"
 
     def test_help_and_usage_errors_load_no_engine(self):
-        probe = ("import sys, alder.cli\n"
+        # only the parser: no other alder module and no json.  Compared with
+        # what was loaded before, since a site hook may preload some modules
+        probe = ("import sys; before = set(sys.modules); import alder.cli\n"
                  "codes = []\n"
                  "for argv in (['--help'], ['count', '--bogus']):\n"
                  "    try:\n"
                  "        alder.cli.main(argv)\n"
                  "    except SystemExit as exc:\n"
                  "        codes.append(exc.code)\n"
-                 "print(codes, sorted(m for m in sys.modules if m.startswith('alder')), "
-                 "file=sys.stderr)")
+                 "new = set(sys.modules) - before\n"
+                 "print(codes, sorted(m for m in new if m.startswith('alder')), "
+                 "sorted(new & {'json', 'alder.commands'}), file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               check=True, text=True, env=child_env())
-        assert proc.stderr.splitlines()[-1] == \
-            "[0, 2] ['alder', 'alder.cli', 'alder.partset', 'alder.report']"
+        assert proc.stderr.splitlines()[-1] == "[0, 2] ['alder', 'alder.cli'] []"
+
+    # recorded before the commands moved out of cli, at an 80-column terminal
+    PARSER_OUTPUT = {
+        "--help": (0, (
+            "usage: alder [-h] {count,verify,inject,search} ...\n"
+            "\n"
+            "Exact counting and grid verification of Alder-type partition inequalities.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {count,verify,inject,search}\n"
+            "    count               stream exact counter values\n"
+            "    verify              verify one statement over a grid\n"
+            "    inject              verify the piecewise injection per cell\n"
+            "    search              scan for negative deltas\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"), ""),
+        "verify --help": (0, (
+            "usage: alder verify [-h] [--a A] [--d D] [--N N] [--n-min N_MIN]\n"
+            "                    [--n-max N_MAX] [--format {json,csv,human}] [--jobs K]\n"
+            "                    [--cache DIR] [--out FILE] [--force]\n"
+            "                    {shift,littlelemon,gen-kp,gen-dkst,anchors,xy-diff,"
+            "ceiling,a-to-1,modified-st,t-monotone}\n"
+            "\n"
+            "positional arguments:\n"
+            "  {shift,littlelemon,gen-kp,gen-dkst,anchors,xy-diff,"
+            "ceiling,a-to-1,modified-st,t-monotone}\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --a A\n"
+            "  --d D\n"
+            "  --N N\n"
+            "  --n-min N_MIN\n"
+            "  --n-max N_MAX\n"
+            "  --format {json,csv,human}\n"
+            "  --jobs K              accepted and ignored: every command runs in one\n"
+            "                        process\n"
+            "  --cache DIR\n"
+            "  --out FILE\n"
+            "  --force               also evaluate out-of-hypothesis cells\n"), ""),
+        "count --bogus": (2, "", (
+            "usage: alder count [-h] --kind KIND [--a A] [--d D] [--N N] [--s S]\n"
+            "                   [--set {T,S}] --n N [--format {json,csv,human}] [--jobs K]\n"
+            "                   [--cache DIR] [--out FILE]\n"
+            "alder count: error: the following arguments are required: --kind, --n\n")),
+    }
+
+    @pytest.mark.parametrize("argv", PARSER_OUTPUT)
+    def test_parser_output_is_pinned(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("NO_COLOR", "1")
+        monkeypatch.delenv("FORCE_COLOR", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out, err) == self.PARSER_OUTPUT[argv]
 
     def test_count_and_inject_load_neither_statements_nor_cache(self, tmp_path):
         # they build reports but evaluate no statement; only --cache loads cache
@@ -703,7 +762,7 @@ class TestFormats:
         def write_one_line_then_raise(report, fmt, out):
             out.write("partial\n")
             raise exc
-        monkeypatch.setattr(cli, "_write", write_one_line_then_raise)
+        monkeypatch.setattr(commands, "_write", write_one_line_then_raise)
         code, out, _ = run_cli(
             ["count", "--kind", "q", "--a", "1", "--d", "2", "--n", "4",
              "--out", str(target)], capsys)
@@ -773,8 +832,8 @@ class TestStreaming:
     def test_rows_run_as_they_are_written(self, capsys, monkeypatch):
         ran = _patch_row(monkeypatch, None)
         written_before = []
-        real_write = cli._Stdout.write
-        monkeypatch.setattr(cli._Stdout, "write", lambda self, text, flush=False: (
+        real_write = commands._Stdout.write
+        monkeypatch.setattr(commands._Stdout, "write", lambda self, text, flush=False: (
             written_before.append(len(ran)), real_write(self, text, flush)))
         code, out, _ = run_cli(self.GRID, capsys)
         assert code == 0 and len(ran) == 6
@@ -852,7 +911,7 @@ class TestStreaming:
                                      n_max=2000, evaluate_out_of_hypothesis=True)
         tracemalloc.start()
         try:
-            summary = cli._write(VerificationReport(*inequalities.grid(
+            summary = commands._write(VerificationReport(*inequalities.grid(
                 "verify-gen-kp", spec)), "json", Null())
             streamed = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()

@@ -1,6 +1,6 @@
 """The block writer against a reference built from the per-cell records.
 
-``cli._write`` formats a report block by block, each block's params once.
+``commands._write`` formats a report block by block, each block's params once.
 Here every kind of report is written that way and compared, byte for
 byte, with a plain writer over ``VerificationReport.records`` that
 encodes each record with ``json.dumps`` and ``csv.writer``.  So is every
@@ -18,7 +18,7 @@ from collections import Counter
 
 import pytest
 
-from alder import cli, inequalities
+from alder import cli, commands, inequalities
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED, STATEMENTS,
                                 VIOLATION, GridSpec, Row, search_counterexamples,
                                 verify)
@@ -40,11 +40,11 @@ def reference(report, fmt: str) -> str:
     out = io.StringIO()
     if fmt == "json":
         for r in records:
-            out.write(_dumps({"v": cli.SCHEMA_VERSION, "cmd": report.cmd,
+            out.write(_dumps({"v": commands.SCHEMA_VERSION, "cmd": report.cmd,
                               "params": r.params, "status": r.status,
                               "value": None if r.value is None else str(r.value),
                               "witness": r.witness}) + "\n")
-        out.write(_dumps({"v": cli.SCHEMA_VERSION, "cmd": report.cmd,
+        out.write(_dumps({"v": commands.SCHEMA_VERSION, "cmd": report.cmd,
                           "summary": summary}) + "\n")
     elif fmt == "csv":
         keys = list(dict.fromkeys(k for r in records for k in r.params))
@@ -67,7 +67,7 @@ def reference(report, fmt: str) -> str:
 
 def written(report, fmt: str) -> str:
     out = io.StringIO()
-    cli._write(report, fmt, out)
+    commands._write(report, fmt, out)
     return out.getvalue()
 
 
@@ -82,7 +82,7 @@ def assert_streams_as_reference(cmd, spec, report):
     the reference writer over the collected ``report``, in every format."""
     for fmt in FORMATS:
         out = io.StringIO()
-        summary = cli._write(VerificationReport(*inequalities.grid(cmd, spec)), fmt, out)
+        summary = commands._write(VerificationReport(*inequalities.grid(cmd, spec)), fmt, out)
         assert out.getvalue() == reference(report, fmt), fmt
         assert summary["cells"] == len(report.records)
 
@@ -286,7 +286,7 @@ COUNTS = ["--kind q --a 1 --d 2", "--kind Q --a 2 --d 4", "--kind Qm --a 1 --d 4
 
 def report_of(argv: str):
     args = cli.build_parser().parse_args(argv.split())
-    return cli._DISPATCH[args.command](args)
+    return commands._DISPATCH[args.command](args)
 
 
 @pytest.mark.parametrize("kind", COUNTS)
