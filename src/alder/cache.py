@@ -73,17 +73,18 @@ def write_atomic(path: str, write):
         with open(tmp, "x", encoding="utf-8") as fh:
             result = write(fh)
         os.replace(tmp, path)
-        return result
-    finally:
+    except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        raise
+    return result
 
 
 def store(cache_dir: str | os.PathLike, key: str, values: list[int]) -> None:
     """Write a table to the cache; failures are non-fatal (cache is advisory)."""
-    if min(values, default=0) >= 0 and max(values, default=0) < 1 << 64:
+    try:  # struct refuses exactly the counts outside [0, 2^64)
         encoding, body = "u64le", struct.pack(f"<{len(values)}Q", *values)
-    else:
+    except struct.error:
         encoding, body = "json", json.dumps(values, separators=(",", ":")).encode("ascii")
     header = json.dumps({"v": CACHE_VERSION, "key": key, "horizon": len(values) - 1,
                          "encoding": encoding, "blake2b": blake2b(body).hexdigest()},

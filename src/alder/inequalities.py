@@ -43,7 +43,6 @@ grid's rows first, refuses a horizon over ``counting.MAX_HORIZON``
 before any build and counts each table's readers by its name
 (``counting.table_name``); then it yields each row's block as it is
 asked for, releasing a table by that name after its last reader.
-``verify`` and ``search_counterexamples`` collect the blocks into one report.
 
 Verified by their own functions, since they are not n-indexed:
 
@@ -362,13 +361,18 @@ def _held(rows: Iterator, spec: GridSpec, readers: collections.Counter,
 
 
 def grid(cmd: str, spec: GridSpec) -> tuple[str, Iterator[tuple[dict, list[tuple]]]]:
-    """The report ``cmd``, ``verify-<statement>`` (see ``verify``) or
-    ``search-<kind>`` (``search_counterexamples``), over ``spec``, as (cmd
-    as the report names it, blocks).  Every refusal comes from this call:
-    it makes the rows and checks each table horizon they will read.  The
-    blocks are a generator that evaluates each row when its block is asked
-    for, so a reader that lets each block go holds one row's tables and
-    one block at a time.
+    """The report ``cmd`` over ``spec``, as (cmd as the report names it,
+    blocks): at most one block per axis pair, in the spec's axis order,
+    with cells in n order.  ``verify-<name>`` evaluates ``STATEMENTS[name]``
+    (a skipped pair is one cell per n if it says ``skip_each_n``, else one
+    cell without n); ``search-<kind>`` (``search_kind``) keeps just the
+    cells with lhs < rhs, as violations, scans no skipped pair and ignores
+    hypotheses and exempt cells.  A delta-kind violation's params start
+    with the kind and it is witnessed by both counts; a shift one has
+    neither.  Every refusal comes from this call: it makes the rows and
+    checks each table horizon they will read.  The blocks are a generator
+    that evaluates each row when its block is asked for, so a reader that
+    lets each block go holds one row's tables and one block at a time.
     """
     verb, _, name = cmd.partition("-")
     if verb == "search":
@@ -391,34 +395,6 @@ def grid(cmd: str, spec: GridSpec) -> tuple[str, Iterator[tuple[dict, list[tuple
                 else (base, row._replace(names=None))
                 for base, row in rows if isinstance(row, Row))
     return cmd, _held(rows, spec, readers, statement.skip_each_n, **how)
-
-
-def verify(name: str, spec: GridSpec) -> VerificationReport:
-    """Evaluate the statement ``STATEMENTS[name]`` over the grid ``spec``,
-    as one report (``grid`` streams it).
-
-    Blocks follow the spec's axis order, one per axis pair, with cells in
-    n order.  A skipped axis pair gets one cell per n if the statement says
-    ``skip_each_n``, else one cell without n.
-    """
-    cmd, blocks = grid(f"verify-{name}", spec)
-    return VerificationReport(cmd, list(blocks))
-
-
-def search_counterexamples(kind: str, spec: GridSpec) -> VerificationReport:
-    """Exhaustively list the cells with lhs < rhs, in scan order, as one
-    report (``grid`` streams it).
-
-    ``kind`` is one of delta, delta_m, delta_mm (the rows of delta, gen-kp
-    and gen-dkst over (a, d, n)) or shift (the shift rows over (N, d, n)),
-    read by ``search_kind``.  Hypotheses and exempt cells do not apply,
-    and skipped pairs are not scanned.  A delta-kind record's params start
-    with the kind and it is witnessed by both counts; a shift record has
-    neither.  The report contains one record per violation; searching is
-    informational, never a failure.
-    """
-    cmd, blocks = grid(f"search-{kind}", spec)
-    return VerificationReport(cmd, list(blocks))
 
 
 def verify_smalln_anchors(d: int, N: int,

@@ -11,12 +11,21 @@ names, for tests that check one count at a time; ``check_andrews`` runs
 the set-domination bound as one grid row, ``positive_integers`` is the
 set of all parts, and ``verify_injection_exhaustive`` runs an inject
 cell by its fallback path.
+
+The library reads a report only as ``commands._write`` writes it; the
+tests read one cell at a time.  ``Report`` is a report with ``records``
+(one ``CellRecord`` per cell), ``summary`` (cells per status) and ``ok``
+(no failing cell); ``Report.of`` makes one of any report, and ``verify``
+and ``search_counterexamples`` collect the blocks of
+``inequalities.grid`` into one.
 """
+
+from typing import NamedTuple
 
 from alder import counting, inequalities, injection
 from alder.inequalities import Row, Side
 from alder.partset import RefusedInput, ResidueClassSet, r_of, t_set
-from alder.report import VerificationReport
+from alder.report import FAILS, VerificationReport
 
 #: refuse brute-force enumeration beyond this unless the caller raises it
 DEFAULT_BRUTE_LIMIT = 60
@@ -122,12 +131,56 @@ def delta(a: int, d: int, n: int, minus: int = 0) -> int:
     return counting.column((a, d), n)[n] - big_q(a, d, n, minus)
 
 
-def check_andrews(S: ResidueClassSet, T: ResidueClassSet,
-                  n_max: int) -> VerificationReport:
+class CellRecord(NamedTuple):
+    params: dict
+    status: str
+    value: int | None = None
+    witness: dict | None = None
+
+
+class Report(VerificationReport):
+    """A report whose blocks are a list, read one cell at a time."""
+
+    @classmethod
+    def of(cls, report: VerificationReport) -> "Report":
+        return cls(report.cmd, list(report.blocks))
+
+    @property
+    def records(self) -> list[CellRecord]:
+        return [CellRecord(base if n is None else {**base, "n": n}, status, value, witness)
+                for base, runs in self.blocks for status, ns, values, witness in runs
+                for n, value in zip(ns, values)]
+
+    @property
+    def summary(self) -> dict[str, int]:
+        tally: dict[str, int] = {}
+        for _, runs in self.blocks:
+            for status, ns, _, _ in runs:
+                tally[status] = tally.get(status, 0) + len(ns)
+        return tally
+
+    @property
+    def ok(self) -> bool:
+        return FAILS not in self.summary
+
+
+def verify(name: str, spec: inequalities.GridSpec) -> Report:
+    """The grid ``verify-<name>`` over ``spec``, collected."""
+    cmd, blocks = inequalities.grid(f"verify-{name}", spec)
+    return Report(cmd, list(blocks))
+
+
+def search_counterexamples(kind: str, spec: inequalities.GridSpec) -> Report:
+    """The grid ``search-<kind>`` over ``spec``, collected."""
+    cmd, blocks = inequalities.grid(f"search-{kind}", spec)
+    return Report(cmd, list(blocks))
+
+
+def check_andrews(S: ResidueClassSet, T: ResidueClassSet, n_max: int) -> Report:
     """Per-n check of rho(T; n) >= rho(S; n), the set-domination count bound
     whose premise is ``inequalities.dominates``: one row over n = 0..n_max,
     with no params."""
-    return VerificationReport("verify-andrews", [
+    return Report("verify-andrews", [
         inequalities._row({}, 0, n_max, Row(Side(T), Side(S), ("rho_T", "rho_S")))])
 
 

@@ -21,6 +21,7 @@ from alder.inequalities import gen_kp_sets
 from alder.partset import RefusedInput, s_set
 from alder.report import VerificationReport
 from conftest import child_env, rewrite_entry
+from oracles import search_counterexamples, verify
 
 
 def run_cli(argv, capsys):
@@ -561,6 +562,13 @@ class TestStartup:
         from alder.inequalities import HOLDS, VerificationReport
         assert VerificationReport is report.VerificationReport
         assert HOLDS == report.HOLDS == "holds"
+        # a report is its cmd and blocks, and commands._write is its one reader:
+        # the library offers no per-cell records, summary, verdict or equality
+        assert [k for k in vars(VerificationReport) if not k.startswith("_")] == ["add"]
+        assert "__eq__" not in vars(VerificationReport)
+        assert vars(VerificationReport("count")) == {"cmd": "count", "blocks": []}
+        assert not hasattr(report, "CellRecord")
+        assert not {"verify", "search_counterexamples"} & set(vars(inequalities))
 
     def test_inject_imports_its_modules_when_run(self):
         # a range runs in one process: it loads no process pool
@@ -667,7 +675,7 @@ class TestSearch:
         code, out, err = run_cli(["search", "--kind", kind, "--a", "1", "--d", "1",
                                   "--n-max", "5"], capsys)
         with pytest.raises(RefusedInput) as exc:
-            inequalities.search_counterexamples(
+            search_counterexamples(
                 kind, inequalities.GridSpec(a_values=(1,), d_values=(1,), n_max=5))
         assert (code, out) == (2, "")
         assert err == f"error: {exc.value}\n" == f"error: unknown search kind {kind!r}\n"
@@ -682,9 +690,9 @@ class TestSearch:
         assert records[-1]["summary"]["violations"] == len(records) - 1 > 0
         spec = inequalities.GridSpec(a_values=(1, 2, 3, 4), d_values=tuple(range(1, 13)),
                                      n_max=60)
-        library = [inequalities.search_counterexamples(kind, spec)
-                   for kind in ("delta-m", "delta_m")]
-        assert library[0] == library[1] and library[0].records
+        library = [search_counterexamples(kind, spec) for kind in ("delta-m", "delta_m")]
+        assert (library[0].cmd, library[0].blocks) == (library[1].cmd, library[1].blocks)
+        assert library[0].records
 
 
 class TestFormats:
@@ -915,7 +923,7 @@ class TestStreaming:
                 "verify-gen-kp", spec)), "json", Null())
             streamed = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            report = inequalities.verify("gen-kp", spec)
+            report = verify("gen-kp", spec)
             collected = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

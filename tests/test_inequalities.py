@@ -10,13 +10,11 @@ from alder.counting import column, rho
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
                                 STATEMENTS, GridSpec,
                                 dominates, gen_kp_sets, n_hat,
-                                search_counterexamples, verify,
                                 verify_smalln_anchors, verify_t_monotone,
                                 xy_difference_report)
 from alder.partset import RefusedInput, ResidueClassSet, pm_set, s_set, t_set
-from alder.report import VerificationReport
-from oracles import (big_q, check_andrews, positive_integers, q_brute,
-                     rho_brute)
+from oracles import (Report, big_q, check_andrews, positive_integers, q_brute,
+                     rho_brute, search_counterexamples, verify)
 
 
 def verify_pair(name, a, d, n_max, **spec):
@@ -277,7 +275,7 @@ class TestGenDkst:
 class TestAnchors:
     @pytest.mark.parametrize("d,N", [(63, 2), (105, 4), (200, 5)])
     def test_anchors_hold(self, d, N):
-        report = verify_smalln_anchors(d, N)
+        report = Report.of(verify_smalln_anchors(d, N))
         assert report.ok
         values = {r.params["anchor"]: r.value for r in report.records}
         assert values["2d-2N+4"] == 2
@@ -285,7 +283,7 @@ class TestAnchors:
         assert values["7d+13"] <= 110
 
     def test_out_of_hypothesis(self):
-        report = verify_smalln_anchors(40, 2)
+        report = Report.of(verify_smalln_anchors(40, 2))
         assert report.records[0].status == OUT
 
     def test_s_table_is_built_once_at_the_largest_anchor(self, monkeypatch):
@@ -297,19 +295,19 @@ class TestAnchors:
                 super().__setitem__(key, table)
 
         monkeypatch.setattr(counting, "_tables", Log())
-        assert verify_smalln_anchors(63, 2).ok
+        assert Report.of(verify_smalln_anchors(63, 2)).ok
         assert stores == [("rho.m64.r1,63.x63", 7 * 63 + 13 + 1)]
 
 
 class TestXyDifferences:
     @pytest.mark.parametrize("d,N", [(31, 2), (63, 2), (63, 5), (105, 4), (200, 8)])
     def test_pass(self, d, N):
-        assert xy_difference_report(d, N).ok
+        assert Report.of(xy_difference_report(d, N)).ok
 
     def test_branch_minimum_values(self):
-        rep = xy_difference_report(63, 2)
+        rep = Report.of(xy_difference_report(63, 2))
         assert rep.records[-1].value == 58    # d-2N-1 branch (N <= 4)
-        rep = xy_difference_report(63, 5)
+        rep = Report.of(xy_difference_report(63, 5))
         assert rep.records[-1].value == 50    # d-6N+17 branch (N >= 5)
 
     def test_rejects_out_of_hypothesis(self):
@@ -321,7 +319,7 @@ class TestXyDifferences:
 
 class TestTMonotone:
     def test_63(self):
-        report = verify_t_monotone(63, 200)
+        report = Report.of(verify_t_monotone(63, 200))
         assert report.ok
         assert len(report.records) == 21     # pairs with 1 <= lo <= hi <= 6
 
@@ -337,7 +335,8 @@ class TestTMonotone:
             return table
 
         monkeypatch.setattr(inequalities, "column", column)
-        failing = [r for r in verify_t_monotone(7, 10).records if r.status != HOLDS]
+        failing = [r for r in Report.of(verify_t_monotone(7, 10)).records
+                   if r.status != HOLDS]
         assert failing == [({"d": 7, "s_lo": 1, "s_hi": 2, "n_max": 10}, FAILS, -20,
                             {"n": 4})]
 
@@ -579,14 +578,16 @@ class TestGrid:
         assert next(blocks)[0] == {"a": 1, "d": 1} and ran == [{"a": 1, "d": 1}]
         assert [base for base, _ in blocks] == [{"a": 1, "d": 2}, {"a": 1, "d": 3}]
         assert list(blocks) == [] and len(ran) == 3
-        assert verify("delta", spec) == VerificationReport(cmd, [
+        report = verify("delta", spec)
+        assert (report.cmd, report.blocks) == (cmd, [
             block for block in inequalities.grid("verify-delta", spec)[1]])
 
     def test_search_command_names_the_kind_as_the_report_does(self):
         spec = GridSpec(a_values=(1, 2, 3, 4), d_values=tuple(range(1, 13)), n_max=60)
         cmd, blocks = inequalities.grid("search-delta-m", spec)
         assert cmd == "search-delta_m"
-        assert search_counterexamples("delta-m", spec) == VerificationReport(cmd, list(blocks))
+        report = search_counterexamples("delta-m", spec)
+        assert (report.cmd, report.blocks) == (cmd, list(blocks))
 
 
 class TestGridSpec:

@@ -2,12 +2,14 @@
 
 ``commands._write`` formats a report block by block, each block's params once.
 Here every kind of report is written that way and compared, byte for
-byte, with a plain writer over ``VerificationReport.records`` that
-encodes each record with ``json.dumps`` and ``csv.writer``.  So is every
-grid as the CLI streams it, its blocks read once from ``inequalities.grid``
-as they are evaluated.  The records themselves, and ``summary`` and
-``ok``, are pinned to a list-of-records model of the engine: one
-``CellRecord`` per cell, each status decided cell by cell.
+byte, with a plain writer over the test-side ``oracles.Report.records``
+that encodes each record with ``json.dumps`` and ``csv.writer``, and the
+summary ``_write`` returns, which sets the exit code, with the one the
+reference writes.  So is every grid as the CLI streams it, its blocks read
+once from ``inequalities.grid`` as they are evaluated.  The records
+themselves, and ``summary`` and ``ok``, are pinned to a list-of-records
+model of the engine: one ``CellRecord`` per cell, each status decided cell
+by cell.
 """
 
 import csv
@@ -20,23 +22,29 @@ import pytest
 
 from alder import cli, commands, inequalities
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED, STATEMENTS,
-                                VIOLATION, GridSpec, Row, search_counterexamples,
-                                verify)
+                                VIOLATION, GridSpec, Row)
 from alder.partset import pm_set
-from alder.report import CellRecord, VerificationReport
-from oracles import check_andrews
+from alder.report import VerificationReport
+from oracles import CellRecord, Report, check_andrews, search_counterexamples, verify
 
 FORMATS = ("json", "csv", "human")
 _dumps = functools.partial(json.dumps, separators=(",", ":"))
 
 
-def reference(report, fmt: str) -> str:
-    """``report`` as the writer must format it, one record at a time."""
+def reference_summary(report) -> dict:
+    """The summary of ``report`` as the writer must write and return it: the
+    number of records, then the oracle's ``summary``, which tallies them."""
     records = report.records
-    summary = {"cells": len(records),
-               **dict(sorted(Counter(r.status for r in records).items()))}
+    assert report.summary == dict(Counter(r.status for r in records))
+    summary = {"cells": len(records), **dict(sorted(report.summary.items()))}
     if report.cmd.startswith("search-"):
         summary["violations"] = summary.pop(VIOLATION, 0)
+    return summary
+
+
+def reference(report, fmt: str) -> str:
+    """``report`` as the writer must format it, one record at a time."""
+    records, summary = report.records, reference_summary(report)
     out = io.StringIO()
     if fmt == "json":
         for r in records:
@@ -65,16 +73,18 @@ def reference(report, fmt: str) -> str:
     return out.getvalue()
 
 
-def written(report, fmt: str) -> str:
+def written(report, fmt: str) -> tuple[str, dict]:
+    """``report`` as ``commands._write`` writes it, and the summary it returns."""
     out = io.StringIO()
-    commands._write(report, fmt, out)
-    return out.getvalue()
+    summary = commands._write(report, fmt, out)
+    return out.getvalue(), summary
 
 
 def assert_writes_as_reference(report):
     assert report.records, "a report with no cells pins nothing"
     for fmt in FORMATS:
-        assert written(report, fmt) == reference(report, fmt), fmt
+        assert written(report, fmt) == (reference(report, fmt),
+                                        reference_summary(report)), fmt
 
 
 def assert_streams_as_reference(cmd, spec, report):
@@ -84,7 +94,7 @@ def assert_streams_as_reference(cmd, spec, report):
         out = io.StringIO()
         summary = commands._write(VerificationReport(*inequalities.grid(cmd, spec)), fmt, out)
         assert out.getvalue() == reference(report, fmt), fmt
-        assert summary["cells"] == len(report.records)
+        assert summary == reference_summary(report), fmt
 
 
 # ------------------------------------------------- list-of-records model
@@ -271,8 +281,8 @@ def test_search_without_violations_writes_no_params():
         a_values=(2, 3), d_values=tuple(range(1, 13)), n_max=60))
     assert report.blocks == [] and report.summary == {}
     for fmt in FORMATS:
-        assert written(report, fmt) == reference(report, fmt)
-    assert written(report, "csv") == "cmd,status,value\n"
+        assert written(report, fmt) == (reference(report, fmt), reference_summary(report))
+    assert written(report, "csv")[0] == "cmd,status,value\n"
     assert_streams_as_reference("search-delta-mm", GridSpec(
         a_values=(2, 3), d_values=tuple(range(1, 13)), n_max=60), report)
 
@@ -284,9 +294,9 @@ COUNTS = ["--kind q --a 1 --d 2", "--kind Q --a 2 --d 4", "--kind Qm --a 1 --d 4
           "--kind g --d 63", "--kind l --d 31"]
 
 
-def report_of(argv: str):
+def report_of(argv: str) -> Report:
     args = cli.build_parser().parse_args(argv.split())
-    return commands._DISPATCH[args.command](args)
+    return Report.of(commands._DISPATCH[args.command](args))
 
 
 @pytest.mark.parametrize("kind", COUNTS)
