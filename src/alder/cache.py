@@ -4,8 +4,9 @@ A cache entry is one file per table key: a compact JSON header line
 ``{"v":4,"key":...,"horizon":...,"encoding":...,"blake2b":...}``, then
 the body, the counts 0..horizon, whose BLAKE2b digest the header holds.
 When every count lies in [0, 2^64) the body (``"u64le"``) is horizon+1
-little-endian 64-bit words, unpacked in one call.  Otherwise (the
-partition function passes 2^64 near n = 416) it is one compact JSON
+little-endian 64-bit words, loaded as words (a ``memoryview``, repacked
+in host order on a big-endian host) with no int per count.  Otherwise (the
+partition function passes 2^64 at n = 417) it is one compact JSON
 array of integers (``"json"``): exact at any size, and for counts two or
 more words wide no slower to decode than 64-bit limbs.  A word takes 8
 bytes where the short decimals of a small-count table take about 5, so
@@ -24,6 +25,7 @@ import json
 import os
 import re
 import struct
+import sys
 
 try:  # hashlib loads OpenSSL, about 3.5 MB of RSS in every run; this is lean
     from _blake2 import blake2b
@@ -39,7 +41,7 @@ def _path(cache_dir: str | os.PathLike, key: str) -> str:
     return os.path.join(cache_dir, _SAFE.sub("_", key) + ".json")
 
 
-def load(cache_dir: str | os.PathLike, key: str, horizon: int) -> tuple[int, ...] | None:
+def load(cache_dir: str | os.PathLike, key: str, horizon: int) -> memoryview | tuple | None:
     """Return cached values (0..h) with h >= horizon, or None on any defect."""
     try:
         with open(_path(cache_dir, key), "rb") as fh:
@@ -50,7 +52,9 @@ def load(cache_dir: str | os.PathLike, key: str, horizon: int) -> tuple[int, ...
                 or header["horizon"] < horizon or blake2b(body).hexdigest() != header["blake2b"]):
             return None
         if header["encoding"] == "u64le" and len(body) == 8 * size:
-            values = struct.unpack_from(f"<{size}Q", body)
+            if sys.byteorder != "little":
+                body = struct.pack(f"={size}Q", *struct.unpack(f"<{size}Q", body))
+            values = memoryview(body).cast("Q")
         # only "[", digits, commas and "]": no sign, fraction, literal or string
         elif header["encoding"] == "json" and body.translate(None, b"0123456789,") == b"[]":
             values = tuple(json.loads(body))
@@ -80,7 +84,7 @@ def write_atomic(path: str, write):
     return result
 
 
-def store(cache_dir: str | os.PathLike, key: str, values: list[int]) -> None:
+def store(cache_dir: str | os.PathLike, key: str, values) -> None:
     """Write a table to the cache; failures are non-fatal (cache is advisory)."""
     try:  # struct refuses exactly the counts outside [0, 2^64)
         encoding, body = "u64le", struct.pack(f"<{len(values)}Q", *values)

@@ -140,7 +140,3 @@ def main(argv: list[str] | None = None) -> int:
     print(f"alder {args.command}: exit {code}, {time.monotonic() - started:.2f}s wall",
           file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

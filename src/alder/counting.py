@@ -1,9 +1,7 @@
 """Exact partition counting.
 
-The counters all live over plain Python integers (counts overflow 64
-bits already near n = 416 for the unrestricted partition function, so
-machine words are never trusted).  Names follow the standard notation
-of the Alder conjecture literature:
+The counters all live over plain Python integers.  Names follow the
+standard notation of the Alder conjecture literature:
 
     column((a, d), n)           q_d^(a):  parts >= a, successive gaps >= d
     big_q_set(a, d, minus)      the parts of Q_d^(a) (== +-a (mod d+3)), of
@@ -28,17 +26,20 @@ the oracle the triple-product tables are tested against.  All are
 backed by dense tables per (set, horizon), read through the one accessor
 ``column``, which hands out a rho, q or ("g", d) table whole, for
 slicing: built once (or loaded from the cache), grown geometrically on
-demand, and read-only while held.  A table has one name, ``table_name``,
-its key here and in the cache; a grid ``release``s it by that name after
-its last reader.  q_d^(a) is defined for a >= 1 and d >= 1
-(``check_q_domain``).  ``rho`` is one entry of a table, with n < 0
-refused (``partset.check_n``); callers of ``column`` check their n first.
+demand, and read-only while held: 64-bit words only when exact, when
+every count fits one (p(n) passes 2^64 at n = 417).  A table has one
+name, ``table_name``, its key here and in the cache; a grid ``release``s
+it by that name after its last reader.  q_d^(a) is defined for a >= 1
+and d >= 1 (``check_q_domain``).  ``rho`` is one entry of a table, with
+n < 0 refused (``partset.check_n``); callers of ``column`` check their n
+first.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import struct
 
 from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
                       t_set)
@@ -47,7 +48,7 @@ from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
 MAX_HORIZON = 10 ** 5
 
 _cache_dir: str | None = None
-_tables: dict[str, tuple[int, ...]] = {}  # table name -> counts for 0..horizon
+_tables: dict[str, memoryview | tuple[int, ...]] = {}  # table name -> counts for 0..horizon
 
 
 def set_cache_dir(path: str | None) -> None:
@@ -183,10 +184,11 @@ def table_name(count: ResidueClassSet | tuple) -> str:
     return _spec(count)[0]
 
 
-def column(count: ResidueClassSet | tuple, n: int) -> tuple[int, ...]:
+def column(count: ResidueClassSet | tuple, n: int) -> memoryview | tuple[int, ...]:
     """The table over 0..n or more of rho over a set, of q_d^(a) for (a, d),
     or of G(d, .) for ("g", d) (``_build_g_table``): the held one, or one
-    loaded from the cache or built, then held."""
+    loaded from the cache or built, then held: read-only 64-bit words (a
+    ``memoryview``) if every count fits one, else a tuple of ints."""
     name, build, *spec = _spec(count)
     tab = _tables.get(name)
     if tab is not None and len(tab) > n:
@@ -200,10 +202,14 @@ def column(count: ResidueClassSet | tuple, n: int) -> tuple[int, ...]:
         values = cache.load(_cache_dir, name, horizon)
     if values is None:
         values = build(*spec, horizon)
+        try:  # struct packs exactly the counts in [0, 2^64), so words are exact
+            values = memoryview(struct.pack(f"{len(values)}Q", *values)).cast("Q")
+        except struct.error:
+            values = tuple(values)
         if _cache_dir:
             cache.store(_cache_dir, name, values)
-    tab = _tables[name] = tuple(values)
-    return tab
+    _tables[name] = values
+    return values
 
 
 def release(name: str) -> None:
@@ -234,12 +240,10 @@ def largest_part_counts(A: ResidueClassSet, n: int, i_max: int) -> list[int]:
     Entry j (0-based) counts partitions whose largest part is the (j+1)-th
     smallest element of A; rho(A, n) equals the total plus [n == 0].
     """
-    elements = A.elements_upto(n)[:i_max]
     dp = [0] * (n + 1)
     dp[0] = 1
-    out = []
-    for v in elements:
+    out = [0] * i_max  # an index past the elements up to n counts none
+    for j, v in enumerate(A.elements_upto(n)[:i_max]):
         _add_multiples(dp, v)
-        out.append(dp[n - v])
-    out.extend([0] * (i_max - len(out)))
+        out[j] = dp[n - v]
     return out

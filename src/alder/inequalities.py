@@ -38,11 +38,8 @@ reads q, is skipped, with the refusal as the reason.  One engine runs
 them all, ``grid``: a verification (one cell is a grid with n_min ==
 n_max) or a search (negative cells only), each row through ``_row``,
 which reads each side as one slice of its table and makes the row one
-block of runs of cells (see ``report.VerificationReport``).  It walks a
-grid's rows first, refuses a horizon over ``counting.MAX_HORIZON``
-before any build and counts each table's readers by its name
-(``counting.table_name``); then it yields each row's block as it is
-asked for, releasing a table by that name after its last reader.
+block of runs of cells (``report.VerificationReport``), made when asked
+for; ``grid`` and ``_held`` say when a grid refuses and lets a table go.
 
 Verified by their own functions, since they are not n-indexed:
 

@@ -163,7 +163,7 @@ def pm_set(a: int, modulus: int, exclusions: Iterable[int] = ()) -> ResidueClass
 def x_closed(d: int, N: int, i: int) -> int:
     """Closed form for the i-th smallest element of s_set(d, N).
 
-    x_1 = 1, x_2 = d-N+4, and x_i = ceil(i/2)*(d-N+3) + (-1)^i for i >= 3.
+    x_1 = 1 and x_i = ceil(i/2)*(d-N+3) + (-1)^i for i >= 2 (x_2 = d-N+4).
     """
     if i < 1:
         raise RefusedInput(f"index must be >= 1, got {i}")
@@ -172,8 +172,6 @@ def x_closed(d: int, N: int, i: int) -> int:
         raise RefusedInput(f"x_closed(d={d}, N={N}): modulus {m} < 3")
     if i == 1:
         return 1
-    if i == 2:
-        return d - N + 4
     return (i + 1) // 2 * m + (1 if i % 2 == 0 else -1)
 
 

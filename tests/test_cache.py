@@ -3,8 +3,10 @@
 import hashlib
 import json
 import struct
+import sys
 
 from alder import cache, counting
+from alder.partset import ResidueClassSet, pm_set
 from conftest import rewrite_entry
 
 
@@ -42,7 +44,7 @@ def test_word_limit_picks_the_encoding(tmp_path):
         assert json.loads(path.read_bytes().split(b"\n", 1)[0])["encoding"] == encoding
     words = [1, 7, 2 ** 64 - 1]
     cache.store(tmp_path, "k", words)
-    assert cache.load(tmp_path, "k", 1) == tuple(words)
+    assert tuple(cache.load(tmp_path, "k", 1)) == tuple(words)
     rewrite_entry(path, lambda body: json.dumps(words, separators=(",", ":")).encode(),
                   redigest=True, encoding="json")
     assert cache.load(tmp_path, "k", 1) == tuple(words)
@@ -50,9 +52,60 @@ def test_word_limit_picks_the_encoding(tmp_path):
     assert cache.load(tmp_path, "k", 1) == (1, 7, 2 ** 64)
 
 
+def test_word_entry_written_by_struct_loads_as_words(tmp_path):
+    # an entry as every earlier v4 writer made it: compact header, "<nQ" body
+    counts = [1, 0, 12, 2 ** 64 - 1, 256]
+    body = struct.pack("<5Q", *counts)
+    header = {"v": 4, "key": "k", "horizon": 4, "encoding": "u64le",
+              "blake2b": cache.blake2b(body).hexdigest()}
+    (tmp_path / "k.json").write_bytes(json.dumps(header, separators=(",", ":")).encode()
+                                      + b"\n" + body)
+    words = cache.load(tmp_path, "k", 4)
+    assert isinstance(words, memoryview) and words.readonly and list(words) == counts
+
+
+def test_big_endian_host_repacks_the_words(tmp_path, monkeypatch):
+    counts = [1, 2, 2 ** 64 - 1, 258]
+    cache.store(tmp_path, "k", counts)
+    unpacked = []
+    unpack = struct.unpack
+    monkeypatch.setattr(cache.struct, "unpack",
+                        lambda fmt, body: unpacked.append(fmt) or unpack(fmt, body))
+    if sys.byteorder == "little":  # read as stored: no int per count
+        assert list(cache.load(tmp_path, "k", 3)) == counts and unpacked == []
+    monkeypatch.setattr(sys, "byteorder", "big")
+    words = cache.load(tmp_path, "k", 3)
+    monkeypatch.undo()
+    assert unpacked == ["<4Q"]
+    assert isinstance(words, memoryview) and list(words) == counts
+
+
+def test_held_tables_store_the_bytes_of_their_counts(tmp_path, monkeypatch):
+    # each file as the writer made it from the builder's list: "<nQ" words
+    # while every count fits (a +-2 (mod 11) table to 1000), else a JSON
+    # array (p(n) to 500 passes 2^64)
+    monkeypatch.setattr(counting, "_tables", {})
+    counting.set_cache_dir(tmp_path)
+    for A, encoding in ((pm_set(2, 11), "u64le"), (ResidueClassSet(1, (0,)), "json")):
+        name = counting.table_name(A)
+        held = counting.column(A, 500)
+        built = counting._build_rho_table(A, len(held) - 1)
+        body = (struct.pack(f"<{len(built)}Q", *built) if encoding == "u64le"
+                else json.dumps(built, separators=(",", ":")).encode())
+        header = {"v": 4, "key": name, "horizon": len(built) - 1, "encoding": encoding,
+                  "blake2b": cache.blake2b(body).hexdigest()}
+        with open(cache._path(tmp_path, name), "rb") as fh:
+            assert fh.read() == json.dumps(header, separators=(",", ":")).encode() \
+                + b"\n" + body
+        assert isinstance(held, memoryview if encoding == "u64le" else tuple)
+        counting._tables.clear()  # a warm read holds the same counts, the same way
+        warm = counting.column(A, 500)
+        assert type(warm) is type(held) and list(warm) == built
+
+
 def test_larger_horizon_served_for_smaller_request(tmp_path):
     cache.store(tmp_path, "k", [1, 2, 3, 4])
-    assert cache.load(tmp_path, "k", 1) == (1, 2, 3, 4)
+    assert tuple(cache.load(tmp_path, "k", 1)) == (1, 2, 3, 4)
 
 
 def test_short_horizon_rejected(tmp_path):
@@ -64,7 +117,7 @@ def test_horizon_boundary(tmp_path):
     # an entry one short of the horizon asked for must not be trusted
     cache.store(tmp_path, "k", [1, 2, 3, 4])
     assert cache.load(tmp_path, "k", 4) is None
-    assert cache.load(tmp_path, "k", 3) == (1, 2, 3, 4)
+    assert tuple(cache.load(tmp_path, "k", 3)) == (1, 2, 3, 4)
 
 
 def test_missing_file(tmp_path):
@@ -125,7 +178,7 @@ def test_bad_word_body_rejected(tmp_path):
         rewrite_entry(path, edit, redigest=True, **header)
         assert cache.load(tmp_path, "k", 1) is None, header
     path.write_bytes(good)
-    assert cache.load(tmp_path, "k", 1) == (1, 2, 3)
+    assert tuple(cache.load(tmp_path, "k", 1)) == (1, 2, 3)
 
 
 def test_flipped_digit_rejected(tmp_path):
@@ -190,5 +243,5 @@ def test_failed_store_keeps_the_old_entry(tmp_path, monkeypatch):
     cache.store(tmp_path, "k", [1, 5, 7, 9])  # must not raise
     assert written and written[0].endswith(".tmp")
     monkeypatch.undo()
-    assert cache.load(tmp_path, "k", 2) == (1, 2, 3)
+    assert tuple(cache.load(tmp_path, "k", 2)) == (1, 2, 3)
     assert list(tmp_path.glob("*.tmp")) == []

@@ -295,6 +295,21 @@ class TestTables:
         counting._tables.clear()
         assert [rho(A, n) for n in range(50)] == first
 
+    def test_words_exactly_while_every_count_fits(self, monkeypatch):
+        # p(n), rho over every positive integer, first passes 2^64 at n = 417
+        monkeypatch.setattr(counting, "_tables", {})
+        every = ResidueClassSet(1, (0,))
+        built = counting._build_rho_table(every, 417)
+        assert built[416] == 17873792969689876004 < 2 ** 64 <= built[417]
+        words = column(every, 416)
+        assert isinstance(words, memoryview) and words.readonly and len(words) == 417
+        assert list(words) == built[:417] and words[416] == built[416]
+        assert list(words[5:400:7]) == built[5:400:7]  # a grid side's strided read
+        counting.release(counting.table_name(every))
+        ints = column(every, 417)
+        assert type(ints) is tuple and ints[:418] == tuple(built)
+        assert list(ints) == counting._build_rho_table(every, len(ints) - 1)
+
 
 def _pm_sets(M):
     """pm_set(a, M, E) for every a with 2a != M and every E of {a, M-a, a+M}."""
