@@ -84,7 +84,7 @@ def write_atomic(path: str, write):
     return result
 
 
-def store(cache_dir: str | os.PathLike, key: str, values) -> None:
+def store(cache_dir: str | os.PathLike, key: str, values: list[int] | tuple | memoryview) -> None:
     """Write a table to the cache; failures are non-fatal (cache is advisory)."""
     try:  # struct refuses exactly the counts outside [0, 2^64)
         encoding, body = "u64le", struct.pack(f"<{len(values)}Q", *values)
