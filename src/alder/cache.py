@@ -1,6 +1,6 @@
 """On-disk memo for count tables.
 
-A cache entry is one file per table key: a compact JSON header line
+A cache entry is one file per table name ("," as "_"): a compact JSON header line
 ``{"v":4,"key":...,"horizon":...,"encoding":...,"blake2b":...}``, then
 the body, the counts 0..horizon, whose BLAKE2b digest the header holds.
 When every count lies in [0, 2^64) the body (``"u64le"``) is horizon+1
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import struct
 import sys
 
@@ -34,11 +33,9 @@ except ImportError:
 
 CACHE_VERSION = 4
 
-_SAFE = re.compile(r"[^A-Za-z0-9._-]+")
-
 
 def _path(cache_dir: str | os.PathLike, key: str) -> str:
-    return os.path.join(cache_dir, _SAFE.sub("_", key) + ".json")
+    return os.path.join(cache_dir, key.replace(",", "_") + ".json")
 
 
 def load(cache_dir: str | os.PathLike, key: str, horizon: int) -> memoryview | tuple | None:
@@ -87,7 +84,9 @@ def write_atomic(path: str, write):
 def store(cache_dir: str | os.PathLike, key: str, values: list[int] | tuple | memoryview) -> None:
     """Write a table to the cache; failures are non-fatal (cache is advisory)."""
     try:  # struct refuses exactly the counts outside [0, 2^64)
-        encoding, body = "u64le", struct.pack(f"<{len(values)}Q", *values)
+        little = isinstance(values, memoryview) and sys.byteorder == "little"
+        encoding, body = "u64le", (values.tobytes() if little  # held words: "<Q" already
+                                   else struct.pack(f"<{len(values)}Q", *values))
     except struct.error:
         encoding, body = "json", json.dumps(values, separators=(",", ":")).encode("ascii")
     header = json.dumps({"v": CACHE_VERSION, "key": key, "horizon": len(values) - 1,

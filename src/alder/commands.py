@@ -126,13 +126,13 @@ class _Stdout:
 
 # ---------------------------------------------------------------- count
 
-#: exclusions of the Q set (counting.big_q_set) of each count kind that reads
+#: exclusions of the Q set (counting.big_q_name) of each count kind that reads
 #: one; a delta kind is q minus Q, and each count is one slice of its table
 _Q_EXCLUSIONS = {"Q": 0, "Qm": 1, "Qmm": 2, "delta": 0, "delta_m": 1, "delta_mm": 2}
 
 
 def cmd_count(args) -> VerificationReport:
-    from .counting import big_q_set, column
+    from .counting import big_q_name, column, g_name, q_name, rho_name
     kind = args.kind.replace("-", "_")
     if kind == "rho":
         if args.set is None:
@@ -142,18 +142,19 @@ def cmd_count(args) -> VerificationReport:
             raise RefusedInput(f"rho over {args.set} needs --{other} and --d")
         params_base = {"kind": kind, "set": args.set, **(
             {"s": args.s, "d": args.d} if other == "s" else {"d": args.d, "N": args.N})}
-        counts = [lambda: t_set(args.s, args.d) if other == "s" else s_set(args.d, args.N)]
+        names = [lambda: t_set(args.s, args.d, rho_name) if other == "s"
+                 else s_set(args.d, args.N, rho_name)]
     elif kind in ("g", "l"):
         if args.d is None:
             raise RefusedInput(f"kind {kind} needs --d")
-        counts = [lambda: ("g", args.d) if kind == "g" else t_set(r_of(args.d), args.d)]
+        names = [lambda: g_name(args.d) if kind == "g" else t_set(r_of(args.d), args.d, rho_name)]
         params_base = {"kind": kind, "d": args.d}
     elif kind == "q" or kind in _Q_EXCLUSIONS:
         if args.a is None or args.d is None:
             raise RefusedInput(f"kind {kind} needs --a and --d")
-        counts = [lambda: (args.a, args.d)] if kind[0] != "Q" else []  # q or delta
+        names = [lambda: q_name(args.a, args.d)] if kind[0] != "Q" else []  # q or delta
         if kind != "q":
-            counts.append(lambda: big_q_set(args.a, args.d, _Q_EXCLUSIONS[kind]))
+            names.append(lambda: big_q_name(args.a, args.d, _Q_EXCLUSIONS[kind]))
         params_base = {"kind": kind, "a": args.a, "d": args.d}
     else:
         raise RefusedInput(f"unknown count kind {args.kind!r}")
@@ -161,8 +162,8 @@ def cmd_count(args) -> VerificationReport:
     n_values = parse_range(args.n)
     lo, hi = n_values[0], n_values[-1]
     check_n(lo)  # before any build; hi >= lo
-    # each refused by its table's builder or horizon cap; one build, at the range's horizon
-    slices = [column(count(), hi)[lo:hi + 1] for count in counts]
+    # each refused by its name maker, horizon cap or builder; one build, at the range's horizon
+    slices = [column(name(), hi)[lo:hi + 1] for name in names]
     values = slices[0] if len(slices) == 1 else list(map(operator.sub, *slices))
     return VerificationReport("count", [(params_base, [("ok", n_values, values, None)])])
 

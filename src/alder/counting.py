@@ -3,11 +3,10 @@
 The counters all live over plain Python integers.  Names follow the
 standard notation of the Alder conjecture literature:
 
-    column((a, d), n)           q_d^(a):  parts >= a, successive gaps >= d
-    big_q_set(a, d, minus)      the parts of Q_d^(a) (== +-a (mod d+3)), of
-                                Q_d^(a,-) (also excluding d+3-a) and of
-                                Q_d^(a,--) (excluding both a and d+3-a)
-    rho(A, n)                   partitions of n with parts in the set A
+    q_d^(a)        parts >= a, successive gaps >= d
+    Q_d^(a)        parts == +-a (mod d+3); Q_d^(a,-) also excludes d+3-a,
+                   and Q_d^(a,--) both a and d+3-a
+    rho(A, n)      partitions of n with parts in the set A
 
 The q_d^(a) table uses the classical staircase bijection: a gap->=d partition
 into exactly k parts with minimum >= a corresponds, after removing the
@@ -22,17 +21,18 @@ from the Jacobi triple product as a sparse recurrence with
 O(sqrt(n/M)) terms per entry, and each excluded value v is one pass
 multiplying by (1 - x^v); over any other set (T(s, d), a single class)
 ``rho`` is a coin-change pass over the set's elements, which is also
-the oracle the triple-product tables are tested against.  All are
-backed by dense tables per (set, horizon), read through the one accessor
-``column``, which hands out a rho, q or ("g", d) table whole, for
-slicing: built once (or loaded from the cache), grown geometrically on
-demand, and read-only while held: 64-bit words only when exact, when
-every count fits one (p(n) passes 2^64 at n = 417).  A table has one
-name, ``table_name``, its key here and in the cache; a grid ``release``s
-it by that name after its last reader.  q_d^(a) is defined for a >= 1
-and d >= 1 (``check_q_domain``).  ``rho`` is one entry of a table, with
-n < 0 refused (``partset.check_n``); callers of ``column`` check their n
-first.
+the oracle the triple-product tables are tested against.  Each table is
+dense over 0..horizon and read through the one accessor ``column``,
+which hands it out whole, for slicing: built once (or loaded from the
+cache), grown geometrically on demand, and read-only while held: 64-bit
+words only when exact, when every count fits one (p(n) passes 2^64 at
+n = 417).  A table's name, such as ``q.a5.d300``, ``rho.m303.r5,298.x298``
+or ``g.d63``, is its one identity, here and in the cache: only the name
+makers here write one, with their counts' refusals, and only ``_build``
+reads one back, so a part set is made only to build its table.  A grid
+``release``s a table by name after its last reader.  ``rho`` is one
+entry of a table, with n < 0 refused (``partset.check_n``); callers of
+``column`` check their n first.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ import itertools
 import operator
 import struct
 
-from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
-                      t_set)
+from .partset import RefusedInput, ResidueClassSet, check_n, class_key, r_of, t_set
 
 #: largest n a count table is built for; checked before the table is allocated
 MAX_HORIZON = 10 ** 5
@@ -123,20 +122,7 @@ def _build_pm_table(A: ResidueClassSet, horizon: int) -> list[int]:
     return q
 
 
-def _build_rho_table(A: ResidueClassSet, horizon: int) -> list[int]:
-    if len(A.residues) == 2 and sum(A.residues) == A.modulus:  # +-r (mod M), 2r != M
-        return _build_pm_table(A, horizon)
-    return _build_part_table(A, horizon)
-
-
-def check_q_domain(a: int, d: int) -> None:
-    """Refuse (a, d) outside the domain a >= 1, d >= 1 of q_d^(a)."""
-    if a < 1 or d < 1:
-        raise RefusedInput(f"need a >= 1 and d >= 1, got a={a}, d={d}")
-
-
 def _build_gap_table(a: int, d: int, horizon: int) -> list[int]:
-    check_q_domain(a, d)
     # off_k = a k + d k(k-1)/2 for k = 0..K, the k with off_k <= horizon
     offsets = list(itertools.takewhile(horizon.__ge__,
                                        itertools.accumulate(itertools.count(a, d), initial=0)))
@@ -169,27 +155,54 @@ def check_horizon(n: int) -> None:
         raise RefusedInput(f"n={n} is beyond the table horizon cap {MAX_HORIZON}")
 
 
-def _spec(count: ResidueClassSet | tuple) -> tuple:
-    """The table name of ``count``, its builder and the builder's arguments."""
-    if isinstance(count, ResidueClassSet):
-        return "rho." + count.key(), _build_rho_table, count
-    if count[0] == "g":
-        return f"g.d{count[1]}", _build_g_table, count[1]
-    return ("q.a%d.d%d" % count, _build_gap_table, *count)
+def q_name(a: int, d: int) -> str:
+    """The name of the q_d^(a) table, refused outside its domain a >= 1, d >= 1."""
+    if a < 1 or d < 1:
+        raise RefusedInput(f"need a >= 1 and d >= 1, got a={a}, d={d}")
+    return f"q.a{a}.d{d}"
 
 
-def table_name(count: ResidueClassSet | tuple) -> str:
-    """The name of the table of ``count`` (as ``column`` takes it), such as
-    ``q.a5.d300`` or ``rho.m303.r5,298.x298``: its key here and in the cache."""
-    return _spec(count)[0]
+def g_name(d: int) -> str:
+    """The name of the G(d, .) table (``_build_g_table``)."""
+    return f"g.d{d}"
 
 
-def column(count: ResidueClassSet | tuple, n: int) -> memoryview | tuple[int, ...]:
-    """The table over 0..n or more of rho over a set, of q_d^(a) for (a, d),
-    or of G(d, .) for ("g", d) (``_build_g_table``): the held one, or one
-    loaded from the cache or built, then held: read-only 64-bit words (a
+def rho_name(*parts) -> str:
+    """The name of rho over the set keyed by ``partset.class_key(*parts)``: a family's ``make``."""
+    return "rho." + class_key(*parts)
+
+
+def big_q_name(a: int, d: int, minus: int) -> str:
+    """The name of Q_d^(a) (``minus`` 0), Q_d^(a,-) (1) or Q_d^(a,--) (2), for 1 <= a < d+3."""
+    if a < 1:
+        raise RefusedInput(f"need 1 <= a < d+3, got a={a}, d={d}")
+    if a >= d + 3:
+        raise RefusedInput(f"Q undefined for a = {a} >= d+3 = {d + 3}")
+    return rho_name(d + 3, {a, d + 3 - a}, ((), {d + 3 - a}, {a, d + 3 - a})[minus])
+
+
+def part_set(name: str) -> ResidueClassSet:
+    """The set of the rho table ``name``, read back from it."""
+    _, m, r, *x = name.split(".")
+    ints = lambda field: map(int, field[1:].split(","))
+    return ResidueClassSet(int(m[1:]), ints(r), ints(x[0]) if x else ())
+
+
+def _build(name: str, horizon: int) -> list[int]:
+    """The counts 0..horizon of the table ``name``, by the builder it names."""
+    kind, *fields = name.split(".")
+    if kind == "rho":
+        A = part_set(name)
+        pm = len(A.residues) == 2 and sum(A.residues) == A.modulus  # +-r (mod M), 2r != M
+        return (_build_pm_table if pm else _build_part_table)(A, horizon)
+    build = _build_gap_table if kind == "q" else _build_g_table
+    return build(*(int(field[1:]) for field in fields), horizon)
+
+
+def column(name: str, n: int) -> memoryview | tuple[int, ...]:
+    """The table ``name`` over 0..n or more: the held one, or one loaded
+    from the cache or built, then held: read-only 64-bit words (a
     ``memoryview``) if every count fits one, else a tuple of ints."""
-    name, build, *spec = _spec(count)
     tab = _tables.get(name)
     if tab is not None and len(tab) > n:
         return tab
@@ -201,7 +214,7 @@ def column(count: ResidueClassSet | tuple, n: int) -> memoryview | tuple[int, ..
         from . import cache  # only --cache runs load it
         values = cache.load(_cache_dir, name, horizon)
     if values is None:
-        values = build(*spec, horizon)
+        values = _build(name, horizon)
         try:  # struct packs exactly the counts in [0, 2^64), so words are exact
             values = memoryview(struct.pack(f"{len(values)}Q", *values)).cast("Q")
         except struct.error:
@@ -213,25 +226,14 @@ def column(count: ResidueClassSet | tuple, n: int) -> memoryview | tuple[int, ..
 
 
 def release(name: str) -> None:
-    """Drop the table named ``name`` (``table_name``), if one is held."""
+    """Drop the table ``name``, if one is held."""
     _tables.pop(name, None)
 
 
 def rho(A: ResidueClassSet, n: int) -> int:
     """Number of partitions of n with all parts in A (rho(A, 0) = 1)."""
     check_n(n)
-    return column(A, n)[n]
-
-
-def big_q_set(a: int, d: int, minus: int) -> ResidueClassSet:
-    """The parts +-a (mod d+3) of Q_d^(a) (``minus`` = 0), without d+3-a for
-    Q_d^(a,-) (1), or without both a and d+3-a for Q_d^(a,--) (2); refused
-    outside 1 <= a < d+3, where there is no +-a residue pair; built anew each call."""
-    if a < 1:
-        raise RefusedInput(f"need 1 <= a < d+3, got a={a}, d={d}")
-    if a >= d + 3:
-        raise RefusedInput(f"Q undefined for a = {a} >= d+3 = {d + 3}")
-    return pm_set(a, d + 3, ((), (d + 3 - a,), (a, d + 3 - a))[minus])
+    return column(rho_name(A.modulus, A.residues, A.exclusions), n)[n]
 
 
 def largest_part_counts(A: ResidueClassSet, n: int, i_max: int) -> list[int]:

@@ -10,9 +10,8 @@ one of the statuses of ``report``:
     exempt             the single cell n = d+a+3 that the generalized
                        Kang-Park statement leaves out when d == -3 (mod a);
                        its actual value is recorded but not asserted
-    skipped            an axis pair whose part sets cannot be built, or
-                       whose q_d^(a) is undefined; the witness gives the
-                       reason
+    skipped            an axis pair where a count the row reads is
+                       undefined; the witness gives the reason
 
 The n-indexed statements are declared once each, in ``STATEMENTS``:
 
@@ -30,11 +29,10 @@ The n-indexed statements are declared once each, in ``STATEMENTS``:
   * delta:       delta(a, d, n) >= 0 at a = 1 (Alder's theorem); only the
                  search scans it, at any a.
 
-Each is a ``Statement`` whose row factory builds an axis pair's part sets
-and declares its ``Row``: two count tables, each read at n -> m ceil(n/k),
-the first n in hypothesis and an optional exempt cell.  A pair whose sets
-cannot be built, or outside ``counting.check_q_domain`` where the row
-reads q, is skipped, with the refusal as the reason.  One engine runs
+Each is a ``Statement`` whose row factory declares an axis pair's ``Row``:
+two count tables by name, each read at n -> m ceil(n/k), the first n in
+hypothesis and an optional exempt cell.  A pair where a name maker of
+``counting`` refuses is skipped, with the refusal as the reason.  One engine runs
 them all, ``grid``: a verification (one cell is a grid with n_min ==
 n_max) or a search (negative cells only), each row through ``_row``,
 which reads each side as one slice of its table and makes the row one
@@ -61,8 +59,8 @@ import math
 import operator
 from typing import Callable, Iterator, NamedTuple
 
-from .counting import (big_q_set, check_horizon, check_q_domain, column,
-                       largest_part_counts, release, rho, table_name)
+from .counting import (big_q_name, check_horizon, column, largest_part_counts,
+                       part_set, q_name, release, rho, rho_name)
 from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
                       s_set, shift_regime, t_set, x_closed, y_closed)
 from .report import EXEMPT, FAILS, HOLDS, OUT, SKIPPED, VIOLATION, VerificationReport
@@ -119,10 +117,10 @@ class GridSpec(_Grid):
 
 
 class Side(NamedTuple):
-    """One side of a Row: the counts of ``count`` (rho over a set, or q_d^(a)
-    for a pair (a, d), as ``counting.column`` reads them) at m * ceil(n / k)."""
+    """One side of a Row: the counts of the table named ``count`` (as
+    ``counting.column`` reads it) at m * ceil(n / k)."""
 
-    count: ResidueClassSet | tuple[int, int]
+    count: str
     m: int = 1
     k: int = 1
 
@@ -144,12 +142,11 @@ class Row(NamedTuple):
 
 class Statement(NamedTuple):
     """An n-indexed grid statement: its two axes (read from a GridSpec's
-    ``<axis>_values``) and ``row(x, y)``, which builds the part sets of the
-    axis pair and declares its Row (data only: no table is read yet), or
-    raises RefusedInput if they cannot be built or a count it reads is
-    undefined there.  Such a pair is skipped, with one cell per n if
-    ``skip_each_n``, else one cell.  Its report command is
-    ``verify-<name>``."""
+    ``<axis>_values``) and ``row(x, y)``, which names the tables of the axis
+    pair in its Row (data only: no table is read yet), or raises
+    RefusedInput if a count it reads is undefined there.  Such a pair is
+    skipped, with one cell per n if ``skip_each_n``, else one cell.  Its
+    report command is ``verify-<name>``."""
 
     axes: tuple[str, str]
     row: Callable[[int, int], Row]
@@ -237,7 +234,7 @@ def gen_kp_sets(a: int, d: int) -> tuple[ResidueClassSet, ResidueClassSet]:
     by ``dominates``; it fails when the modulus is 2a).
     """
     d_hat = n_hat(a, d)
-    S = big_q_set(a, d, 1)
+    S = part_set(big_q_name(a, d, 1))
     m = d + d_hat - a
     if m < 3 or a >= m:
         raise RefusedInput(f"gen_kp_sets: degenerate T modulus {m} for a={a}, d={d}")
@@ -253,38 +250,35 @@ def _divides(a: int, d: int) -> bool:
 
 
 def _shift_row(N: int, d: int) -> Row:
-    S = s_set(d, N)
-    check_q_domain(1, d)
-    return Row(Side((1, d)), Side(S), ("q", "Q"),
+    S = s_set(d, N, rho_name)
+    return Row(Side(q_name(1, d)), Side(S), ("q", "Q"),
                d + 2 if shift_regime(d, N) else None)
 
 
-def _ceiling_row(a: int, d: int) -> Row:
-    check_q_domain(a, d)  # then ceil(d/a) >= 1 too
-    return Row(Side((a, d)), Side((1, math.ceil(d / a)), 1, a), ("lhs", "rhs"),
+def _ceiling_row(a: int, d: int) -> Row:  # q_name(a, d) refuses first: then ceil(d/a) >= 1
+    return Row(Side(q_name(a, d)), Side(q_name(1, math.ceil(d / a)), 1, a), ("lhs", "rhs"),
                d + 2 * a)
 
 
 def _a_to_1_row(a: int, d: int) -> Row:
     if not _divides(a, d):
         raise RefusedInput(f"{a} does not divide d+3 = {d + 3}")
-    Q, Q1 = big_q_set(a, d, 1), big_q_set(1, (d + 3) // a - 3, 1)
+    Q, Q1 = big_q_name(a, d, 1), big_q_name(1, (d + 3) // a - 3, 1)
     return Row(Side(Q, a), Side(Q1), ("lhs", "rhs"), equal=True)
 
 
 def _modified_st_row(a: int, d: int) -> Row:
-    S, T = gen_kp_sets(a, d)  # T is read at n + n_hat(a, n) = a * ceil(n / a)
-    return Row(Side(T, a, a), Side(S), ("rho_T", "rho_S"),
-               0 if dominates(S, T, PREMISE_HORIZON, a) else None)
+    S, T = gen_kp_sets(a, d)  # both Q^(a,-) sets; T is read at n + n_hat(a, n) = a ceil(n/a)
+    return Row(Side(big_q_name(a, T.modulus - 3, 1), a, a), Side(big_q_name(a, d, 1)),
+               ("rho_T", "rho_S"), 0 if dominates(S, T, PREMISE_HORIZON, a) else None)
 
 
 def _delta_row(minus: int, a: int, d: int, exempt: bool = False) -> Row:
-    """q_d^(a)(n) >= rho(big_q_set(a, d, minus), n), in hypothesis at a = 1
+    """q_d^(a)(n) >= Q_d^(a)(n) (``counting.big_q_name``), in hypothesis at a = 1
     for Q (Alder's theorem) and at ceil(d/a) >= 105 for Q^- and Q^--; with
     ``exempt``, except at n = d+a+3 when a | d+3."""
-    Q = big_q_set(a, d, minus)
-    check_q_domain(a, d)
-    return Row(Side((a, d)), Side(Q), ("q", "Q"),
+    Q = big_q_name(a, d, minus)
+    return Row(Side(q_name(a, d)), Side(Q), ("q", "Q"),
                0 if (math.ceil(d / a) >= 105 if minus else a == 1) else None,
                d + a + 3 if exempt and _divides(a, d) else None)
 
@@ -318,10 +312,10 @@ def search_kind(kind: str) -> tuple[str, Statement]:
 def _rows(statement: Statement, spec: GridSpec):
     """(base params, Row or skip reason) per axis pair, in the spec's order.
 
-    A refused row factory skips its pair.  Factories build part sets and
-    check count domains, nothing else: ``grid`` checks every table
-    horizon later, so a table refusal (``counting.MAX_HORIZON``) still
-    refuses the whole grid, as does an empty axis.
+    A refused row factory skips its pair.  Factories name tables and read
+    none: ``grid`` checks every table horizon later, so a table refusal
+    (``counting.MAX_HORIZON``) still refuses the whole grid, as does an
+    empty axis.
     """
     first, second = statement.axes
     xs, ys = getattr(spec, f"{first}_values"), getattr(spec, f"{second}_values")
@@ -345,7 +339,7 @@ def _held(rows: Iterator, spec: GridSpec, readers: collections.Counter,
     for base, row in rows:
         if isinstance(row, Row):
             block = _row(base, spec.n_min, spec.n_max, row, **how)
-            for name in (table_name(row.lhs.count), table_name(row.rhs.count)):
+            for name in (row.lhs.count, row.rhs.count):
                 readers[name] -= 1
                 if not readers[name]:
                     del readers[name]
@@ -384,8 +378,8 @@ def grid(cmd: str, spec: GridSpec) -> tuple[str, Iterator[tuple[dict, list[tuple
             if any(how.values()) or row.first is not None and row.first <= hi:
                 for _, m, k in row[:2]:  # _row evaluates some n, so reads these
                     check_horizon(m * -(-hi // k))
-            readers.update((table_name(row.lhs.count), table_name(row.rhs.count)))
-    # made again to run, so that none is held: factories only build part sets
+            readers.update((row.lhs.count, row.rhs.count))
+    # made again to run, so that none is held: factories name tables and read none
     rows = _rows(statement, spec)
     if verb == "search":  # skipped pairs are not scanned
         rows = (({"kind": kind, **base}, row) if kind != "shift"
@@ -471,7 +465,7 @@ def verify_t_monotone(d: int, n_max: int) -> VerificationReport:
     report = VerificationReport("verify-t-monotone")
     r = r_of(d)
     check_n(n_max)  # a refusal before any work; each table is one build at n_max
-    tables = {s: column(t_set(s, d), n_max)[:n_max + 1] for s in range(1, r + 1)}
+    tables = {s: column(t_set(s, d, rho_name), n_max)[:n_max + 1] for s in range(1, r + 1)}
     for s_lo in range(1, r + 1):
         for s_hi in range(s_lo, r + 1):
             slack = [hi - lo for lo, hi in zip(tables[s_lo], tables[s_hi])]

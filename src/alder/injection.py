@@ -64,6 +64,7 @@ from typing import Iterator, NamedTuple, Sequence
 from . import counting
 from .partset import (RefusedInput, ResidueClassSet, check_n, s_set,
                       shift_regime, t_set, x_closed, y_closed)
+from .report import FAILS, HOLDS, OUT
 
 #: largest rho(S, n) a cell may check; checked before any partition is examined
 MAX_PARTITIONS = 10 ** 6
@@ -212,8 +213,8 @@ class InjectionCellReport:
     @property
     def status(self) -> str:
         if not self.in_hypothesis:
-            return "out-of-hypothesis"
-        return "holds" if self.passed else "fails"
+            return OUT
+        return HOLDS if self.passed else FAILS
 
     @property
     def block(self) -> tuple[dict, list[tuple]]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class RefusedInput(ValueError):
@@ -44,7 +44,7 @@ class ResidueClassSet:
 
     Immutable; two sets are equal, and hash alike, when their ``key()`` is."""
 
-    __slots__ = ("_modulus", "_residues", "_exclusions", "_key")
+    __slots__ = ("_modulus", "_residues", "_exclusions")
     modulus = property(lambda self: self._modulus)
     residues = property(lambda self: self._residues)
     exclusions = property(lambda self: self._exclusions)
@@ -66,15 +66,12 @@ class ResidueClassSet:
             if e % modulus not in residues:
                 raise RefusedInput(f"exclusion {e} is not a member of the set")
         self._modulus, self._residues, self._exclusions = modulus, residues, exclusions
-        rs = ",".join(str(r) for r in sorted(residues))
-        es = ",".join(str(e) for e in sorted(exclusions))
-        self._key = f"m{modulus}.r{rs}.x{es}" if es else f"m{modulus}.r{rs}"
 
     def __eq__(self, other) -> bool:
-        return self._key == other._key if type(other) is type(self) else NotImplemented
+        return self.key() == other.key() if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.key())
 
     def __repr__(self) -> str:
         return (f"ResidueClassSet(modulus={self._modulus!r}, residues={self._residues!r}, "
@@ -100,8 +97,16 @@ class ResidueClassSet:
         return self.elements_upto(k * self._modulus)[i - 1]
 
     def key(self) -> str:
-        """Canonical text key, used for cache file naming."""
-        return self._key
+        """Canonical text key (``class_key``), such as ``m303.r5,298.x298``."""
+        return class_key(self._modulus, self._residues, self._exclusions)
+
+
+def class_key(modulus: int, residues: Iterable[int], exclusions: Iterable[int] = ()) -> str:
+    """The key of {x >= 1 : x mod modulus in residues} minus exclusions, each
+    without repeats: the modulus, then the residues and exclusions (if any), increasing."""
+    rs = ",".join([str(r) for r in sorted(residues)])
+    es = ",".join([str(e) for e in sorted(exclusions)])
+    return f"m{modulus}.r{rs}.x{es}" if es else f"m{modulus}.r{rs}"
 
 
 def r_of(d: int) -> int:
@@ -111,8 +116,8 @@ def r_of(d: int) -> int:
     return (d + 1).bit_length() - 1
 
 
-def t_set(s: int, d: int) -> ResidueClassSet:
-    """The set T(s, d): x == 1, d+2, d+4, ..., d+2^(s-1) (mod 2d).
+def t_set(s: int, d: int, make: Callable = ResidueClassSet):
+    """The set T(s, d): x == 1, d+2, d+4, ..., d+2^(s-1) (mod 2d), by ``make``.
 
     Valid whenever the listed residues are distinct in [0, 2d), which
     holds exactly when s = 1 or d + 2^(s-1) < 2d; in particular for all
@@ -125,21 +130,19 @@ def t_set(s: int, d: int) -> ResidueClassSet:
         raise RefusedInput(
             f"t_set(s={s}, d={d}): residues collide modulo {2 * d} "
             f"(requires s <= r_of(d) = {r_of(d)})")
-    residues = {1} | {d + 2 ** j for j in range(1, s)}
-    return ResidueClassSet(2 * d, residues)
+    return make(2 * d, {1} | {d + 2 ** j for j in range(1, s)})
 
 
-def s_set(d: int, N: int) -> ResidueClassSet:
-    """The set S(d, N): x == +-1 (mod d-N+3), minus the value d-N+2."""
-    m = d - N + 3
+def s_set(d: int, N: int, make: Callable = ResidueClassSet):
+    """The set S(d, N): x == +-1 (mod d-N+3), minus the value d-N+2, by ``make``."""
+    return _s_set(d - N + 3, make)
+
+
+@functools.lru_cache(maxsize=None)  # for speed: 10^5 shift rows 1.5 s, 1.9 s uncached
+def _s_set(m: int, make: Callable):
     if m < 3:
         raise RefusedInput(f"modulus d-N+3 = {m} < 3")
-    return _s_set(m)
-
-
-@functools.lru_cache(maxsize=None)  # for speed: 10^5 shift rows 1.5 s, 2.2 s uncached
-def _s_set(m: int) -> ResidueClassSet:
-    return ResidueClassSet(m, {1, m - 1}, {m - 1})
+    return make(m, {1, m - 1}, {m - 1})
 
 
 def shift_regime(d: int, N: int) -> bool:

@@ -123,12 +123,12 @@ def largest_part_counts(A: ResidueClassSet, n: int, i_max: int) -> list[int]:
 
 def big_q(a: int, d: int, n: int, minus: int = 0) -> int:
     """Q_d^(a)(n), or Q_d^(a,-)(n) and Q_d^(a,--)(n) at ``minus`` 1 and 2."""
-    return counting.rho(counting.big_q_set(a, d, minus), n)
+    return counting.column(counting.big_q_name(a, d, minus), n)[n]
 
 
 def delta(a: int, d: int, n: int, minus: int = 0) -> int:
     """q_d^(a)(n) - Q_d^(a)(n), or minus Q_d^(a,-) or Q_d^(a,--) as in big_q."""
-    return counting.column((a, d), n)[n] - big_q(a, d, n, minus)
+    return counting.column(counting.q_name(a, d), n)[n] - big_q(a, d, n, minus)
 
 
 class CellRecord(NamedTuple):
@@ -181,7 +181,13 @@ def check_andrews(S: ResidueClassSet, T: ResidueClassSet, n_max: int) -> Report:
     whose premise is ``inequalities.dominates``: one row over n = 0..n_max,
     with no params."""
     return Report("verify-andrews", [
-        inequalities._row({}, 0, n_max, Row(Side(T), Side(S), ("rho_T", "rho_S")))])
+        inequalities._row({}, 0, n_max, Row(Side(name_of(T)), Side(name_of(S)),
+                                           ("rho_T", "rho_S")))])
+
+
+def name_of(A: ResidueClassSet) -> str:
+    """The name counting gives the rho table of A."""
+    return counting.rho_name(A.modulus, A.residues, A.exclusions)
 
 
 def positive_integers() -> ResidueClassSet:

@@ -11,7 +11,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from alder.counting import column, rho
+from alder.counting import column, g_name, q_name, rho, rho_name
 from alder.inequalities import (EXEMPT, HOLDS, OUT, GridSpec,
                                 verify_smalln_anchors, xy_difference_report)
 from alder.injection import verify_injection
@@ -154,7 +154,7 @@ def test_criterion_10_oracle_equivalence():
     with criterion(10, 60, "q table == q_brute, rho == enumeration, plus spot checks"):
         for a in range(1, 9):
             for d in range(1, 9):
-                q = column((a, d), 40)
+                q = column(q_name(a, d), 40)
                 for n in range(41):
                     assert q[n] == q_brute(a, d, n)
                 if a < d + 3:
@@ -167,7 +167,7 @@ def test_criterion_10_oracle_equivalence():
         rng = random.Random(20260811)
         for _ in range(60):
             a, d, n = rng.randint(1, 8), rng.randint(2, 12), rng.randint(41, 90)
-            assert column((a, d), n)[n] == q_brute(a, d, n, limit=n)
+            assert column(q_name(a, d), n)[n] == q_brute(a, d, n, limit=n)
         for _ in range(40):
             a, d, n = rng.randint(1, 6), rng.randint(1, 10), rng.randint(41, 80)
             if a >= d + 3:
@@ -180,7 +180,8 @@ def test_criterion_11_bound_chain():
     with criterion(11, None, "q >= G >= rho(T5) and q >= floor bound, d in {63,105}"):
         for d in (63, 105):
             n_max = 5 * d + 100
-            q, g, t5 = (column(count, n_max) for count in ((1, d), ("g", d), t_set(5, d)))
+            q, g, t5 = (column(name, n_max)
+                        for name in (q_name(1, d), g_name(d), t_set(5, d, rho_name)))
             for n in range(5 * d, n_max + 1):
                 assert q[n] >= g[n] >= t5[n], (d, n)
                 assert q[n] >= q_lower_bound(d, n), (d, n)

@@ -8,6 +8,7 @@ import sys
 from alder import cache, counting
 from alder.partset import ResidueClassSet, pm_set
 from conftest import rewrite_entry
+from oracles import name_of
 
 
 def test_roundtrip(tmp_path):
@@ -80,6 +81,21 @@ def test_big_endian_host_repacks_the_words(tmp_path, monkeypatch):
     assert isinstance(words, memoryview) and list(words) == counts
 
 
+def test_held_words_stored_as_they_are_only_on_a_little_endian_host(tmp_path, monkeypatch):
+    # a held table's native words are its "<Q" body on a little-endian host;
+    # on any other host the writer packs them, and both entries load alike
+    counts = [1, 2, 2 ** 64 - 1]
+    words = memoryview(struct.pack("3Q", *counts)).cast("Q")
+    packed, pack = [], struct.pack
+    monkeypatch.setattr(cache.struct, "pack", lambda fmt, *v: packed.append(fmt) or pack(fmt, *v))
+    cache.store(tmp_path, "host", words)
+    monkeypatch.setattr(sys, "byteorder", "big")
+    cache.store(tmp_path, "big", words)
+    monkeypatch.undo()
+    assert packed == ["<3Q"] * (1 if sys.byteorder == "little" else 2)
+    assert list(cache.load(tmp_path, "host", 2)) == list(cache.load(tmp_path, "big", 2)) == counts
+
+
 def test_held_tables_store_the_bytes_of_their_counts(tmp_path, monkeypatch):
     # each file as the writer made it from the builder's list: "<nQ" words
     # while every count fits (a +-2 (mod 11) table to 1000), else a JSON
@@ -87,9 +103,9 @@ def test_held_tables_store_the_bytes_of_their_counts(tmp_path, monkeypatch):
     monkeypatch.setattr(counting, "_tables", {})
     counting.set_cache_dir(tmp_path)
     for A, encoding in ((pm_set(2, 11), "u64le"), (ResidueClassSet(1, (0,)), "json")):
-        name = counting.table_name(A)
-        held = counting.column(A, 500)
-        built = counting._build_rho_table(A, len(held) - 1)
+        name = name_of(A)
+        held = counting.column(name, 500)
+        built = counting._build(name, len(held) - 1)
         body = (struct.pack(f"<{len(built)}Q", *built) if encoding == "u64le"
                 else json.dumps(built, separators=(",", ":")).encode())
         header = {"v": 4, "key": name, "horizon": len(built) - 1, "encoding": encoding,
@@ -99,7 +115,7 @@ def test_held_tables_store_the_bytes_of_their_counts(tmp_path, monkeypatch):
                 + b"\n" + body
         assert isinstance(held, memoryview if encoding == "u64le" else tuple)
         counting._tables.clear()  # a warm read holds the same counts, the same way
-        warm = counting.column(A, 500)
+        warm = counting.column(name, 500)
         assert type(warm) is type(held) and list(warm) == built
 
 
@@ -211,7 +227,7 @@ def test_v3_entry_rebuilt_and_rewritten_as_v4(tmp_path, monkeypatch):
                      + b"\n" + body)
     monkeypatch.setattr(counting, "_tables", {})
     counting.set_cache_dir(tmp_path)
-    assert counting.column((1, 63), 65)[65] == 2
+    assert counting.column(counting.q_name(1, 63), 65)[65] == 2
     assert json.loads(path.read_bytes().split(b"\n", 1)[0])["v"] == 4
     assert cache.load(tmp_path, "q.a1.d63", 65)[65] == 2
 

@@ -213,7 +213,7 @@ class TestVerify:
         # no in-hypothesis failures exist mathematically, so force one
         column = inequalities.column  # a rho table of 10**6s; q tables stay
         monkeypatch.setattr(inequalities, "column", lambda count, n: (
-            column(count, n) if isinstance(count, tuple) else (10 ** 6,) * (n + 1)))
+            column(count, n) if count.startswith("q.") else (10 ** 6,) * (n + 1)))
         code, out, _ = run_cli(
             ["verify", "shift", "--N", "2", "--d", "63", "--n-min", "65",
              "--n-max", "65"], capsys)
@@ -319,7 +319,8 @@ class TestVerify:
     def test_over_horizon_grid_refused_before_any_build(self, capsys, monkeypatch,
                                                         argv, n_max):
         built = []
-        for name in ("_build_rho_table", "_build_gap_table", "_build_g_table"):
+        for name in ("_build_pm_table", "_build_part_table", "_build_gap_table",
+                     "_build_g_table"):
             monkeypatch.setattr(counting, name, lambda *args, name=name: built.append(name))
         code, out, err = run_cli(["verify", *argv.split(), "--n-max", str(n_max)], capsys)
         assert code == 2 and out == ""
@@ -333,7 +334,8 @@ class TestVerify:
         "rho --set S --N 9 --d 5"])  # invalid twice: the n refusal comes first
     def test_negative_first_n_refused_before_any_build(self, capsys, monkeypatch, argv):
         built = []
-        for name in ("_build_rho_table", "_build_gap_table", "_build_g_table"):
+        for name in ("_build_pm_table", "_build_part_table", "_build_gap_table",
+                     "_build_g_table"):
             monkeypatch.setattr(counting, name, lambda *args, name=name: built.append(name))
         code, out, err = run_cli(["count", "--kind", *argv.split(), "--n=-3..5000"], capsys)
         assert code == 2 and out == ""
@@ -909,7 +911,7 @@ class TestStreaming:
         # tables of distinct big counts, so that each block costs memory and
         # the 30 collected blocks cost about 30 times one
         monkeypatch.setattr(inequalities, "column", lambda count, n: tuple(
-            range(10 ** 20, 10 ** 20 + 7 * n + 1, 7) if isinstance(count, tuple)
+            range(10 ** 20, 10 ** 20 + 7 * n + 1, 7) if count.startswith("q.")
             else range(n + 1)))
 
         class Null:

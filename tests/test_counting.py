@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alder import cli, counting
-from alder.counting import column, largest_part_counts, rho
+from alder.counting import column, g_name, largest_part_counts, q_name, rho, rho_name
 from alder.partset import ResidueClassSet, pm_set, r_of, s_set, t_set
 import oracles
-from oracles import big_q, delta, q_brute, q_lower_bound, rho_brute
+from oracles import big_q, delta, name_of, q_brute, q_lower_bound, rho_brute
 
 
 class TestRho:
@@ -52,10 +52,10 @@ class TestQCount:
         (1, 63, 65, 2),  # 65; 64+1
     ])
     def test_examples(self, a, d, n, expected):
-        assert column((a, d), n)[n] == expected
+        assert column(q_name(a, d), n)[n] == expected
 
     def test_boundary_values(self):
-        q = column((3, 5), 3)
+        q = column(q_name(3, 5), 3)
         assert q[0] == 1
         assert q[3] == 1
         assert q[2] == 0
@@ -63,13 +63,13 @@ class TestQCount:
 
     def test_monotone_in_n_for_a1(self):
         for d in (1, 2, 5, 63):
-            vals = column((1, d), 120)[:121]
+            vals = column(q_name(1, d), 120)[:121]
             assert all(lo <= hi for lo, hi in zip(vals, vals[1:]))
 
     def test_matches_brute(self):
         for a in range(1, 5):
             for d in range(1, 5):
-                q = column((a, d), 30)
+                q = column(q_name(a, d), 30)
                 for n in range(31):
                     assert q[n] == q_brute(a, d, n)
 
@@ -78,7 +78,7 @@ class TestQCount:
            st.integers(min_value=0, max_value=36))
     @settings(max_examples=80)
     def test_matches_brute_random(self, a, d, n):
-        assert column((a, d), n)[n] == q_brute(a, d, n)
+        assert column(q_name(a, d), n)[n] == q_brute(a, d, n)
 
 
 class TestQBrute:
@@ -94,7 +94,7 @@ class TestQBrute:
     def test_limit_enforced(self):
         with pytest.raises(ValueError):
             q_brute(1, 1, 61)
-        assert q_brute(1, 40, 61, limit=100) == column((1, 40), 61)[61]
+        assert q_brute(1, 40, 61, limit=100) == column(q_name(1, 40), 61)[61]
 
 
 class TestBigQ:
@@ -158,8 +158,8 @@ class TestDelta:
 
 class TestGScript:
     def test_weight_zero(self):
-        assert column(("g", 63), 0)[0] == 1
-        assert column(("g", 105), 0)[0] == 1
+        assert column(g_name(63), 0)[0] == 1
+        assert column(g_name(105), 0)[0] == 1
 
     def test_brute_comparison(self):
         # pairs (D, U): distinct parts from the d+2^(r-1) (mod 2d) class,
@@ -181,29 +181,29 @@ class TestGScript:
             return walk(0, n)
 
         for d in (4, 31, 63):
-            g = column(("g", d), 130)
+            g = column(g_name(d), 130)
             for n in (0, 1, 50, 95, 96, 130):
                 assert g[n] == g_oracle(d, n)
 
     def test_example_63_95(self):
         # the lone distinct part 95 plus the five T-only partitions
-        assert column(("g", 63), 95)[95] == rho(t_set(5, 63), 95) + 1 == 6
+        assert column(g_name(63), 95)[95] == rho(t_set(5, 63), 95) + 1 == 6
 
     def test_chain_at_5d(self):
         for d in (63, 105):
             n = 5 * d
-            assert column((1, d), n)[n] >= column(("g", d), n)[n] >= rho(t_set(5, d), n)
+            assert column(q_name(1, d), n)[n] >= column(g_name(d), n)[n] >= rho(t_set(5, d), n)
 
     def test_q_dominates_t5_window(self):
         for d in (63, 64, 105):
             n_max = 5 * d + 100
-            q, t5 = column((1, d), n_max), column(t_set(5, d), n_max)
+            q, t5 = column(q_name(1, d), n_max), column(t_set(5, d, rho_name), n_max)
             for n in range(5 * d, n_max + 1):
                 assert q[n] >= t5[n]
 
     def test_rejects_r_below_2(self):
         with pytest.raises(ValueError, match=r"^kind g: need r_of\(d\) >= 2, got d=2$"):
-            column(("g", 2), 10)
+            column(g_name(2), 10)
 
 
 class TestLScript:
@@ -221,10 +221,10 @@ class TestQLowerBound:
 
     def test_bounds_q_count(self):
         for d in (1, 7, 63, 127):
-            q = column((1, d), 1000)
+            q = column(q_name(1, d), 1000)
             for n in range(1, 1001):
                 assert q[n] >= q_lower_bound(d, n)
-        assert column((1, 63), 189)[189] >= 64
+        assert column(q_name(1, 63), 189)[189] >= 64
 
 
 class TestTMonotoneCounts:
@@ -258,7 +258,7 @@ class TestLargestPartCounts:
 
 class TestTables:
     def test_entry_zero_is_one(self):
-        assert column(s_set(63, 2), 10)[0] == 1
+        assert column(s_set(63, 2, rho_name), 10)[0] == 1
 
     def test_ascending_reads_double_the_horizon(self, monkeypatch):
         # a library caller that reads rho in ascending n with no table held
@@ -271,7 +271,7 @@ class TestTables:
         horizons = []
         monkeypatch.setattr(counting, "_tables", Log())
         A = pm_set(2, 11)
-        assert [rho(A, n) for n in range(1001)] == list(column(A, 1000)[:1001])
+        assert [rho(A, n) for n in range(1001)] == list(column(name_of(A), 1000)[:1001])
         assert horizons == [64, 128, 256, 512, 1024]
 
     def test_horizon_cap_refuses_before_building(self, monkeypatch):
@@ -299,16 +299,16 @@ class TestTables:
         # p(n), rho over every positive integer, first passes 2^64 at n = 417
         monkeypatch.setattr(counting, "_tables", {})
         every = ResidueClassSet(1, (0,))
-        built = counting._build_rho_table(every, 417)
+        built = counting._build(name_of(every), 417)
         assert built[416] == 17873792969689876004 < 2 ** 64 <= built[417]
-        words = column(every, 416)
+        words = column(name_of(every), 416)
         assert isinstance(words, memoryview) and words.readonly and len(words) == 417
         assert list(words) == built[:417] and words[416] == built[416]
         assert list(words[5:400:7]) == built[5:400:7]  # a grid side's strided read
-        counting.release(counting.table_name(every))
-        ints = column(every, 417)
+        counting.release(name_of(every))
+        ints = column(name_of(every), 417)
         assert type(ints) is tuple and ints[:418] == tuple(built)
-        assert list(ints) == counting._build_rho_table(every, len(ints) - 1)
+        assert list(ints) == counting._build(name_of(every), len(ints) - 1)
 
 
 def _pm_sets(M):
@@ -458,4 +458,4 @@ class TestRandomSpotChecks:
             a = rng.randint(1, 8)
             d = rng.randint(2, 12)
             n = rng.randint(41, 90)
-            assert column((a, d), n)[n] == q_brute(a, d, n, limit=n)
+            assert column(q_name(a, d), n)[n] == q_brute(a, d, n, limit=n)

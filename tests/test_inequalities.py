@@ -6,7 +6,7 @@ import math
 import pytest
 
 from alder import counting, inequalities
-from alder.counting import column, rho
+from alder.counting import column, q_name, rho, rho_name
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
                                 STATEMENTS, GridSpec,
                                 dominates, gen_kp_sets, n_hat,
@@ -39,7 +39,7 @@ class TestCheckShift:
     def test_at_case1_anchor(self):
         (rec,) = verify_shift(2, 63, 126, 126).records
         assert rec.status == HOLDS
-        assert rec.value == column((1, 63), 126)[126] - 2 >= 0
+        assert rec.value == column(q_name(1, 63), 126)[126] - 2 >= 0
 
     def test_littlelemon_start(self):
         (rec,) = verify_shift(4, 105, 107, 107).records
@@ -86,7 +86,7 @@ class TestVerifyShiftRange:
         from alder.injection import enumerate_partitions
         d, N, n = 63, 2, 130
         assert verify_shift(N, d, n, n).records[0].value == \
-            column((1, d), n)[n] - len(enumerate_partitions(s_set(d, N), n))
+            column(q_name(1, d), n)[n] - len(enumerate_partitions(s_set(d, N), n))
 
 
 class TestAndrews:
@@ -115,7 +115,7 @@ class TestAndrews:
 
 class TestCeiling:
     def test_example(self):
-        assert column((2, 5), 9)[9] == 2 and column((1, 3), 5)[5] == 2
+        assert column(q_name(2, 5), 9)[9] == 2 and column(q_name(1, 3), 5)[5] == 2
         assert verify_pair("ceiling", 2, 5, 9, n_min=9).summary == {HOLDS: 1}
 
     def test_a1_reduces_to_identity(self):
@@ -329,7 +329,7 @@ class TestTMonotone:
 
         def column(count, n):
             table = list(real(count, n))
-            if count == t_set(2, 7):
+            if count == t_set(2, 7, rho_name):
                 table[4] -= 10
                 table[6] -= 20
             return table
@@ -417,11 +417,12 @@ def paper_cells(name, n_max, a=1, d=0, N=0):
     tables read at the paper's index maps and its hypotheses as stated there."""
     ns = range(n_max + 1)
     if name == "shift":
-        q, S = column((1, d), n_max), column(s_set(d, N), n_max)
+        q, S = column(q_name(1, d), n_max), column(s_set(d, N, rho_name), n_max)
         return [(N >= 2 and d >= max(63, 46 * N - 79) and n >= d + 2, q[n], S[n])
                 for n in ns]
     if name == "ceiling":
-        q, q1 = column((a, d), n_max), column((1, math.ceil(d / a)), math.ceil(n_max / a))
+        q = column(q_name(a, d), n_max)
+        q1 = column(q_name(1, math.ceil(d / a)), math.ceil(n_max / a))
         return [(n >= d + 2 * a, q[n], q1[math.ceil(n / a)]) for n in ns]
     if name == "a-to-1":
         return [(True, big_q(a, d, a * n, minus=1), big_q(1, (d + 3) // a - 3, n, minus=1))
@@ -432,7 +433,7 @@ def paper_cells(name, n_max, a=1, d=0, N=0):
         return [(premise, rho(T, n + n_hat(a, n)), rho(S, n)) for n in ns]
     minus = {"delta": 0, "gen-kp": 1, "gen-dkst": 2}[name]
     in_hypothesis = a == 1 if name == "delta" else math.ceil(d / a) >= 105
-    q = column((a, d), n_max)
+    q = column(q_name(a, d), n_max)
     return [(in_hypothesis, q[n], big_q(a, d, n, minus)) for n in ns]
 
 
