@@ -20,7 +20,7 @@ import operator
 import os
 import sys
 
-from .partset import RefusedInput, check_n, r_of, s_set, t_set
+from .partset import RefusedInput, check_n, r_of
 from .report import VIOLATION, VerificationReport
 
 SCHEMA_VERSION = 1
@@ -132,7 +132,7 @@ _Q_EXCLUSIONS = {"Q": 0, "Qm": 1, "Qmm": 2, "delta": 0, "delta_m": 1, "delta_mm"
 
 
 def cmd_count(args) -> VerificationReport:
-    from .counting import big_q_name, column, g_name, q_name, rho_name
+    from .counting import big_q_name, column, g_name, q_name, s_set, t_set
     kind = args.kind.replace("-", "_")
     if kind == "rho":
         if args.set is None:
@@ -142,12 +142,11 @@ def cmd_count(args) -> VerificationReport:
             raise RefusedInput(f"rho over {args.set} needs --{other} and --d")
         params_base = {"kind": kind, "set": args.set, **(
             {"s": args.s, "d": args.d} if other == "s" else {"d": args.d, "N": args.N})}
-        names = [lambda: t_set(args.s, args.d, rho_name) if other == "s"
-                 else s_set(args.d, args.N, rho_name)]
+        names = [lambda: t_set(args.s, args.d) if other == "s" else s_set(args.d, args.N)]
     elif kind in ("g", "l"):
         if args.d is None:
             raise RefusedInput(f"kind {kind} needs --d")
-        names = [lambda: g_name(args.d) if kind == "g" else t_set(r_of(args.d), args.d, rho_name)]
+        names = [lambda: g_name(args.d) if kind == "g" else t_set(r_of(args.d), args.d)]
         params_base = {"kind": kind, "d": args.d}
     elif kind == "q" or kind in _Q_EXCLUSIONS:
         if args.a is None or args.d is None:

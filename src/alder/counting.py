@@ -8,6 +8,14 @@ standard notation of the Alder conjecture literature:
                    and Q_d^(a,--) both a and d+3-a
     rho(A, n)      partitions of n with parts in the set A
 
+Besides the +-a (mod d+3) sets of the Q counters, two families of part
+sets (``partset``) matter downstream, each named by its maker here:
+
+* the comparison targets T(s, d) with x == 1, d+2, d+4, ..., d+2^(s-1)
+  (mod 2d), the codomain of the injection arguments (``t_set``),
+* the shifted sets S(d, N) with x == +-1 (mod d-N+3) minus the single
+  value d-N+2, whose partitions realize Q_{d-N}^(1,-) (``s_set``).
+
 The q_d^(a) table uses the classical staircase bijection: a gap->=d partition
 into exactly k parts with minimum >= a corresponds, after removing the
 staircase a+(k-j)d from the j-th largest part, to a partition of
@@ -27,21 +35,24 @@ which hands it out whole, for slicing: built once (or loaded from the
 cache), grown geometrically on demand, and read-only while held: 64-bit
 words only when exact, when every count fits one (p(n) passes 2^64 at
 n = 417).  A table's name, such as ``q.a5.d300``, ``rho.m303.r5,298.x298``
-or ``g.d63``, is its one identity, here and in the cache: only the name
-makers here write one, with their counts' refusals, and only ``_build``
-reads one back, so a part set is made only to build its table.  A grid
-``release``s a table by name after its last reader.  ``rho`` is one
-entry of a table, with n < 0 refused (``partset.check_n``); callers of
-``column`` check their n first.
+or ``g.d63``, is its one identity, here and in the cache, and a rho
+name is the one form of its part set above the builders: only the name
+makers here write one, with their counts' refusals, and only
+``part_set`` reads one back into a set, for ``_build`` and the walks
+over its elements, so a part set is made only for those.  A grid
+``release``s a table by name after its last reader.  ``rho(name, n)``
+is one entry of a table, with n < 0 refused (``partset.check_n``);
+callers of ``column`` check their n first.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import struct
 
-from .partset import RefusedInput, ResidueClassSet, check_n, class_key, r_of, t_set
+from .partset import RefusedInput, ResidueClassSet, check_n, r_of
 
 #: largest n a count table is built for; checked before the table is allocated
 MAX_HORIZON = 10 ** 5
@@ -143,7 +154,7 @@ def _build_g_table(d: int, horizon: int) -> list[int]:
     r = r_of(d)
     if r < 2:
         raise RefusedInput(f"kind g: need r_of(d) >= 2, got d={d}")
-    dp = _build_part_table(t_set(r - 1, d), horizon)
+    dp = _build_part_table(part_set(t_set(r - 1, d)), horizon)
     for v in range(d + 2 ** (r - 1), horizon + 1, 2 * d):  # distinct parts, dp times (1 + x^v)
         dp[v:] = map(operator.add, dp[v:], dp[:horizon - v + 1])
     return dp
@@ -167,9 +178,13 @@ def g_name(d: int) -> str:
     return f"g.d{d}"
 
 
-def rho_name(*parts) -> str:
-    """The name of rho over the set keyed by ``partset.class_key(*parts)``: a family's ``make``."""
-    return "rho." + class_key(*parts)
+def rho_name(modulus: int, residues, exclusions=()) -> str:
+    """The name of rho over {x >= 1 : x mod modulus in residues} minus exclusions,
+    each without repeats: the modulus, then the residues and exclusions (if
+    any), increasing, such as ``rho.m303.r5,298.x298``."""
+    rs = ",".join([str(r) for r in sorted(residues)])
+    es = ",".join([str(e) for e in sorted(exclusions)])
+    return f"rho.m{modulus}.r{rs}.x{es}" if es else f"rho.m{modulus}.r{rs}"
 
 
 def big_q_name(a: int, d: int, minus: int) -> str:
@@ -179,6 +194,35 @@ def big_q_name(a: int, d: int, minus: int) -> str:
     if a >= d + 3:
         raise RefusedInput(f"Q undefined for a = {a} >= d+3 = {d + 3}")
     return rho_name(d + 3, {a, d + 3 - a}, ((), {d + 3 - a}, {a, d + 3 - a})[minus])
+
+
+def t_set(s: int, d: int) -> str:
+    """The name of rho over T(s, d): x == 1, d+2, d+4, ..., d+2^(s-1) (mod 2d).
+
+    Valid whenever the listed residues are distinct in [0, 2d), which
+    holds exactly when s = 1 or d + 2^(s-1) < 2d; in particular for all
+    s <= r_of(d).  A colliding residue list signals the caller has left
+    that regime, so it is rejected rather than deduplicated.
+    """
+    if s < 1 or d < 1:
+        raise RefusedInput(f"need s >= 1 and d >= 1, got s={s}, d={d}")
+    if s >= 2 and d + 2 ** (s - 1) >= 2 * d:
+        raise RefusedInput(
+            f"t_set(s={s}, d={d}): residues collide modulo {2 * d} "
+            f"(requires s <= r_of(d) = {r_of(d)})")
+    return rho_name(2 * d, {1} | {d + 2 ** j for j in range(1, s)})
+
+
+def s_set(d: int, N: int) -> str:
+    """The name of rho over S(d, N): x == +-1 (mod d-N+3), minus the value d-N+2."""
+    return _s_set(d - N + 3)
+
+
+@functools.lru_cache(maxsize=None)  # for speed: 10^5 shift rows 1.5 s, 1.9 s uncached
+def _s_set(m: int) -> str:
+    if m < 3:
+        raise RefusedInput(f"modulus d-N+3 = {m} < 3")
+    return rho_name(m, {1, m - 1}, {m - 1})
 
 
 def part_set(name: str) -> ResidueClassSet:
@@ -230,14 +274,16 @@ def release(name: str) -> None:
     _tables.pop(name, None)
 
 
-def rho(A: ResidueClassSet, n: int) -> int:
-    """Number of partitions of n with all parts in A (rho(A, 0) = 1)."""
+def rho(name: str, n: int) -> int:
+    """Number of partitions of n with all parts in the set of the rho table
+    ``name`` (rho(A, 0) = 1)."""
     check_n(n)
-    return column(rho_name(A.modulus, A.residues, A.exclusions), n)[n]
+    return column(name, n)[n]
 
 
-def largest_part_counts(A: ResidueClassSet, n: int, i_max: int) -> list[int]:
-    """Count partitions of n over A by largest part, for parts x_1..x_{i_max}.
+def largest_part_counts(name: str, n: int, i_max: int) -> list[int]:
+    """Count partitions of n over the set A of the rho table ``name`` by
+    largest part, for parts x_1..x_{i_max}.
 
     Entry j (0-based) counts partitions whose largest part is the (j+1)-th
     smallest element of A; rho(A, n) equals the total plus [n == 0].
@@ -245,7 +291,7 @@ def largest_part_counts(A: ResidueClassSet, n: int, i_max: int) -> list[int]:
     dp = [0] * (n + 1)
     dp[0] = 1
     out = [0] * i_max  # an index past the elements up to n counts none
-    for j, v in enumerate(A.elements_upto(n)[:i_max]):
+    for j, v in enumerate(part_set(name).elements_upto(n)[:i_max]):
         _add_multiples(dp, v)
         out[j] = dp[n - v]
     return out

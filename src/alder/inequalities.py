@@ -23,9 +23,11 @@ The n-indexed statements are declared once each, in ``STATEMENTS``:
   * gen-dkst:    delta_minus_minus(a, d, n) >= 0, same bounds, no exemption.
   * ceiling:     q_d^(a)(n) >= q_{ceil(d/a)}^(1)(ceil(n/a)) for n >= d+2a.
   * a-to-1:      Q_d^(a,-)(a n) = Q_{(d+3)/a - 3}^(1,-)(n), where a | d+3.
-  * modified-st: rho(T; n + n_hat) >= rho(S; n) for the divisibility-
-                 shifted pair gen_kp_sets(a, d), where T starts at a and S
-                 dominates T element-wise (``dominates``).
+  * modified-st: rho(T; n + n_hat) >= rho(S; n) for S the set of
+                 Q_d^(a,-) and T that of Q^(a,-) at the modulus m = d +
+                 n_hat(a, d) - a, a multiple of a below d+3, so that S
+                 dominates T element-wise and a divides every element of
+                 T; in hypothesis when T starts at a, that is m != 2a.
   * delta:       delta(a, d, n) >= 0 at a = 1 (Alder's theorem); only the
                  search scans it, at any a.
 
@@ -60,16 +62,13 @@ import operator
 from typing import Callable, Iterator, NamedTuple
 
 from .counting import (big_q_name, check_horizon, column, largest_part_counts,
-                       part_set, q_name, release, rho, rho_name)
-from .partset import (RefusedInput, ResidueClassSet, check_n, pm_set, r_of,
-                      s_set, shift_regime, t_set, x_closed, y_closed)
+                       q_name, release, rho, s_set, t_set)
+from .partset import RefusedInput, check_n, r_of, shift_regime, x_closed, y_closed
 from .report import EXEMPT, FAILS, HOLDS, OUT, SKIPPED, VIOLATION, VerificationReport
 
 #: default grid horizons: deep enough to be convincing, minutes at desk scale
 DEFAULT_N_MAX_A1 = 2000
 DEFAULT_N_MAX_GENERAL = 1200
-#: elements compared by the modified-st premise (``dominates``)
-PREMISE_HORIZON = 200
 
 #: expected largest-part distribution of Q_{d-N}^(1,-) at n = 5d-5N+16
 ANCHOR_MID_DISTRIBUTION = (1, 4, 5, 6, 5, 3, 2, 1, 1, 1)
@@ -213,35 +212,6 @@ def _row(base: dict, lo: int, hi: int, row: Row, evaluate_out: bool = False,
     return (base, runs) if runs else None
 
 
-def dominates(S: ResidueClassSet, T: ResidueClassSet, i_max: int,
-              a: int = 1) -> bool:
-    """True iff T starts at a and, for every i <= i_max, a divides y_i and
-    x_i >= y_i, where x_i and y_i are the i-th elements of S and T.
-
-    The premise of the set-domination bound rho(T; n) >= rho(S; n) (a = 1)
-    and of its divisibility-shifted form, modified-st.
-    """
-    xs, ys = (A.elements_upto(A.element(i_max)) for A in (S, T))
-    return ys[0] == a and all(x >= y and y % a == 0 for x, y in zip(xs, ys))
-
-
-def gen_kp_sets(a: int, d: int) -> tuple[ResidueClassSet, ResidueClassSet]:
-    """The comparison pair behind the generalized Kang-Park reduction.
-
-    S realizes Q_d^(a,-); T realizes Q^(a,-) at the smaller modulus
-    d + d_hat - a where d_hat = (-d) mod a, so every element of T is
-    divisible by a and is dominated by the matching element of S (checked
-    by ``dominates``; it fails when the modulus is 2a).
-    """
-    d_hat = n_hat(a, d)
-    S = part_set(big_q_name(a, d, 1))
-    m = d + d_hat - a
-    if m < 3 or a >= m:
-        raise RefusedInput(f"gen_kp_sets: degenerate T modulus {m} for a={a}, d={d}")
-    T = pm_set(a, m, [m - a])
-    return S, T
-
-
 # ---------------------------------------------------------- declarations
 
 def _divides(a: int, d: int) -> bool:
@@ -250,8 +220,7 @@ def _divides(a: int, d: int) -> bool:
 
 
 def _shift_row(N: int, d: int) -> Row:
-    S = s_set(d, N, rho_name)
-    return Row(Side(q_name(1, d)), Side(S), ("q", "Q"),
+    return Row(Side(q_name(1, d)), Side(s_set(d, N)), ("q", "Q"),
                d + 2 if shift_regime(d, N) else None)
 
 
@@ -268,9 +237,12 @@ def _a_to_1_row(a: int, d: int) -> Row:
 
 
 def _modified_st_row(a: int, d: int) -> Row:
-    S, T = gen_kp_sets(a, d)  # both Q^(a,-) sets; T is read at n + n_hat(a, n) = a ceil(n/a)
-    return Row(Side(big_q_name(a, T.modulus - 3, 1), a, a), Side(big_q_name(a, d, 1)),
-               ("rho_T", "rho_S"), 0 if dominates(S, T, PREMISE_HORIZON, a) else None)
+    S = big_q_name(a, d, 1)
+    m = d + n_hat(a, d) - a  # T's modulus; T is read at n + n_hat(a, n) = a ceil(n/a)
+    if m < 3 or a >= m:  # report text, worded as by the tests' reference ``gen_kp_sets``
+        raise RefusedInput(f"gen_kp_sets: degenerate T modulus {m} for a={a}, d={d}")
+    return Row(Side(big_q_name(a, m - 3, 1), a, a), Side(S), ("rho_T", "rho_S"),
+               0 if m != 2 * a else None)
 
 
 def _delta_row(minus: int, a: int, d: int, exempt: bool = False) -> Row:
@@ -465,7 +437,7 @@ def verify_t_monotone(d: int, n_max: int) -> VerificationReport:
     report = VerificationReport("verify-t-monotone")
     r = r_of(d)
     check_n(n_max)  # a refusal before any work; each table is one build at n_max
-    tables = {s: column(t_set(s, d, rho_name), n_max)[:n_max + 1] for s in range(1, r + 1)}
+    tables = {s: column(t_set(s, d), n_max)[:n_max + 1] for s in range(1, r + 1)}
     for s_lo in range(1, r + 1):
         for s_hi in range(s_lo, r + 1):
             slack = [hi - lo for lo, hi in zip(tables[s_lo], tables[s_hi])]

@@ -1,8 +1,8 @@
 """Piecewise injection from partitions over S(d, N) into partitions over T(5, d).
 
 Fix d, N and a target weight n.  Write p_i for the multiplicity of the
-i-th smallest element x_i of s_set(d, N) in a partition lam, and q_i for
-multiplicities over the elements y_i of t_set(5, d).  A partition is the
+i-th smallest element x_i of S(d, N) in a partition lam, and q_i for
+multiplicities over the elements y_i of T(5, d).  A partition is the
 map lam = {i: p_i} of its positive multiplicities in increasing i, and
 an image the map {i: q_i}.  The classification statistics are
 
@@ -59,11 +59,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 from typing import Iterator, NamedTuple, Sequence
 
 from . import counting
-from .partset import (RefusedInput, ResidueClassSet, check_n, s_set,
-                      shift_regime, t_set, x_closed, y_closed)
+from .partset import RefusedInput, check_n, shift_regime, x_closed, y_closed
 from .report import FAILS, HOLDS, OUT
 
 #: largest rho(S, n) a cell may check; checked before any partition is examined
@@ -89,8 +89,9 @@ class PartitionStats(NamedTuple):
     cls: str  # "S1" or "S2"
 
 
-def enumerate_partitions(A: ResidueClassSet, n: int) -> list[dict[int, int]]:
-    """All partitions of n with parts in A, as {i: p_i} maps, in a canonical order.
+def enumerate_partitions(name: str, n: int) -> list[dict[int, int]]:
+    """All partitions of n with parts in the set of the rho table ``name``,
+    as {i: p_i} maps, in a canonical order.
 
     Depth-first over indices from the largest part value downwards,
     taking the highest multiplicity first, so the first result packs as
@@ -98,7 +99,7 @@ def enumerate_partitions(A: ResidueClassSet, n: int) -> list[dict[int, int]]:
     smallest part takes the remainder in one step.
     """
     check_n(n)
-    elements = A.elements_upto(n)
+    elements = counting.part_set(name).elements_upto(n)
     out: list[dict[int, int]] = []
     acc: list[tuple[int, int]] = []  # (i, p_i), largest index first
 
@@ -127,7 +128,7 @@ def in_hypothesis(d: int, N: int, n: int) -> bool:
 
 
 def stats(lam: dict[int, int], d: int, N: int) -> PartitionStats:
-    """Classification statistics of a partition {i: p_i} over s_set(d, N).
+    """Classification statistics of a partition {i: p_i} over S(d, N).
 
     Rejects if some held part has x_i < y_i (the alpha >= 0 regime
     requires d >= max(31, 6N-17)).
@@ -154,7 +155,7 @@ def stats(lam: dict[int, int], d: int, N: int) -> PartitionStats:
 
 def _image(lam: dict[int, int], d: int, N: int, q: dict[int, int],
            piece: str) -> dict[int, int]:
-    """The image {i: q_i} over t_set(5, d), checking well-definedness."""
+    """The image {i: q_i} over T(5, d), checking well-definedness."""
     negative = {i: m for i, m in q.items() if m < 0}
     if negative:
         raise MapViolation(
@@ -233,9 +234,10 @@ class InjectionCellReport:
 
 
 def _open_cell(d: int, N: int, n: int,
-               force: bool) -> tuple[InjectionCellReport, ResidueClassSet | None]:
-    """A cell's report before any partition is examined, with S(d, N) if the
-    cell is to be checked (None if it is skipped or not constructible)."""
+               force: bool) -> tuple[InjectionCellReport, str | None]:
+    """A cell's report before any partition is examined, with the name of
+    S(d, N) if the cell is to be checked (None if it is skipped or not
+    constructible)."""
     check_n(n)
     hyp = in_hypothesis(d, N, n)
     report = InjectionCellReport(d, N, n, in_hypothesis=hyp, evaluated=hyp or force)
@@ -244,7 +246,7 @@ def _open_cell(d: int, N: int, n: int,
 
     try:
         y_closed(d, 1)  # the target ordering needs r_of(d) >= 5
-        S, T = s_set(d, N), t_set(5, d)
+        S, T = counting.s_set(d, N), counting.t_set(5, d)
     except RefusedInput as exc:
         report.checks["constructible"] = False
         report.witnesses.append({"error": str(exc)})
@@ -304,8 +306,9 @@ def _settle(report: InjectionCellReport, mapped: int, distinct: int,
     report.checks.update((witness["check"], False) for witness in failed if "check" in witness)
 
 
-def _check_exhaustively(report: InjectionCellReport, S: ResidueClassSet) -> None:
-    """Enumerate every partition of n over S, map it and fill in ``report``."""
+def _check_exhaustively(report: InjectionCellReport, S: str) -> None:
+    """Enumerate every partition of n over the set named ``S``, map it and
+    fill in ``report``."""
     partitions = enumerate_partitions(S, report.n)
     report.size = len(partitions)
     images: set[tuple[tuple[int, int], ...]] = set()
@@ -323,7 +326,7 @@ def _check_exhaustively(report: InjectionCellReport, S: ResidueClassSet) -> None
 
 def _s2_members(d: int, N: int, n: int, xs: list[int],
                 ys: list[int]) -> Iterator[dict[int, int]]:
-    """Every class-S2 partition of n over s_set(d, N), given the premises.
+    """Every class-S2 partition of n over S(d, N), given the premises.
 
     ``xs[i]`` and ``ys[i]`` are x_i and y_i for 1 <= i <= len(xs) - 1, every
     index with x_i <= n (entry 0 is a placeholder).  Fix p_2 = m >= 1 and
@@ -371,10 +374,10 @@ def _s2_members(d: int, N: int, n: int, xs: list[int],
                                   parts + ((j, k),)))
 
 
-def _s2_size(d: int, N: int, n: int, S: ResidueClassSet) -> int | None:
+def _s2_size(d: int, N: int, n: int) -> int | None:
     """The number of S2 partitions, if the structural argument settles the
     cell; None if a premise or a check on an S2 member fails."""
-    xs = [0, *S.elements_upto(n)]
+    xs = [0, *itertools.takewhile(n.__ge__, (x_closed(d, N, i) for i in itertools.count(1)))]
     ys = [0, *(y_closed(d, i) for i in range(1, len(xs)))]
     if d - N - 1 < 1 or any(x < y for x, y in zip(xs[3:], ys[3:])):
         return None
@@ -398,7 +401,7 @@ def _s2_size(d: int, N: int, n: int, S: ResidueClassSet) -> int | None:
 def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCellReport:
     """Verify the piecewise injection at one (d, N, n) cell.
 
-    Checks, over all partitions of n over s_set(d, N): classification
+    Checks, over all partitions of n over S(d, N): classification
     consistency, image validity (nonnegative, weight n), global
     injectivity including across pieces, the q_2-separation of the beta
     sub-pieces, the count inequality rho(T) >= rho(S), and the p_2 >= 8
@@ -421,7 +424,7 @@ def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCe
     report, S = _open_cell(d, N, n, force)
     if S is None:
         return report
-    s2_size = _s2_size(d, N, n, S)
+    s2_size = _s2_size(d, N, n)
     if s2_size is None or report.rho_t < report.rho_s:
         _check_exhaustively(report, S)
         return report

@@ -9,8 +9,14 @@ evaluation no longer uses.  The last helpers are no oracles: ``big_q``
 and ``delta`` read one entry of counting's tables under the paper's
 names, for tests that check one count at a time; ``check_andrews`` runs
 the set-domination bound as one grid row, ``positive_integers`` is the
-set of all parts, and ``verify_injection_exhaustive`` runs an inject
+set of all parts, ``pm_set`` a +-a set made for a test, ``name_of`` the
+table name of a set, and ``verify_injection_exhaustive`` runs an inject
 cell by its fallback path.
+
+``dominates`` and ``gen_kp_sets`` are the element-wise premise of the
+modified-st statement and the pair of sets it compares: the reference
+that its closed form, T's modulus m = d + n_hat(a, d) - a other than
+2a, is tested against.
 
 The library reads a report only as ``commands._write`` writes it; the
 tests read one cell at a time.  ``Report`` is a report with ``records``
@@ -24,11 +30,13 @@ from typing import NamedTuple
 
 from alder import counting, inequalities, injection
 from alder.inequalities import Row, Side
-from alder.partset import RefusedInput, ResidueClassSet, r_of, t_set
+from alder.partset import RefusedInput, ResidueClassSet, r_of
 from alder.report import FAILS, VerificationReport
 
 #: refuse brute-force enumeration beyond this unless the caller raises it
 DEFAULT_BRUTE_LIMIT = 60
+#: elements compared by the modified-st premise (``dominates``)
+PREMISE_HORIZON = 200
 
 
 def rho_brute(A: ResidueClassSet, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
@@ -106,7 +114,8 @@ def g_table(d: int, horizon: int) -> list[int]:
     """Oracle for the g_script table: T(r-1, d) by coin change, then one
     descending loop per distinct part d + 2^(r-1) (mod 2d)."""
     r = r_of(d)
-    dp = coin_change(t_set(r - 1, d).elements_upto(horizon), horizon)
+    dp = coin_change(counting.part_set(counting.t_set(r - 1, d)).elements_upto(horizon),
+                     horizon)
     for v in range(d + 2 ** (r - 1), horizon + 1, 2 * d):
         for m in range(horizon, v - 1, -1):
             dp[m] += dp[m - v]
@@ -176,10 +185,45 @@ def search_counterexamples(kind: str, spec: inequalities.GridSpec) -> Report:
     return Report(cmd, list(blocks))
 
 
+def first_elements(A: ResidueClassSet, i_max: int) -> list[int]:
+    """The i_max smallest members of A: 1..k*modulus holds k members of
+    each residue class, so it holds i_max members once k*|residues| >=
+    i_max + |exclusions|."""
+    k = -(-(i_max + len(A.exclusions)) // len(A.residues))
+    return A.elements_upto(k * A.modulus)[:i_max]
+
+
+def dominates(S: ResidueClassSet, T: ResidueClassSet, i_max: int, a: int = 1) -> bool:
+    """True iff T starts at a and, for every i <= i_max, a divides y_i and
+    x_i >= y_i, where x_i and y_i are the i-th elements of S and T.
+
+    The premise of the set-domination bound rho(T; n) >= rho(S; n) (a = 1)
+    and of its divisibility-shifted form, modified-st.
+    """
+    xs, ys = first_elements(S, i_max), first_elements(T, i_max)
+    return ys[0] == a and all(x >= y and y % a == 0 for x, y in zip(xs, ys))
+
+
+def gen_kp_sets(a: int, d: int) -> tuple[ResidueClassSet, ResidueClassSet]:
+    """The comparison pair behind the generalized Kang-Park reduction.
+
+    S realizes Q_d^(a,-); T realizes Q^(a,-) at the smaller modulus
+    d + d_hat - a where d_hat = (-d) mod a, so every element of T is
+    divisible by a and is dominated by the matching element of S (checked
+    by ``dominates``; it fails when the modulus is 2a).
+    """
+    d_hat = inequalities.n_hat(a, d)
+    S = counting.part_set(counting.big_q_name(a, d, 1))
+    m = d + d_hat - a
+    if m < 3 or a >= m:
+        raise RefusedInput(f"gen_kp_sets: degenerate T modulus {m} for a={a}, d={d}")
+    return S, pm_set(a, m, [m - a])
+
+
 def check_andrews(S: ResidueClassSet, T: ResidueClassSet, n_max: int) -> Report:
     """Per-n check of rho(T; n) >= rho(S; n), the set-domination count bound
-    whose premise is ``inequalities.dominates``: one row over n = 0..n_max,
-    with no params."""
+    whose premise is ``dominates``: one row over n = 0..n_max, with no
+    params."""
     return Report("verify-andrews", [
         inequalities._row({}, 0, n_max, Row(Side(name_of(T)), Side(name_of(S)),
                                            ("rho_T", "rho_S")))])
@@ -193,6 +237,15 @@ def name_of(A: ResidueClassSet) -> str:
 def positive_integers() -> ResidueClassSet:
     """All of 1, 2, 3, ... as a residue class set (modulus 1, residue 0)."""
     return ResidueClassSet(1, {0})
+
+
+def pm_set(a: int, modulus: int, exclusions=()) -> ResidueClassSet:
+    """The set {x >= 1 : x == +-a (mod modulus)} minus exclusions.
+
+    When a == modulus - a the two residues coincide and the set is a
+    single congruence class.
+    """
+    return ResidueClassSet(modulus, {a % modulus, (modulus - a) % modulus}, exclusions)
 
 
 def verify_injection_exhaustive(d: int, N: int, n: int, force: bool = False):

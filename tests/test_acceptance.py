@@ -11,13 +11,12 @@ import sys
 import time
 from contextlib import contextmanager
 
-from alder.counting import column, g_name, q_name, rho, rho_name
+from alder.counting import column, g_name, q_name, rho, s_set, t_set
 from alder.inequalities import (EXEMPT, HOLDS, OUT, GridSpec,
                                 verify_smalln_anchors, xy_difference_report)
 from alder.injection import verify_injection
-from alder.partset import pm_set, s_set, t_set
 from conftest import child_env
-from oracles import (Report, delta, q_brute, q_lower_bound, rho_brute,
+from oracles import (Report, delta, name_of, pm_set, q_brute, q_lower_bound, rho_brute,
                      search_counterexamples, verify)
 
 
@@ -163,7 +162,7 @@ def test_criterion_10_oracle_equivalence():
                             pm_set(a, d + 3, {a, d + 3 - a})]
                     for A in sets:
                         for n in range(41):
-                            assert rho(A, n) == rho_brute(A, n)
+                            assert rho(name_of(A), n) == rho_brute(A, n)
         rng = random.Random(20260811)
         for _ in range(60):
             a, d, n = rng.randint(1, 8), rng.randint(2, 12), rng.randint(41, 90)
@@ -173,7 +172,7 @@ def test_criterion_10_oracle_equivalence():
             if a >= d + 3:
                 a = 1
             A = pm_set(a, d + 3, [d + 3 - a] if d + 3 - a != a else [])
-            assert rho(A, n) == rho_brute(A, n, limit=n)
+            assert rho(name_of(A), n) == rho_brute(A, n, limit=n)
 
 
 def test_criterion_11_bound_chain():
@@ -181,7 +180,7 @@ def test_criterion_11_bound_chain():
         for d in (63, 105):
             n_max = 5 * d + 100
             q, g, t5 = (column(name, n_max)
-                        for name in (q_name(1, d), g_name(d), t_set(5, d, rho_name)))
+                        for name in (q_name(1, d), g_name(d), t_set(5, d)))
             for n in range(5 * d, n_max + 1):
                 assert q[n] >= g[n] >= t5[n], (d, n)
                 assert q[n] >= q_lower_bound(d, n), (d, n)

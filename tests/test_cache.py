@@ -6,9 +6,9 @@ import struct
 import sys
 
 from alder import cache, counting
-from alder.partset import ResidueClassSet, pm_set
+from alder.partset import ResidueClassSet
 from conftest import rewrite_entry
-from oracles import name_of
+from oracles import name_of, pm_set
 
 
 def test_roundtrip(tmp_path):

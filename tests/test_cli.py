@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alder import cache, cli, commands, counting, inequalities, injection
-from alder.inequalities import gen_kp_sets
-from alder.partset import RefusedInput, s_set
+from alder.counting import s_set
+from alder.partset import RefusedInput
 from alder.report import VerificationReport
 from conftest import child_env, rewrite_entry
-from oracles import search_counterexamples, verify
+from oracles import gen_kp_sets, search_counterexamples, verify
 
 
 def run_cli(argv, capsys):
@@ -362,7 +362,7 @@ class TestVerify:
         assert err == f"error: {refusal}\n"
 
     def test_unbuildable_modified_st_pairs_skipped(self, capsys):
-        # a degenerate T modulus skips its pair, with gen_kp_sets' refusal as
+        # a degenerate T modulus skips its pair, with the reference refusal as
         # the reason; the grid goes on
         code, out, _ = run_cli(["verify", "modified-st", "--a", "1..12", "--d",
                                 "1..399", "--n-max", "5"], capsys)

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alder import cli, counting
-from alder.counting import column, g_name, largest_part_counts, q_name, rho, rho_name
-from alder.partset import ResidueClassSet, pm_set, r_of, s_set, t_set
+from alder.counting import (column, g_name, largest_part_counts, part_set, q_name, rho,
+                            s_set, t_set)
+from alder.partset import ResidueClassSet, r_of
 import oracles
-from oracles import big_q, delta, name_of, q_brute, q_lower_bound, rho_brute
+from oracles import big_q, delta, name_of, pm_set, q_brute, q_lower_bound, rho_brute
 
 
 class TestRho:
@@ -27,9 +28,9 @@ class TestRho:
         assert rho(t_set(5, 63), 66) == 2
 
     def test_matches_brute_on_small_sets(self):
-        for A in (pm_set(1, 4), pm_set(2, 5), pm_set(1, 6, [5]), t_set(2, 3)):
+        for A in (pm_set(1, 4), pm_set(2, 5), pm_set(1, 6, [5]), part_set(t_set(2, 3))):
             for n in range(41):
-                assert rho(A, n) == rho_brute(A, n)
+                assert rho(name_of(A), n) == rho_brute(A, n)
 
     @given(st.integers(min_value=3, max_value=9), st.data())
     @settings(max_examples=40)
@@ -37,7 +38,7 @@ class TestRho:
         extra = data.draw(st.sets(st.integers(min_value=0, max_value=m - 1),
                                   max_size=2))
         A = ResidueClassSet(m, {1} | extra)
-        values = [rho(A, n) for n in range(60)]
+        values = [rho(name_of(A), n) for n in range(60)]
         assert all(lo <= hi for lo, hi in zip(values, values[1:]))
 
     def test_rejects_negative_n(self):
@@ -166,7 +167,7 @@ class TestGScript:
         # unrestricted parts from T(r-1, d)
         def g_oracle(d, n):
             r = r_of(d)
-            T = t_set(r - 1, d)
+            T = part_set(t_set(r - 1, d))
             first = d + 2 ** (r - 1)
             progression = list(range(first, n + 1, 2 * d))
 
@@ -197,7 +198,7 @@ class TestGScript:
     def test_q_dominates_t5_window(self):
         for d in (63, 64, 105):
             n_max = 5 * d + 100
-            q, t5 = column(q_name(1, d), n_max), column(t_set(5, d, rho_name), n_max)
+            q, t5 = column(q_name(1, d), n_max), column(t_set(5, d), n_max)
             for n in range(5 * d, n_max + 1):
                 assert q[n] >= t5[n]
 
@@ -258,7 +259,7 @@ class TestLargestPartCounts:
 
 class TestTables:
     def test_entry_zero_is_one(self):
-        assert column(s_set(63, 2, rho_name), 10)[0] == 1
+        assert column(s_set(63, 2), 10)[0] == 1
 
     def test_ascending_reads_double_the_horizon(self, monkeypatch):
         # a library caller that reads rho in ascending n with no table held
@@ -270,27 +271,27 @@ class TestTables:
 
         horizons = []
         monkeypatch.setattr(counting, "_tables", Log())
-        A = pm_set(2, 11)
-        assert [rho(A, n) for n in range(1001)] == list(column(name_of(A), 1000)[:1001])
+        A = name_of(pm_set(2, 11))
+        assert [rho(A, n) for n in range(1001)] == list(column(A, 1000)[:1001])
         assert horizons == [64, 128, 256, 512, 1024]
 
     def test_horizon_cap_refuses_before_building(self, monkeypatch):
         monkeypatch.setattr(counting, "MAX_HORIZON", 100)
         A = pm_set(2, 11)
-        key = "rho." + A.key()
+        key = name_of(A)
         counting._tables.pop(key, None)
-        assert rho(A, 70) == rho_brute(A, 70, limit=70)
+        assert rho(key, 70) == rho_brute(A, 70, limit=70)
         # regrowth would double to 140; it is clamped so n = 100 still builds
-        rho(A, 90)
+        rho(key, 90)
         assert len(counting._tables[key]) == 101
-        assert rho(A, 100) == counting._tables[key][100]
+        assert rho(key, 100) == counting._tables[key][100]
         counting._tables.pop(key)
         with pytest.raises(ValueError, match="horizon cap"):
-            rho(A, 101)
+            rho(key, 101)
         assert key not in counting._tables
 
     def test_rebuild_reproducible(self):
-        A = pm_set(1, 7)
+        A = name_of(pm_set(1, 7))
         first = [rho(A, n) for n in range(50)]
         counting._tables.clear()
         assert [rho(A, n) for n in range(50)] == first
@@ -333,13 +334,13 @@ class TestTripleProductTables:
     def test_s_sets_match_coin_change(self):
         for d in range(31, 80):
             for N in range(2, 10):
-                A = s_set(d, N)
+                A = part_set(s_set(d, N))
                 assert counting._build_pm_table(A, 400) == \
                     counting._build_part_table(A, 400), A
 
     @pytest.mark.parametrize("A", [pm_set(1, 7), pm_set(2, 7, [5]),
-                                   pm_set(3, 8, [3, 5, 11]), s_set(31, 9)],
-                             ids=lambda A: A.key())
+                                   pm_set(3, 8, [3, 5, 11]), part_set(s_set(31, 9))],
+                             ids=lambda A: name_of(A).removeprefix("rho."))
     def test_dense_sets_match_at_large_horizon(self, A):
         assert counting._build_pm_table(A, 3000) == counting._build_part_table(A, 3000)
 
@@ -374,8 +375,8 @@ class TestTripleProductTables:
         rho(t_set(5, 63), 200)
         rho(t_set(r_of(31), 31), 100)  # the l kind
         big_q(3, 3, 60)  # 3 == 6 - 3: one residue class
-        rho(ResidueClassSet(1, {0}), 50)
-        rho(ResidueClassSet(10, {1, 3}), 50)  # two classes, 1 + 3 != 10
+        rho(name_of(ResidueClassSet(1, {0})), 50)
+        rho(name_of(ResidueClassSet(10, {1, 3})), 50)  # two classes, 1 + 3 != 10
         assert builds == ["_build_part_table"] * 5
 
     def test_count_builds_each_table_once_at_the_range_horizon(self, monkeypatch, capsys):
@@ -412,7 +413,7 @@ class TestSlicePasses:
     @pytest.mark.parametrize("d", [3, 7, 15, 31, 63, 100, 255])
     def test_t_sets_and_g_script(self, d):
         for s in range(1, r_of(d) + 1):
-            T = t_set(s, d)
+            T = part_set(t_set(s, d))
             assert counting._build_part_table(T, 1500) == \
                 oracles.coin_change(T.elements_upto(1500), 1500), s
         assert counting._build_g_table(d, 3000) == oracles.g_table(d, 3000)
@@ -433,7 +434,7 @@ class TestSlicePasses:
                 S = s_set(d, N)
                 for n, i_max in ((5 * d - 5 * N + 16, 10), (7 * d + 13, 14), (0, 3)):
                     assert counting.largest_part_counts(S, n, i_max) == \
-                        oracles.largest_part_counts(S, n, i_max), (d, N, n)
+                        oracles.largest_part_counts(part_set(S), n, i_max), (d, N, n)
 
 
 class TestIdentityOracles:

@@ -6,15 +6,15 @@ import math
 import pytest
 
 from alder import counting, inequalities
-from alder.counting import column, q_name, rho, rho_name
+from alder.counting import column, part_set, q_name, rho, s_set, t_set
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
-                                STATEMENTS, GridSpec,
-                                dominates, gen_kp_sets, n_hat,
+                                STATEMENTS, GridSpec, n_hat,
                                 verify_smalln_anchors, verify_t_monotone,
                                 xy_difference_report)
-from alder.partset import RefusedInput, ResidueClassSet, pm_set, s_set, t_set
-from oracles import (Report, big_q, check_andrews, positive_integers, q_brute,
-                     rho_brute, search_counterexamples, verify)
+from alder.partset import RefusedInput, ResidueClassSet
+from oracles import (PREMISE_HORIZON, Report, big_q, check_andrews, dominates,
+                     first_elements, gen_kp_sets, name_of, pm_set, positive_integers,
+                     q_brute, rho_brute, search_counterexamples, verify)
 
 
 def verify_pair(name, a, d, n_max, **spec):
@@ -92,22 +92,23 @@ class TestVerifyShiftRange:
 class TestAndrews:
     def test_equality_at_n2_satisfies_premises(self):
         # x_1 = y_1 = 1 and x_2 = y_2 = d+2 at N = 2; indices >= 3 dominate
-        assert dominates(s_set(63, 2), t_set(5, 63), 200)
+        assert dominates(part_set(s_set(63, 2)), part_set(t_set(5, 63)), 200)
 
     def test_premises_fail_only_at_i2_for_n3(self):
-        S, T = s_set(63, 3), t_set(5, 63)
+        S, T = part_set(s_set(63, 3)), part_set(t_set(5, 63))
         assert not dominates(S, T, 200)
-        failing = [i for i in range(1, 201) if S.element(i) < T.element(i)]
+        xs, ys = first_elements(S, 200), first_elements(T, 200)
+        failing = [i for i in range(1, 201) if xs[i - 1] < ys[i - 1]]
         assert failing == [2]   # x_2 = 64 < 65 = y_2
 
     def test_unrestricted_dominates(self):
         T = positive_integers()
-        S = s_set(63, 2)
+        S = part_set(s_set(63, 2))
         assert dominates(S, T, 100)
         assert check_andrews(S, T, 80).ok
 
     def test_identity_pair(self):
-        T = t_set(5, 63)
+        T = part_set(t_set(5, 63))
         assert dominates(T, T, 100)
         report = check_andrews(T, T, 60)
         assert report.ok and all(r.value == 0 for r in report.records)
@@ -170,11 +171,29 @@ class TestModifiedSt:
     def test_gen_kp_pair_structure(self):
         S, T = gen_kp_sets(4, 417)
         # d_hat = 3, so T has modulus 417+3-4 = 416 and starts at 4
-        assert S.element(1) == T.element(1) == 4
+        xs, ys = first_elements(S, 200), first_elements(T, 200)
+        assert xs[0] == ys[0] == 4
         for i in range(1, 201):
-            x, y = S.element(i), T.element(i)
+            x, y = xs[i - 1], ys[i - 1]
             assert y % 4 == 0 and x >= y
-        assert S.element(2) == 420 + 4 and T.element(2) == 416 + 4
+        assert xs[1] == 420 + 4 and ys[1] == 416 + 4
+
+    def test_closed_form_premise_matches_the_reference(self):
+        # the row's premise, T's modulus m = d + n_hat(a, d) - a other than 2a,
+        # against the element-wise check on the two sets, and each refusal
+        # against the reference's, word for word
+        for a in range(1, 31):
+            for d in range(1, 301):
+                try:
+                    S, T = gen_kp_sets(a, d)
+                except RefusedInput as exc:
+                    with pytest.raises(RefusedInput) as refused:
+                        inequalities._modified_st_row(a, d)
+                    assert str(refused.value) == str(exc), (a, d)
+                    continue
+                premise = dominates(S, T, PREMISE_HORIZON, a)
+                assert inequalities._modified_st_row(a, d).first == (0 if premise else None), \
+                    (a, d)
 
     def test_premise_failure_rejected(self):
         bad_T = pm_set(2, 10)       # starts at 2, fine; but use a = 4
@@ -329,7 +348,7 @@ class TestTMonotone:
 
         def column(count, n):
             table = list(real(count, n))
-            if count == t_set(2, 7, rho_name):
+            if count == t_set(2, 7):
                 table[4] -= 10
                 table[6] -= 20
             return table
@@ -417,7 +436,7 @@ def paper_cells(name, n_max, a=1, d=0, N=0):
     tables read at the paper's index maps and its hypotheses as stated there."""
     ns = range(n_max + 1)
     if name == "shift":
-        q, S = column(q_name(1, d), n_max), column(s_set(d, N, rho_name), n_max)
+        q, S = column(q_name(1, d), n_max), column(s_set(d, N), n_max)
         return [(N >= 2 and d >= max(63, 46 * N - 79) and n >= d + 2, q[n], S[n])
                 for n in ns]
     if name == "ceiling":
@@ -430,7 +449,7 @@ def paper_cells(name, n_max, a=1, d=0, N=0):
     if name == "modified-st":
         S, T = gen_kp_sets(a, d)
         premise = dominates(S, T, 200, a)
-        return [(premise, rho(T, n + n_hat(a, n)), rho(S, n)) for n in ns]
+        return [(premise, rho(name_of(T), n + n_hat(a, n)), rho(name_of(S), n)) for n in ns]
     minus = {"delta": 0, "gen-kp": 1, "gen-dkst": 2}[name]
     in_hypothesis = a == 1 if name == "delta" else math.ceil(d / a) >= 105
     q = column(q_name(a, d), n_max)

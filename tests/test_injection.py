@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alder import injection
-from alder.counting import MAX_HORIZON, rho
+from alder.counting import MAX_HORIZON, part_set, rho, s_set, t_set
 from alder.injection import (HypothesisViolation, MapViolation,
                              enumerate_partitions, in_hypothesis, phi1, phi2,
                              stats, verify_injection, verify_range)
-from alder.partset import (RefusedInput, pm_set, s_set, shift_regime, t_set,
-                           x_closed, y_closed)
-from oracles import positive_integers, verify_injection_exhaustive
+from alder.partset import RefusedInput, shift_regime, x_closed, y_closed
+from oracles import name_of, pm_set, positive_integers, verify_injection_exhaustive
 
 
 def weight_s(lam, d, N):
@@ -73,13 +72,13 @@ class TestEnumerateS:
 
 class TestEnumeratePartitions:
     SETS = [pm_set(2, 7), pm_set(5, 11), pm_set(1, 7), positive_integers(),
-            t_set(5, 31), s_set(31, 9)]
+            part_set(t_set(5, 31)), part_set(s_set(31, 9))]
 
-    @pytest.mark.parametrize("A", SETS, ids=lambda A: A.key())
+    @pytest.mark.parametrize("A", SETS, ids=lambda A: name_of(A).removeprefix("rho."))
     def test_maps_are_the_partitions_counted_by_rho(self, A):
         for n in range(0, 41):
-            parts = enumerate_partitions(A, n)
-            assert len(parts) == rho(A, n)
+            parts = enumerate_partitions(name_of(A), n)
+            assert len(parts) == rho(name_of(A), n)
             elements = A.elements_upto(n)
             for lam in parts:
                 assert list(lam) == sorted(lam)
@@ -88,17 +87,19 @@ class TestEnumeratePartitions:
             assert len({tuple(lam.items()) for lam in parts}) == len(parts)
 
     @pytest.mark.parametrize("A,n", [(pm_set(2, 7), 40), (pm_set(5, 11), 60),
-                                     (s_set(31, 9), 150), (s_set(63, 3), 300)])
+                                     (part_set(s_set(31, 9)), 150),
+                                     (part_set(s_set(63, 3)), 300)])
     def test_order_unchanged(self, A, n):
-        assert enumerate_partitions(A, n) == reference_order(A, n)
+        assert enumerate_partitions(name_of(A), n) == reference_order(A, n)
 
     def test_edges(self):
-        assert enumerate_partitions(pm_set(5, 11), 0) == [{}]
-        assert enumerate_partitions(pm_set(5, 11), 4) == []
-        assert enumerate_partitions(pm_set(5, 11), 7) == []
-        assert enumerate_partitions(pm_set(5, 11), 5) == [{1: 1}]
+        A = name_of(pm_set(5, 11))
+        assert enumerate_partitions(A, 0) == [{}]
+        assert enumerate_partitions(A, 4) == []
+        assert enumerate_partitions(A, 7) == []
+        assert enumerate_partitions(A, 5) == [{1: 1}]
         with pytest.raises(ValueError):
-            enumerate_partitions(pm_set(5, 11), -1)
+            enumerate_partitions(A, -1)
 
 
 class TestStats:
@@ -381,7 +382,7 @@ class TestStructuralCheck:
                         (63, 4, 900), (100, 6, 1300), (32, 12, 69), (31, 11, 71),
                         (32, 9, 107)]:
             S = s_set(d, N)
-            xs = [0, *S.elements_upto(n)]
+            xs = [0, *part_set(S).elements_upto(n)]
             ys = [0, *(y_closed(d, i) for i in range(1, len(xs)))]
             walked = [tuple(lam.items())
                       for lam in injection._s2_members(d, N, n, xs, ys)]
@@ -432,7 +433,7 @@ class TestStructuralCheck:
     def test_p2_boundary_witnessed(self, enumerated):
         # the forced cell's one S2 member {2: 7} is walked and fails p_2 >= 8;
         # the rerun reports it, the witness formatted as in the report
-        xs = [0, *s_set(31, 3).elements_upto(224)]
+        xs = [0, *part_set(s_set(31, 3)).elements_upto(224)]
         ys = [0, *(y_closed(31, i) for i in range(1, len(xs)))]
         assert list(injection._s2_members(31, 3, 224, xs, ys)) == [{2: 7}]
         rep = verify_injection(31, 3, 224, force=True)

@@ -1,16 +1,16 @@
 """A count table's name is its one identity: each row side's name against
-the part set built the way the names were first made, names read back
-into sets, entries stored under literal names, and the part sets a grid
-builds (only to build a table)."""
+the part set built from its definition, names read back into sets,
+entries stored under literal names, and the part sets a grid builds
+(only to build a table)."""
 
 import math
 
 import pytest
 
-from alder import cache, counting
+from alder import cache, cli, counting
 from alder.inequalities import STATEMENTS, GridSpec, n_hat
-from alder.partset import RefusedInput, ResidueClassSet, pm_set, r_of, s_set, t_set
-from oracles import search_counterexamples, verify
+from alder.partset import RefusedInput, ResidueClassSet, r_of
+from oracles import name_of, pm_set, search_counterexamples, verify
 
 
 def q(a, d):
@@ -18,7 +18,19 @@ def q(a, d):
 
 
 def rho(A):
-    return "rho." + A.key()
+    """The name of rho over A, from its fields: modulus, residues and exclusions."""
+    rs, xs = (",".join(map(str, sorted(v))) for v in (A.residues, A.exclusions))
+    return f"rho.m{A.modulus}.r{rs}" + (f".x{xs}" if xs else "")
+
+
+def t_family(s, d):
+    """T(s, d) by its definition: x == 1, d+2, d+4, ..., d+2^(s-1) (mod 2d)."""
+    return ResidueClassSet(2 * d, [1, *(d + 2 ** j for j in range(1, s))])
+
+
+def s_family(d, N):
+    """S(d, N) by its definition: x == +-1 (mod d-N+3), minus d-N+2."""
+    return pm_set(1, d - N + 3, [d - N + 2])
 
 
 def big_q(a, d, minus):
@@ -37,7 +49,7 @@ def expected_sides(name, x, y):
         N, d = x, y
         if d - N + 3 < 3 or d < 1:
             return None
-        S = s_set(d, N)
+        S = s_family(d, N)
         assert rho(S) == big_q(1, d - N, 1)  # S(d, N) is the set of Q_{d-N}^(1,-)
         return q(1, d), rho(S)
     a, d = x, y
@@ -86,16 +98,18 @@ def test_each_side_names_its_part_set(name):
 def test_single_residue_q_sets(minus):
     # 2a = d+3: the two residues +-a are one class, and Q^(--) excludes a once
     assert counting.big_q_name(3, 3, minus) == big_q(3, 3, minus)
-    assert counting.part_set(counting.big_q_name(3, 3, minus)) == pm_set(
-        3, 6, ((), (3,), (3, 3))[minus])
+    assert rho(counting.part_set(counting.big_q_name(3, 3, minus))) == rho(pm_set(
+        3, 6, ((), (3,), (3, 3))[minus]))
 
 
 def test_named_sets_match_their_families():
     for d in range(1, 70):
         for s in range(1, r_of(d) + 1):
-            assert t_set(s, d, counting.rho_name) == rho(t_set(s, d))
+            assert counting.t_set(s, d) == rho(t_family(s, d))
         for N in range(0, d + 1):
-            assert s_set(d, N, counting.rho_name) == rho(s_set(d, N)) == big_q(1, d - N, 1)
+            assert counting.s_set(d, N) == rho(s_family(d, N)) == big_q(1, d - N, 1)
+    # S(63, 2) and Q_61^(1,-) are one name, so one table
+    assert counting.s_set(63, 2) == counting.big_q_name(1, 61, 1) == name_of(pm_set(1, 64, [63]))
 
 
 @pytest.mark.parametrize("name,make,build", [
@@ -137,7 +151,9 @@ class TestWork:
         ("search", "delta", {"a_values": (1, 2), "d_values": tuple(range(1, 20)),
                              "n_max": 40}),
         ("search", "shift", {"N_values": (2, 3, 4), "d_values": tuple(range(5, 25)),
-                             "n_max": 40})]
+                             "n_max": 40}),
+        ("verify", "modified-st", {"a_values": (1, 2, 3), "d_values": tuple(range(1, 40)),
+                                   "n_max": 30, "evaluate_out_of_hypothesis": True})]
 
     @pytest.fixture
     def work(self, monkeypatch):
@@ -149,7 +165,7 @@ class TestWork:
         for builder in ("_build_pm_table", "_build_part_table"):
             build = getattr(counting, builder)
             monkeypatch.setattr(counting, builder, lambda A, h, build=build:
-                                built.append(A.key()) or build(A, h))
+                                built.append(name_of(A)) or build(A, h))
         monkeypatch.setattr(counting, "_tables", {})
         return made, built
 
@@ -172,3 +188,15 @@ class TestWork:
         counting._tables.clear()
         assert self.run(verb, name, GridSpec(**axes)) == cold
         assert made == [] and built == []
+
+    @pytest.mark.parametrize("argv,sets", [
+        # a structural cell builds no set: only the S and T tables do
+        ("inject --d 63 --N 2 --n 455..470", 2),
+        ("inject --d 63 --N 3 --n 450..700", 2),
+        # the S table, then one per largest-part distribution
+        ("verify anchors --d 63 --N 2", 3)])
+    def test_cells_build_sets_only_for_tables(self, work, capsys, argv, sets):
+        made, built = work
+        assert cli.main(argv.split()) == 0
+        capsys.readouterr()
+        assert len(made) == sets and len(built) == (1 if argv.startswith("verify") else 2)

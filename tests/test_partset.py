@@ -1,19 +1,22 @@
-"""Part-set construction, enumeration, and the closed-form element maps."""
+"""Part-set construction, enumeration, and the closed-form element maps.
+
+The families T(s, d) and S(d, N) are table names (``counting.t_set`` and
+``s_set``); their sets are read back with ``counting.part_set``."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alder.partset import (ResidueClassSet, pm_set, r_of, s_set, t_set,
-                           x_closed, y_closed)
-from oracles import positive_integers
+from alder.counting import part_set, s_set, t_set
+from alder.partset import ResidueClassSet, r_of, x_closed, y_closed
+from oracles import first_elements, name_of, pm_set, positive_integers
 
 XY_GRID = [(31, 2), (63, 2), (63, 3), (63, 5), (105, 4), (200, 8)]
 
 
 class TestResidueClassSet:
     def test_membership(self):
-        A = ResidueClassSet(64, {1, 63}, {63})
+        A = ResidueClassSet(64, {1, 63}, {63}).elements_upto(130)
         assert 1 in A and 65 in A and 127 in A
         assert 63 not in A          # excluded
         assert 64 not in A          # wrong residue
@@ -37,28 +40,34 @@ class TestResidueClassSet:
             A.modulus = 65
         with pytest.raises(AttributeError):
             A.extra = 1
-        assert A == s_set(63, 2) and hash(A) == hash(s_set(63, 2))
-        assert A != ResidueClassSet(64, {1, 63}) and A.key() == "m64.r1,63.x63"
+        # a set is known by its table name, which S(63, 2) shares
+        assert name_of(A) == s_set(63, 2) == name_of(part_set(s_set(63, 2)))
+        assert name_of(A) != name_of(ResidueClassSet(64, {1, 63}))
+        assert name_of(A) == "rho.m64.r1,63.x63"
 
     def test_elements_increasing_and_indexed(self):
-        A = t_set(5, 63)
+        A = part_set(t_set(5, 63))
         els = A.elements_upto(300)
         assert els == sorted(els)
         assert els[0] == 1
-        assert all(A.element(i + 1) == v for i, v in enumerate(els))
+        assert first_elements(A, len(els)) == els
+        assert all(y_closed(63, i + 1) == v for i, v in enumerate(els))
 
     def test_positive_integers(self):
         P = positive_integers()
         assert P.elements_upto(5) == [1, 2, 3, 4, 5]
-        assert P.element(1) == 1
+        assert first_elements(P, 1) == [1]
 
     def test_element_rejects_bad_index(self):
+        # the i-th element of T(5, d) or S(d, N) is its closed form, from i = 1
         with pytest.raises(ValueError):
-            t_set(5, 63).element(0)
+            y_closed(63, 0)
+        with pytest.raises(ValueError):
+            x_closed(63, 2, 0)
 
     def test_exclusion_of_first_base_element(self):
         A = pm_set(2, 6, [2])
-        assert A.element(1) == 4
+        assert first_elements(A, 1) == [4]
         assert A.elements_upto(15) == [4, 8, 10, 14]
 
 
@@ -80,17 +89,17 @@ class TestROf:
 
 class TestTSet:
     def test_t5_63(self):
-        A = t_set(5, 63)
+        A = part_set(t_set(5, 63))
         assert A.modulus == 126
         assert A.residues == frozenset({1, 65, 67, 71, 79})
         assert not A.exclusions
 
     def test_s1_has_single_residue(self):
-        A = t_set(1, 10)
+        A = part_set(t_set(1, 10))
         assert A.modulus == 20 and A.residues == frozenset({1})
 
     def test_s2_31(self):
-        A = t_set(2, 31)
+        A = part_set(t_set(2, 31))
         assert A.modulus == 62 and A.residues == frozenset({1, 33})
 
     @pytest.mark.parametrize("s,d", [(5, 12), (3, 3), (2, 2), (4, 7)])
@@ -107,43 +116,43 @@ class TestTSet:
 
 class TestSSet:
     def test_63_2(self):
-        A = s_set(63, 2)
+        A = part_set(s_set(63, 2))
         assert (A.modulus, A.residues, A.exclusions) == \
             (64, frozenset({1, 63}), frozenset({63}))
         assert A.elements_upto(130) == [1, 65, 127, 129]
 
     def test_105_4(self):
-        A = s_set(105, 4)
+        A = part_set(s_set(105, 4))
         assert (A.modulus, A.residues, A.exclusions) == \
             (104, frozenset({1, 103}), frozenset({103}))
 
     def test_second_element_is_d_minus_n_plus_4(self):
-        assert s_set(63, 2).element(2) == 65
-        assert s_set(63, 3).element(2) == 64
+        assert first_elements(part_set(s_set(63, 2)), 2)[1] == x_closed(63, 2, 2) == 65
+        assert first_elements(part_set(s_set(63, 3)), 2)[1] == x_closed(63, 3, 2) == 64
 
     def test_rejects_small_modulus(self):
         with pytest.raises(ValueError):
             s_set(2, 3)
 
     def test_one_set_per_modulus(self):
-        # S(d, N) depends on d - N only; a shift grid holds one set per diagonal
+        # S(d, N) depends on d - N only; a shift grid holds one name per diagonal
         assert s_set(64, 3) is s_set(63, 2) is s_set(70, 9)
         assert s_set(64, 2) is not s_set(63, 2)
 
 
 class TestElementExamples:
     def test_t_set_elements(self):
-        assert t_set(5, 63).element(5) == 79
-        assert t_set(5, 63).element(6) == 127  # = 2d+1
+        assert first_elements(part_set(t_set(5, 63)), 5)[4] == 79
+        assert first_elements(part_set(t_set(5, 63)), 6)[5] == 127  # = 2d+1
 
     def test_s_set_element(self):
-        assert s_set(63, 2).element(4) == 129
+        assert first_elements(part_set(s_set(63, 2)), 4)[3] == 129
 
 
 class TestClosedForms:
     @pytest.mark.parametrize("d,N", XY_GRID)
     def test_x_closed_matches_enumeration(self, d, N):
-        A = s_set(d, N)
+        A = part_set(s_set(d, N))
         for i, v in enumerate(A.elements_upto(x_closed(d, N, 201)), start=1):
             if i > 200:
                 break
@@ -151,7 +160,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("d", [31, 63, 105, 127, 200])
     def test_y_closed_matches_enumeration(self, d):
-        A = t_set(5, d)
+        A = part_set(t_set(5, d))
         for i, v in enumerate(A.elements_upto(y_closed(d, 201)), start=1):
             if i > 200:
                 break
@@ -189,9 +198,9 @@ class TestClosedForms:
         for d in (31, 63):
             for a in range(1, r_of(d) + 1):
                 for b in range(a, r_of(d) + 1):
-                    ta, tb = t_set(a, d), t_set(b, d)
+                    ta, tb = (first_elements(part_set(t_set(s, d)), 60) for s in (a, b))
                     for i in range(1, 61):
-                        assert ta.element(i) >= tb.element(i)
+                        assert ta[i - 1] >= tb[i - 1]
 
 
 class TestPmSet:
@@ -205,4 +214,4 @@ class TestPmSet:
         assert A.residues == frozenset({3})
 
     def test_key_is_canonical(self):
-        assert pm_set(1, 64, [63]).key() == s_set(63, 2).key()
+        assert name_of(pm_set(1, 64, [63])) == s_set(63, 2)

@@ -23,9 +23,8 @@ import pytest
 from alder import cli, commands, inequalities
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED, STATEMENTS,
                                 VIOLATION, GridSpec, Row)
-from alder.partset import pm_set
 from alder.report import VerificationReport
-from oracles import CellRecord, Report, check_andrews, search_counterexamples, verify
+from oracles import CellRecord, Report, check_andrews, pm_set, search_counterexamples, verify
 
 FORMATS = ("json", "csv", "human")
 _dumps = functools.partial(json.dumps, separators=(",", ":"))
