@@ -9,7 +9,7 @@ standard notation of the Alder conjecture literature:
     rho(A, n)      partitions of n with parts in the set A
 
 Besides the +-a (mod d+3) sets of the Q counters, two families of part
-sets (``partset``) matter downstream, each named by its maker here:
+sets matter downstream, each named by its maker here:
 
 * the comparison targets T(s, d) with x == 1, d+2, d+4, ..., d+2^(s-1)
   (mod 2d), the codomain of the injection arguments (``t_set``),
@@ -36,13 +36,13 @@ cache), grown geometrically on demand, and read-only while held: 64-bit
 words only when exact, when every count fits one (p(n) passes 2^64 at
 n = 417).  A table's name, such as ``q.a5.d300``, ``rho.m303.r5,298.x298``
 or ``g.d63``, is its one identity, here and in the cache, and a rho
-name is the one form of its part set above the builders: only the name
-makers here write one, with their counts' refusals, and only
-``part_set`` reads one back into a set, for ``_build`` and the walks
-over its elements, so a part set is made only for those.  A grid
-``release``s a table by name after its last reader.  ``rho(name, n)``
-is one entry of a table, with n < 0 refused (``partset.check_n``);
-callers of ``column`` check their n first.
+name is the one form of its part set: only the name makers here write
+one, with their counts' refusals, ``_fields`` reads one back into its
+modulus, residues and exclusions, and ``elements`` is the one walk over
+a set's members, for the coin-change builds and the walks by largest
+part and by partition.  A grid ``release``s a table by name after its
+last reader.  ``rho(name, n)`` is one entry of a table, with n < 0
+refused (``partset.check_n``); callers of ``column`` check their n first.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import itertools
 import operator
 import struct
 
-from .partset import RefusedInput, ResidueClassSet, check_n, r_of
+from .partset import RefusedInput, check_n, r_of
 
 #: largest n a count table is built for; checked before the table is allocated
 MAX_HORIZON = 10 ** 5
@@ -78,17 +78,17 @@ def _add_multiples(dp: list[int], v: int) -> None:
             dp[m:m + v] = map(operator.add, dp[m:m + v], dp[m - v:m])
 
 
-def _build_part_table(A: ResidueClassSet, horizon: int) -> list[int]:
-    """rho(A, n) for n <= horizon by coin change, one pass per element of A."""
+def _build_part_table(name: str, horizon: int) -> list[int]:
+    """rho(A, n) for n <= horizon, A the set of ``name``, by coin change: a pass per element."""
     dp = [0] * (horizon + 1)
     dp[0] = 1
-    for v in A.elements_upto(horizon):
+    for v in elements(name, horizon):
         _add_multiples(dp, v)
     return dp
 
 
-def _build_pm_table(A: ResidueClassSet, horizon: int) -> list[int]:
-    """rho(A, n) for n <= horizon, A = {x == +-r (mod M)} minus exclusions, 2r != M.
+def _build_pm_table(name: str, horizon: int) -> list[int]:
+    """rho(A, n) for n <= horizon, A = {x == +-r (mod M)} minus exclusions (``name``), 2r != M.
 
     By the Jacobi triple product (Andrews, The Theory of Partitions,
     Thm 2.8) the product of 1/(1 - x^v) over v == +-r (mod M) is E/theta,
@@ -97,7 +97,8 @@ def _build_pm_table(A: ResidueClassSet, horizon: int) -> list[int]:
     integers j, k.  The table solves theta * Q = E entry by entry, then
     each excluded value v multiplies it by (1 - x^v).
     """
-    M, r = A.modulus, min(A.residues)
+    M, residues, exclusions = _fields(name)
+    r = min(residues)
     euler = [0] * (horizon + 1)
     euler[0] = 1
     odd, even = [], []  # exponents of theta's terms k != 0, by the parity of k
@@ -127,7 +128,7 @@ def _build_pm_table(A: ResidueClassSet, horizon: int) -> list[int]:
                 total -= q[n - e]
             q[n] = total
         start = end
-    for v in A.exclusions:
+    for v in exclusions:
         if v <= horizon:
             q[v:] = map(operator.sub, q[v:], q[:horizon - v + 1])
     return q
@@ -154,7 +155,7 @@ def _build_g_table(d: int, horizon: int) -> list[int]:
     r = r_of(d)
     if r < 2:
         raise RefusedInput(f"kind g: need r_of(d) >= 2, got d={d}")
-    dp = _build_part_table(part_set(t_set(r - 1, d)), horizon)
+    dp = _build_part_table(t_set(r - 1, d), horizon)
     for v in range(d + 2 ** (r - 1), horizon + 1, 2 * d):  # distinct parts, dp times (1 + x^v)
         dp[v:] = map(operator.add, dp[v:], dp[:horizon - v + 1])
     return dp
@@ -225,20 +226,30 @@ def _s_set(m: int) -> str:
     return rho_name(m, {1, m - 1}, {m - 1})
 
 
-def part_set(name: str) -> ResidueClassSet:
-    """The set of the rho table ``name``, read back from it."""
+def _fields(name: str) -> tuple[int, list[int], list[int]]:
+    """The modulus, residues and exclusions of the rho table ``name``."""
     _, m, r, *x = name.split(".")
-    ints = lambda field: map(int, field[1:].split(","))
-    return ResidueClassSet(int(m[1:]), ints(r), ints(x[0]) if x else ())
+    ints = lambda field: [int(v) for v in field[1:].split(",")]
+    return int(m[1:]), ints(r), ints(x[0]) if x else []
+
+
+def elements(name: str, limit: int) -> list[int]:
+    """The members <= limit of the set of the rho table ``name``, increasing:
+    the one enumeration of a part set.  Each residue class is a ``range``
+    stepped by the modulus; they are merged and the exclusions dropped."""
+    m, residues, exclusions = _fields(name)
+    merged = sorted(itertools.chain.from_iterable(
+        range(r or m, limit + 1, m) for r in residues))
+    return [v for v in merged if v not in exclusions]
 
 
 def _build(name: str, horizon: int) -> list[int]:
     """The counts 0..horizon of the table ``name``, by the builder it names."""
     kind, *fields = name.split(".")
     if kind == "rho":
-        A = part_set(name)
-        pm = len(A.residues) == 2 and sum(A.residues) == A.modulus  # +-r (mod M), 2r != M
-        return (_build_pm_table if pm else _build_part_table)(A, horizon)
+        M, residues, _ = _fields(name)
+        pm = len(residues) == 2 and sum(residues) == M  # +-r (mod M), 2r != M
+        return (_build_pm_table if pm else _build_part_table)(name, horizon)
     build = _build_gap_table if kind == "q" else _build_g_table
     return build(*(int(field[1:]) for field in fields), horizon)
 
@@ -291,7 +302,7 @@ def largest_part_counts(name: str, n: int, i_max: int) -> list[int]:
     dp = [0] * (n + 1)
     dp[0] = 1
     out = [0] * i_max  # an index past the elements up to n counts none
-    for j, v in enumerate(part_set(name).elements_upto(n)[:i_max]):
+    for j, v in enumerate(elements(name, n)[:i_max]):
         _add_multiples(dp, v)
         out[j] = dp[n - v]
     return out

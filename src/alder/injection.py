@@ -99,7 +99,7 @@ def enumerate_partitions(name: str, n: int) -> list[dict[int, int]]:
     smallest part takes the remainder in one step.
     """
     check_n(n)
-    elements = counting.part_set(name).elements_upto(n)
+    elements = counting.elements(name, n)
     out: list[dict[int, int]] = []
     acc: list[tuple[int, int]] = []  # (i, p_i), largest index first
 

@@ -1,23 +1,20 @@
 """Part sets behind Alder-type partition inequalities.
 
-Every set handled here is a union of congruence classes with finitely
-many values removed:
+Every part set of the paper is a union of congruence classes with
+finitely many values removed:
 
     {x >= 1 : x mod m in R} \\ E,      R a set of residues, E finite.
 
-A part set is known by the name of its rho table (``counting``, which
-also holds the set families), and a ``ResidueClassSet`` is made only
-from such a name, to build its table or to walk its elements.  Indices
-are 1-based throughout: x_1 < x_2 < ... are the elements of S(d, N) and
-y_1 < y_2 < ... those of T(5, d), matching the subscript convention of
-the literature.  Their closed forms here are the injection's fast path
-and are cross-checked against plain enumeration in the test suite.
+Such a set is known only by the name of its rho table: ``counting``
+writes the names of the set families and walks a set's elements from its
+name (``counting.elements``).  Indices are 1-based throughout: x_1 < x_2
+< ... are the elements of S(d, N) and y_1 < y_2 < ... those of T(5, d),
+matching the subscript convention of the literature.  Their closed forms
+here are the injection's fast path and are cross-checked against plain
+enumeration in the test suite.
 """
 
 from __future__ import annotations
-
-import itertools
-from typing import Iterable
 
 
 class RefusedInput(ValueError):
@@ -30,46 +27,6 @@ def check_n(n: int) -> None:
     """Refuse a negative weight n: every count and every cell starts at n = 0."""
     if n < 0:
         raise RefusedInput(f"n must be >= 0, got {n}")
-
-
-class ResidueClassSet:
-    """The infinite set {x >= 1 : x mod modulus in residues} minus exclusions.
-
-    Immutable; made from a table name by ``counting.part_set``."""
-
-    __slots__ = ("_modulus", "_residues", "_exclusions")
-    modulus = property(lambda self: self._modulus)
-    residues = property(lambda self: self._residues)
-    exclusions = property(lambda self: self._exclusions)
-
-    def __init__(self, modulus: int, residues: Iterable[int],
-                 exclusions: Iterable[int] = ()):
-        residues = frozenset(residues)
-        exclusions = frozenset(exclusions)
-        if modulus < 1:
-            raise RefusedInput(f"modulus must be >= 1, got {modulus}")
-        if not residues:
-            raise RefusedInput("residue set must be nonempty")
-        for r in residues:
-            if not 0 <= r < modulus:
-                raise RefusedInput(f"residue {r} outside [0, {modulus})")
-        for e in exclusions:
-            if e < 1:
-                raise RefusedInput(f"exclusion {e} is not a positive integer")
-            if e % modulus not in residues:
-                raise RefusedInput(f"exclusion {e} is not a member of the set")
-        self._modulus, self._residues, self._exclusions = modulus, residues, exclusions
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(modulus={self._modulus!r}, "
-                f"residues={self._residues!r}, exclusions={self._exclusions!r})")
-
-    def elements_upto(self, limit: int) -> list[int]:
-        """All members <= limit, increasing: the one enumeration of the set."""
-        m = self._modulus
-        merged = sorted(itertools.chain.from_iterable(
-            range(r or m, limit + 1, m) for r in self._residues))
-        return [v for v in merged if v not in self._exclusions]
 
 
 def r_of(d: int) -> int:

@@ -8,10 +8,10 @@ most k parts", then add it in at off_k) that counting's Horner
 evaluation no longer uses.  The last helpers are no oracles: ``big_q``
 and ``delta`` read one entry of counting's tables under the paper's
 names, for tests that check one count at a time; ``check_andrews`` runs
-the set-domination bound as one grid row, ``positive_integers`` is the
-set of all parts, ``pm_set`` a +-a set made for a test, ``name_of`` the
-table name of a set, and ``verify_injection_exhaustive`` runs an inject
-cell by its fallback path.
+the set-domination bound as one grid row, ``positive_integers`` names
+the set of all parts, ``pm_set`` a +-a set made for a test, and
+``verify_injection_exhaustive`` runs an inject cell by its fallback
+path.  A part set is the name of its rho table, as in the library.
 
 ``dominates`` and ``gen_kp_sets`` are the element-wise premise of the
 modified-st statement and the pair of sets it compares: the reference
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from alder import counting, inequalities, injection
 from alder.inequalities import Row, Side
-from alder.partset import RefusedInput, ResidueClassSet, r_of
+from alder.partset import RefusedInput, r_of
 from alder.report import FAILS, VerificationReport
 
 #: refuse brute-force enumeration beyond this unless the caller raises it
@@ -39,11 +39,12 @@ DEFAULT_BRUTE_LIMIT = 60
 PREMISE_HORIZON = 200
 
 
-def rho_brute(A: ResidueClassSet, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
-    """Oracle for rho: plain recursive enumeration of part multisets."""
+def rho_brute(A: str, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
+    """Oracle for rho over the set of the rho table ``A``: plain recursive
+    enumeration of part multisets."""
     if n > limit:
         raise RefusedInput(f"rho_brute: n={n} beyond oracle limit {limit}")
-    elements = A.elements_upto(n)
+    elements = counting.elements(A, n)
 
     def walk(remaining: int, max_idx: int) -> int:
         if remaining == 0:
@@ -114,18 +115,17 @@ def g_table(d: int, horizon: int) -> list[int]:
     """Oracle for the g_script table: T(r-1, d) by coin change, then one
     descending loop per distinct part d + 2^(r-1) (mod 2d)."""
     r = r_of(d)
-    dp = coin_change(counting.part_set(counting.t_set(r - 1, d)).elements_upto(horizon),
-                     horizon)
+    dp = coin_change(counting.elements(counting.t_set(r - 1, d), horizon), horizon)
     for v in range(d + 2 ** (r - 1), horizon + 1, 2 * d):
         for m in range(horizon, v - 1, -1):
             dp[m] += dp[m - v]
     return dp
 
 
-def largest_part_counts(A: ResidueClassSet, n: int, i_max: int) -> list[int]:
+def largest_part_counts(A: str, n: int, i_max: int) -> list[int]:
     """Oracle for counting.largest_part_counts: the partitions of n whose
     largest part is x_j are those of n - x_j into x_1..x_j."""
-    elements = A.elements_upto(n)[:i_max]
+    elements = counting.elements(A, n)[:i_max]
     out = [coin_change(elements[:j + 1], n - v)[n - v] for j, v in enumerate(elements)]
     return out + [0] * (i_max - len(out))
 
@@ -185,15 +185,16 @@ def search_counterexamples(kind: str, spec: inequalities.GridSpec) -> Report:
     return Report(cmd, list(blocks))
 
 
-def first_elements(A: ResidueClassSet, i_max: int) -> list[int]:
-    """The i_max smallest members of A: 1..k*modulus holds k members of
-    each residue class, so it holds i_max members once k*|residues| >=
-    i_max + |exclusions|."""
-    k = -(-(i_max + len(A.exclusions)) // len(A.residues))
-    return A.elements_upto(k * A.modulus)[:i_max]
+def first_elements(A: str, i_max: int) -> list[int]:
+    """The i_max smallest members of the set of the rho table ``A``:
+    1..k*modulus holds k members of each residue class, so it holds i_max
+    members once k*|residues| >= i_max + |exclusions|."""
+    modulus, residues, exclusions = counting._fields(A)
+    k = -(-(i_max + len(exclusions)) // len(residues))
+    return counting.elements(A, k * modulus)[:i_max]
 
 
-def dominates(S: ResidueClassSet, T: ResidueClassSet, i_max: int, a: int = 1) -> bool:
+def dominates(S: str, T: str, i_max: int, a: int = 1) -> bool:
     """True iff T starts at a and, for every i <= i_max, a divides y_i and
     x_i >= y_i, where x_i and y_i are the i-th elements of S and T.
 
@@ -204,7 +205,7 @@ def dominates(S: ResidueClassSet, T: ResidueClassSet, i_max: int, a: int = 1) ->
     return ys[0] == a and all(x >= y and y % a == 0 for x, y in zip(xs, ys))
 
 
-def gen_kp_sets(a: int, d: int) -> tuple[ResidueClassSet, ResidueClassSet]:
+def gen_kp_sets(a: int, d: int) -> tuple[str, str]:
     """The comparison pair behind the generalized Kang-Park reduction.
 
     S realizes Q_d^(a,-); T realizes Q^(a,-) at the smaller modulus
@@ -213,39 +214,33 @@ def gen_kp_sets(a: int, d: int) -> tuple[ResidueClassSet, ResidueClassSet]:
     by ``dominates``; it fails when the modulus is 2a).
     """
     d_hat = inequalities.n_hat(a, d)
-    S = counting.part_set(counting.big_q_name(a, d, 1))
+    S = counting.big_q_name(a, d, 1)
     m = d + d_hat - a
     if m < 3 or a >= m:
         raise RefusedInput(f"gen_kp_sets: degenerate T modulus {m} for a={a}, d={d}")
     return S, pm_set(a, m, [m - a])
 
 
-def check_andrews(S: ResidueClassSet, T: ResidueClassSet, n_max: int) -> Report:
+def check_andrews(S: str, T: str, n_max: int) -> Report:
     """Per-n check of rho(T; n) >= rho(S; n), the set-domination count bound
     whose premise is ``dominates``: one row over n = 0..n_max, with no
     params."""
     return Report("verify-andrews", [
-        inequalities._row({}, 0, n_max, Row(Side(name_of(T)), Side(name_of(S)),
-                                           ("rho_T", "rho_S")))])
+        inequalities._row({}, 0, n_max, Row(Side(T), Side(S), ("rho_T", "rho_S")))])
 
 
-def name_of(A: ResidueClassSet) -> str:
-    """The name counting gives the rho table of A."""
-    return counting.rho_name(A.modulus, A.residues, A.exclusions)
+def positive_integers() -> str:
+    """The name of rho over all of 1, 2, 3, ... (modulus 1, residue 0)."""
+    return counting.rho_name(1, {0})
 
 
-def positive_integers() -> ResidueClassSet:
-    """All of 1, 2, 3, ... as a residue class set (modulus 1, residue 0)."""
-    return ResidueClassSet(1, {0})
-
-
-def pm_set(a: int, modulus: int, exclusions=()) -> ResidueClassSet:
-    """The set {x >= 1 : x == +-a (mod modulus)} minus exclusions.
+def pm_set(a: int, modulus: int, exclusions=()) -> str:
+    """The name of rho over {x >= 1 : x == +-a (mod modulus)} minus exclusions.
 
     When a == modulus - a the two residues coincide and the set is a
     single congruence class.
     """
-    return ResidueClassSet(modulus, {a % modulus, (modulus - a) % modulus}, exclusions)
+    return counting.rho_name(modulus, {a % modulus, (modulus - a) % modulus}, set(exclusions))
 
 
 def verify_injection_exhaustive(d: int, N: int, n: int, force: bool = False):

@@ -16,7 +16,7 @@ from alder.inequalities import (EXEMPT, HOLDS, OUT, GridSpec,
                                 verify_smalln_anchors, xy_difference_report)
 from alder.injection import verify_injection
 from conftest import child_env
-from oracles import (Report, delta, name_of, pm_set, q_brute, q_lower_bound, rho_brute,
+from oracles import (Report, delta, pm_set, q_brute, q_lower_bound, rho_brute,
                      search_counterexamples, verify)
 
 
@@ -162,7 +162,7 @@ def test_criterion_10_oracle_equivalence():
                             pm_set(a, d + 3, {a, d + 3 - a})]
                     for A in sets:
                         for n in range(41):
-                            assert rho(name_of(A), n) == rho_brute(A, n)
+                            assert rho(A, n) == rho_brute(A, n)
         rng = random.Random(20260811)
         for _ in range(60):
             a, d, n = rng.randint(1, 8), rng.randint(2, 12), rng.randint(41, 90)
@@ -172,7 +172,7 @@ def test_criterion_10_oracle_equivalence():
             if a >= d + 3:
                 a = 1
             A = pm_set(a, d + 3, [d + 3 - a] if d + 3 - a != a else [])
-            assert rho(name_of(A), n) == rho_brute(A, n, limit=n)
+            assert rho(A, n) == rho_brute(A, n, limit=n)
 
 
 def test_criterion_11_bound_chain():

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alder import cli, counting
-from alder.counting import (column, g_name, largest_part_counts, part_set, q_name, rho,
-                            s_set, t_set)
-from alder.partset import ResidueClassSet, r_of
+from alder.counting import (column, elements, g_name, largest_part_counts, q_name, rho,
+                            rho_name, s_set, t_set)
+from alder.partset import r_of
 import oracles
-from oracles import big_q, delta, name_of, pm_set, q_brute, q_lower_bound, rho_brute
+from oracles import (big_q, delta, pm_set, positive_integers, q_brute, q_lower_bound,
+                     rho_brute)
 
 
 class TestRho:
@@ -28,17 +29,17 @@ class TestRho:
         assert rho(t_set(5, 63), 66) == 2
 
     def test_matches_brute_on_small_sets(self):
-        for A in (pm_set(1, 4), pm_set(2, 5), pm_set(1, 6, [5]), part_set(t_set(2, 3))):
+        for A in (pm_set(1, 4), pm_set(2, 5), pm_set(1, 6, [5]), t_set(2, 3)):
             for n in range(41):
-                assert rho(name_of(A), n) == rho_brute(A, n)
+                assert rho(A, n) == rho_brute(A, n)
 
     @given(st.integers(min_value=3, max_value=9), st.data())
     @settings(max_examples=40)
     def test_weakly_increasing_when_1_in_set(self, m, data):
         extra = data.draw(st.sets(st.integers(min_value=0, max_value=m - 1),
                                   max_size=2))
-        A = ResidueClassSet(m, {1} | extra)
-        values = [rho(name_of(A), n) for n in range(60)]
+        A = rho_name(m, {1} | extra)
+        values = [rho(A, n) for n in range(60)]
         assert all(lo <= hi for lo, hi in zip(values, values[1:]))
 
     def test_rejects_negative_n(self):
@@ -167,7 +168,7 @@ class TestGScript:
         # unrestricted parts from T(r-1, d)
         def g_oracle(d, n):
             r = r_of(d)
-            T = part_set(t_set(r - 1, d))
+            T = t_set(r - 1, d)
             first = d + 2 ** (r - 1)
             progression = list(range(first, n + 1, 2 * d))
 
@@ -271,14 +272,14 @@ class TestTables:
 
         horizons = []
         monkeypatch.setattr(counting, "_tables", Log())
-        A = name_of(pm_set(2, 11))
+        A = pm_set(2, 11)
         assert [rho(A, n) for n in range(1001)] == list(column(A, 1000)[:1001])
         assert horizons == [64, 128, 256, 512, 1024]
 
     def test_horizon_cap_refuses_before_building(self, monkeypatch):
         monkeypatch.setattr(counting, "MAX_HORIZON", 100)
         A = pm_set(2, 11)
-        key = name_of(A)
+        key = A
         counting._tables.pop(key, None)
         assert rho(key, 70) == rho_brute(A, 70, limit=70)
         # regrowth would double to 140; it is clamped so n = 100 still builds
@@ -291,7 +292,7 @@ class TestTables:
         assert key not in counting._tables
 
     def test_rebuild_reproducible(self):
-        A = name_of(pm_set(1, 7))
+        A = pm_set(1, 7)
         first = [rho(A, n) for n in range(50)]
         counting._tables.clear()
         assert [rho(A, n) for n in range(50)] == first
@@ -299,17 +300,17 @@ class TestTables:
     def test_words_exactly_while_every_count_fits(self, monkeypatch):
         # p(n), rho over every positive integer, first passes 2^64 at n = 417
         monkeypatch.setattr(counting, "_tables", {})
-        every = ResidueClassSet(1, (0,))
-        built = counting._build(name_of(every), 417)
+        every = positive_integers()
+        built = counting._build(every, 417)
         assert built[416] == 17873792969689876004 < 2 ** 64 <= built[417]
-        words = column(name_of(every), 416)
+        words = column(every, 416)
         assert isinstance(words, memoryview) and words.readonly and len(words) == 417
         assert list(words) == built[:417] and words[416] == built[416]
         assert list(words[5:400:7]) == built[5:400:7]  # a grid side's strided read
-        counting.release(name_of(every))
-        ints = column(name_of(every), 417)
+        counting.release(every)
+        ints = column(every, 417)
         assert type(ints) is tuple and ints[:418] == tuple(built)
-        assert list(ints) == counting._build(name_of(every), len(ints) - 1)
+        assert list(ints) == counting._build(every, len(ints) - 1)
 
 
 def _pm_sets(M):
@@ -334,13 +335,13 @@ class TestTripleProductTables:
     def test_s_sets_match_coin_change(self):
         for d in range(31, 80):
             for N in range(2, 10):
-                A = part_set(s_set(d, N))
+                A = s_set(d, N)
                 assert counting._build_pm_table(A, 400) == \
                     counting._build_part_table(A, 400), A
 
     @pytest.mark.parametrize("A", [pm_set(1, 7), pm_set(2, 7, [5]),
-                                   pm_set(3, 8, [3, 5, 11]), part_set(s_set(31, 9))],
-                             ids=lambda A: name_of(A).removeprefix("rho."))
+                                   pm_set(3, 8, [3, 5, 11]), s_set(31, 9)],
+                             ids=lambda A: A.removeprefix("rho."))
     def test_dense_sets_match_at_large_horizon(self, A):
         assert counting._build_pm_table(A, 3000) == counting._build_part_table(A, 3000)
 
@@ -375,8 +376,8 @@ class TestTripleProductTables:
         rho(t_set(5, 63), 200)
         rho(t_set(r_of(31), 31), 100)  # the l kind
         big_q(3, 3, 60)  # 3 == 6 - 3: one residue class
-        rho(name_of(ResidueClassSet(1, {0})), 50)
-        rho(name_of(ResidueClassSet(10, {1, 3})), 50)  # two classes, 1 + 3 != 10
+        rho(positive_integers(), 50)
+        rho(rho_name(10, {1, 3}), 50)  # two classes, 1 + 3 != 10
         assert builds == ["_build_part_table"] * 5
 
     def test_count_builds_each_table_once_at_the_range_horizon(self, monkeypatch, capsys):
@@ -413,9 +414,9 @@ class TestSlicePasses:
     @pytest.mark.parametrize("d", [3, 7, 15, 31, 63, 100, 255])
     def test_t_sets_and_g_script(self, d):
         for s in range(1, r_of(d) + 1):
-            T = part_set(t_set(s, d))
+            T = t_set(s, d)
             assert counting._build_part_table(T, 1500) == \
-                oracles.coin_change(T.elements_upto(1500), 1500), s
+                oracles.coin_change(elements(T, 1500), 1500), s
         assert counting._build_g_table(d, 3000) == oracles.g_table(d, 3000)
 
     @pytest.mark.parametrize("a,d", [(1, 1), (1, 4), (2, 3), (5, 30), (4, 417), (2, 4), (3, 4)])
@@ -434,7 +435,7 @@ class TestSlicePasses:
                 S = s_set(d, N)
                 for n, i_max in ((5 * d - 5 * N + 16, 10), (7 * d + 13, 14), (0, 3)):
                     assert counting.largest_part_counts(S, n, i_max) == \
-                        oracles.largest_part_counts(part_set(S), n, i_max), (d, N, n)
+                        oracles.largest_part_counts(S, n, i_max), (d, N, n)
 
 
 class TestIdentityOracles:

@@ -1,19 +1,18 @@
 """Grid statements, the comparison lemmas, and counterexample search."""
 
-import gc
 import math
 
 import pytest
 
 from alder import counting, inequalities
-from alder.counting import column, part_set, q_name, rho, s_set, t_set
+from alder.counting import column, q_name, rho, s_set, t_set
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
                                 STATEMENTS, GridSpec, n_hat,
                                 verify_smalln_anchors, verify_t_monotone,
                                 xy_difference_report)
-from alder.partset import RefusedInput, ResidueClassSet
+from alder.partset import RefusedInput
 from oracles import (PREMISE_HORIZON, Report, big_q, check_andrews, dominates,
-                     first_elements, gen_kp_sets, name_of, pm_set, positive_integers,
+                     first_elements, gen_kp_sets, pm_set, positive_integers,
                      q_brute, rho_brute, search_counterexamples, verify)
 
 
@@ -92,10 +91,10 @@ class TestVerifyShiftRange:
 class TestAndrews:
     def test_equality_at_n2_satisfies_premises(self):
         # x_1 = y_1 = 1 and x_2 = y_2 = d+2 at N = 2; indices >= 3 dominate
-        assert dominates(part_set(s_set(63, 2)), part_set(t_set(5, 63)), 200)
+        assert dominates(s_set(63, 2), t_set(5, 63), 200)
 
     def test_premises_fail_only_at_i2_for_n3(self):
-        S, T = part_set(s_set(63, 3)), part_set(t_set(5, 63))
+        S, T = s_set(63, 3), t_set(5, 63)
         assert not dominates(S, T, 200)
         xs, ys = first_elements(S, 200), first_elements(T, 200)
         failing = [i for i in range(1, 201) if xs[i - 1] < ys[i - 1]]
@@ -103,12 +102,12 @@ class TestAndrews:
 
     def test_unrestricted_dominates(self):
         T = positive_integers()
-        S = part_set(s_set(63, 2))
+        S = s_set(63, 2)
         assert dominates(S, T, 100)
         assert check_andrews(S, T, 80).ok
 
     def test_identity_pair(self):
-        T = part_set(t_set(5, 63))
+        T = t_set(5, 63)
         assert dominates(T, T, 100)
         report = check_andrews(T, T, 60)
         assert report.ok and all(r.value == 0 for r in report.records)
@@ -449,7 +448,7 @@ def paper_cells(name, n_max, a=1, d=0, N=0):
     if name == "modified-st":
         S, T = gen_kp_sets(a, d)
         premise = dominates(S, T, 200, a)
-        return [(premise, rho(name_of(T), n + n_hat(a, n)), rho(name_of(S), n)) for n in ns]
+        return [(premise, rho(T, n + n_hat(a, n)), rho(S, n)) for n in ns]
     minus = {"delta": 0, "gen-kp": 1, "gen-dkst": 2}[name]
     in_hypothesis = a == 1 if name == "delta" else math.ceil(d / a) >= 105
     q = column(q_name(a, d), n_max)
@@ -548,15 +547,11 @@ class TestRelease:
         # a = 1 row, and those at d = 1, 3 read Q_(-1)^(1,-) and Q_0^(1,-)
         ("a-to-1", (1, 2), 100 + 50 + 2)])
     def test_grid_keeps_no_part_set(self, monkeypatch, name, a_values, tables):
-        def part_sets():
-            gc.collect()
-            return sum(isinstance(obj, ResidueClassSet) for obj in gc.get_objects())
-
+        # a part set is its table's name, so a grid holds one only while it
+        # holds the table
         log = self.Log()
         monkeypatch.setattr(counting, "_tables", log)
-        before = part_sets()
         verify(name, GridSpec(a_values=a_values, d_values=tuple(range(1, 101)), n_max=1))
-        assert part_sets() <= before
         # each table built once, and released after its last reader
         assert len(set(log.stored)) == len(log.stored) == tables
         assert log == {}

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alder import injection
-from alder.counting import MAX_HORIZON, part_set, rho, s_set, t_set
+from alder.counting import MAX_HORIZON, elements, rho, s_set, t_set
 from alder.injection import (HypothesisViolation, MapViolation,
                              enumerate_partitions, in_hypothesis, phi1, phi2,
                              stats, verify_injection, verify_range)
 from alder.partset import RefusedInput, shift_regime, x_closed, y_closed
-from oracles import name_of, pm_set, positive_integers, verify_injection_exhaustive
+from oracles import pm_set, positive_integers, verify_injection_exhaustive
 
 
 def weight_s(lam, d, N):
@@ -31,7 +31,7 @@ def apply_map(lam, d, N):
 def reference_order(A, n):
     """The enumeration order before the smallest part took the remainder in
     one step: every multiplicity of every index is tried, highest first."""
-    elements = A.elements_upto(n)
+    xs = elements(A, n)
     out, acc = [], []
 
     def walk(idx, remaining):
@@ -40,14 +40,14 @@ def reference_order(A, n):
             return
         if idx < 0:
             return
-        for m in range(remaining // elements[idx], -1, -1):
+        for m in range(remaining // xs[idx], -1, -1):
             if m:
                 acc.append((idx + 1, m))
-            walk(idx - 1, remaining - m * elements[idx])
+            walk(idx - 1, remaining - m * xs[idx])
             if m:
                 acc.pop()
 
-    walk(len(elements) - 1, n)
+    walk(len(xs) - 1, n)
     return out
 
 
@@ -72,28 +72,30 @@ class TestEnumerateS:
 
 class TestEnumeratePartitions:
     SETS = [pm_set(2, 7), pm_set(5, 11), pm_set(1, 7), positive_integers(),
-            part_set(t_set(5, 31)), part_set(s_set(31, 9))]
+            t_set(5, 31), s_set(31, 9)]
 
-    @pytest.mark.parametrize("A", SETS, ids=lambda A: name_of(A).removeprefix("rho."))
+    @pytest.mark.parametrize("A", SETS, ids=lambda A: A.removeprefix("rho."))
     def test_maps_are_the_partitions_counted_by_rho(self, A):
         for n in range(0, 41):
-            parts = enumerate_partitions(name_of(A), n)
-            assert len(parts) == rho(name_of(A), n)
-            elements = A.elements_upto(n)
+            parts = enumerate_partitions(A, n)
+            assert len(parts) == rho(A, n)
+            xs = elements(A, n)
             for lam in parts:
                 assert list(lam) == sorted(lam)
                 assert all(m > 0 for m in lam.values())
-                assert sum(m * elements[i - 1] for i, m in lam.items()) == n
+                assert sum(m * xs[i - 1] for i, m in lam.items()) == n
             assert len({tuple(lam.items()) for lam in parts}) == len(parts)
 
-    @pytest.mark.parametrize("A,n", [(pm_set(2, 7), 40), (pm_set(5, 11), 60),
-                                     (part_set(s_set(31, 9)), 150),
-                                     (part_set(s_set(63, 3)), 300)])
+    ORDER_CASES = [(pm_set(2, 7), 40), (pm_set(5, 11), 60), (s_set(31, 9), 150),
+                   (s_set(63, 3), 300)]
+
+    @pytest.mark.parametrize("A,n", ORDER_CASES,  # short ids: the i-th set and its n
+                             ids=[f"A{i}-{n}" for i, (_, n) in enumerate(ORDER_CASES)])
     def test_order_unchanged(self, A, n):
-        assert enumerate_partitions(name_of(A), n) == reference_order(A, n)
+        assert enumerate_partitions(A, n) == reference_order(A, n)
 
     def test_edges(self):
-        A = name_of(pm_set(5, 11))
+        A = pm_set(5, 11)
         assert enumerate_partitions(A, 0) == [{}]
         assert enumerate_partitions(A, 4) == []
         assert enumerate_partitions(A, 7) == []
@@ -382,7 +384,7 @@ class TestStructuralCheck:
                         (63, 4, 900), (100, 6, 1300), (32, 12, 69), (31, 11, 71),
                         (32, 9, 107)]:
             S = s_set(d, N)
-            xs = [0, *part_set(S).elements_upto(n)]
+            xs = [0, *elements(S, n)]
             ys = [0, *(y_closed(d, i) for i in range(1, len(xs)))]
             walked = [tuple(lam.items())
                       for lam in injection._s2_members(d, N, n, xs, ys)]
@@ -433,7 +435,7 @@ class TestStructuralCheck:
     def test_p2_boundary_witnessed(self, enumerated):
         # the forced cell's one S2 member {2: 7} is walked and fails p_2 >= 8;
         # the rerun reports it, the witness formatted as in the report
-        xs = [0, *part_set(s_set(31, 3)).elements_upto(224)]
+        xs = [0, *elements(s_set(31, 3), 224)]
         ys = [0, *(y_closed(31, i) for i in range(1, len(xs)))]
         assert list(injection._s2_members(31, 3, 224, xs, ys)) == [{2: 7}]
         rep = verify_injection(31, 3, 224, force=True)

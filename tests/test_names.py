@@ -1,7 +1,7 @@
 """A count table's name is its one identity: each row side's name against
-the part set built from its definition, names read back into sets,
-entries stored under literal names, and the part sets a grid builds
-(only to build a table)."""
+the name formatted here from its part set's definition, names read back
+into their fields, entries stored under literal names, and the part sets
+a grid enumerates (only to build a table)."""
 
 import math
 
@@ -9,28 +9,34 @@ import pytest
 
 from alder import cache, cli, counting
 from alder.inequalities import STATEMENTS, GridSpec, n_hat
-from alder.partset import RefusedInput, ResidueClassSet, r_of
-from oracles import name_of, pm_set, search_counterexamples, verify
+from alder.partset import RefusedInput, r_of
+from oracles import pm_set, search_counterexamples, verify
 
 
 def q(a, d):
     return f"q.a{a}.d{d}"
 
 
-def rho(A):
-    """The name of rho over A, from its fields: modulus, residues and exclusions."""
-    rs, xs = (",".join(map(str, sorted(v))) for v in (A.residues, A.exclusions))
-    return f"rho.m{A.modulus}.r{rs}" + (f".x{xs}" if xs else "")
+def rho(modulus, residues, exclusions=()):
+    """The name of rho over {x >= 1 : x mod modulus in residues} minus
+    exclusions, from those fields."""
+    rs, xs = (",".join(map(str, sorted(set(v)))) for v in (residues, exclusions))
+    return f"rho.m{modulus}.r{rs}" + (f".x{xs}" if xs else "")
+
+
+def pm(a, modulus, exclusions=()):
+    """The name of rho over x == +-a (mod modulus) minus exclusions."""
+    return rho(modulus, {a % modulus, (modulus - a) % modulus}, exclusions)
 
 
 def t_family(s, d):
     """T(s, d) by its definition: x == 1, d+2, d+4, ..., d+2^(s-1) (mod 2d)."""
-    return ResidueClassSet(2 * d, [1, *(d + 2 ** j for j in range(1, s))])
+    return rho(2 * d, [1, *(d + 2 ** j for j in range(1, s))])
 
 
 def s_family(d, N):
     """S(d, N) by its definition: x == +-1 (mod d-N+3), minus d-N+2."""
-    return pm_set(1, d - N + 3, [d - N + 2])
+    return pm(1, d - N + 3, [d - N + 2])
 
 
 def big_q(a, d, minus):
@@ -38,7 +44,7 @@ def big_q(a, d, minus):
     outside 1 <= a < d+3."""
     if not 1 <= a < d + 3:
         return None
-    return rho(pm_set(a, d + 3, ((), (d + 3 - a,), (a, d + 3 - a))[minus]))
+    return pm(a, d + 3, ((), (d + 3 - a,), (a, d + 3 - a))[minus])
 
 
 def expected_sides(name, x, y):
@@ -50,8 +56,8 @@ def expected_sides(name, x, y):
         if d - N + 3 < 3 or d < 1:
             return None
         S = s_family(d, N)
-        assert rho(S) == big_q(1, d - N, 1)  # S(d, N) is the set of Q_{d-N}^(1,-)
-        return q(1, d), rho(S)
+        assert S == big_q(1, d - N, 1)  # S(d, N) is the set of Q_{d-N}^(1,-)
+        return q(1, d), S
     a, d = x, y
     if name == "ceiling":
         return (q(a, d), q(1, math.ceil(d / a))) if d >= 1 else None
@@ -64,7 +70,7 @@ def expected_sides(name, x, y):
         m = d + n_hat(a, d) - a
         if big_q(a, d, 1) is None or m < 3 or a >= m:
             return None
-        return rho(pm_set(a, m, [m - a])), big_q(a, d, 1)
+        return pm(a, m, [m - a]), big_q(a, d, 1)
     minus = {"delta": 0, "gen-kp": 1, "gen-dkst": 2}[name]
     Q = big_q(a, d, minus)
     return (q(a, d), Q) if Q and d >= 1 else None
@@ -88,9 +94,9 @@ def test_each_side_names_its_part_set(name):
                 continue
             assert (row.lhs.count, row.rhs.count) == expected, (name, x, y)
             seen += 1
-            for side in row[:2]:  # each rho name reads back into a set keyed by it
+            for side in row[:2]:  # each rho name reads back into the fields it is made of
                 if side.count.startswith("rho."):
-                    assert rho(counting.part_set(side.count)) == side.count
+                    assert rho(*counting._fields(side.count)) == side.count
     assert seen
 
 
@@ -98,25 +104,25 @@ def test_each_side_names_its_part_set(name):
 def test_single_residue_q_sets(minus):
     # 2a = d+3: the two residues +-a are one class, and Q^(--) excludes a once
     assert counting.big_q_name(3, 3, minus) == big_q(3, 3, minus)
-    assert rho(counting.part_set(counting.big_q_name(3, 3, minus))) == rho(pm_set(
-        3, 6, ((), (3,), (3, 3))[minus]))
+    assert rho(*counting._fields(counting.big_q_name(3, 3, minus))) == pm(
+        3, 6, ((), (3,), (3, 3))[minus])
 
 
 def test_named_sets_match_their_families():
     for d in range(1, 70):
         for s in range(1, r_of(d) + 1):
-            assert counting.t_set(s, d) == rho(t_family(s, d))
+            assert counting.t_set(s, d) == t_family(s, d)
         for N in range(0, d + 1):
-            assert counting.s_set(d, N) == rho(s_family(d, N)) == big_q(1, d - N, 1)
+            assert counting.s_set(d, N) == s_family(d, N) == big_q(1, d - N, 1)
     # S(63, 2) and Q_61^(1,-) are one name, so one table
-    assert counting.s_set(63, 2) == counting.big_q_name(1, 61, 1) == name_of(pm_set(1, 64, [63]))
+    assert counting.s_set(63, 2) == counting.big_q_name(1, 61, 1) == pm_set(1, 64, [63])
 
 
 @pytest.mark.parametrize("name,make,build", [
     ("q.a5.d300", lambda: counting.q_name(5, 300),
      lambda h: counting._build_gap_table(5, 300, h)),
     ("rho.m308.r5,303.x303", lambda: counting.big_q_name(5, 305, 1),
-     lambda h: counting._build_pm_table(pm_set(5, 308, [303]), h)),
+     lambda h: counting._build_pm_table("rho.m308.r5,303.x303", h)),
     ("g.d63", lambda: counting.g_name(63), lambda h: counting._build_g_table(63, h))])
 def test_entries_under_literal_names_load_without_a_build(tmp_path, monkeypatch,
                                                           name, make, build):
@@ -132,8 +138,8 @@ def test_entries_under_literal_names_load_without_a_build(tmp_path, monkeypatch,
 
 
 class TestWork:
-    """A row factory names its tables: a grid builds a part set only to
-    build a rho table, so a warm cache builds none."""
+    """A row factory names its tables: a grid enumerates a part set only
+    to build a rho table, so a warm cache enumerates none."""
 
     GRIDS = [
         ("verify", "shift", {"N_values": (2, 3), "d_values": tuple(range(63, 73)),
@@ -157,17 +163,17 @@ class TestWork:
 
     @pytest.fixture
     def work(self, monkeypatch):
-        """Lists of the sets constructed and the rho tables built, by key."""
-        made, built = [], []
-        init = ResidueClassSet.__init__
-        monkeypatch.setattr(ResidueClassSet, "__init__",
-                            lambda self, *args: made.append(args) or init(self, *args))
+        """Lists of the part sets enumerated and the rho tables built, by name."""
+        walked, built = [], []
+        elements = counting.elements
+        monkeypatch.setattr(counting, "elements", lambda name, limit:
+                            walked.append(name) or elements(name, limit))
         for builder in ("_build_pm_table", "_build_part_table"):
             build = getattr(counting, builder)
-            monkeypatch.setattr(counting, builder, lambda A, h, build=build:
-                                built.append(name_of(A)) or build(A, h))
+            monkeypatch.setattr(counting, builder, lambda name, h, build=build:
+                                built.append(name) or build(name, h))
         monkeypatch.setattr(counting, "_tables", {})
-        return made, built
+        return walked, built
 
     @staticmethod
     def run(verb, name, spec):
@@ -175,28 +181,29 @@ class TestWork:
 
     @pytest.mark.parametrize("verb,name,axes", GRIDS)
     def test_sets_only_for_builds(self, work, verb, name, axes):
-        made, built = work
+        walked, built = work
         self.run(verb, name, GridSpec(**axes))
-        assert len(made) <= len(set(built))
+        assert len(walked) <= len(set(built))
 
     @pytest.mark.parametrize("verb,name,axes", GRIDS)
     def test_warm_cache_builds_no_set(self, tmp_path, work, verb, name, axes):
-        made, built = work
+        walked, built = work
         counting.set_cache_dir(tmp_path)
         cold = self.run(verb, name, GridSpec(**axes))
-        del made[:], built[:]
+        del walked[:], built[:]
         counting._tables.clear()
         assert self.run(verb, name, GridSpec(**axes)) == cold
-        assert made == [] and built == []
+        assert walked == [] and built == []
 
-    @pytest.mark.parametrize("argv,sets", [
-        # a structural cell builds no set: only the S and T tables do
-        ("inject --d 63 --N 2 --n 455..470", 2),
-        ("inject --d 63 --N 3 --n 450..700", 2),
-        # the S table, then one per largest-part distribution
-        ("verify anchors --d 63 --N 2", 3)])
-    def test_cells_build_sets_only_for_tables(self, work, capsys, argv, sets):
-        made, built = work
+    @pytest.mark.parametrize("argv,walks", [
+        # a structural cell walks no set: only the T table's coin-change
+        # build does, as the S table is a triple product
+        ("inject --d 63 --N 2 --n 455..470", 1),
+        ("inject --d 63 --N 3 --n 450..700", 1),
+        # the S table walks none, then one walk per largest-part distribution
+        ("verify anchors --d 63 --N 2", 2)])
+    def test_cells_build_sets_only_for_tables(self, work, capsys, argv, walks):
+        walked, built = work
         assert cli.main(argv.split()) == 0
         capsys.readouterr()
-        assert len(made) == sets and len(built) == (1 if argv.startswith("verify") else 2)
+        assert len(walked) == walks and len(built) == (1 if argv.startswith("verify") else 2)

@@ -1,53 +1,69 @@
-"""Part-set construction, enumeration, and the closed-form element maps.
+"""Part-set names, enumeration, and the closed-form element maps.
 
 The families T(s, d) and S(d, N) are table names (``counting.t_set`` and
-``s_set``); their sets are read back with ``counting.part_set``."""
+``s_set``); their members are walked with ``counting.elements``."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alder.counting import part_set, s_set, t_set
-from alder.partset import ResidueClassSet, r_of, x_closed, y_closed
-from oracles import first_elements, name_of, pm_set, positive_integers
+from alder.counting import big_q_name, elements, rho_name, s_set, t_set
+from alder.partset import r_of, x_closed, y_closed
+from oracles import first_elements, pm_set, positive_integers
 
 XY_GRID = [(31, 2), (63, 2), (63, 3), (63, 5), (105, 4), (200, 8)]
 
 
-class TestResidueClassSet:
+def members(modulus, residues, exclusions, limit):
+    """{x >= 1 : x mod modulus in residues} minus exclusions, up to limit, by
+    its definition."""
+    return [x for x in range(1, limit + 1) if x % modulus in residues and x not in exclusions]
+
+
+class TestElements:
+    @given(st.integers(min_value=1, max_value=40), st.data())
+    def test_matches_membership(self, m, data):
+        # any modulus (m = 1 with residue 0 is every positive integer), any
+        # residues, and exclusions that are members
+        residues = data.draw(st.sets(st.integers(min_value=0, max_value=m - 1), min_size=1))
+        exclusions = data.draw(st.sets(st.sampled_from(members(m, residues, (), 3 * m)),
+                                       max_size=3))
+        limit = data.draw(st.integers(min_value=0, max_value=5 * m))
+        assert elements(rho_name(m, residues, exclusions), limit) == \
+            members(m, residues, exclusions, limit)
+
+    @given(st.integers(min_value=1, max_value=300), st.data())
+    @settings(max_examples=60)
+    def test_every_maker_matches_membership(self, d, data):
+        limit = data.draw(st.integers(min_value=0, max_value=4 * d + 8))
+        a, minus = data.draw(st.integers(min_value=1, max_value=d + 2)), data.draw(
+            st.integers(min_value=0, max_value=2))
+        m = d + 3
+        assert elements(big_q_name(a, d, minus), limit) == \
+            members(m, {a, m - a}, ((), {m - a}, {a, m - a})[minus], limit)
+        N = data.draw(st.integers(min_value=0, max_value=d))
+        m = d - N + 3
+        assert elements(s_set(d, N), limit) == members(m, {1, m - 1}, {m - 1}, limit)
+        s = data.draw(st.integers(min_value=1, max_value=r_of(d)))
+        assert elements(t_set(s, d), limit) == \
+            members(2 * d, {1, *(d + 2 ** j for j in range(1, s))}, (), limit)
+
     def test_membership(self):
-        A = ResidueClassSet(64, {1, 63}, {63}).elements_upto(130)
+        A = elements(rho_name(64, {1, 63}, {63}), 130)
         assert 1 in A and 65 in A and 127 in A
         assert 63 not in A          # excluded
         assert 64 not in A          # wrong residue
         assert 0 not in A and -1 not in A
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResidueClassSet(0, {0})
-        with pytest.raises(ValueError):
-            ResidueClassSet(5, set())
-        with pytest.raises(ValueError):
-            ResidueClassSet(5, {5})
-        with pytest.raises(ValueError):
-            ResidueClassSet(5, {1}, {2})   # exclusion not a member
-        with pytest.raises(ValueError):
-            ResidueClassSet(5, {1}, {-1})
-
-    def test_immutable_and_compared_by_key(self):
-        A = ResidueClassSet(64, {1, 63}, {63})
-        with pytest.raises(AttributeError):
-            A.modulus = 65
-        with pytest.raises(AttributeError):
-            A.extra = 1
+    def test_compared_by_name(self):
         # a set is known by its table name, which S(63, 2) shares
-        assert name_of(A) == s_set(63, 2) == name_of(part_set(s_set(63, 2)))
-        assert name_of(A) != name_of(ResidueClassSet(64, {1, 63}))
-        assert name_of(A) == "rho.m64.r1,63.x63"
+        A = rho_name(64, {1, 63}, {63})
+        assert A == s_set(63, 2) == "rho.m64.r1,63.x63"
+        assert A != rho_name(64, {1, 63})
 
     def test_elements_increasing_and_indexed(self):
-        A = part_set(t_set(5, 63))
-        els = A.elements_upto(300)
+        A = t_set(5, 63)
+        els = elements(A, 300)
         assert els == sorted(els)
         assert els[0] == 1
         assert first_elements(A, len(els)) == els
@@ -55,20 +71,13 @@ class TestResidueClassSet:
 
     def test_positive_integers(self):
         P = positive_integers()
-        assert P.elements_upto(5) == [1, 2, 3, 4, 5]
+        assert elements(P, 5) == [1, 2, 3, 4, 5]
         assert first_elements(P, 1) == [1]
-
-    def test_element_rejects_bad_index(self):
-        # the i-th element of T(5, d) or S(d, N) is its closed form, from i = 1
-        with pytest.raises(ValueError):
-            y_closed(63, 0)
-        with pytest.raises(ValueError):
-            x_closed(63, 2, 0)
 
     def test_exclusion_of_first_base_element(self):
         A = pm_set(2, 6, [2])
         assert first_elements(A, 1) == [4]
-        assert A.elements_upto(15) == [4, 8, 10, 14]
+        assert elements(A, 15) == [4, 8, 10, 14]
 
 
 class TestROf:
@@ -89,18 +98,13 @@ class TestROf:
 
 class TestTSet:
     def test_t5_63(self):
-        A = part_set(t_set(5, 63))
-        assert A.modulus == 126
-        assert A.residues == frozenset({1, 65, 67, 71, 79})
-        assert not A.exclusions
+        assert t_set(5, 63) == "rho.m126.r1,65,67,71,79"
 
     def test_s1_has_single_residue(self):
-        A = part_set(t_set(1, 10))
-        assert A.modulus == 20 and A.residues == frozenset({1})
+        assert t_set(1, 10) == "rho.m20.r1"
 
     def test_s2_31(self):
-        A = part_set(t_set(2, 31))
-        assert A.modulus == 62 and A.residues == frozenset({1, 33})
+        assert t_set(2, 31) == "rho.m62.r1,33"
 
     @pytest.mark.parametrize("s,d", [(5, 12), (3, 3), (2, 2), (4, 7)])
     def test_rejects_collisions(self, s, d):
@@ -116,19 +120,16 @@ class TestTSet:
 
 class TestSSet:
     def test_63_2(self):
-        A = part_set(s_set(63, 2))
-        assert (A.modulus, A.residues, A.exclusions) == \
-            (64, frozenset({1, 63}), frozenset({63}))
-        assert A.elements_upto(130) == [1, 65, 127, 129]
+        A = s_set(63, 2)
+        assert A == "rho.m64.r1,63.x63"
+        assert elements(A, 130) == [1, 65, 127, 129]
 
     def test_105_4(self):
-        A = part_set(s_set(105, 4))
-        assert (A.modulus, A.residues, A.exclusions) == \
-            (104, frozenset({1, 103}), frozenset({103}))
+        assert s_set(105, 4) == "rho.m104.r1,103.x103"
 
     def test_second_element_is_d_minus_n_plus_4(self):
-        assert first_elements(part_set(s_set(63, 2)), 2)[1] == x_closed(63, 2, 2) == 65
-        assert first_elements(part_set(s_set(63, 3)), 2)[1] == x_closed(63, 3, 2) == 64
+        assert first_elements(s_set(63, 2), 2)[1] == x_closed(63, 2, 2) == 65
+        assert first_elements(s_set(63, 3), 2)[1] == x_closed(63, 3, 2) == 64
 
     def test_rejects_small_modulus(self):
         with pytest.raises(ValueError):
@@ -142,26 +143,31 @@ class TestSSet:
 
 class TestElementExamples:
     def test_t_set_elements(self):
-        assert first_elements(part_set(t_set(5, 63)), 5)[4] == 79
-        assert first_elements(part_set(t_set(5, 63)), 6)[5] == 127  # = 2d+1
+        assert first_elements(t_set(5, 63), 5)[4] == 79
+        assert first_elements(t_set(5, 63), 6)[5] == 127  # = 2d+1
 
     def test_s_set_element(self):
-        assert first_elements(part_set(s_set(63, 2)), 4)[3] == 129
+        assert first_elements(s_set(63, 2), 4)[3] == 129
 
 
 class TestClosedForms:
+    def test_element_rejects_bad_index(self):
+        # the i-th element of T(5, d) or S(d, N) is its closed form, from i = 1
+        with pytest.raises(ValueError):
+            y_closed(63, 0)
+        with pytest.raises(ValueError):
+            x_closed(63, 2, 0)
+
     @pytest.mark.parametrize("d,N", XY_GRID)
     def test_x_closed_matches_enumeration(self, d, N):
-        A = part_set(s_set(d, N))
-        for i, v in enumerate(A.elements_upto(x_closed(d, N, 201)), start=1):
+        for i, v in enumerate(elements(s_set(d, N), x_closed(d, N, 201)), start=1):
             if i > 200:
                 break
             assert x_closed(d, N, i) == v
 
     @pytest.mark.parametrize("d", [31, 63, 105, 127, 200])
     def test_y_closed_matches_enumeration(self, d):
-        A = part_set(t_set(5, d))
-        for i, v in enumerate(A.elements_upto(y_closed(d, 201)), start=1):
+        for i, v in enumerate(elements(t_set(5, d), y_closed(d, 201)), start=1):
             if i > 200:
                 break
             assert y_closed(d, i) == v
@@ -198,7 +204,7 @@ class TestClosedForms:
         for d in (31, 63):
             for a in range(1, r_of(d) + 1):
                 for b in range(a, r_of(d) + 1):
-                    ta, tb = (first_elements(part_set(t_set(s, d)), 60) for s in (a, b))
+                    ta, tb = (first_elements(t_set(s, d), 60) for s in (a, b))
                     for i in range(1, 61):
                         assert ta[i - 1] >= tb[i - 1]
 
@@ -206,12 +212,11 @@ class TestClosedForms:
 class TestPmSet:
     def test_plain(self):
         A = pm_set(2, 6)
-        assert A.residues == frozenset({2, 4})
-        assert A.elements_upto(11) == [2, 4, 8, 10]
+        assert A == "rho.m6.r2,4"
+        assert elements(A, 11) == [2, 4, 8, 10]
 
     def test_coincident_residues(self):
-        A = pm_set(3, 6)
-        assert A.residues == frozenset({3})
+        assert pm_set(3, 6) == "rho.m6.r3"
 
     def test_key_is_canonical(self):
-        assert name_of(pm_set(1, 64, [63])) == s_set(63, 2)
+        assert pm_set(1, 64, [63]) == s_set(63, 2)
