@@ -38,8 +38,9 @@ hypothesis and an optional exempt cell.  A pair where a name maker of
 them all, ``grid``: a verification (one cell is a grid with n_min ==
 n_max) or a search (negative cells only), each row through ``_row``,
 which reads each side as one slice of its table and makes the row one
-block of runs of cells (``report.VerificationReport``), made when asked
-for; ``grid`` and ``_held`` say when a grid refuses and lets a table go.
+block of runs of cells (``report.VerificationReport``) when asked for.
+A grid refuses when called, and lets a table go after its row, or after
+its last reader if the statement ``shares`` tables (``grid``, ``_held``).
 
 Verified by their own functions, since they are not n-indexed:
 
@@ -145,11 +146,14 @@ class Statement(NamedTuple):
     pair in its Row (data only: no table is read yet), or raises
     RefusedInput if a count it reads is undefined there.  Such a pair is
     skipped, with one cell per n if ``skip_each_n``, else one cell.  Its
-    report command is ``verify-<name>``."""
+    report command is ``verify-<name>``.  ``shares`` is False if its rows
+    name their own tables, and ``grid`` then counts no readers: a table named
+    again is rebuilt (gen-dkst's and delta's Q at (a, d) and (d+3-a, d))."""
 
     axes: tuple[str, str]
     row: Callable[[int, int], Row]
     skip_each_n: bool = False
+    shares: bool = True
 
 
 def n_hat(a: int, n: int) -> int:
@@ -159,17 +163,17 @@ def n_hat(a: int, n: int) -> int:
     return (-n) % a
 
 
-def _read(side: Side, lo: int, hi: int):
-    """The side's counts at n = lo..hi, from its table built at the last index."""
+def _read(side: Side, lo: int, hi: int, tops: collections.Counter | None = None):
+    """The side's counts at n = lo..hi, from its table built at the last index read."""
     count, m, k = side
-    tab = column(count, m * -(-hi // k))
+    tab = column(count, max(m * -(-hi // k), tops[count] if tops else 0))
     if k == 1:
         return tab[m * lo:m * hi + 1:m]
     return [tab[m * -(-n // k)] for n in range(lo, hi + 1)]
 
 
 def _row(base: dict, lo: int, hi: int, row: Row, evaluate_out: bool = False,
-         violations_only: bool = False) -> tuple[dict, list[tuple]] | None:
+         violations_only: bool = False, tops=None) -> tuple[dict, list[tuple]] | None:
     """One grid row's block at n = lo..hi: lhs against rhs.
 
     The comparison is asserted as ``Row`` describes; cells outside the
@@ -187,7 +191,7 @@ def _row(base: dict, lo: int, hi: int, row: Row, evaluate_out: bool = False,
     start = lo if evaluate_out else min(max(first, lo), hi + 1)  # first evaluated n
     runs = [(OUT, range(lo, start), (None,) * (start - lo), None)] if lo < start else []
     if start <= hi:
-        left, right = _read(lhs, start, hi), _read(rhs, start, hi)
+        left, right = _read(lhs, start, hi, tops), _read(rhs, start, hi, tops)
         values = None if violations_only else list(map(operator.sub, left, right))
         at = min(max(first - start, 0), len(left))  # index of the first judged cell
         if at:
@@ -257,12 +261,12 @@ def _delta_row(minus: int, a: int, d: int, exempt: bool = False) -> Row:
 
 STATEMENTS: dict[str, Statement] = {
     "shift": Statement(("N", "d"), _shift_row, skip_each_n=True),
-    "gen-kp": Statement(("a", "d"), functools.partial(_delta_row, 1, exempt=True)),
-    "gen-dkst": Statement(("a", "d"), functools.partial(_delta_row, 2)),
+    "gen-kp": Statement(("a", "d"), functools.partial(_delta_row, 1, exempt=True), shares=False),
+    "gen-dkst": Statement(("a", "d"), functools.partial(_delta_row, 2), shares=False),
     "ceiling": Statement(("a", "d"), _ceiling_row),
     "a-to-1": Statement(("a", "d"), _a_to_1_row),
     "modified-st": Statement(("a", "d"), _modified_st_row),
-    "delta": Statement(("a", "d"), functools.partial(_delta_row, 0)),
+    "delta": Statement(("a", "d"), functools.partial(_delta_row, 0), shares=False),
 }
 
 #: search kind -> the statement whose rows it scans
@@ -303,18 +307,18 @@ def _rows(statement: Statement, spec: GridSpec):
 
 
 def _held(rows: Iterator, spec: GridSpec, readers: collections.Counter,
-          skip_each_n: bool, **how):
+          tops: collections.Counter, skip_each_n: bool, **how):
     """Yield the block of each (base, Row or skip reason) of ``rows``, in
-    order, as it is asked for: a Row's from ``_row`` (with keywords
-    ``how``; none if it has none), after releasing each table it read that
-    no later Row reads (``readers`` counts the Row sides by table name)."""
+    order, as it is asked for: a Row's from ``_row`` (with ``tops`` and
+    ``how``; none if it has none), after releasing each table it names that
+    no later Row reads (``readers`` counts them by name; an uncounted has none)."""
     for base, row in rows:
         if isinstance(row, Row):
-            block = _row(base, spec.n_min, spec.n_max, row, **how)
+            block = _row(base, spec.n_min, spec.n_max, row, tops=tops, **how)
             for name in (row.lhs.count, row.rhs.count):
                 readers[name] -= 1
-                if not readers[name]:
-                    del readers[name]
+                if readers[name] <= 0:
+                    del readers[name], tops[name]
                     release(name)
             if block:
                 yield block
@@ -333,9 +337,10 @@ def grid(cmd: str, spec: GridSpec) -> tuple[str, Iterator[tuple[dict, list[tuple
     hypotheses and exempt cells.  A delta-kind violation's params start
     with the kind and it is witnessed by both counts; a shift one has
     neither.  Every refusal comes from this call: it makes the rows and
-    checks each table horizon they will read.  The blocks are a generator
-    that evaluates each row when its block is asked for, so a reader that
-    lets each block go holds one row's tables and one block at a time.
+    checks each table horizon they will read (and, if the statement
+    ``shares``, counts each table's readers and last index past n_max).
+    The blocks are a generator that evaluates each row when its block is
+    asked for, so a reader that lets each go holds one row's tables and one block.
     """
     verb, _, name = cmd.partition("-")
     if verb == "search":
@@ -344,20 +349,23 @@ def grid(cmd: str, spec: GridSpec) -> tuple[str, Iterator[tuple[dict, list[tuple
     else:
         statement = STATEMENTS[name]
         how = {"evaluate_out": spec.evaluate_out_of_hypothesis}
-    hi, readers = spec.n_max, collections.Counter()  # table name -> Row sides
+    hi, readers, tops = spec.n_max, collections.Counter(), collections.Counter()
     for _, row in _rows(statement, spec):
         if isinstance(row, Row):
-            if any(how.values()) or row.first is not None and row.first <= hi:
-                for _, m, k in row[:2]:  # _row evaluates some n, so reads these
-                    check_horizon(m * -(-hi // k))
-            readers.update((row.lhs.count, row.rhs.count))
+            reads = any(how.values()) or row.first is not None and row.first <= hi
+            for count, m, k in row[:2]:  # read to m ceil(hi/k) if _row evaluates an n
+                check_horizon(top := m * -(-hi // k) if reads else 0)
+                if statement.shares:  # by table name: Row sides, last index read past hi
+                    readers[count] += 1
+                    if top > hi:  # built there at once, though read at hi first
+                        tops[count] = max(tops[count], top)
     # made again to run, so that none is held: factories name tables and read none
     rows = _rows(statement, spec)
     if verb == "search":  # skipped pairs are not scanned
         rows = (({"kind": kind, **base}, row) if kind != "shift"
                 else (base, row._replace(names=None))
                 for base, row in rows if isinstance(row, Row))
-    return cmd, _held(rows, spec, readers, statement.skip_each_n, **how)
+    return cmd, _held(rows, spec, readers, tops, statement.skip_each_n, **how)
 
 
 def verify_smalln_anchors(d: int, N: int,

@@ -1,5 +1,7 @@
 """Grid statements, the comparison lemmas, and counterexample search."""
 
+import collections
+import itertools
 import math
 
 import pytest
@@ -530,7 +532,12 @@ class TestRelease:
         # rows (out of the shift regime) read nothing
         ("shift", {"N_values": (2, 3, 4, 5), "d_values": tuple(range(63, 71))}),
         # q(1, ceil(d/a)) is read by the a = 1 row and again at a = 2, 3
-        ("ceiling", {"a_values": (1, 2, 3), "d_values": tuple(range(1, 13))})])
+        ("ceiling", {"a_values": (1, 2, 3), "d_values": tuple(range(1, 13))}),
+        # S of (a, d) is T of up to a later rows, read past n_max when a does
+        # not divide it (a = 3 here)
+        ("modified-st", {"a_values": (1, 2, 3), "d_values": tuple(range(1, 40))}),
+        # Q_d^(1,-) is read on both sides of the a = 1 row, and again at a = 2
+        ("a-to-1", {"a_values": (1, 2), "d_values": tuple(range(1, 30))})])
     def test_shared_tables_built_once(self, monkeypatch, name, axes):
         log = self.Log()
         monkeypatch.setattr(counting, "_tables", log)
@@ -555,6 +562,27 @@ class TestRelease:
         # each table built once, and released after its last reader
         assert len(set(log.stored)) == len(log.stored) == tables
         assert log == {}
+
+    @pytest.mark.parametrize("name", sorted(STATEMENTS))
+    def test_statement_shares_if_its_rows_name_one_table(self, name):
+        # the rows naming each table over a small grid, from the row factory
+        # alone.  Rows (a, d) and (d+3-a, d) of gen-dkst and delta name one Q
+        # table; such a mirrored pair is the only repeat a statement that
+        # does not share may have (its table is rebuilt for the second row)
+        statement = STATEMENTS[name]
+        xs, ys = ((2, 3, 4, 5), range(63, 71)) if name == "shift" else (range(1, 7),
+                                                                        range(1, 13))
+        rows = collections.defaultdict(set)
+        for x, y in itertools.product(xs, ys):
+            try:
+                row = statement.row(x, y)
+            except RefusedInput:
+                continue
+            for side in row[:2]:
+                rows[side.count].add((x, y))
+        mirrored = lambda pairs: all(pairs == {(a, d), (d + 3 - a, d)} for a, d in pairs)
+        repeats = [pairs for pairs in rows.values() if len(pairs) > 1]
+        assert statement.shares == (not all(map(mirrored, repeats)))
 
     def test_released_table_is_rebuilt(self, monkeypatch):
         builds = []
