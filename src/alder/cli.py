@@ -19,8 +19,9 @@ Start-up loads no other alder module and no ``json``, so ``--help`` and
 usage errors compile only this one.  After parsing, ``main`` imports
 ``commands`` (with ``partset`` and ``report``) and ``counting``, and each
 command imports what it runs: ``inequalities`` for verify and search,
-``injection`` for inject; ``cache`` for --cache or --out, ``csv`` for a
-csv report and ``traceback`` for an internal error or a failed --out.
+``injection`` for inject (and ``maps`` once a cell maps a partition);
+``cache`` for --cache or --out, ``csv`` for a csv report and
+``traceback`` for an internal error or a failed --out.
 
 Exit codes: 0 when every in-hypothesis assertion holds, 1 when at least
 one fails (a falsification candidate), 2 on refused input (always

@@ -1,30 +1,6 @@
-"""Piecewise injection from partitions over S(d, N) into partitions over T(5, d).
-
-Fix d, N and a target weight n.  Write p_i for the multiplicity of the
-i-th smallest element x_i of S(d, N) in a partition lam, and q_i for
-multiplicities over the elements y_i of T(5, d).  A partition is the
-map lam = {i: p_i} of its positive multiplicities in increasing i, and
-an image the map {i: q_i}.  The classification statistics are
-
-    alpha = sum_{i>=3} (x_i - y_i) * p_i      (nonnegative for
-            d >= max(31, 6N-17), by the difference table),
-    eps   = p_2 mod 2,
-    beta  = floor((p_1 + p_5) / (d - N - 1)),
-
-and lam is in class S1 when p_1 + alpha >= (N-2) * p_2, else in class
-S2 (sub-piece indexed by beta).  The two maps are
-
-    S1:  q_1 = p_1 + alpha - (N-2) p_2,             q_i = p_i (i >= 2)
-    S2:  q_1 = p_1 + alpha + (p_2+eps)(d-2N-8)/2 + 28 beta + (26+N) eps
-         q_2 = 2 beta + eps
-         q_5 = p_5 + (p_2+eps)/2 - 2 beta - 2 eps
-         q_i = p_i otherwise.
-
-Both preserve weight identically; nonnegativity of the images and global
-injectivity are what ``verify_injection`` checks.  The maps never clamp:
-a negative image multiplicity or a weight mismatch is evidence against
-the claimed inequality at that cell and surfaces as a MapViolation /
-report witness, never silently.
+"""Cell-by-cell check of the piecewise injection from partitions over
+S(d, N) into partitions over T(5, d): ``alder.maps`` defines its
+statistics, its classes S1 and S2 and its pieces phi1 and phi2.
 
 Only S2 needs a walk.  phi1 keeps q_i = p_i for i >= 2 and fixes q_1 by
 weight (y_1 = x_1 = 1 and y_2 = x_2 + N - 2), so distinct S1 members
@@ -34,16 +10,18 @@ checked per index, not per partition: x_i >= y_i for every i >= 3 with
 x_i <= n (so alpha is defined and nonnegative), and d - N - 1 >= 1.
 Under them S1 has rho(S, n) - |S2| members, and S2 is empty when
 N <= 2.  ``verify_injection`` walks the S2 members alone, maps and checks
-each by ``_map_checked`` (its image, p_2 >= 8, the piece separation), as
-the exhaustive check does every partition, and checks injectivity
-within S2.  An S2 image q equals an S1 image iff its phi1-preimage,
-p_i = q_i (i >= 2) with p_1 = q_1 - alpha(q) + (N-2) q_2, has p_1 >= 0,
-which is one closed-form sum per image.
+each by ``maps._map_checked`` (its image, p_2 >= 8, the piece
+separation), as the exhaustive check does every partition, and checks
+injectivity within S2.  An S2 image q equals an S1 image iff its
+phi1-preimage, p_i = q_i (i >= 2) with p_1 = q_1 - alpha(q) + (N-2) q_2,
+has p_1 >= 0, which is one closed-form sum per image.
 
-``_check_exhaustively`` enumerates every partition of n and maps it.  It
-is the structural check's fallback (and, in the tests, its oracle): a
-cell whose premises fail, or where any check fails, is rerun
-exhaustively, so its witnesses come in enumeration order.
+``maps._check_exhaustively`` enumerates every partition of n and maps
+it.  It is the structural check's fallback (and, in the tests, its
+oracle): a cell whose premises fail, or where any check fails, is rerun
+exhaustively, so its witnesses come in enumeration order.  Only these
+two paths map a partition, so only they load ``alder.maps``: a cell
+with an empty S2 never does.
 
 In-hypothesis cells satisfy N >= 2, d >= max(63, 46N-79), n >= 7d+14.
 Out-of-hypothesis cells run only when forced, and their failures are
@@ -60,7 +38,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from . import counting
 from .partset import RefusedInput, check_n, shift_regime, x_closed, y_closed
@@ -70,130 +48,9 @@ from .report import FAILS, HOLDS, OUT
 MAX_PARTITIONS = 10 ** 6
 
 
-class HypothesisViolation(ValueError):
-    """Raised when a statistic's defining hypotheses do not hold."""
-
-
-class MapViolation(Exception):
-    """A well-definedness failure of one of the maps; carries the witness."""
-
-    def __init__(self, message: str, witness: dict):
-        super().__init__(message)
-        self.witness = witness
-
-
-class PartitionStats(NamedTuple):
-    alpha: int
-    beta: int
-    epsilon: int
-    cls: str  # "S1" or "S2"
-
-
-def enumerate_partitions(name: str, n: int) -> list[dict[int, int]]:
-    """All partitions of n with parts in the set of the rho table ``name``,
-    as {i: p_i} maps, in a canonical order.
-
-    Depth-first over indices from the largest part value downwards,
-    taking the highest multiplicity first, so the first result packs as
-    much as possible into large parts and the last is all-smallest.  The
-    smallest part takes the remainder in one step.
-    """
-    check_n(n)
-    elements = counting.elements(name, n)
-    out: list[dict[int, int]] = []
-    acc: list[tuple[int, int]] = []  # (i, p_i), largest index first
-
-    def walk(idx: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(dict(reversed(acc)))
-        elif idx == 0:
-            m, rest = divmod(remaining, elements[0])
-            if rest == 0:
-                out.append(dict([(1, m), *reversed(acc)]))
-        elif idx > 0:
-            v = elements[idx]
-            for m in range(remaining // v, 0, -1):
-                acc.append((idx + 1, m))
-                walk(idx - 1, remaining - m * v)
-                acc.pop()
-            walk(idx - 1, remaining)
-
-    walk(len(elements) - 1, n)
-    return out
-
-
 def in_hypothesis(d: int, N: int, n: int) -> bool:
     """The regime in which the piecewise injection is asserted to work."""
     return shift_regime(d, N) and n >= 7 * d + 14
-
-
-def stats(lam: dict[int, int], d: int, N: int) -> PartitionStats:
-    """Classification statistics of a partition {i: p_i} over S(d, N).
-
-    Rejects if some held part has x_i < y_i (the alpha >= 0 regime
-    requires d >= max(31, 6N-17)).
-    """
-    alpha = 0
-    for i, m in lam.items():
-        if i >= 3:
-            diff = x_closed(d, N, i) - y_closed(d, i)
-            if diff < 0:
-                raise HypothesisViolation(
-                    f"x_{i} - y_{i} = {diff} < 0 at d={d}, N={N}")
-            alpha += diff * m
-    p1 = lam.get(1, 0)
-    p2 = lam.get(2, 0)
-    p5 = lam.get(5, 0)
-    eps = p2 % 2
-    denom = d - N - 1
-    if denom < 1:
-        raise HypothesisViolation(f"d - N - 1 = {denom} < 1 at d={d}, N={N}")
-    beta = (p1 + p5) // denom
-    cls = "S1" if p1 + alpha >= (N - 2) * p2 else "S2"
-    return PartitionStats(alpha, beta, eps, cls)
-
-
-def _image(lam: dict[int, int], d: int, N: int, q: dict[int, int],
-           piece: str) -> dict[int, int]:
-    """The image {i: q_i} over T(5, d), checking well-definedness."""
-    negative = {i: m for i, m in q.items() if m < 0}
-    if negative:
-        raise MapViolation(
-            f"{piece} produced negative multiplicities at d={d}, N={N}",
-            {"piece": piece, "source": lam, "negative": negative})
-    image = {i: m for i, m in sorted(q.items()) if m > 0}
-    weight = sum(m * y_closed(d, i) for i, m in image.items())
-    expected = sum(m * x_closed(d, N, i) for i, m in lam.items())
-    if weight != expected:
-        raise MapViolation(
-            f"{piece} changed the weight {expected} -> {weight} at d={d}, N={N}",
-            {"piece": piece, "source": lam,
-             "image": image, "weight": weight, "expected": expected})
-    return image
-
-
-def phi1(lam: dict[int, int], d: int, N: int,
-         st: PartitionStats | None = None) -> dict[int, int]:
-    """The S1 piece: move the class-S1 surplus into parts of size 1."""
-    st = st or stats(lam, d, N)
-    q = dict(lam)
-    q[1] = lam.get(1, 0) + st.alpha - (N - 2) * lam.get(2, 0)
-    return _image(lam, d, N, q, "phi1")
-
-
-def phi2(lam: dict[int, int], d: int, N: int,
-         st: PartitionStats | None = None) -> dict[int, int]:
-    """The S2 piece: rebalance p_2 into parts y_1, y_2, y_5 guided by beta, eps."""
-    st = st or stats(lam, d, N)
-    p1 = lam.get(1, 0)
-    p2 = lam.get(2, 0)
-    p5 = lam.get(5, 0)
-    eps, beta = st.epsilon, st.beta
-    q = dict(lam)
-    q[1] = p1 + st.alpha + (p2 + eps) * (d - 2 * N - 8) // 2 + 28 * beta + (26 + N) * eps
-    q[2] = 2 * beta + eps
-    q[5] = p5 + (p2 + eps) // 2 - 2 * beta - 2 * eps
-    return _image(lam, d, N, q, "phi2")
 
 
 class InjectionCellReport:
@@ -260,68 +117,23 @@ def _open_cell(d: int, N: int, n: int,
     return report, S
 
 
-def _map_checked(lam: dict[int, int], d: int, N: int,
-                 failed: list[dict]) -> tuple[str | None, dict[int, int] | None]:
-    """Classify one partition and map it by its class's piece.
-
-    Appends the witness of each check it fails to ``failed``, in this
-    order: its statistics, p_2 >= 8 (an S2 member), the map, and the beta
-    piece separation (an S2 image).  Returns the class and the image,
-    each None if it is not defined.
-    """
-    try:
-        st = stats(lam, d, N)
-    except HypothesisViolation as exc:
-        failed.append({"source": lam, "error": str(exc)})
-        return None, None
-    if st.cls == "S2" and lam.get(2, 0) < 8:
-        failed.append({"check": "p2_lower_bound", "source": lam, "p2": lam.get(2, 0)})
-    try:
-        img = phi1(lam, d, N, st) if st.cls == "S1" else phi2(lam, d, N, st)
-    except MapViolation as exc:
-        failed.append(exc.witness)
-        return st.cls, None
-    if st.cls == "S2" and img.get(2, 0) // 2 != st.beta:
-        failed.append({"check": "piece_separation", "source": lam,
-                       "beta": st.beta, "q2": img.get(2, 0)})
-    return st.cls, img
-
-
 def _settle(report: InjectionCellReport, mapped: int, distinct: int,
-            failed: list[dict]) -> None:
+            witnesses: list[dict], failed: set[str]) -> None:
     """Set the checks of an evaluated cell whose sizes are filled in:
     ``mapped`` of its partitions have an image, ``distinct`` images in all,
-    and ``failed`` holds the witnesses of ``_map_checked``."""
-    report.witnesses += failed
+    ``witnesses`` are the first five of ``maps._map_checked`` and
+    ``failed`` names every check that one of its witnesses failed."""
+    report.witnesses += witnesses
     classified = report.s1_size + report.s2_size == report.size
     report.checks = {
         "classification_partitions": classified,
         "enumeration_matches_rho": report.size == report.rho_s,
         "stats_defined": classified,  # a partition is classified iff its stats are
-        "images_valid": mapped == report.size,  # _image rejects any weight drift
+        "images_valid": mapped == report.size,  # maps._image rejects weight drift
         "injective": distinct == mapped,
-        "piece_separation": True,  # these two fail by a witness that names them
+        "piece_separation": "piece_separation" not in failed,
         "rho_dominates": report.rho_t >= report.rho_s,
-        "p2_lower_bound": True}
-    report.checks.update((witness["check"], False) for witness in failed if "check" in witness)
-
-
-def _check_exhaustively(report: InjectionCellReport, S: str) -> None:
-    """Enumerate every partition of n over the set named ``S``, map it and
-    fill in ``report``."""
-    partitions = enumerate_partitions(S, report.n)
-    report.size = len(partitions)
-    images: set[tuple[tuple[int, int], ...]] = set()
-    mapped = 0
-    failed: list[dict] = []
-    for lam in partitions:
-        cls, img = _map_checked(lam, report.d, report.N, failed)
-        report.s1_size += cls == "S1"
-        report.s2_size += cls == "S2"
-        if img is not None:
-            mapped += 1
-            images.add(tuple(img.items()))
-    _settle(report, mapped, len(images), failed)
+        "p2_lower_bound": "p2_lower_bound" not in failed}
 
 
 def _s2_members(d: int, N: int, n: int, xs: list[int],
@@ -381,13 +193,15 @@ def _s2_size(d: int, N: int, n: int) -> int | None:
     ys = [0, *(y_closed(d, i) for i in range(1, len(xs)))]
     if d - N - 1 < 1 or any(x < y for x, y in zip(xs[3:], ys[3:])):
         return None
-    images: set[tuple[tuple[int, int], ...]] = set()
+    images: set[bytes] = set()
     failed: list[dict] = []
     for lam in _s2_members(d, N, n, xs, ys):
-        _, img = _map_checked(lam, d, N, failed)
+        if not images:  # the first member: an empty S2 loads no maps
+            from . import maps
+        _, img = maps._map_checked(lam, d, N, failed)
         if failed:
             return None
-        key = tuple(img.items())
+        key = maps._key(img)
         # the phi1-preimage of img; a partition of n, in S1, iff its p_1 >= 0
         p1 = (img.get(1, 0) + (N - 2) * img.get(2, 0)
               - sum((x_closed(d, N, i) - y_closed(d, i)) * m
@@ -411,8 +225,8 @@ def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCe
     The cell is settled structurally when it can be (see the module
     docstring): only the S2 members are walked and mapped, and the
     report's size is rho(S, n) read from its count table.  When a premise
-    or any check fails, the cell is rerun by ``_check_exhaustively``, so
-    the report, witnesses included, is always the one the exhaustive
+    or any check fails, the cell is rerun by ``maps._check_exhaustively``,
+    so the report, witnesses included, is always the one the exhaustive
     check gives.
 
     Out-of-hypothesis cells are evaluated only when ``force`` is set and
@@ -426,11 +240,12 @@ def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCe
         return report
     s2_size = _s2_size(d, N, n)
     if s2_size is None or report.rho_t < report.rho_s:
-        _check_exhaustively(report, S)
+        from . import maps
+        _settle(report, *maps._check_exhaustively(report, S))
         return report
     report.size, report.s2_size = report.rho_s, s2_size
     report.s1_size = report.size - s2_size
-    _settle(report, report.size, report.size, [])  # every check holds
+    _settle(report, report.size, report.size, [], set())  # every check holds
     return report
 
 

@@ -5,9 +5,11 @@ each refuses n beyond a limit unless the caller raises it.  The table
 oracles are the plain loops that counting's slice passes replace;
 ``gap_table`` is also the two-pass form of the q_d^(a) table (grow "at
 most k parts", then add it in at off_k) that counting's Horner
-evaluation no longer uses.  The last helpers are no oracles: ``big_q``
-and ``delta`` read one entry of counting's tables under the paper's
-names, for tests that check one count at a time; ``check_andrews`` runs
+evaluation no longer uses.  ``partitions_list`` is the recursive,
+list-building walk that ``maps.enumerate_partitions`` streams, in the
+same order.  The last helpers are no oracles: ``big_q`` and ``delta``
+read one entry of counting's tables under the paper's names, for tests
+that check one count at a time; ``check_andrews`` runs
 the set-domination bound as one grid row, ``positive_integers`` names
 the set of all parts, ``pm_set`` a +-a set made for a test, and
 ``verify_injection_exhaustive`` runs an inject cell by its fallback
@@ -28,9 +30,9 @@ and ``search_counterexamples`` collect the blocks of
 
 from typing import NamedTuple
 
-from alder import counting, inequalities, injection
+from alder import counting, inequalities, injection, maps
 from alder.inequalities import Row, Side
-from alder.partset import RefusedInput, r_of
+from alder.partset import RefusedInput, check_n, r_of
 from alder.report import FAILS, VerificationReport
 
 #: refuse brute-force enumeration beyond this unless the caller raises it
@@ -243,11 +245,38 @@ def pm_set(a: int, modulus: int, exclusions=()) -> str:
     return counting.rho_name(modulus, {a % modulus, (modulus - a) % modulus}, set(exclusions))
 
 
+def partitions_list(A: str, n: int) -> list[dict[int, int]]:
+    """Reference for ``maps.enumerate_partitions``: the same partitions as
+    {i: p_i} maps, in the same order, by plain recursion into a list."""
+    check_n(n)
+    elements = counting.elements(A, n)
+    out: list[dict[int, int]] = []
+    acc: list[tuple[int, int]] = []  # (i, p_i), largest index first
+
+    def walk(idx: int, remaining: int) -> None:
+        if remaining == 0:
+            out.append(dict(reversed(acc)))
+        elif idx == 0:
+            m, rest = divmod(remaining, elements[0])
+            if rest == 0:
+                out.append(dict([(1, m), *reversed(acc)]))
+        elif idx > 0:
+            v = elements[idx]
+            for m in range(remaining // v, 0, -1):
+                acc.append((idx + 1, m))
+                walk(idx - 1, remaining - m * v)
+                acc.pop()
+            walk(idx - 1, remaining)
+
+    walk(len(elements) - 1, n)
+    return out
+
+
 def verify_injection_exhaustive(d: int, N: int, n: int, force: bool = False):
     """``injection.verify_injection`` by enumerating and mapping every
     partition of n, as its fallback does: the oracle of the structural
     check, and the only path that produces witnesses, in enumeration order."""
     report, S = injection._open_cell(d, N, n, force)
     if S is not None:
-        injection._check_exhaustively(report, S)
+        injection._settle(report, *maps._check_exhaustively(report, S))
     return report

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alder import cache, cli, commands, counting, inequalities, injection
+from alder import cache, cli, commands, counting, inequalities, injection, maps
 from alder.counting import s_set
 from alder.partset import RefusedInput
 from alder.report import VerificationReport
@@ -467,6 +467,19 @@ class TestStartup:
                               check=True, text=True, env=child_env())
         assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0] []"
 
+    def test_inject_loads_maps_only_to_map_a_partition(self):
+        # an N = 2 range has no S2 member to map; a forced cell whose
+        # premises fail maps every partition
+        probe = ("import sys, alder.cli\n"
+                 "for argv in (['inject', '--d', '63', '--N', '2', '--n', '455..460'],\n"
+                 "             ['inject', '--d', '31', '--N', '9', '--n', '150', '--force']):\n"
+                 "    code = alder.cli.main(argv)\n"
+                 "    print('maps', code, 'alder.maps' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              check=True, text=True, env=child_env())
+        assert [line for line in proc.stderr.splitlines() if line.startswith("maps")] == \
+            ["maps 0 False", "maps 0 True"]
+
     def test_help_and_usage_errors_load_no_engine(self):
         # only the parser: no other alder module and no json.  Compared with
         # what was loaded before, since a site hook may preload some modules
@@ -636,7 +649,7 @@ class TestInject:
         rho_s = counting.rho(s_set(63, 2), 520)
         monkeypatch.setattr(injection, "MAX_PARTITIONS", rho_s - 1)
         enumerated = []
-        monkeypatch.setattr(injection, "enumerate_partitions",
+        monkeypatch.setattr(maps, "enumerate_partitions",
                             lambda A, n: enumerated.append(n) or [])
         for jobs in ("1", "2"):
             code, out, err = run_cli(["inject", "--d", "63", "--N", "2", "--n",

@@ -247,7 +247,7 @@ class TestLargestPartCounts:
         assert sum(dist) == rho(s_set(63, 2), 321)
 
     def test_agrees_with_enumeration(self):
-        from alder.injection import enumerate_partitions
+        from alder.maps import enumerate_partitions
         A = s_set(63, 2)
         n = 130
         per_largest = {}

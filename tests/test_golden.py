@@ -115,6 +115,10 @@ GOLDEN = [
      "8bf160709e72856ff4116fd97483fd74a9d9e919e22bbb119f659ccd0fa61d86"),
     ("inject --d 31 --N 9 --n 120..130 --force", 0,
      "0cf75526f09f935bdaf11813dd6049d1f928a0190b89ca20726ecaf0cc710ec2"),
+    # 50 witnesses, the first five stats errors: the report still names
+    # p2_lower_bound and injective, which fail only after them
+    ("inject --d 31 --N 9 --n 300 --force", 0,
+     "0c38e419b589ad72a79bd9c11c161688b5eb2575ec584ca698cf52ff58a630eb"),
     ("inject --d 40 --N 3 --n 290 --force --format human", 0,
      "b22d2f9f85b8582269c47b3ef6d74778a56dc5fddb0be72baa5922f0de1dc709"),
     ("inject --d 63 --N 3 --n 455..460", 0,

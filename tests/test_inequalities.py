@@ -84,10 +84,10 @@ class TestVerifyShiftRange:
         assert [r.params["n"] for r in report.records] == [1, 2, 3]
 
     def test_agrees_with_enumeration(self):
-        from alder.injection import enumerate_partitions
+        from alder.maps import enumerate_partitions
         d, N, n = 63, 2, 130
         assert verify_shift(N, d, n, n).records[0].value == \
-            column(q_name(1, d), n)[n] - len(enumerate_partitions(s_set(d, N), n))
+            column(q_name(1, d), n)[n] - len(list(enumerate_partitions(s_set(d, N), n)))
 
 
 class TestAndrews:

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alder import injection
+from alder import injection, maps
 from alder.counting import MAX_HORIZON, elements, rho, s_set, t_set
-from alder.injection import (HypothesisViolation, MapViolation,
-                             enumerate_partitions, in_hypothesis, phi1, phi2,
-                             stats, verify_injection, verify_range)
+from alder.injection import in_hypothesis, verify_injection, verify_range
+from alder.maps import (HypothesisViolation, MapViolation, enumerate_partitions,
+                        phi1, phi2, stats)
 from alder.partset import RefusedInput, shift_regime, x_closed, y_closed
-from oracles import pm_set, positive_integers, verify_injection_exhaustive
+from oracles import partitions_list, pm_set, positive_integers, verify_injection_exhaustive
 
 
 def weight_s(lam, d, N):
@@ -53,21 +53,21 @@ def reference_order(A, n):
 
 class TestEnumerateS:
     def test_two_partitions_of_126(self):
-        parts = enumerate_partitions(s_set(63, 2), 126)
+        parts = list(enumerate_partitions(s_set(63, 2), 126))
         assert parts == [{1: 61, 2: 1}, {1: 126}]
         assert list(parts[0]) == [1, 2]
 
     def test_zero_and_tiny(self):
-        assert enumerate_partitions(s_set(63, 2), 0) == [{}]
-        assert enumerate_partitions(s_set(63, 2), 2) == [{1: 2}]
+        assert list(enumerate_partitions(s_set(63, 2), 0)) == [{}]
+        assert list(enumerate_partitions(s_set(63, 2), 2)) == [{1: 2}]
 
     @pytest.mark.parametrize("d,N,n", [(63, 2, 130), (63, 3, 200), (105, 4, 120)])
     def test_count_matches_rho(self, d, N, n):
-        assert len(enumerate_partitions(s_set(d, N), n)) == rho(s_set(d, N), n)
+        assert len(list(enumerate_partitions(s_set(d, N), n))) == rho(s_set(d, N), n)
 
     def test_deterministic_order(self):
-        assert enumerate_partitions(s_set(63, 2), 130) == \
-            enumerate_partitions(s_set(63, 2), 130)
+        assert list(enumerate_partitions(s_set(63, 2), 130)) == \
+            list(enumerate_partitions(s_set(63, 2), 130))
 
 
 class TestEnumeratePartitions:
@@ -77,7 +77,7 @@ class TestEnumeratePartitions:
     @pytest.mark.parametrize("A", SETS, ids=lambda A: A.removeprefix("rho."))
     def test_maps_are_the_partitions_counted_by_rho(self, A):
         for n in range(0, 41):
-            parts = enumerate_partitions(A, n)
+            parts = list(enumerate_partitions(A, n))
             assert len(parts) == rho(A, n)
             xs = elements(A, n)
             for lam in parts:
@@ -92,16 +92,25 @@ class TestEnumeratePartitions:
     @pytest.mark.parametrize("A,n", ORDER_CASES,  # short ids: the i-th set and its n
                              ids=[f"A{i}-{n}" for i, (_, n) in enumerate(ORDER_CASES)])
     def test_order_unchanged(self, A, n):
-        assert enumerate_partitions(A, n) == reference_order(A, n)
+        assert list(enumerate_partitions(A, n)) == reference_order(A, n)
+
+    @pytest.mark.parametrize("A", SETS, ids=lambda A: A.removeprefix("rho."))
+    def test_streams_the_reference_sequence(self, A):
+        walk = enumerate_partitions(A, 40)
+        assert iter(walk) is walk  # a stream, not a list
+        for n in (0, 1, 5, 17, 40):
+            assert list(enumerate_partitions(A, n)) == partitions_list(A, n), n
+        S = s_set(31, 9)
+        assert list(enumerate_partitions(S, 300)) == partitions_list(S, 300)
 
     def test_edges(self):
         A = pm_set(5, 11)
-        assert enumerate_partitions(A, 0) == [{}]
-        assert enumerate_partitions(A, 4) == []
-        assert enumerate_partitions(A, 7) == []
-        assert enumerate_partitions(A, 5) == [{1: 1}]
+        assert list(enumerate_partitions(A, 0)) == [{}]
+        assert list(enumerate_partitions(A, 4)) == []
+        assert list(enumerate_partitions(A, 7)) == []
+        assert list(enumerate_partitions(A, 5)) == [{1: 1}]
         with pytest.raises(ValueError):
-            enumerate_partitions(A, -1)
+            list(enumerate_partitions(A, -1))
 
 
 class TestStats:
@@ -159,7 +168,7 @@ class TestPhi1:
     def test_weight_mismatch_is_a_violation(self):
         # no piece changes the weight; _image checks it of any q it is given
         with pytest.raises(MapViolation, match="changed the weight 3 -> 2") as exc:
-            injection._image({1: 3}, 63, 2, {1: 2}, "phi1")
+            maps._image({1: 3}, 63, 2, {1: 2}, "phi1")
         assert exc.value.witness == {"piece": "phi1", "source": {1: 3},
                                      "image": {1: 2}, "weight": 2, "expected": 3}
 
@@ -201,10 +210,10 @@ class TestPhiDispatch:
         # the exhaustive check sends each class to its own piece
         seen = []
         for name in ("phi1", "phi2"):
-            def spy(lam, d, N, st_=None, real=getattr(injection, name), name=name):
+            def spy(lam, d, N, st_=None, real=getattr(maps, name), name=name):
                 seen.append((name, stats(lam, d, N).cls))
                 return real(lam, d, N, st_)
-            monkeypatch.setattr(injection, name, spy)
+            monkeypatch.setattr(maps, name, spy)
         rep = verify_injection_exhaustive(63, 3, 519)
         assert rep.s1_size > 0 and rep.s2_size > 0
         assert sorted(set(seen)) == [("phi1", "S1"), ("phi2", "S2")]
@@ -324,7 +333,7 @@ class TestVerifyInjection:
         def never(A, n):
             raise AssertionError("enumerated a cell over the cap")
 
-        monkeypatch.setattr(injection, "enumerate_partitions", never)
+        monkeypatch.setattr(maps, "enumerate_partitions", never)
         with pytest.raises(ValueError, match=f"{rho_s} partitions"):
             verify_injection(d, N, n)
 
@@ -397,8 +406,8 @@ class TestStructuralCheck:
         def never(*args):
             raise AssertionError("walked S1")
 
-        monkeypatch.setattr(injection, "enumerate_partitions", never)
-        monkeypatch.setattr(injection, "phi1", never)
+        monkeypatch.setattr(maps, "enumerate_partitions", never)
+        monkeypatch.setattr(maps, "phi1", never)
         rep = verify_injection(63, 3, 519)
         assert rep.status == "holds" and rep.s2_size == 1
         # near the partition cap: 785,314 partitions, none of them walked
@@ -409,8 +418,8 @@ class TestStructuralCheck:
     def enumerated(self, monkeypatch):
         """The n of every exhaustive enumeration, in call order."""
         calls = []
-        real = injection.enumerate_partitions
-        monkeypatch.setattr(injection, "enumerate_partitions",
+        real = maps.enumerate_partitions
+        monkeypatch.setattr(maps, "enumerate_partitions",
                             lambda A, n: calls.append(n) or real(A, n))
         return calls
 
@@ -444,10 +453,24 @@ class TestStructuralCheck:
         assert json.dumps(rep.block[1][0][3]["witnesses"], separators=(",", ":")) == \
             '[{"check":"p2_lower_bound","source":{"2":7},"p2":7}]'
 
+    def test_checks_failed_after_the_fifth_witness_are_kept(self):
+        # the forced cell has 50 witnesses: its first five are stats errors,
+        # and p2_lower_bound fails only from the 44th on
+        d, N, n = 31, 9, 300
+        failed = []
+        for lam in partitions_list(s_set(d, N), n):
+            maps._map_checked(lam, d, N, failed)
+        assert len(failed) == 50 and all("error" in w for w in failed[:5])
+        rep = verify_injection(d, N, n, force=True)
+        assert rep.witnesses == failed[:5]
+        assert [k for k, v in rep.checks.items() if not v] == [
+            "classification_partitions", "stats_defined", "images_valid",
+            "injective", "p2_lower_bound"]
+
     def test_piece_separation_failure_witnessed(self, monkeypatch, enumerated):
         # phi2 patched to put q_2 = 2 in piece beta = 1 of a beta = 0 member
-        real = injection.phi2
-        monkeypatch.setattr(injection, "phi2", lambda *args: {**real(*args), 2: 2})
+        real = maps.phi2
+        monkeypatch.setattr(maps, "phi2", lambda *args: {**real(*args), 2: 2})
         rep = verify_injection(63, 3, 519)
         assert enumerated == [519]
         assert [k for k, v in rep.checks.items() if not v] == ["piece_separation"]
