@@ -14,7 +14,9 @@ each by ``maps._map_checked`` (its image, p_2 >= 8, the piece
 separation), as the exhaustive check does every partition, and checks
 injectivity within S2.  An S2 image q equals an S1 image iff its
 phi1-preimage, p_i = q_i (i >= 2) with p_1 = q_1 - alpha(q) + (N-2) q_2,
-has p_1 >= 0, which is one closed-form sum per image.
+has p_1 >= 0; alpha(q) is the statistics' own alpha (``maps._alpha``).
+Every x_i and y_i is read from the cell's ``_element_table``, evaluated
+once from the closed forms when ``_open_cell`` names S and T.
 
 ``maps._check_exhaustively`` enumerates every partition of n and maps
 it.  It is the structural check's fallback (and, in the tests, its
@@ -41,7 +43,7 @@ import itertools
 from typing import Iterator, Sequence
 
 from . import counting
-from .partset import RefusedInput, check_n, shift_regime, x_closed, y_closed
+from .partset import Elements, RefusedInput, check_n, shift_regime, x_closed, y_closed
 from .report import FAILS, HOLDS, OUT
 
 #: largest rho(S, n) a cell may check; checked before any partition is examined
@@ -90,11 +92,10 @@ class InjectionCellReport:
                 [(self.status, (None,), (self.size if self.evaluated else None,), witness)])
 
 
-def _open_cell(d: int, N: int, n: int,
-               force: bool) -> tuple[InjectionCellReport, str | None]:
-    """A cell's report before any partition is examined, with the name of
-    S(d, N) if the cell is to be checked (None if it is skipped or not
-    constructible)."""
+def _open_cell(d: int, N: int, n: int, force: bool) -> tuple[InjectionCellReport, Elements | None]:
+    """A cell's report before any partition is examined, with the cell's
+    ``_element_table`` if it is to be checked (None if it is skipped or
+    not constructible)."""
     check_n(n)
     hyp = in_hypothesis(d, N, n)
     report = InjectionCellReport(d, N, n, in_hypothesis=hyp, evaluated=hyp or force)
@@ -114,7 +115,19 @@ def _open_cell(d: int, N: int, n: int,
         raise RefusedInput(f"cell d={d}, N={N}, n={n} has {report.rho_s} "
                            f"partitions, more than {MAX_PARTITIONS}")
     report.rho_t = counting.rho(T, n)
-    return report, S
+    return report, _element_table(d, N, n)
+
+
+def _element_table(d: int, N: int, n: int) -> Elements:
+    """The cell's elements, evaluated once: entry i is (x_i, y_i, x_i - y_i)
+    for every i with x_i <= n, and for every i <= 5 whatever n is, since
+    phi2 may put a part y_5 into an image; entry 0 is (0, 0, 0)."""
+    els = [(0, 0, 0)]
+    for i in itertools.count(1):
+        x, y = x_closed(d, N, i), y_closed(d, i)
+        if x > n and i > 5:
+            return els
+        els.append((x, y, x - y))
 
 
 def _settle(report: InjectionCellReport, mapped: int, distinct: int,
@@ -136,14 +149,11 @@ def _settle(report: InjectionCellReport, mapped: int, distinct: int,
         "p2_lower_bound": "p2_lower_bound" not in failed}
 
 
-def _s2_members(d: int, N: int, n: int, xs: list[int],
-                ys: list[int]) -> Iterator[dict[int, int]]:
+def _s2_members(N: int, n: int, els: Elements) -> Iterator[dict[int, int]]:
     """Every class-S2 partition of n over S(d, N), given the premises.
 
-    ``xs[i]`` and ``ys[i]`` are x_i and y_i for 1 <= i <= len(xs) - 1, every
-    index with x_i <= n (entry 0 is a placeholder).  Fix p_2 = m >= 1 and
-    write B = n - m x_2.  A multiset {i: p_i} over i >= 3 with
-    sum p_i x_i <= B leaves p_1 = B - sum p_i x_i, and
+    Fix p_2 = m >= 1 and write B = n - m x_2.  A multiset {i: p_i} over
+    i >= 3 with sum p_i x_i <= B leaves p_1 = B - sum p_i x_i, and
 
         p_1 + alpha = B - sum p_i y_i,
 
@@ -157,22 +167,18 @@ def _s2_members(d: int, N: int, n: int, xs: list[int],
     parts) and skips unused indices, so its depth is the number of
     distinct parts, not the number of indices.
     """
-    delta = [x - y for x, y in zip(xs, ys)]
-    dmin = list(delta)  # dmin[j] = min(delta[3..j]) for j >= 3
-    for j in range(4, len(xs)):
-        dmin[j] = min(dmin[j], dmin[j - 1])
-    x2 = x_closed(d, N, 2)
-    for m in range(1, n // x2 + 1):
+    xs, ys, delta = zip(*els)
+    dmin = [*delta[:3], *itertools.accumulate(delta[3:], min)]  # min(delta[3..j])
+    for m in range(1, n // xs[2] + 1):
         cap = (N - 2) * m - 1
         if cap < 0:
             continue
-        stack = [(len(xs) - 1, n - m * x2, 0, ())]
+        stack = [(len(xs) - 1, n - m * xs[2], 0, ())]
         while stack:
             top, rest, alpha, parts = stack.pop()
             need = rest + alpha - cap
             if need <= 0:
-                lam = {1: rest} if rest else {}
-                lam[2] = m
+                lam = {1: rest, 2: m} if rest else {2: m}
                 lam.update(reversed(parts))
                 yield lam
             for j in range(min(top, bisect.bisect_right(xs, rest) - 1), 2, -1):
@@ -186,26 +192,22 @@ def _s2_members(d: int, N: int, n: int, xs: list[int],
                                   parts + ((j, k),)))
 
 
-def _s2_size(d: int, N: int, n: int) -> int | None:
+def _s2_size(d: int, N: int, n: int, els: Elements) -> int | None:
     """The number of S2 partitions, if the structural argument settles the
     cell; None if a premise or a check on an S2 member fails."""
-    xs = [0, *itertools.takewhile(n.__ge__, (x_closed(d, N, i) for i in itertools.count(1)))]
-    ys = [0, *(y_closed(d, i) for i in range(1, len(xs)))]
-    if d - N - 1 < 1 or any(x < y for x, y in zip(xs[3:], ys[3:])):
+    if d - N - 1 < 1 or any(diff < 0 for x, _, diff in els[3:] if x <= n):
         return None
     images: set[bytes] = set()
     failed: list[dict] = []
-    for lam in _s2_members(d, N, n, xs, ys):
+    for lam in _s2_members(N, n, els):
         if not images:  # the first member: an empty S2 loads no maps
             from . import maps
-        _, img = maps._map_checked(lam, d, N, failed)
+        _, img = maps._map_checked(lam, d, N, els, failed)
         if failed:
             return None
         key = maps._key(img)
-        # the phi1-preimage of img; a partition of n, in S1, iff its p_1 >= 0
-        p1 = (img.get(1, 0) + (N - 2) * img.get(2, 0)
-              - sum((x_closed(d, N, i) - y_closed(d, i)) * m
-                    for i, m in img.items() if i >= 3))
+        # img's phi1-preimage (p_i = q_i, i >= 3) is in S1, a partition of n, iff p_1 >= 0
+        p1 = img.get(1, 0) + (N - 2) * img.get(2, 0) - maps._alpha(img, els)
         if key in images or p1 >= 0:
             return None
         images.add(key)
@@ -235,13 +237,13 @@ def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCe
     ``counting.MAX_HORIZON`` or rho(S, n) exceeds MAX_PARTITIONS; these
     are checked before any partition is examined.
     """
-    report, S = _open_cell(d, N, n, force)
-    if S is None:
+    report, els = _open_cell(d, N, n, force)
+    if els is None:
         return report
-    s2_size = _s2_size(d, N, n)
+    s2_size = _s2_size(d, N, n, els)
     if s2_size is None or report.rho_t < report.rho_s:
         from . import maps
-        _settle(report, *maps._check_exhaustively(report, S))
+        _settle(report, *maps._check_exhaustively(report, els))
         return report
     report.size, report.s2_size = report.rho_s, s2_size
     report.s1_size = report.size - s2_size

@@ -20,11 +20,14 @@ S2 (sub-piece indexed by beta).  The two maps are
          q_5 = p_5 + (p_2+eps)/2 - 2 beta - 2 eps
          q_i = p_i otherwise.
 
-Both preserve weight identically; nonnegativity of the images and global
-injectivity are what ``alder.injection`` checks.  The maps never clamp:
-a negative image multiplicity or a weight mismatch is evidence against
-the claimed inequality at that cell and surfaces as a MapViolation /
-report witness, never silently.
+Every function here that reads an element takes the cell's element
+table ``els`` (``injection._element_table``): els[i] = (x_i, y_i,
+x_i - y_i), so no closed form is evaluated per part.  Both maps preserve
+weight identically; nonnegativity of the images and global injectivity
+are what ``alder.injection`` checks.  The maps never clamp: a negative
+image multiplicity or a weight mismatch is evidence against the claimed
+inequality at that cell and surfaces as a MapViolation / report witness,
+never silently.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import array
 from typing import Iterator, NamedTuple
 
 from . import counting
-from .partset import check_n, x_closed, y_closed
+from .partset import Elements, check_n
 
 
 class HypothesisViolation(ValueError):
@@ -82,34 +85,31 @@ def enumerate_partitions(name: str, n: int) -> Iterator[dict[int, int]]:
                          for k in range(1, rest // v + 1))
 
 
-def stats(lam: dict[int, int], d: int, N: int) -> PartitionStats:
+def _alpha(lam: dict[int, int], els: Elements) -> int:
+    """alpha = sum_{i>=3} (x_i - y_i) p_i of {i: p_i}, read from ``els``."""
+    return sum(els[i][2] * m for i, m in lam.items() if i >= 3)
+
+
+def stats(lam: dict[int, int], d: int, N: int, els: Elements) -> PartitionStats:
     """Classification statistics of a partition {i: p_i} over S(d, N).
 
     Rejects if some held part has x_i < y_i (the alpha >= 0 regime
-    requires d >= max(31, 6N-17)).
+    requires d >= max(31, 6N-17)) or if d - N - 1 < 1.
     """
-    alpha = 0
-    for i, m in lam.items():
-        if i >= 3:
-            diff = x_closed(d, N, i) - y_closed(d, i)
-            if diff < 0:
-                raise HypothesisViolation(
-                    f"x_{i} - y_{i} = {diff} < 0 at d={d}, N={N}")
-            alpha += diff * m
-    p1 = lam.get(1, 0)
-    p2 = lam.get(2, 0)
-    p5 = lam.get(5, 0)
-    eps = p2 % 2
+    for i in lam:
+        if i >= 3 and els[i][2] < 0:
+            raise HypothesisViolation(f"x_{i} - y_{i} = {els[i][2]} < 0 at d={d}, N={N}")
+    p1, p2, p5 = lam.get(1, 0), lam.get(2, 0), lam.get(5, 0)
     denom = d - N - 1
     if denom < 1:
         raise HypothesisViolation(f"d - N - 1 = {denom} < 1 at d={d}, N={N}")
-    beta = (p1 + p5) // denom
+    alpha = _alpha(lam, els)
     cls = "S1" if p1 + alpha >= (N - 2) * p2 else "S2"
-    return PartitionStats(alpha, beta, eps, cls)
+    return PartitionStats(alpha, (p1 + p5) // denom, p2 % 2, cls)
 
 
-def _image(lam: dict[int, int], d: int, N: int, q: dict[int, int],
-           piece: str) -> dict[int, int]:
+def _image(lam: dict[int, int], d: int, N: int, els: Elements,
+           q: dict[int, int], piece: str) -> dict[int, int]:
     """The image {i: q_i} over T(5, d), checking well-definedness."""
     negative = {i: m for i, m in q.items() if m < 0}
     if negative:
@@ -117,8 +117,8 @@ def _image(lam: dict[int, int], d: int, N: int, q: dict[int, int],
             f"{piece} produced negative multiplicities at d={d}, N={N}",
             {"piece": piece, "source": lam, "negative": negative})
     image = {i: m for i, m in sorted(q.items()) if m > 0}
-    weight = sum(m * y_closed(d, i) for i, m in image.items())
-    expected = sum(m * x_closed(d, N, i) for i, m in lam.items())
+    weight = sum(m * els[i][1] for i, m in image.items())
+    expected = sum(m * els[i][0] for i, m in lam.items())
     if weight != expected:
         raise MapViolation(
             f"{piece} changed the weight {expected} -> {weight} at d={d}, N={N}",
@@ -127,31 +127,23 @@ def _image(lam: dict[int, int], d: int, N: int, q: dict[int, int],
     return image
 
 
-def phi1(lam: dict[int, int], d: int, N: int,
-         st: PartitionStats | None = None) -> dict[int, int]:
+def phi1(lam: dict[int, int], d: int, N: int, els: Elements, st: PartitionStats) -> dict[int, int]:
     """The S1 piece: move the class-S1 surplus into parts of size 1."""
-    st = st or stats(lam, d, N)
-    q = dict(lam)
-    q[1] = lam.get(1, 0) + st.alpha - (N - 2) * lam.get(2, 0)
-    return _image(lam, d, N, q, "phi1")
+    q = {**lam, 1: lam.get(1, 0) + st.alpha - (N - 2) * lam.get(2, 0)}
+    return _image(lam, d, N, els, q, "phi1")
 
 
-def phi2(lam: dict[int, int], d: int, N: int,
-         st: PartitionStats | None = None) -> dict[int, int]:
+def phi2(lam: dict[int, int], d: int, N: int, els: Elements, st: PartitionStats) -> dict[int, int]:
     """The S2 piece: rebalance p_2 into parts y_1, y_2, y_5 guided by beta, eps."""
-    st = st or stats(lam, d, N)
-    p1 = lam.get(1, 0)
-    p2 = lam.get(2, 0)
-    p5 = lam.get(5, 0)
+    p1, p2, p5 = lam.get(1, 0), lam.get(2, 0), lam.get(5, 0)
     eps, beta = st.epsilon, st.beta
-    q = dict(lam)
-    q[1] = p1 + st.alpha + (p2 + eps) * (d - 2 * N - 8) // 2 + 28 * beta + (26 + N) * eps
-    q[2] = 2 * beta + eps
-    q[5] = p5 + (p2 + eps) // 2 - 2 * beta - 2 * eps
-    return _image(lam, d, N, q, "phi2")
+    q = {**lam, 1: p1 + st.alpha + (p2 + eps) * (d - 2 * N - 8) // 2 + 28 * beta + (26 + N) * eps,
+         2: 2 * beta + eps,
+         5: p5 + (p2 + eps) // 2 - 2 * beta - 2 * eps}
+    return _image(lam, d, N, els, q, "phi2")
 
 
-def _map_checked(lam: dict[int, int], d: int, N: int,
+def _map_checked(lam: dict[int, int], d: int, N: int, els: Elements,
                  failed: list[dict]) -> tuple[str | None, dict[int, int] | None]:
     """Classify one partition and map it by its class's piece.
 
@@ -161,14 +153,14 @@ def _map_checked(lam: dict[int, int], d: int, N: int,
     each None if it is not defined.
     """
     try:
-        st = stats(lam, d, N)
+        st = stats(lam, d, N, els)
     except HypothesisViolation as exc:
         failed.append({"source": lam, "error": str(exc)})
         return None, None
     if st.cls == "S2" and lam.get(2, 0) < 8:
         failed.append({"check": "p2_lower_bound", "source": lam, "p2": lam.get(2, 0)})
     try:
-        img = phi1(lam, d, N, st) if st.cls == "S1" else phi2(lam, d, N, st)
+        img = (phi1 if st.cls == "S1" else phi2)(lam, d, N, els, st)
     except MapViolation as exc:
         failed.append(exc.witness)
         return st.cls, None
@@ -185,19 +177,19 @@ def _key(img: dict[int, int]) -> bytes:
     return array.array("I", [*img, *img.values()]).tobytes()
 
 
-def _check_exhaustively(report, S: str) -> tuple[int, int, list[dict], set[str]]:
-    """Stream every partition of n over the set named ``S`` through
-    ``_map_checked`` and fill in ``report``'s sizes.  Returns what
-    ``injection._settle`` takes: how many partitions have an image, how
-    many distinct images (held as keys), the first five witnesses (all
-    that a report prints) and the names of the checks a witness failed."""
+def _check_exhaustively(report, els: Elements) -> tuple[int, int, list[dict], set[str]]:
+    """Stream every partition of n over S(d, N) through ``_map_checked``
+    and fill in ``report``'s sizes.  Returns what ``injection._settle``
+    takes: how many partitions have an image, how many distinct images
+    (held as keys), the first five witnesses (all that a report prints)
+    and the names of the checks a witness failed."""
     images: set[bytes] = set()
     witnesses: list[dict] = []
     checks: set[str] = set()
     failed: list[dict] = []
     mapped = 0
-    for lam in enumerate_partitions(S, report.n):
-        cls, img = _map_checked(lam, report.d, report.N, failed)
+    for lam in enumerate_partitions(counting.s_set(report.d, report.N), report.n):
+        cls, img = _map_checked(lam, report.d, report.N, els, failed)
         report.size += 1
         report.s1_size += cls == "S1"
         report.s2_size += cls == "S2"

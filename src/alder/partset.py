@@ -75,3 +75,7 @@ def y_closed(d: int, i: int) -> int:
     if k == 0:
         return 2 * j * d + 1
     return (2 * j + 1) * d + 2 ** k
+
+
+#: a cell's element table (``injection._element_table``): entry i is (x_i, y_i, x_i - y_i)
+Elements = list[tuple[int, int, int]]

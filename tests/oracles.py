@@ -276,7 +276,7 @@ def verify_injection_exhaustive(d: int, N: int, n: int, force: bool = False):
     """``injection.verify_injection`` by enumerating and mapping every
     partition of n, as its fallback does: the oracle of the structural
     check, and the only path that produces witnesses, in enumeration order."""
-    report, S = injection._open_cell(d, N, n, force)
-    if S is not None:
-        injection._settle(report, *maps._check_exhaustively(report, S))
+    report, els = injection._open_cell(d, N, n, force)
+    if els is not None:
+        injection._settle(report, *maps._check_exhaustively(report, els))
     return report

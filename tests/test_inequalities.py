@@ -545,6 +545,24 @@ class TestRelease:
         assert log.stored and len(set(log.stored)) == len(log.stored)
         assert log == {}
 
+    @pytest.mark.parametrize("name,axes", [
+        ("modified-st", {"a_values": (1, 2, 3), "d_values": tuple(range(1, 40))}),
+        ("a-to-1", {"a_values": (1, 2), "d_values": tuple(range(1, 30))})])
+    def test_consumed_grid_leaves_no_plan(self, monkeypatch, name, axes):
+        # the plan's reader counts and read-past-n_max indices, as grid hands
+        # them to _held: a fully consumed grid has let every name go from both
+        plans, real = [], inequalities._held
+
+        def spy(rows, spec, readers, tops, *args, **how):
+            plans.append((readers, tops, dict(tops)))
+            return real(rows, spec, readers, tops, *args, **how)
+
+        monkeypatch.setattr(inequalities, "_held", spy)
+        assert verify(name, GridSpec(n_max=200, **axes)).ok
+        (readers, tops, planned), = plans
+        assert planned  # some table is read past n_max
+        assert not readers and not tops
+
     @pytest.mark.parametrize("name,a_values,tables", [
         # 200 rows, each with its own Q set; at n <= 1 none is in hypothesis,
         # so none reads a table

@@ -23,9 +23,20 @@ def weight_t(img, d):
     return sum(m * y_closed(d, i) for i, m in img.items())
 
 
+def table(d, N):
+    """The element table of (d, N) to n = 2000, which holds every part and
+    image index of the partitions these tests map."""
+    return injection._element_table(d, N, 2000)
+
+
+def mapped(phi, lam, d, N):
+    """The piece ``phi`` applied to lam, whatever lam's class."""
+    els = table(d, N)
+    return phi(lam, d, N, els, stats(lam, d, N, els))
+
+
 def apply_map(lam, d, N):
-    st_ = stats(lam, d, N)
-    return phi1(lam, d, N, st_) if st_.cls == "S1" else phi2(lam, d, N, st_)
+    return mapped(phi1 if stats(lam, d, N, table(d, N)).cls == "S1" else phi2, lam, d, N)
 
 
 def reference_order(A, n):
@@ -115,45 +126,45 @@ class TestEnumeratePartitions:
 
 class TestStats:
     def test_all_x2(self):
-        st_ = stats({2: 7}, 63, 2)
+        st_ = stats({2: 7}, 63, 2, table(63, 2))
         assert (st_.alpha, st_.epsilon, st_.beta, st_.cls) == (0, 1, 0, "S1")
 
     def test_empty(self):
-        st_ = stats({}, 63, 2)
+        st_ = stats({}, 63, 2, table(63, 2))
         assert (st_.alpha, st_.epsilon, st_.beta, st_.cls) == (0, 0, 0, "S1")
 
     def test_s2_member(self):
-        st_ = stats({1: 7, 2: 8}, 63, 3)
+        st_ = stats({1: 7, 2: 8}, 63, 3, table(63, 3))
         assert (st_.alpha, st_.epsilon, st_.beta, st_.cls) == (0, 0, 0, "S2")
 
     def test_alpha_uses_difference_table(self):
         lam = {3: 2, 12: 1}
-        st_ = stats(lam, 63, 2)
+        st_ = stats(lam, 63, 2, table(63, 2))
         assert st_.alpha == 2 * 60 + 68
 
     def test_rejects_negative_difference(self):
         # d = 31, N = 10 is outside d >= max(31, 6N-17): x_12 < y_12
         assert x_closed(31, 10, 12) - y_closed(31, 12) < 0
         with pytest.raises(HypothesisViolation):
-            stats({12: 1}, 31, 10)
+            stats({12: 1}, 31, 10, table(31, 10))
 
 
 class TestPhi1:
     def test_all_x2_goes_to_y2(self):
-        img = phi1({2: 7}, 63, 2)
+        img = mapped(phi1, {2: 7}, 63, 2)
         assert img == {2: 7}
         assert weight_t(img, 63) == 7 * 65
 
     def test_identity_on_ones(self):
-        assert phi1({1: 126}, 63, 2) == {1: 126}
+        assert mapped(phi1, {1: 126}, 63, 2) == {1: 126}
 
     def test_empty(self):
-        assert phi1({}, 63, 2) == {}
+        assert mapped(phi1, {}, 63, 2) == {}
 
     def test_surplus_moves_to_q1(self):
         # N = 3: q_1 = p_1 + alpha - p_2
         lam = {1: 10, 2: 4, 3: 1}
-        img = phi1(lam, 63, 3)
+        img = mapped(phi1, lam, 63, 3)
         alpha = x_closed(63, 3, 3) - y_closed(63, 3)
         assert img[1] == 10 + alpha - 4
         assert weight_t(img, 63) == weight_s(lam, 63, 3)
@@ -161,14 +172,14 @@ class TestPhi1:
     def test_negative_q1_is_a_violation(self):
         # engineered outside S1 (dispatch would never send this here)
         with pytest.raises(MapViolation) as exc:
-            phi1({2: 5}, 63, 3)
+            mapped(phi1, {2: 5}, 63, 3)
         assert exc.value.witness == {"piece": "phi1", "source": {2: 5},
                                      "negative": {1: -5}}
 
     def test_weight_mismatch_is_a_violation(self):
         # no piece changes the weight; _image checks it of any q it is given
         with pytest.raises(MapViolation, match="changed the weight 3 -> 2") as exc:
-            maps._image({1: 3}, 63, 2, {1: 2}, "phi1")
+            maps._image({1: 3}, 63, 2, table(63, 2), {1: 2}, "phi1")
         assert exc.value.witness == {"piece": "phi1", "source": {1: 3},
                                      "image": {1: 2}, "weight": 2, "expected": 3}
 
@@ -177,21 +188,21 @@ class TestPhi2:
     def test_worked_example(self):
         lam = {1: 7, 2: 8}
         assert weight_s(lam, 63, 3) == 519
-        img = phi2(lam, 63, 3)
+        img = mapped(phi2, lam, 63, 3)
         assert img == {1: 203, 5: 4}   # q_1 = 7 + 8*49/2, q_2 = 0
         assert weight_t(img, 63) == 519  # 203*1 + 4*79
 
     def test_even_p2_means_q2_equals_2beta(self):
         lam = {1: 4, 2: 6}
-        img = phi2(lam, 63, 3)
-        assert img.get(2, 0) == 2 * stats(lam, 63, 3).beta == 0
+        img = mapped(phi2, lam, 63, 3)
+        assert img.get(2, 0) == 2 * stats(lam, 63, 3, table(63, 3)).beta == 0
 
     def test_beta_one_synthetic(self):
         # (d, N) = (151, 5): p_1 = 150 >= d-N-1 = 145 pushes beta to 1
         lam = {1: 150, 2: 60}
-        st_ = stats(lam, 151, 5)
+        st_ = stats(lam, 151, 5, table(151, 5))
         assert st_.cls == "S2" and st_.beta == 1
-        img = phi2(lam, 151, 5, st_)
+        img = phi2(lam, 151, 5, table(151, 5), st_)
         assert img[2] == 2
         assert img[5] == 28
         assert weight_t(img, 151) == weight_s(lam, 151, 5) == 9150
@@ -199,9 +210,10 @@ class TestPhi2:
     def test_piece_separation_via_q2(self):
         lam_b1 = {1: 150, 2: 60}
         lam_b0 = {1: 10, 2: 60}
-        img1 = phi2(lam_b1, 151, 5)
-        img0 = phi2(lam_b0, 151, 5)
-        assert stats(lam_b1, 151, 5).beta != stats(lam_b0, 151, 5).beta
+        img1 = mapped(phi2, lam_b1, 151, 5)
+        img0 = mapped(phi2, lam_b0, 151, 5)
+        els = table(151, 5)
+        assert stats(lam_b1, 151, 5, els).beta != stats(lam_b0, 151, 5, els).beta
         assert img1.get(2, 0) != img0.get(2, 0)
 
 
@@ -210,9 +222,9 @@ class TestPhiDispatch:
         # the exhaustive check sends each class to its own piece
         seen = []
         for name in ("phi1", "phi2"):
-            def spy(lam, d, N, st_=None, real=getattr(maps, name), name=name):
-                seen.append((name, stats(lam, d, N).cls))
-                return real(lam, d, N, st_)
+            def spy(lam, d, N, els, st_, real=getattr(maps, name), name=name):
+                seen.append((name, stats(lam, d, N, els).cls))
+                return real(lam, d, N, els, st_)
             monkeypatch.setattr(maps, name, spy)
         rep = verify_injection_exhaustive(63, 3, 519)
         assert rep.s1_size > 0 and rep.s2_size > 0
@@ -244,7 +256,7 @@ class TestLemmaBounds:
     def test_no_s2_at_n_equals_2(self, mults):
         # at N = 2 the class test is p_1 + alpha >= 0, which alpha >= 0 settles
         lam = {i: m for i, m in sorted(mults.items()) if m}
-        assert stats(lam, 63, 2).cls == "S1"
+        assert stats(lam, 63, 2, table(63, 2)).cls == "S1"
 
     def test_p2_bound_holds_at_weaker_d_bounds(self):
         # d = 35, N = 3 is inside the p_2 >= 8 regime (d >= max(31, 9N-13,
@@ -254,7 +266,7 @@ class TestLemmaBounds:
         assert d < 63
         for n in range(7 * d + 14, 7 * d + 17):
             for lam in enumerate_partitions(s_set(d, N), n):
-                st_ = stats(lam, d, N)
+                st_ = stats(lam, d, N, table(d, N))
                 if st_.cls == "S2":
                     assert lam[2] >= 8
 
@@ -392,15 +404,13 @@ class TestStructuralCheck:
         for d, N, n in [(63, 3, 519), (151, 5, 1140), (31, 5, 427), (40, 5, 184),
                         (63, 4, 900), (100, 6, 1300), (32, 12, 69), (31, 11, 71),
                         (32, 9, 107)]:
-            S = s_set(d, N)
-            xs = [0, *elements(S, n)]
-            ys = [0, *(y_closed(d, i) for i in range(1, len(xs)))]
+            S, els = s_set(d, N), injection._element_table(d, N, n)
             walked = [tuple(lam.items())
-                      for lam in injection._s2_members(d, N, n, xs, ys)]
+                      for lam in injection._s2_members(N, n, els)]
             assert len(walked) == len(set(walked))
             assert set(walked) == {tuple(lam.items())
                                    for lam in enumerate_partitions(S, n)
-                                   if stats(lam, d, N).cls == "S2"}, (d, N, n)
+                                   if stats(lam, d, N, els).cls == "S2"}, (d, N, n)
 
     def test_passing_cells_neither_enumerate_nor_map_s1(self, monkeypatch):
         def never(*args):
@@ -441,12 +451,24 @@ class TestStructuralCheck:
         assert enumerated == [519]
         assert rep.status == "holds" and rep.s2_size == 1
 
+    def test_s1_collision_at_p1_zero_reaches_the_oracle(self, monkeypatch, enumerated):
+        # the forced cell's one S2 member {1: 11, 2: 13} (beta = 0) settles
+        # structurally.  phi2 patched to give it the phi1 image of {3: 7}, an
+        # S1 partition of 427 with p_1 = 0: its preimage p_1 is exactly 0
+        assert verify_injection(31, 3, 427, force=True).s2_size == 1 and enumerated == []
+        assert list(injection._s2_members(3, 427, injection._element_table(31, 3, 427))) \
+            == [{1: 11, 2: 13}]
+        image = mapped(phi1, {3: 7}, 31, 3)
+        assert weight_t(image, 31) == 7 * x_closed(31, 3, 3) == 427
+        monkeypatch.setattr(maps, "phi2", lambda *args: image)
+        verify_injection(31, 3, 427, force=True)
+        assert enumerated == [427]
+
     def test_p2_boundary_witnessed(self, enumerated):
         # the forced cell's one S2 member {2: 7} is walked and fails p_2 >= 8;
         # the rerun reports it, the witness formatted as in the report
-        xs = [0, *elements(s_set(31, 3), 224)]
-        ys = [0, *(y_closed(31, i) for i in range(1, len(xs)))]
-        assert list(injection._s2_members(31, 3, 224, xs, ys)) == [{2: 7}]
+        els = injection._element_table(31, 3, 224)
+        assert list(injection._s2_members(3, 224, els)) == [{2: 7}]
         rep = verify_injection(31, 3, 224, force=True)
         assert enumerated == [224]
         assert rep.s2_size == 1 and not rep.checks["p2_lower_bound"]
@@ -457,9 +479,9 @@ class TestStructuralCheck:
         # the forced cell has 50 witnesses: its first five are stats errors,
         # and p2_lower_bound fails only from the 44th on
         d, N, n = 31, 9, 300
-        failed = []
+        failed, els = [], injection._element_table(d, N, n)
         for lam in partitions_list(s_set(d, N), n):
-            maps._map_checked(lam, d, N, failed)
+            maps._map_checked(lam, d, N, els, failed)
         assert len(failed) == 50 and all("error" in w for w in failed[:5])
         rep = verify_injection(d, N, n, force=True)
         assert rep.witnesses == failed[:5]
@@ -476,6 +498,28 @@ class TestStructuralCheck:
         assert [k for k, v in rep.checks.items() if not v] == ["piece_separation"]
         assert rep.witnesses == [{"check": "piece_separation", "source": {1: 7, 2: 8},
                                   "beta": 0, "q2": 2}]
+
+
+class TestElementTable:
+    @pytest.mark.parametrize("d", [31, 40, 63, 127])
+    def test_is_the_elements_of_both_sets(self, d):
+        # x_i for every x_i <= n and y_i alike, and both to i = 5 at least
+        for N in range(2, 12):
+            for n in (0, 1, 64, 2 * d, 7 * d + 14, 11 * d):
+                els = injection._element_table(d, N, n)
+                xs = elements(s_set(d, N), max(n, els[-1][0]))
+                ys = elements(t_set(5, d), els[-1][1])
+                assert els == [(0, 0, 0), *((x, y, x - y) for x, y in zip(xs, ys))]
+                assert len(els) - 1 == max(5, len(elements(s_set(d, N), n))), (d, N, n)
+
+    def test_y5_past_n(self):
+        # the forced cell maps its S2 member {2: 2} to {1: 17, 5: 1}, with
+        # x_5 = 92 > n: the table holds y_5 = d + 16 for that image
+        els = injection._element_table(31, 3, 64)
+        assert els[5] == (92, 47, 45)
+        assert mapped(phi2, {2: 2}, 31, 3) == {1: 17, 5: 1}
+        rep = verify_injection(31, 3, 64, force=True)
+        assert rep.s2_size == 1 and not rep.passed
 
 
 class TestVerifyRange:
