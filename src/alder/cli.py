@@ -18,7 +18,9 @@ The commands and the report writer, with the report formats, are in
 Start-up loads no other alder module and no ``json``, so ``--help`` and
 usage errors compile only this one.  After parsing, ``main`` imports
 ``commands`` (with ``partset`` and ``report``) and ``counting``, and each
-command imports what it runs: ``inequalities`` for verify and search,
+command imports what it runs: ``inequalities`` for a grid (search, or
+verify of a statement), ``lemmas`` for verify anchors, xy-diff and
+t-monotone (which also reads its default --n-max from ``inequalities``),
 ``injection`` for inject (and ``maps`` once a cell maps a partition);
 ``cache`` for --cache or --out, ``csv`` for a csv report and
 ``traceback`` for an internal error or a failed --out.

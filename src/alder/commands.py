@@ -191,26 +191,28 @@ def _single(args, flag: str) -> int:
 
 
 def cmd_verify(args) -> VerificationReport:
-    from . import inequalities
     theorem = args.theorem
     if theorem not in ("anchors", "xy-diff") and args.n_max is None:
+        from . import inequalities  # for the default horizons only
         a_values = parse_range(args.a) if args.a else (1,)
         args.n_max = (inequalities.DEFAULT_N_MAX_A1 if max(a_values) <= 1
                       else inequalities.DEFAULT_N_MAX_GENERAL)
+    if theorem in ("anchors", "xy-diff", "t-monotone"):  # not n-indexed: no grid
+        from . import lemmas
+        if theorem == "anchors":
+            return lemmas.verify_smalln_anchors(
+                _single(args, "d"), _single(args, "N"), evaluate_out=args.force)
+        if theorem == "xy-diff":
+            return lemmas.xy_difference_report(_single(args, "d"), _single(args, "N"))
+        return lemmas.verify_t_monotone(_single(args, "d"), args.n_max)  # t-monotone
+    from . import inequalities
     if theorem == "littlelemon":
         if args.N is not None and parse_range(args.N) != (4,):
             raise RefusedInput(f"littlelemon is shift at N = 4, got --N {args.N}")
         theorem, args.N = "shift", "4"
-    if theorem in inequalities.STATEMENTS:
-        axes = inequalities.STATEMENTS[theorem].axes
-        return VerificationReport(*inequalities.grid(
-            f"verify-{theorem}", _grid_from_args(args, axes, args.force)))
-    if theorem == "anchors":
-        return inequalities.verify_smalln_anchors(
-            _single(args, "d"), _single(args, "N"), evaluate_out=args.force)
-    if theorem == "xy-diff":
-        return inequalities.xy_difference_report(_single(args, "d"), _single(args, "N"))
-    return inequalities.verify_t_monotone(_single(args, "d"), args.n_max)  # t-monotone
+    axes = inequalities.STATEMENTS[theorem].axes
+    return VerificationReport(*inequalities.grid(
+        f"verify-{theorem}", _grid_from_args(args, axes, args.force)))
 
 
 def cmd_search(args) -> VerificationReport:

@@ -292,17 +292,21 @@ def rho(name: str, n: int) -> int:
     return column(name, n)[n]
 
 
-def largest_part_counts(name: str, n: int, i_max: int) -> list[int]:
-    """Count partitions of n over the set A of the rho table ``name`` by
-    largest part, for parts x_1..x_{i_max}.
+def largest_part_counts(name: str, ns, i_max: int) -> list[list[int]]:
+    """Count partitions of each n of ``ns`` over the set A of the rho table
+    ``name`` by largest part, for parts x_1..x_{i_max}, in one coin-change
+    pass to the largest n.
 
-    Entry j (0-based) counts partitions whose largest part is the (j+1)-th
-    smallest element of A; rho(A, n) equals the total plus [n == 0].
+    Entry j (0-based) of n's list counts partitions whose largest part is
+    the (j+1)-th smallest element of A; rho(A, n) equals the total plus [n == 0].
     """
-    dp = [0] * (n + 1)
+    top = max(ns)
+    dp = [0] * (top + 1)
     dp[0] = 1
-    out = [0] * i_max  # an index past the elements up to n counts none
-    for j, v in enumerate(elements(name, n)[:i_max]):
+    out = [[0] * i_max for _ in ns]  # an index past the elements up to n counts none
+    for j, v in enumerate(elements(name, top)[:i_max]):
         _add_multiples(dp, v)
-        out[j] = dp[n - v]
+        for counts, n in zip(out, ns):
+            if v <= n:
+                counts[j] = dp[n - v]
     return out

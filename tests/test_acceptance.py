@@ -12,8 +12,8 @@ import time
 from contextlib import contextmanager
 
 from alder.counting import column, g_name, q_name, rho, s_set, t_set
-from alder.inequalities import (EXEMPT, HOLDS, OUT, GridSpec,
-                                verify_smalln_anchors, xy_difference_report)
+from alder.inequalities import EXEMPT, HOLDS, OUT, GridSpec
+from alder.lemmas import verify_smalln_anchors, xy_difference_report
 from alder.injection import verify_injection
 from conftest import child_env
 from oracles import (Report, delta, pm_set, q_brute, q_lower_bound, rho_brute,

@@ -441,7 +441,8 @@ class TestStartup:
                  "print(sorted(m for m in bare if m.startswith('alder.'))); "
                  "cli = set(sys.modules) - before; import alder.injection; "
                  "print(sorted(cli & {'alder.injection', 'alder.parallel', 'alder.counting', "
-                 "'alder.inequalities', 'alder.cache', 'csv', 'traceback', 'tempfile', "
+                 "'alder.inequalities', 'alder.lemmas', 'alder.cache', 'csv', 'traceback', "
+                 "'tempfile', "
                  "'pathlib', 'dataclasses', 'inspect'})); "
                  "print(sorted((set(sys.modules) - before) & {'dataclasses', 'inspect'}))")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -457,7 +458,8 @@ class TestStartup:
                  "--format", "csv"],
                 ["search", "--kind", "delta", "--a", "2", "--d", "1..10",
                  "--n-max", "20", "--format", "human"],
-                ["inject", "--d", "63", "--N", "3", "--n", "455..458", "--jobs", "2"]]
+                ["inject", "--d", "63", "--N", "3", "--n", "455..458", "--jobs", "2"],
+                ["verify", "anchors", "--d", "63", "--N", "2"]]
         probe = ("import sys; before = set(sys.modules); import alder.cli; "
                  f"codes = [alder.cli.main(argv) for argv in {runs!r}]; "
                  "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
@@ -465,7 +467,7 @@ class TestStartup:
                  "- {'alder'}), file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               check=True, text=True, env=child_env())
-        assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0] []"
+        assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
 
     def test_inject_loads_maps_only_to_map_a_partition(self):
         # an N = 2 range has no S2 member to map; a forced cell whose
@@ -571,6 +573,25 @@ class TestStartup:
         assert [line for line in proc.stderr.splitlines()
                 if not line.startswith("alder ")] == [
             "[0, 0] [False, False]", "0 [False, True]"]
+
+    @pytest.mark.parametrize("argv,loaded", [
+        ("verify shift --N 2 --d 63 --n-max 70", (True, False)),
+        ("verify gen-kp --a 1..2 --d 105 --n-max 20", (True, False)),
+        ("search --kind delta --a 2 --d 1..10 --n-max 20", (True, False)),
+        ("verify anchors --d 63 --N 2", (False, True)),
+        ("verify xy-diff --d 63 --N 2", (False, True)),
+        ("verify t-monotone --d 63 --n-max 100", (False, True)),
+        ("verify t-monotone --d 63", (True, True)),  # for the default horizon
+    ])
+    def test_grids_and_lemmas_load_their_own_module(self, argv, loaded):
+        # a grid compiles no lemma check, and anchors and xy-diff no grid engine
+        probe = ("import sys, alder.cli; "
+                 f"code = alder.cli.main({argv.split()!r}); "
+                 "print(code, [m in sys.modules for m in "
+                 "('alder.inequalities', 'alder.lemmas')], file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              check=True, text=True, env=child_env())
+        assert proc.stderr.splitlines()[-1] == f"0 {list(loaded)}"
 
     def test_report_types_are_the_ones_inequalities_exports(self):
         from alder import report

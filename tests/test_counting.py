@@ -242,7 +242,7 @@ class TestTMonotoneCounts:
 
 class TestLargestPartCounts:
     def test_distribution_at_anchor(self):
-        dist = largest_part_counts(s_set(63, 2), 321, 10)
+        [dist] = largest_part_counts(s_set(63, 2), (321,), 10)
         assert dist == [1, 4, 5, 6, 5, 3, 2, 1, 1, 1]
         assert sum(dist) == rho(s_set(63, 2), 321)
 
@@ -254,7 +254,7 @@ class TestLargestPartCounts:
         for lam in enumerate_partitions(A, n):
             top = max(lam)
             per_largest[top] = per_largest.get(top, 0) + 1
-        dist = largest_part_counts(A, n, 6)
+        [dist] = largest_part_counts(A, (n,), 6)
         assert dist == [per_largest.get(i, 0) for i in range(1, 7)]
 
 
@@ -430,12 +430,15 @@ class TestSlicePasses:
                 oracles.gap_table(a, d, horizon), horizon
 
     def test_anchor_largest_part_counts(self):
+        # one pass to the largest n gives each n's counts, as verify anchors reads them
         for d in range(63, 90, 3):
             for N in range(2, 6):
                 S = s_set(d, N)
-                for n, i_max in ((5 * d - 5 * N + 16, 10), (7 * d + 13, 14), (0, 3)):
-                    assert counting.largest_part_counts(S, n, i_max) == \
-                        oracles.largest_part_counts(S, n, i_max), (d, N, n)
+                for ns, i_max in (((5 * d - 5 * N + 16, 7 * d + 13), 14), ((0,), 3),
+                                  ((7 * d + 13, 0, d - N + 2, d - N + 1), 10)):
+                    got = counting.largest_part_counts(S, ns, i_max)
+                    for n, dist in zip(ns, got, strict=True):
+                        assert dist == oracles.largest_part_counts(S, n, i_max), (d, N, n)
 
 
 class TestIdentityOracles:

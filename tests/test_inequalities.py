@@ -6,12 +6,11 @@ import math
 
 import pytest
 
-from alder import counting, inequalities
+from alder import counting, inequalities, lemmas
 from alder.counting import column, q_name, rho, s_set, t_set
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
-                                STATEMENTS, GridSpec, n_hat,
-                                verify_smalln_anchors, verify_t_monotone,
-                                xy_difference_report)
+                                STATEMENTS, GridSpec, n_hat)
+from alder.lemmas import verify_smalln_anchors, verify_t_monotone, xy_difference_report
 from alder.partset import RefusedInput
 from oracles import (PREMISE_HORIZON, Report, big_q, check_andrews, dominates,
                      first_elements, gen_kp_sets, pm_set, positive_integers,
@@ -345,7 +344,7 @@ class TestTMonotone:
 
     def test_failing_pair_names_its_first_violating_n(self, monkeypatch):
         # rho(T(2, 7); n) patched 10 low at n = 4 and 20 low at n = 6
-        real = inequalities.column
+        real = lemmas.column
 
         def column(count, n):
             table = list(real(count, n))
@@ -354,7 +353,7 @@ class TestTMonotone:
                 table[6] -= 20
             return table
 
-        monkeypatch.setattr(inequalities, "column", column)
+        monkeypatch.setattr(lemmas, "column", column)
         failing = [r for r in Report.of(verify_t_monotone(7, 10)).records
                    if r.status != HOLDS]
         assert failing == [({"d": 7, "s_lo": 1, "s_hi": 2, "n_max": 10}, FAILS, -20,

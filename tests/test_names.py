@@ -200,8 +200,8 @@ class TestWork:
         # build does, as the S table is a triple product
         ("inject --d 63 --N 2 --n 455..470", 1),
         ("inject --d 63 --N 3 --n 450..700", 1),
-        # the S table walks none, then one walk per largest-part distribution
-        ("verify anchors --d 63 --N 2", 2)])
+        # the S table walks none, then one walk for both largest-part distributions
+        ("verify anchors --d 63 --N 2", 1)])
     def test_cells_build_sets_only_for_tables(self, work, capsys, argv, walks):
         walked, built = work
         assert cli.main(argv.split()) == 0
