@@ -17,17 +17,16 @@ The commands and the report writer, with the report formats, are in
 
 Start-up loads no other alder module and no ``json``, so ``--help`` and
 usage errors compile only this one.  After parsing, ``main`` imports
-``commands`` (with ``partset`` and ``report``) and ``counting``, and each
-command imports what it runs: ``inequalities`` for a grid (search, or
-verify of a statement), ``lemmas`` for verify anchors, xy-diff and
-t-monotone (which also reads its default --n-max from ``inequalities``),
+``commands``, ``counting`` and ``report``, and each command imports
+what it runs: ``inequalities`` for a grid (search, or verify of a
+statement), ``lemmas`` for verify anchors, xy-diff and t-monotone,
 ``injection`` for inject (and ``maps`` once a cell maps a partition);
 ``cache`` for --cache or --out, ``csv`` for a csv report and
 ``traceback`` for an internal error or a failed --out.
 
 Exit codes: 0 when every in-hypothesis assertion holds, 1 when at least
 one fails (a falsification candidate), 2 on refused input (always
-``partset.RefusedInput``, an unwritable --out included), 3 on an internal
+``report.RefusedInput``, an unwritable --out included), 3 on an internal
 error (any other exception, a plain ValueError included), which may come
 after part of a grid's report is on stdout (--out is then left as it was).
 """
@@ -106,29 +105,28 @@ def main(argv: list[str] | None = None) -> int:
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     from . import commands, counting  # after parsing: --help and usage errors load neither
-    from .partset import RefusedInput
-    from .report import FAILS
+    from .report import FAILS, RefusedInput
     counting.set_cache_dir(args.cache)
     started = time.monotonic()
     try:
         if args.jobs < 1:
             raise RefusedInput(f"--jobs must be >= 1, got {args.jobs}")
-        report = commands._DISPATCH[args.command](args)
+        cmd, blocks = commands._DISPATCH[args.command](args)
         if args.out:
             from .cache import write_atomic
             try:
                 summary = write_atomic(args.out, functools.partial(
-                    commands._write, report, args.format))
+                    commands._write, cmd, blocks, args.format))
             except OSError as exc:
                 import traceback  # an OSError raised in evaluating a grid is not the file's
-                if any(frame.f_code is getattr(report.blocks, "gi_code", None)
+                if any(frame.f_code is getattr(blocks, "gi_code", None)
                        for frame, _ in traceback.walk_tb(exc.__traceback__)):
                     raise
                 raise RefusedInput(f"cannot write --out {args.out}: "
                                    f"{exc.strerror or exc}") from None
         else:
             out = commands._Stdout()
-            summary = commands._write(report, args.format, out)
+            summary = commands._write(cmd, blocks, args.format, out)
             out.write("", flush=True)
     except RefusedInput as exc:
         print(f"error: {exc}", file=sys.stderr)

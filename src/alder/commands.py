@@ -1,7 +1,7 @@
 """The commands ``cli.main`` runs after parsing, and the report writer.
 
-Every command makes a report of blocks (``report.VerificationReport``)
-and one writer, ``_write``, writes them, a grid's (verify, search) row by
+Every command returns a report, the pair (cmd, blocks) of ``report``,
+and one writer, ``_write``, writes it, a grid's (verify, search) row by
 row as each is evaluated, after every refusal.  Reports are JSON lines by
 default, one object per cell with the fixed field order  v, cmd, params,
 status, value, witness  and counts as decimal strings; a final summary
@@ -20,10 +20,13 @@ import operator
 import os
 import sys
 
-from .partset import RefusedInput, check_n, r_of
-from .report import VIOLATION, VerificationReport
+from .report import VIOLATION, RefusedInput, check_n
 
 SCHEMA_VERSION = 1
+
+#: default grid horizons: deep enough to be convincing, minutes at desk scale
+DEFAULT_N_MAX_A1 = 2000
+DEFAULT_N_MAX_GENERAL = 1200
 
 #: longest LO..HI range accepted; checked before the range is built
 MAX_RANGE_VALUES = 10 ** 6
@@ -46,14 +49,15 @@ def parse_range(text: str) -> tuple[int, ...]:
 _json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _write(report: VerificationReport, fmt: str, out) -> dict[str, int]:
-    """Write ``report`` to ``out`` block by block as each comes, then the
-    summary of the cells written, which is returned.  Params are formatted
-    once per block, status and witness once per run, n and value per cell.
-    CSV holds the blocks without n (a pair skipped as one cell) up to the
-    first with n: their keys make the header; no later block adds one."""
+def _write(cmd: str, blocks, fmt: str, out) -> dict[str, int]:
+    """Write the report (``cmd``, ``blocks``) to ``out`` block by block as
+    each comes, then the summary of the cells written, which is returned.
+    Params are formatted once per block, status and witness once per run,
+    n and value per cell.  CSV holds the blocks without n (a pair skipped
+    as one cell) up to the first with n: their keys make the header; no
+    later block adds one."""
     tally: dict[str, int] = {}
-    blocks = iter(report.blocks)
+    blocks = iter(blocks)
     if fmt == "csv":
         import csv  # here, so that only csv reports load it at start-up
         writer = csv.writer(out, lineterminator="\n")
@@ -67,7 +71,7 @@ def _write(report: VerificationReport, fmt: str, out) -> dict[str, int]:
         writer.writerow(["cmd", *keys, "status", "value"])
         blocks = itertools.chain(iter(held), blocks)  # each let go once written
         del held
-    head = f'{{"v":{SCHEMA_VERSION},"cmd":{_json(report.cmd)},'
+    head = f'{{"v":{SCHEMA_VERSION},"cmd":{_json(cmd)},'
     for base, runs in blocks:
         for status, ns, _, _ in runs:
             tally[status] = tally.get(status, 0) + len(ns)
@@ -85,7 +89,7 @@ def _write(report: VerificationReport, fmt: str, out) -> dict[str, int]:
                     out.write("".join([f"{pre}{n}{mid}{v}{tail}" for n, v in
                                        zip(ns[i:i + 1024], values[i:i + 1024])]))
         elif fmt == "csv":
-            row = [report.cmd, *[base.get(k, "") for k in keys]]
+            row = [cmd, *[base.get(k, "") for k in keys]]
             at = 0 if runs[0][1][0] is None else keys.index("n") + 1
             for status, ns, values, _ in runs:
                 for n, value in zip(ns, values):
@@ -101,7 +105,7 @@ def _write(report: VerificationReport, fmt: str, out) -> dict[str, int]:
                     value = "" if value is None else f"  value={value}"
                     out.write(f"{params}  {status}{value}{tail}\n")
     summary = {"cells": sum(tally.values()), **dict(sorted(tally.items()))}
-    if report.cmd.startswith("search-"):
+    if cmd.startswith("search-"):
         summary["violations"] = summary.pop(VIOLATION, 0)
     if fmt == "json":
         out.write(f'{head}"summary":{_json(summary)}}}\n')
@@ -131,8 +135,8 @@ class _Stdout:
 _Q_EXCLUSIONS = {"Q": 0, "Qm": 1, "Qmm": 2, "delta": 0, "delta_m": 1, "delta_mm": 2}
 
 
-def cmd_count(args) -> VerificationReport:
-    from .counting import big_q_name, column, g_name, q_name, s_set, t_set
+def cmd_count(args) -> tuple:
+    from .counting import big_q_name, column, g_name, q_name, r_of, s_set, t_set
     kind = args.kind.replace("-", "_")
     if kind == "rho":
         if args.set is None:
@@ -164,7 +168,7 @@ def cmd_count(args) -> VerificationReport:
     # each refused by its name maker, horizon cap or builder; one build, at the range's horizon
     slices = [column(name(), hi)[lo:hi + 1] for name in names]
     values = slices[0] if len(slices) == 1 else list(map(operator.sub, *slices))
-    return VerificationReport("count", [(params_base, [("ok", n_values, values, None)])])
+    return "count", [(params_base, [("ok", n_values, values, None)])]
 
 
 # ------------------------------------------------------- verify and search
@@ -190,13 +194,11 @@ def _single(args, flag: str) -> int:
     return values[0]
 
 
-def cmd_verify(args) -> VerificationReport:
+def cmd_verify(args) -> tuple:
     theorem = args.theorem
     if theorem not in ("anchors", "xy-diff") and args.n_max is None:
-        from . import inequalities  # for the default horizons only
         a_values = parse_range(args.a) if args.a else (1,)
-        args.n_max = (inequalities.DEFAULT_N_MAX_A1 if max(a_values) <= 1
-                      else inequalities.DEFAULT_N_MAX_GENERAL)
+        args.n_max = DEFAULT_N_MAX_A1 if max(a_values) <= 1 else DEFAULT_N_MAX_GENERAL
     if theorem in ("anchors", "xy-diff", "t-monotone"):  # not n-indexed: no grid
         from . import lemmas
         if theorem == "anchors":
@@ -211,24 +213,22 @@ def cmd_verify(args) -> VerificationReport:
             raise RefusedInput(f"littlelemon is shift at N = 4, got --N {args.N}")
         theorem, args.N = "shift", "4"
     axes = inequalities.STATEMENTS[theorem].axes
-    return VerificationReport(*inequalities.grid(
-        f"verify-{theorem}", _grid_from_args(args, axes, args.force)))
+    return inequalities.grid(f"verify-{theorem}", _grid_from_args(args, axes, args.force))
 
 
-def cmd_search(args) -> VerificationReport:
+def cmd_search(args) -> tuple:
     from . import inequalities
     _, statement = inequalities.search_kind(args.kind)
-    return VerificationReport(*inequalities.grid(
-        f"search-{args.kind}", _grid_from_args(args, statement.axes)))
+    return inequalities.grid(f"search-{args.kind}", _grid_from_args(args, statement.axes))
 
 
 # ---------------------------------------------------------------- inject
 
-def cmd_inject(args) -> VerificationReport:
+def cmd_inject(args) -> tuple:
     from .injection import verify_range
     cells = verify_range(_single(args, "d"), _single(args, "N"), parse_range(args.n),
                          args.force)
-    return VerificationReport("inject", [rep.block for rep in cells])
+    return "inject", [rep.block for rep in cells]
 
 
 _DISPATCH = {"count": cmd_count, "verify": cmd_verify,

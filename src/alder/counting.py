@@ -16,6 +16,9 @@ sets matter downstream, each named by its maker here:
 * the shifted sets S(d, N) with x == +-1 (mod d-N+3) minus the single
   value d-N+2, whose partitions realize Q_{d-N}^(1,-) (``s_set``).
 
+The i-th smallest elements x_i of S(d, N) and y_i of T(5, d), from i = 1,
+have closed forms, ``x_closed`` and ``y_closed``: the injection's fast path.
+
 The q_d^(a) table uses the classical staircase bijection: a gap->=d partition
 into exactly k parts with minimum >= a corresponds, after removing the
 staircase a+(k-j)d from the j-th largest part, to a partition of
@@ -42,7 +45,7 @@ modulus, residues and exclusions, and ``elements`` is the one walk over
 a set's members, for the coin-change builds and the walks by largest
 part and by partition.  A grid ``release``s a table by name after its
 last reader.  ``rho(name, n)`` is one entry of a table, with n < 0
-refused (``partset.check_n``); callers of ``column`` check their n first.
+refused (``report.check_n``); callers of ``column`` check their n first.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import itertools
 import operator
 import struct
 
-from .partset import RefusedInput, check_n, r_of
+from .report import RefusedInput, check_n
 
 #: largest n a count table is built for; checked before the table is allocated
 MAX_HORIZON = 10 ** 5
@@ -224,6 +227,58 @@ def _s_set(m: int) -> str:
     if m < 3:
         raise RefusedInput(f"modulus d-N+3 = {m} < 3")
     return rho_name(m, {1, m - 1}, {m - 1})
+
+
+def r_of(d: int) -> int:
+    """Largest r with 2^r - 1 <= d (so r = bit length of d+1, minus one)."""
+    if d < 1:
+        raise RefusedInput(f"d must be >= 1, got {d}")
+    return (d + 1).bit_length() - 1
+
+
+def shift_regime(d: int, N: int) -> bool:
+    """The (d, N) range of the shift inequality: N >= 2, d >= max(63, 46N-79).
+
+    The grid statement adds n >= d+2, the small-n anchors nothing, and the
+    injection n >= 7d+14.
+    """
+    return N >= 2 and d >= max(63, 46 * N - 79)
+
+
+def x_closed(d: int, N: int, i: int) -> int:
+    """Closed form for the i-th smallest element of S(d, N) (``s_set``).
+
+    x_1 = 1 and x_i = ceil(i/2)*(d-N+3) + (-1)^i for i >= 2 (x_2 = d-N+4).
+    """
+    if i < 1:
+        raise RefusedInput(f"index must be >= 1, got {i}")
+    m = d - N + 3
+    if m < 3:
+        raise RefusedInput(f"x_closed(d={d}, N={N}): modulus {m} < 3")
+    if i == 1:
+        return 1
+    return (i + 1) // 2 * m + (1 if i % 2 == 0 else -1)
+
+
+def y_closed(d: int, i: int) -> int:
+    """Closed form for the i-th smallest element of T(5, d) (``t_set``).
+
+    Requires r_of(d) >= 5 (d >= 31) so that the five residue columns
+    1, d+2, d+4, d+8, d+16 interleave in increasing order; the elements
+    then repeat with period y_{i+5} = y_i + 2d.
+    """
+    if i < 1:
+        raise RefusedInput(f"index must be >= 1, got {i}")
+    if r_of(d) < 5:
+        raise RefusedInput(f"y_closed: need r_of(d) >= 5, got d={d} (r={r_of(d)})")
+    j, k = divmod(i - 1, 5)
+    if k == 0:
+        return 2 * j * d + 1
+    return (2 * j + 1) * d + 2 ** k
+
+
+#: a cell's element table (``injection._element_table``): entry i is (x_i, y_i, x_i - y_i)
+Elements = list[tuple[int, int, int]]
 
 
 def _fields(name: str) -> tuple[int, list[int], list[int]]:

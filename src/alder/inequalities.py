@@ -38,7 +38,7 @@ hypothesis and an optional exempt cell.  A pair where a name maker of
 them all, ``grid``: a verification (one cell is a grid with n_min ==
 n_max) or a search (negative cells only), each row through ``_row``,
 which reads each side as one slice of its table and makes the row one
-block of runs of cells (``report.VerificationReport``) when asked for.
+block of runs of cells (as ``report`` lays out) when asked for.
 A grid refuses when called, and lets a table go after its row, or after
 its last reader if the statement ``shares`` tables (``grid``, ``_held``).
 """
@@ -52,13 +52,8 @@ import math
 import operator
 from typing import Callable, Iterator, NamedTuple
 
-from .counting import big_q_name, check_horizon, column, q_name, release, s_set
-from .partset import RefusedInput, check_n, shift_regime
-from .report import EXEMPT, FAILS, HOLDS, OUT, SKIPPED, VIOLATION, VerificationReport
-
-#: default grid horizons: deep enough to be convincing, minutes at desk scale
-DEFAULT_N_MAX_A1 = 2000
-DEFAULT_N_MAX_GENERAL = 1200
+from .counting import big_q_name, check_horizon, column, q_name, release, s_set, shift_regime
+from .report import EXEMPT, FAILS, HOLDS, OUT, SKIPPED, VIOLATION, RefusedInput, check_n
 
 
 class _Grid(NamedTuple):

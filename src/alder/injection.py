@@ -43,8 +43,8 @@ import itertools
 from typing import Iterator, Sequence
 
 from . import counting
-from .partset import Elements, RefusedInput, check_n, shift_regime, x_closed, y_closed
-from .report import FAILS, HOLDS, OUT
+from .counting import Elements, shift_regime, x_closed, y_closed
+from .report import FAILS, HOLDS, OUT, RefusedInput, cell, check_n
 
 #: largest rho(S, n) a cell may check; checked before any partition is examined
 MAX_PARTITIONS = 10 ** 6
@@ -78,7 +78,7 @@ class InjectionCellReport:
 
     @property
     def block(self) -> tuple[dict, list[tuple]]:
-        """The cell as one block of a report (``report.VerificationReport``):
+        """The cell as the one-cell block of a report (``report.cell``):
         its value is |S^N| and its witness the counts, the failed checks and
         up to five map witnesses, if it was evaluated."""
         witness: dict | None = None
@@ -88,8 +88,8 @@ class InjectionCellReport:
                        "failed_checks": sorted(k for k, v in self.checks.items() if not v)}
             if self.witnesses:
                 witness["witnesses"] = self.witnesses[:5]
-        return ({"d": self.d, "N": self.N, "n": self.n},
-                [(self.status, (None,), (self.size if self.evaluated else None,), witness)])
+        return cell({"d": self.d, "N": self.N, "n": self.n}, self.status,
+                    self.size if self.evaluated else None, witness)
 
 
 def _open_cell(d: int, N: int, n: int, force: bool) -> tuple[InjectionCellReport, Elements | None]:

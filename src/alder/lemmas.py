@@ -13,9 +13,9 @@ Verified by their own functions, since they are not n-indexed:
 
 from __future__ import annotations
 
-from .counting import column, largest_part_counts, rho, s_set, t_set
-from .partset import RefusedInput, check_n, r_of, shift_regime, x_closed, y_closed
-from .report import FAILS, HOLDS, OUT, VerificationReport
+from .counting import (column, largest_part_counts, r_of, rho, s_set, shift_regime, t_set,
+                       x_closed, y_closed)
+from .report import FAILS, HOLDS, OUT, RefusedInput, cell, check_n
 
 #: expected largest-part distribution of Q_{d-N}^(1,-) at n = 5d-5N+16
 ANCHOR_MID_DISTRIBUTION = (1, 4, 5, 6, 5, 3, 2, 1, 1, 1)
@@ -30,24 +30,22 @@ XY_DIFFERENCE_FORMS = ((1, -2, 1), (1, -2, -1), (2, -3, -8), (1, -3, 9),
                        (2, -6, 16), (1, -6, 17))
 
 
-def verify_smalln_anchors(d: int, N: int,
-                          evaluate_out: bool = False) -> VerificationReport:
+def verify_smalln_anchors(d: int, N: int, evaluate_out: bool = False) -> tuple[str, list]:
     """The three small-n anchor values of Q_{d-N}^(1,-) used to bridge
     d+2 <= n <= 7d+13, plus the largest-part distributions behind them."""
-    report = VerificationReport("verify-anchors")
     hyp = shift_regime(d, N)
     base = {"d": d, "N": N}
     if not hyp and not evaluate_out:
-        report.add(base, OUT)
-        return report
+        return "verify-anchors", [cell(base, OUT)]
+    blocks = []
     S = s_set(d, N)
     n3 = 7 * d + 13
     rho(S, n3)  # the largest anchor first: S's table is built once, at its horizon
 
     def anchor(name: str, n: int, value: int, ok: bool, witness: dict) -> None:
-        report.add({**base, "anchor": name, "n": n},
-                   (HOLDS if ok else FAILS) if hyp else OUT, value,
-                   None if ok else witness)
+        blocks.append(cell({**base, "anchor": name, "n": n},
+                           (HOLDS if ok else FAILS) if hyp else OUT, value,
+                           None if ok else witness))
 
     n1 = 2 * d - 2 * N + 4
     v1 = rho(S, n1)
@@ -66,46 +64,44 @@ def verify_smalln_anchors(d: int, N: int,
         c <= cap for c, cap in zip(dist3, ANCHOR_TOP_DISTRIBUTION)),
         {"cap": str(ANCHOR_TOP_TOTAL), "distribution_caps":
          list(ANCHOR_TOP_DISTRIBUTION), "distribution": dist3})
-    return report
+    return "verify-anchors", blocks
 
 
-def xy_difference_report(d: int, N: int) -> VerificationReport:
+def xy_difference_report(d: int, N: int) -> tuple[str, list]:
     """The ten closed-form differences, the period-10 relation, and the
     branch minimum min(d-2N-1, d-6N+17) of x_i - y_i over i >= 3."""
     if not (N >= 2 and d >= max(31, 6 * N - 17)):
         raise RefusedInput(f"xy differences: need N >= 2 and "
                            f"d >= max(31, 6N-17), got d={d}, N={N}")
-    report = VerificationReport("verify-xy-diff")
-    base = {"d": d, "N": N}
+    blocks, base = [], {"d": d, "N": N}
     diff = lambda i: x_closed(d, N, i) - y_closed(d, i)
 
     for i, (u, v, w) in enumerate(XY_DIFFERENCE_FORMS, 3):
         got, want = diff(i), u * d + v * N + w
-        report.add({**base, "check": f"difference_i{i}"},
-                   HOLDS if got == want else FAILS, got,
-                   None if got == want else {"expected": str(want)})
+        blocks.append(cell({**base, "check": f"difference_i{i}"},
+                           HOLDS if got == want else FAILS, got,
+                           None if got == want else {"expected": str(want)}))
 
     period_ok = all(diff(i + 10) == diff(i) + (d - 5 * N + 15)
                     for i in range(3, 51))
-    report.add({**base, "check": "period_mod_10"},
-               HOLDS if period_ok else FAILS, d - 5 * N + 15)
+    blocks.append(cell({**base, "check": "period_mod_10"},
+                       HOLDS if period_ok else FAILS, d - 5 * N + 15))
 
     got_min = min(diff(i) for i in range(3, 201))
     want_min = min(d - 2 * N - 1, d - 6 * N + 17)
     branch = d - 2 * N - 1 if N <= 4 else d - 6 * N + 17
     ok = got_min == want_min == branch and got_min >= 0
-    report.add({**base, "check": "branch_minimum"}, HOLDS if ok else FAILS, got_min,
-               None if ok else {"expected": str(want_min), "branch": str(branch)})
-    return report
+    blocks.append(cell({**base, "check": "branch_minimum"}, HOLDS if ok else FAILS, got_min,
+                       None if ok else {"expected": str(want_min), "branch": str(branch)}))
+    return "verify-xy-diff", blocks
 
 
-def verify_t_monotone(d: int, n_max: int) -> VerificationReport:
+def verify_t_monotone(d: int, n_max: int) -> tuple[str, list]:
     """rho(T(s_lo, d); n) <= rho(T(s_hi, d); n) for 1 <= s_lo <= s_hi <= r_of(d).
 
     One record per (s_lo, s_hi) pair; the value is the minimum slack over
     n <= n_max and a failing pair carries the first violating n."""
-    report = VerificationReport("verify-t-monotone")
-    r = r_of(d)
+    blocks, r = [], r_of(d)
     check_n(n_max)  # a refusal before any work; each table is one build at n_max
     tables = {s: column(t_set(s, d), n_max)[:n_max + 1] for s in range(1, r + 1)}
     for s_lo in range(1, r + 1):
@@ -115,6 +111,6 @@ def verify_t_monotone(d: int, n_max: int) -> VerificationReport:
             witness = None
             if worst < 0:
                 witness = {"n": next(i for i, v in enumerate(slack) if v < 0)}
-            report.add({"d": d, "s_lo": s_lo, "s_hi": s_hi, "n_max": n_max},
-                       HOLDS if worst >= 0 else FAILS, worst, witness)
-    return report
+            blocks.append(cell({"d": d, "s_lo": s_lo, "s_hi": s_hi, "n_max": n_max},
+                               HOLDS if worst >= 0 else FAILS, worst, witness))
+    return "verify-t-monotone", blocks

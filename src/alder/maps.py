@@ -36,7 +36,8 @@ import array
 from typing import Iterator, NamedTuple
 
 from . import counting
-from .partset import Elements, check_n
+from .counting import Elements
+from .report import check_n
 
 
 class HypothesisViolation(ValueError):

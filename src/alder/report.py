@@ -1,10 +1,18 @@
-"""Cell statuses and the report every command returns, apart from
-``inequalities``: ``count`` and ``inject`` build reports but evaluate no
-statement."""
+"""Cell statuses, the refusal of an input, and the one-cell block.
+
+A report is a pair (cmd, blocks): the command name it writes and its
+blocks, each a pair (base params, runs), such as one grid row.  A run is
+a tuple (status, ns, values, witness): cells with one status and
+witness, the i-th with params base + {"n": ns[i]} and value
+``values[i]`` (None: not evaluated); an n of None stands for a block's
+one cell, whose params are the base (``cell``).  The blocks are a list,
+apart from a grid's (``inequalities.grid``), a generator of them.  Every
+command returns a report, and it has one reader, ``commands._write``:
+the tally of cells per status that it returns is the report's summary
+and sets the exit code.
+"""
 
 from __future__ import annotations
-
-from typing import Iterator
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -14,19 +22,19 @@ SKIPPED = "skipped"
 VIOLATION = "violation"
 
 
-class VerificationReport:
-    """A report as blocks, each a pair (base params, runs), such as one grid
-    row.  A run is a tuple (status, ns, values, witness): cells with one
-    status and witness, the i-th with params base + {"n": ns[i]} and value
-    ``values[i]`` (None: not evaluated); an n of None stands for a block's
-    one cell, whose params are the base.  The blocks, a list or an
-    iterator, have one reader, ``commands._write``: the tally of cells per
-    status that it returns is the report's summary and sets the exit code."""
+class RefusedInput(ValueError):
+    """Input the program refuses: a parameter outside its domain, a set or
+    cell that cannot be built, or a size over a cap.  The command line
+    reports it as a usage error."""
 
-    def __init__(self, cmd: str, blocks: list | Iterator | None = None):
-        self.cmd, self.blocks = cmd, [] if blocks is None else blocks
 
-    def add(self, params: dict, status: str, value: int | None = None,
-            witness: dict | None = None) -> None:
-        """Append a block of one cell with these params."""
-        self.blocks.append((params, [(status, (None,), (value,), witness)]))
+def check_n(n: int) -> None:
+    """Refuse a negative weight n: every count and every cell starts at n = 0."""
+    if n < 0:
+        raise RefusedInput(f"n must be >= 0, got {n}")
+
+
+def cell(params: dict, status: str, value: int | None = None,
+         witness: dict | None = None) -> tuple[dict, list[tuple]]:
+    """The block of one cell with these params."""
+    return params, [(status, (None,), (value,), witness)]

@@ -21,19 +21,19 @@ that its closed form, T's modulus m = d + n_hat(a, d) - a other than
 2a, is tested against.
 
 The library reads a report only as ``commands._write`` writes it; the
-tests read one cell at a time.  ``Report`` is a report with ``records``
-(one ``CellRecord`` per cell), ``summary`` (cells per status) and ``ok``
-(no failing cell); ``Report.of`` makes one of any report, and ``verify``
-and ``search_counterexamples`` collect the blocks of
-``inequalities.grid`` into one.
+tests read one cell at a time.  ``Report`` holds a report (cmd, blocks)
+with ``records`` (one ``CellRecord`` per cell), ``summary`` (cells per
+status) and ``ok`` (no failing cell); ``Report.of`` collects the pair
+that any command, lemma check or grid returns, and ``verify`` and
+``search_counterexamples`` collect ``inequalities.grid``'s.
 """
 
 from typing import NamedTuple
 
 from alder import counting, inequalities, injection, maps
+from alder.counting import r_of
 from alder.inequalities import Row, Side
-from alder.partset import RefusedInput, check_n, r_of
-from alder.report import FAILS, VerificationReport
+from alder.report import FAILS, RefusedInput, check_n
 
 #: refuse brute-force enumeration beyond this unless the caller raises it
 DEFAULT_BRUTE_LIMIT = 60
@@ -149,12 +149,17 @@ class CellRecord(NamedTuple):
     witness: dict | None = None
 
 
-class Report(VerificationReport):
-    """A report whose blocks are a list, read one cell at a time."""
+class Report:
+    """A report (cmd, blocks) whose blocks are a list, read one cell at a time."""
+
+    def __init__(self, cmd: str, blocks: list):
+        self.cmd, self.blocks = cmd, blocks
 
     @classmethod
-    def of(cls, report: VerificationReport) -> "Report":
-        return cls(report.cmd, list(report.blocks))
+    def of(cls, report: tuple) -> "Report":
+        """The report (cmd, blocks) that a command, lemma or grid returns, collected."""
+        cmd, blocks = report
+        return cls(cmd, list(blocks))
 
     @property
     def records(self) -> list[CellRecord]:
@@ -177,14 +182,12 @@ class Report(VerificationReport):
 
 def verify(name: str, spec: inequalities.GridSpec) -> Report:
     """The grid ``verify-<name>`` over ``spec``, collected."""
-    cmd, blocks = inequalities.grid(f"verify-{name}", spec)
-    return Report(cmd, list(blocks))
+    return Report.of(inequalities.grid(f"verify-{name}", spec))
 
 
 def search_counterexamples(kind: str, spec: inequalities.GridSpec) -> Report:
     """The grid ``search-<kind>`` over ``spec``, collected."""
-    cmd, blocks = inequalities.grid(f"search-{kind}", spec)
-    return Report(cmd, list(blocks))
+    return Report.of(inequalities.grid(f"search-{kind}", spec))
 
 
 def first_elements(A: str, i_max: int) -> list[int]:

@@ -4,6 +4,7 @@ import collections
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import struct
@@ -18,8 +19,7 @@ from hypothesis import strategies as st
 
 from alder import cache, cli, commands, counting, inequalities, injection, maps
 from alder.counting import s_set
-from alder.partset import RefusedInput
-from alder.report import VerificationReport
+from alder.report import RefusedInput
 from conftest import child_env, rewrite_entry
 from oracles import gen_kp_sets, search_counterexamples, verify
 
@@ -581,7 +581,7 @@ class TestStartup:
         ("verify anchors --d 63 --N 2", (False, True)),
         ("verify xy-diff --d 63 --N 2", (False, True)),
         ("verify t-monotone --d 63 --n-max 100", (False, True)),
-        ("verify t-monotone --d 63", (True, True)),  # for the default horizon
+        ("verify t-monotone --d 63", (False, True)),  # its default horizon is in commands
     ])
     def test_grids_and_lemmas_load_their_own_module(self, argv, loaded):
         # a grid compiles no lemma check, and anchors and xy-diff no grid engine
@@ -595,16 +595,34 @@ class TestStartup:
 
     def test_report_types_are_the_ones_inequalities_exports(self):
         from alder import report
-        from alder.inequalities import HOLDS, VerificationReport
-        assert VerificationReport is report.VerificationReport
+        from alder.inequalities import HOLDS
         assert HOLDS == report.HOLDS == "holds"
-        # a report is its cmd and blocks, and commands._write is its one reader:
-        # the library offers no per-cell records, summary, verdict or equality
-        assert [k for k in vars(VerificationReport) if not k.startswith("_")] == ["add"]
-        assert "__eq__" not in vars(VerificationReport)
-        assert vars(VerificationReport("count")) == {"cmd": "count", "blocks": []}
+        # a report is the pair (cmd, blocks), and commands._write is its one
+        # reader: the library defines no report class, per-cell records,
+        # summary or verdict
+        assert [name for name, v in vars(report).items() if isinstance(v, type)
+                and v.__module__ == report.__name__] == ["RefusedInput"]
         assert not hasattr(report, "CellRecord")
+        assert report.cell({"d": 63}, HOLDS) == ({"d": 63}, [(HOLDS, (None,), (None,), None)])
+        assert report.cell({"d": 63, "N": 2}, report.FAILS, 7, {"n": 3}) == (
+            {"d": 63, "N": 2}, [(report.FAILS, (None,), (7,), {"n": 3})])
         assert not {"verify", "search_counterexamples"} & set(vars(inequalities))
+
+    def test_count_loads_only_its_modules(self):
+        probe = ("import sys, alder.cli; "
+                 "code = alder.cli.main(['count', '--kind', 'delta', '--a', '1', '--d', '4', "
+                 "'--n', '1..50']); "
+                 "print(code, sorted(m for m in sys.modules "
+                 "if m == 'alder' or m.startswith('alder.')), file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              check=True, text=True, env=child_env())
+        assert proc.stderr.splitlines()[-1] == "0 " + str(
+            ["alder", "alder.cli", "alder.commands", "alder.counting", "alder.report"])
+
+    def test_partset_module_is_gone(self):
+        # its refusal is in alder.report and its closed forms in alder.counting
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("alder.partset")
 
     def test_inject_imports_its_modules_when_run(self):
         # a range runs in one process: it loads no process pool
@@ -803,7 +821,7 @@ class TestFormats:
         target = tmp_path / "report.jsonl"
         target.write_bytes(b"old report\n")
 
-        def write_one_line_then_raise(report, fmt, out):
+        def write_one_line_then_raise(cmd, blocks, fmt, out):
             out.write("partial\n")
             raise exc
         monkeypatch.setattr(commands, "_write", write_one_line_then_raise)
@@ -955,8 +973,7 @@ class TestStreaming:
                                      n_max=2000, evaluate_out_of_hypothesis=True)
         tracemalloc.start()
         try:
-            summary = commands._write(VerificationReport(*inequalities.grid(
-                "verify-gen-kp", spec)), "json", Null())
+            summary = commands._write(*inequalities.grid("verify-gen-kp", spec), "json", Null())
             streamed = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             report = verify("gen-kp", spec)

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alder import cli, counting
-from alder.counting import (column, elements, g_name, largest_part_counts, q_name, rho,
+from alder.counting import (column, elements, g_name, largest_part_counts, q_name, r_of, rho,
                             rho_name, s_set, t_set)
-from alder.partset import r_of
 import oracles
 from oracles import (big_q, delta, pm_set, positive_integers, q_brute, q_lower_bound,
                      rho_brute)

@@ -11,7 +11,7 @@ from alder.counting import column, q_name, rho, s_set, t_set
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED,
                                 STATEMENTS, GridSpec, n_hat)
 from alder.lemmas import verify_smalln_anchors, verify_t_monotone, xy_difference_report
-from alder.partset import RefusedInput
+from alder.report import RefusedInput
 from oracles import (PREMISE_HORIZON, Report, big_q, check_andrews, dominates,
                      first_elements, gen_kp_sets, pm_set, positive_integers,
                      q_brute, rho_brute, search_counterexamples, verify)

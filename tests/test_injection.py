@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alder import injection, maps
-from alder.counting import MAX_HORIZON, elements, rho, s_set, t_set
+from alder.counting import (MAX_HORIZON, elements, rho, s_set, shift_regime, t_set, x_closed,
+                            y_closed)
 from alder.injection import in_hypothesis, verify_injection, verify_range
 from alder.maps import (HypothesisViolation, MapViolation, enumerate_partitions,
                         phi1, phi2, stats)
-from alder.partset import RefusedInput, shift_regime, x_closed, y_closed
+from alder.report import RefusedInput
 from oracles import partitions_list, pm_set, positive_integers, verify_injection_exhaustive
 
 

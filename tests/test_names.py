@@ -8,8 +8,9 @@ import math
 import pytest
 
 from alder import cache, cli, counting
+from alder.counting import r_of
 from alder.inequalities import STATEMENTS, GridSpec, n_hat
-from alder.partset import RefusedInput, r_of
+from alder.report import RefusedInput
 from oracles import pm_set, search_counterexamples, verify
 
 

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alder.counting import big_q_name, elements, rho_name, s_set, t_set
-from alder.partset import r_of, x_closed, y_closed
+from alder.counting import big_q_name, elements, r_of, rho_name, s_set, t_set, x_closed, y_closed
 from oracles import first_elements, pm_set, positive_integers
 
 XY_GRID = [(31, 2), (63, 2), (63, 3), (63, 5), (105, 4), (200, 8)]

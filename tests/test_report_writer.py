@@ -23,7 +23,6 @@ import pytest
 from alder import cli, commands, inequalities
 from alder.inequalities import (EXEMPT, FAILS, HOLDS, OUT, SKIPPED, STATEMENTS,
                                 VIOLATION, GridSpec, Row)
-from alder.report import VerificationReport
 from oracles import CellRecord, Report, check_andrews, pm_set, search_counterexamples, verify
 
 FORMATS = ("json", "csv", "human")
@@ -75,7 +74,7 @@ def reference(report, fmt: str) -> str:
 def written(report, fmt: str) -> tuple[str, dict]:
     """``report`` as ``commands._write`` writes it, and the summary it returns."""
     out = io.StringIO()
-    summary = commands._write(report, fmt, out)
+    summary = commands._write(report.cmd, report.blocks, fmt, out)
     return out.getvalue(), summary
 
 
@@ -91,7 +90,7 @@ def assert_streams_as_reference(cmd, spec, report):
     the reference writer over the collected ``report``, in every format."""
     for fmt in FORMATS:
         out = io.StringIO()
-        summary = commands._write(VerificationReport(*inequalities.grid(cmd, spec)), fmt, out)
+        summary = commands._write(*inequalities.grid(cmd, spec), fmt, out)
         assert out.getvalue() == reference(report, fmt), fmt
         assert summary == reference_summary(report), fmt
 
