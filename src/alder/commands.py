@@ -226,9 +226,8 @@ def cmd_search(args) -> tuple:
 
 def cmd_inject(args) -> tuple:
     from .injection import verify_range
-    cells = verify_range(_single(args, "d"), _single(args, "N"), parse_range(args.n),
-                         args.force)
-    return "inject", [rep.block for rep in cells]
+    return "inject", verify_range(_single(args, "d"), _single(args, "N"),
+                                  parse_range(args.n), args.force)
 
 
 _DISPATCH = {"count": cmd_count, "verify": cmd_verify,

@@ -16,7 +16,8 @@ injectivity within S2.  An S2 image q equals an S1 image iff its
 phi1-preimage, p_i = q_i (i >= 2) with p_1 = q_1 - alpha(q) + (N-2) q_2,
 has p_1 >= 0; alpha(q) is the statistics' own alpha (``maps._alpha``).
 Every x_i and y_i is read from the cell's ``_element_table``, evaluated
-once from the closed forms when ``_open_cell`` names S and T.
+once from the closed forms after S and T are named and rho(S, n) is
+checked against its cap.
 
 ``maps._check_exhaustively`` enumerates every partition of n and maps
 it.  It is the structural check's fallback (and, in the tests, its
@@ -55,67 +56,30 @@ def in_hypothesis(d: int, N: int, n: int) -> bool:
     return shift_regime(d, N) and n >= 7 * d + 14
 
 
-class InjectionCellReport:
-    """Outcome of checking one (d, N, n) cell: ``size`` is |S^N|, the number
-    of partitions of n, which ``s1_size`` and ``s2_size`` split by class."""
-
-    def __init__(self, d: int, N: int, n: int, in_hypothesis: bool, evaluated: bool):
-        self.d, self.N, self.n = d, N, n
-        self.in_hypothesis, self.evaluated = in_hypothesis, evaluated
-        self.size = self.rho_s = self.rho_t = self.s1_size = self.s2_size = 0
-        self.checks: dict[str, bool] = {}
-        self.witnesses: list[dict] = []
-
-    @property
-    def passed(self) -> bool:
-        return self.evaluated and all(self.checks.values())
-
-    @property
-    def status(self) -> str:
-        if not self.in_hypothesis:
-            return OUT
-        return HOLDS if self.passed else FAILS
-
-    @property
-    def block(self) -> tuple[dict, list[tuple]]:
-        """The cell as the one-cell block of a report (``report.cell``):
-        its value is |S^N| and its witness the counts, the failed checks and
-        up to five map witnesses, if it was evaluated."""
-        witness: dict | None = None
-        if self.evaluated:
-            witness = {"rho_S": str(self.rho_s), "rho_T": str(self.rho_t),
-                       "s1": self.s1_size, "s2": self.s2_size,
-                       "failed_checks": sorted(k for k, v in self.checks.items() if not v)}
-            if self.witnesses:
-                witness["witnesses"] = self.witnesses[:5]
-        return cell({"d": self.d, "N": self.N, "n": self.n}, self.status,
-                    self.size if self.evaluated else None, witness)
-
-
-def _open_cell(d: int, N: int, n: int, force: bool) -> tuple[InjectionCellReport, Elements | None]:
-    """A cell's report before any partition is examined, with the cell's
-    ``_element_table`` if it is to be checked (None if it is skipped or
-    not constructible)."""
-    check_n(n)
-    hyp = in_hypothesis(d, N, n)
-    report = InjectionCellReport(d, N, n, in_hypothesis=hyp, evaluated=hyp or force)
-    if not report.evaluated:
-        return report, None
-
-    try:
-        y_closed(d, 1)  # the target ordering needs r_of(d) >= 5
-        S, T = counting.s_set(d, N), counting.t_set(5, d)
-    except RefusedInput as exc:
-        report.checks["constructible"] = False
-        report.witnesses.append({"error": str(exc)})
-        return report, None
-
-    report.rho_s = counting.rho(S, n)
-    if report.rho_s > MAX_PARTITIONS:
-        raise RefusedInput(f"cell d={d}, N={N}, n={n} has {report.rho_s} "
-                           f"partitions, more than {MAX_PARTITIONS}")
-    report.rho_t = counting.rho(T, n)
-    return report, _element_table(d, N, n)
+def _block(params: dict, hyp: bool, rho_s: int, rho_t: int, size: int, s1: int,
+           s2: int, mapped: int, distinct: int, witnesses: list[dict],
+           failed: set[str]) -> tuple[dict, list[tuple]]:
+    """An evaluated cell as a one-cell block (``report.cell``).  Its value
+    is ``size``, the partitions of n, which ``s1`` and ``s2`` split by
+    class; ``mapped`` of them have an image, ``distinct`` images in all.
+    Its witness gives rho(S, n), rho(T, n), the class sizes, the failed
+    checks and the first five ``witnesses`` of ``maps._map_checked``.  Six
+    of the eight named checks compare the counts; the other two,
+    piece_separation and p2_lower_bound, fail iff ``failed`` names them,
+    as it names ``constructible`` for a cell that cannot be built."""
+    classified = s1 + s2 == size
+    checks = {"classification_partitions": classified,
+              "enumeration_matches_rho": size == rho_s,
+              "stats_defined": classified,  # a partition is classified iff its stats are
+              "images_valid": mapped == size,  # maps._image rejects weight drift
+              "injective": distinct == mapped,
+              "rho_dominates": rho_t >= rho_s}
+    failed_checks = sorted(failed.union(k for k, v in checks.items() if not v))
+    witness = {"rho_S": str(rho_s), "rho_T": str(rho_t), "s1": s1, "s2": s2,
+               "failed_checks": failed_checks}
+    if witnesses:
+        witness["witnesses"] = witnesses
+    return cell(params, OUT if not hyp else (FAILS if failed_checks else HOLDS), size, witness)
 
 
 def _element_table(d: int, N: int, n: int) -> Elements:
@@ -128,25 +92,6 @@ def _element_table(d: int, N: int, n: int) -> Elements:
         if x > n and i > 5:
             return els
         els.append((x, y, x - y))
-
-
-def _settle(report: InjectionCellReport, mapped: int, distinct: int,
-            witnesses: list[dict], failed: set[str]) -> None:
-    """Set the checks of an evaluated cell whose sizes are filled in:
-    ``mapped`` of its partitions have an image, ``distinct`` images in all,
-    ``witnesses`` are the first five of ``maps._map_checked`` and
-    ``failed`` names every check that one of its witnesses failed."""
-    report.witnesses += witnesses
-    classified = report.s1_size + report.s2_size == report.size
-    report.checks = {
-        "classification_partitions": classified,
-        "enumeration_matches_rho": report.size == report.rho_s,
-        "stats_defined": classified,  # a partition is classified iff its stats are
-        "images_valid": mapped == report.size,  # maps._image rejects weight drift
-        "injective": distinct == mapped,
-        "piece_separation": "piece_separation" not in failed,
-        "rho_dominates": report.rho_t >= report.rho_s,
-        "p2_lower_bound": "p2_lower_bound" not in failed}
 
 
 def _s2_members(N: int, n: int, els: Elements) -> Iterator[dict[int, int]]:
@@ -214,50 +159,63 @@ def _s2_size(d: int, N: int, n: int, els: Elements) -> int | None:
     return len(images)  # one per S2 member: a repeated image returned None
 
 
-def verify_injection(d: int, N: int, n: int, force: bool = False) -> InjectionCellReport:
-    """Verify the piecewise injection at one (d, N, n) cell.
+def verify_injection(d: int, N: int, n: int, force: bool = False) -> tuple[dict, list[tuple]]:
+    """Verify the piecewise injection at one (d, N, n) cell, as a one-cell
+    block (``report.cell``) whose value is |S^N|.
 
     Checks, over all partitions of n over S(d, N): classification
     consistency, image validity (nonnegative, weight n), global
     injectivity including across pieces, the q_2-separation of the beta
     sub-pieces, the count inequality rho(T) >= rho(S), and the p_2 >= 8
     bound for S2 members.  Failed assertions are collected as witnesses;
-    the call itself does not raise on them.
+    the call itself does not raise on them.  A cell whose sets cannot be
+    built has the value 0 and fails the one check ``constructible``.
 
     The cell is settled structurally when it can be (see the module
-    docstring): only the S2 members are walked and mapped, and the
-    report's size is rho(S, n) read from its count table.  When a premise
-    or any check fails, the cell is rerun by ``maps._check_exhaustively``,
-    so the report, witnesses included, is always the one the exhaustive
-    check gives.
+    docstring): only the S2 members are walked and mapped, and its size
+    is rho(S, n) read from its count table.  When a premise or any check
+    fails, the cell is rerun by ``maps._check_exhaustively``, so the
+    block, witnesses included, is always the one the exhaustive check
+    gives.
 
     Out-of-hypothesis cells are evaluated only when ``force`` is set and
-    are labeled as such, never as failures of the inequality.  Raises
-    RefusedInput if n < 0 and, for a cell it evaluates, if n is beyond
+    are labeled as such, never as failures of the inequality; a cell that
+    is not evaluated has no value and no witness.  Raises RefusedInput if
+    n < 0 and, for a cell it evaluates, if n is beyond
     ``counting.MAX_HORIZON`` or rho(S, n) exceeds MAX_PARTITIONS; these
     are checked before any partition is examined.
     """
-    report, els = _open_cell(d, N, n, force)
-    if els is None:
-        return report
-    s2_size = _s2_size(d, N, n, els)
-    if s2_size is None or report.rho_t < report.rho_s:
+    check_n(n)
+    params, hyp = {"d": d, "N": N, "n": n}, in_hypothesis(d, N, n)
+    if not (hyp or force):
+        return cell(params, OUT)
+    try:
+        y_closed(d, 1)  # the target ordering needs r_of(d) >= 5
+        S, T = counting.s_set(d, N), counting.t_set(5, d)
+    except RefusedInput as exc:
+        return _block(params, hyp, 0, 0, 0, 0, 0, 0, 0,  # no counts: nothing was built
+                      [{"error": str(exc)}], {"constructible"})
+    rho_s = counting.rho(S, n)
+    if rho_s > MAX_PARTITIONS:
+        raise RefusedInput(f"cell d={d}, N={N}, n={n} has {rho_s} "
+                           f"partitions, more than {MAX_PARTITIONS}")
+    rho_t = counting.rho(T, n)
+    els = _element_table(d, N, n)
+    s2 = _s2_size(d, N, n, els)
+    if s2 is None or rho_t < rho_s:
         from . import maps
-        _settle(report, *maps._check_exhaustively(report, els))
-        return report
-    report.size, report.s2_size = report.rho_s, s2_size
-    report.s1_size = report.size - s2_size
-    _settle(report, report.size, report.size, [], set())  # every check holds
-    return report
+        return _block(params, hyp, rho_s, rho_t, *maps._check_exhaustively(S, d, N, n, els))
+    # every check holds: each of the rho_s partitions has its own image
+    return _block(params, hyp, rho_s, rho_t, rho_s, rho_s - s2, s2, rho_s, rho_s, [], set())
 
 
 def verify_range(d: int, N: int, n_values: Sequence[int],
-                 force: bool = False) -> list[InjectionCellReport]:
-    """``verify_injection`` at (d, N, n) for each n of the ascending
-    ``n_values``, in order.  The first n is checked and the last cell runs
-    first (see the module docstring), so a range over a cap runs no other
-    cell."""
+                 force: bool = False) -> list[tuple[dict, list[tuple]]]:
+    """The block of ``verify_injection`` at (d, N, n) for each n of the
+    ascending ``n_values``, in order.  The first n is checked and the last
+    cell runs first (see the module docstring), so a range over a cap runs
+    no other cell."""
     check_n(n_values[0])
-    cell = functools.partial(verify_injection, d, N, force=force)
-    last = cell(n_values[-1])
-    return [*map(cell, n_values[:-1]), last]
+    run = functools.partial(verify_injection, d, N, force=force)
+    last = run(n_values[-1])
+    return [*map(run, n_values[:-1]), last]

@@ -178,22 +178,23 @@ def _key(img: dict[int, int]) -> bytes:
     return array.array("I", [*img, *img.values()]).tobytes()
 
 
-def _check_exhaustively(report, els: Elements) -> tuple[int, int, list[dict], set[str]]:
-    """Stream every partition of n over S(d, N) through ``_map_checked``
-    and fill in ``report``'s sizes.  Returns what ``injection._settle``
-    takes: how many partitions have an image, how many distinct images
-    (held as keys), the first five witnesses (all that a report prints)
-    and the names of the checks a witness failed."""
+def _check_exhaustively(S: str, d: int, N: int, n: int, els: Elements
+                        ) -> tuple[int, int, int, int, int, list[dict], set[str]]:
+    """Stream every partition of n over S = S(d, N), the rho table name,
+    through ``_map_checked``.  Returns how many partitions there are, how
+    many are in S1 and in S2, how many have an image, how many distinct
+    images (held as keys), the first five witnesses (all that a report
+    prints) and the names of the checks a witness failed."""
     images: set[bytes] = set()
     witnesses: list[dict] = []
     checks: set[str] = set()
     failed: list[dict] = []
-    mapped = 0
-    for lam in enumerate_partitions(counting.s_set(report.d, report.N), report.n):
-        cls, img = _map_checked(lam, report.d, report.N, els, failed)
-        report.size += 1
-        report.s1_size += cls == "S1"
-        report.s2_size += cls == "S2"
+    size = s1 = s2 = mapped = 0
+    for lam in enumerate_partitions(S, n):
+        cls, img = _map_checked(lam, d, N, els, failed)
+        size += 1
+        s1 += cls == "S1"
+        s2 += cls == "S2"
         if img is not None:
             mapped += 1
             images.add(_key(img))
@@ -201,4 +202,4 @@ def _check_exhaustively(report, els: Elements) -> tuple[int, int, list[dict], se
             checks.update(witness["check"] for witness in failed if "check" in witness)
             witnesses += failed[:5 - len(witnesses)]
             failed.clear()
-    return mapped, len(images), witnesses, checks
+    return size, s1, s2, mapped, len(images), witnesses, checks

@@ -29,8 +29,9 @@ that any command, lemma check or grid returns, and ``verify`` and
 """
 
 from typing import NamedTuple
+from unittest import mock
 
-from alder import counting, inequalities, injection, maps
+from alder import counting, inequalities, injection
 from alder.counting import r_of
 from alder.inequalities import Row, Side
 from alder.report import FAILS, RefusedInput, check_n
@@ -276,10 +277,9 @@ def partitions_list(A: str, n: int) -> list[dict[int, int]]:
 
 
 def verify_injection_exhaustive(d: int, N: int, n: int, force: bool = False):
-    """``injection.verify_injection`` by enumerating and mapping every
-    partition of n, as its fallback does: the oracle of the structural
+    """``injection.verify_injection`` with the structural check switched
+    off, so that every evaluated cell is enumerated and mapped by its
+    fallback, ``maps._check_exhaustively``: the oracle of the structural
     check, and the only path that produces witnesses, in enumeration order."""
-    report, els = injection._open_cell(d, N, n, force)
-    if els is not None:
-        injection._settle(report, *maps._check_exhaustively(report, els))
-    return report
+    with mock.patch.object(injection, "_s2_size", lambda *args: None):
+        return injection.verify_injection(d, N, n, force)

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from alder.counting import column, g_name, q_name, rho, s_set, t_set
 from alder.inequalities import EXEMPT, HOLDS, OUT, GridSpec
 from alder.lemmas import verify_smalln_anchors, xy_difference_report
-from alder.injection import verify_injection
+from alder.injection import in_hypothesis, verify_injection
 from conftest import child_env
 from oracles import (Report, delta, pm_set, q_brute, q_lower_bound, rho_brute,
                      search_counterexamples, verify)
@@ -74,13 +74,14 @@ def test_criterion_04_injection_verification():
     with criterion(4, 120, f"injection checks on {len(cells)} cells "
                            f"(S2 walked, S1 by construction)"):
         for d, N, n in cells:
-            report = verify_injection(d, N, n)
-            assert report.in_hypothesis and report.status == "holds", (d, N, n)
-            assert report.checks["images_valid"]
-            assert report.checks["injective"]
-            assert report.checks["piece_separation"]
-            assert report.checks["rho_dominates"]
-            assert report.checks["p2_lower_bound"]
+            (rec,) = Report("inject", [verify_injection(d, N, n)]).records
+            assert in_hypothesis(d, N, n) and rec.status == "holds", (d, N, n)
+            failed = rec.witness["failed_checks"]
+            assert "images_valid" not in failed
+            assert "injective" not in failed
+            assert "piece_separation" not in failed
+            assert "rho_dominates" not in failed
+            assert "p2_lower_bound" not in failed
 
 
 def shift_grid_pairs():

@@ -123,6 +123,11 @@ GOLDEN = [
      "b22d2f9f85b8582269c47b3ef6d74778a56dc5fddb0be72baa5922f0de1dc709"),
     ("inject --d 63 --N 3 --n 455..460", 0,
      "a2ebf6c1369d6c96a2186d650cf0fe6c4a42c70eab61e1ec22bc8f4fceeec539"),
+    # a forced range across n = 7d + 14: two out-of-hypothesis cells whose
+    # structural check falls back to the exhaustive one (p2_lower_bound and
+    # injective witnesses), then two holds cells
+    ("inject --d 63 --N 3 --n 453..456 --force", 0,
+     "776bfcc77460cdb0fd2e7e82d4e3448b243e027781832c040e20161392c4ecd8"),
     # Q-type tables far past the first 64 entries, dense and sparse moduli,
     # the smaller residue excluded (Qm at a=6, d=5) and both excluded
     ("count --kind Q --a 2 --d 5 --n 1..2000", 0,

@@ -13,7 +13,8 @@ from alder.injection import in_hypothesis, verify_injection, verify_range
 from alder.maps import (HypothesisViolation, MapViolation, enumerate_partitions,
                         phi1, phi2, stats)
 from alder.report import RefusedInput
-from oracles import partitions_list, pm_set, positive_integers, verify_injection_exhaustive
+from oracles import (Report, partitions_list, pm_set, positive_integers,
+                     verify_injection_exhaustive)
 
 
 def weight_s(lam, d, N):
@@ -22,6 +23,12 @@ def weight_s(lam, d, N):
 
 def weight_t(img, d):
     return sum(m * y_closed(d, i) for i, m in img.items())
+
+
+def record(block):
+    """The one cell of an inject block, read as the tests read a report."""
+    (rec,) = Report("inject", [block]).records
+    return rec
 
 
 def table(d, N):
@@ -227,10 +234,10 @@ class TestPhiDispatch:
                 seen.append((name, stats(lam, d, N, els).cls))
                 return real(lam, d, N, els, st_)
             monkeypatch.setattr(maps, name, spy)
-        rep = verify_injection_exhaustive(63, 3, 519)
-        assert rep.s1_size > 0 and rep.s2_size > 0
+        rec = record(verify_injection_exhaustive(63, 3, 519))
+        assert rec.witness["s1"] > 0 and rec.witness["s2"] > 0
         assert sorted(set(seen)) == [("phi1", "S1"), ("phi2", "S2")]
-        assert len(seen) == rep.size
+        assert len(seen) == rec.value
 
     @given(st.integers(min_value=0, max_value=58),
            st.integers(min_value=0, max_value=40),
@@ -274,45 +281,45 @@ class TestLemmaBounds:
 
 class TestVerifyInjection:
     def test_s2_empty_at_n2(self):
-        rep = verify_injection(63, 2, 455)
-        assert rep.status == "holds"
-        assert rep.s2_size == 0
-        assert rep.size == rep.rho_s == rep.s1_size
+        rec = record(verify_injection(63, 2, 455))
+        assert rec.status == "holds"
+        assert rec.witness["s2"] == 0
+        assert rec.value == int(rec.witness["rho_S"]) == rec.witness["s1"]
 
     def test_nonempty_s2_cell(self):
-        rep = verify_injection(63, 3, 519)
-        assert rep.status == "holds"
-        assert rep.s2_size == 1
-        assert rep.checks["p2_lower_bound"]
+        rec = record(verify_injection(63, 3, 519))
+        assert rec.status == "holds"
+        assert rec.witness["s2"] == 1
+        assert "p2_lower_bound" not in rec.witness["failed_checks"]
 
     @pytest.mark.parametrize("d,N,n", [(63, 2, 456), (63, 3, 455), (105, 4, 749)])
     def test_cells_pass(self, d, N, n):
-        rep = verify_injection(d, N, n)
-        assert rep.status == "holds"
-        assert rep.checks["injective"] and rep.checks["rho_dominates"]
-        assert rep.rho_t >= rep.rho_s == rep.size
+        rec = record(verify_injection(d, N, n))
+        assert rec.status == "holds"
+        assert not {"injective", "rho_dominates"} & set(rec.witness["failed_checks"])
+        assert int(rec.witness["rho_T"]) >= int(rec.witness["rho_S"]) == rec.value
 
     def test_out_of_hypothesis_unforced_is_skipped(self):
-        rep = verify_injection(63, 2, 454)
-        assert not rep.in_hypothesis and not rep.evaluated
-        assert rep.status == "out-of-hypothesis"
+        rec = record(verify_injection(63, 2, 454))
+        assert not in_hypothesis(63, 2, 454) and rec.value is None and rec.witness is None
+        assert rec.status == "out-of-hypothesis"
 
     def test_out_of_hypothesis_forced_runs_and_labels(self):
-        rep = verify_injection(63, 2, 454, force=True)
-        assert rep.status == "out-of-hypothesis"
-        assert rep.evaluated and rep.size == rep.rho_s
+        rec = record(verify_injection(63, 2, 454, force=True))
+        assert rec.status == "out-of-hypothesis"
+        assert rec.witness is not None and rec.value == int(rec.witness["rho_S"])
 
     def test_unbuildable_cell_reports_error(self):
         # t_set(5, 12) does not exist; forced run must not crash
-        rep = verify_injection(12, 4, 100, force=True)
-        assert rep.status == "out-of-hypothesis"
-        assert rep.checks.get("constructible") is False
+        rec = record(verify_injection(12, 4, 100, force=True))
+        assert rec.status == "out-of-hypothesis"
+        assert rec.value == 0 and rec.witness["failed_checks"] == ["constructible"]
 
     def test_forced_cell_where_target_order_breaks(self):
         # t_set(5, 20) exists but the element closed form needs d >= 31
-        rep = verify_injection(20, 2, 150, force=True)
-        assert rep.status == "out-of-hypothesis"
-        assert rep.checks.get("constructible") is False
+        rec = record(verify_injection(20, 2, 150, force=True))
+        assert rec.status == "out-of-hypothesis"
+        assert rec.value == 0 and rec.witness["failed_checks"] == ["constructible"]
 
     def test_in_hypothesis_predicate(self):
         assert in_hypothesis(63, 2, 455)
@@ -340,7 +347,7 @@ class TestVerifyInjection:
         d, N, n = 63, 2, 520
         rho_s = rho(s_set(d, N), n)
         monkeypatch.setattr(injection, "MAX_PARTITIONS", rho_s)
-        assert verify_injection(d, N, n).size == rho_s
+        assert record(verify_injection(d, N, n)).value == rho_s
         monkeypatch.setattr(injection, "MAX_PARTITIONS", rho_s - 1)
 
         def never(A, n):
@@ -390,12 +397,11 @@ class TestStructuralCheck:
             for force in (False,) if in_hypothesis(d, N, n) else (False, True):
                 rep = verify_injection(d, N, n, force)
                 oracle = verify_injection_exhaustive(d, N, n, force)
-                assert vars(rep) == vars(oracle), \
-                    (d, N, n, force)
-                assert list(rep.checks) == list(oracle.checks)
-                s2_passing += rep.s2_size > 0 and rep.passed
-                witnessed.update(map(_witness_kind, oracle.witnesses))
-                witnessed.update(k for k, v in oracle.checks.items() if not v)
+                assert rep == oracle, (d, N, n, force)
+                witness = record(oracle).witness or {"s2": 0, "failed_checks": []}
+                s2_passing += witness["s2"] > 0 and not witness["failed_checks"]
+                witnessed.update(map(_witness_kind, witness.get("witnesses", [])))
+                witnessed.update(witness["failed_checks"])
         assert s2_passing > 0
         assert {"stats", "p2_lower_bound", "phi2.negative", "injective"} <= witnessed
 
@@ -419,11 +425,11 @@ class TestStructuralCheck:
 
         monkeypatch.setattr(maps, "enumerate_partitions", never)
         monkeypatch.setattr(maps, "phi1", never)
-        rep = verify_injection(63, 3, 519)
-        assert rep.status == "holds" and rep.s2_size == 1
+        rec = record(verify_injection(63, 3, 519))
+        assert rec.status == "holds" and rec.witness["s2"] == 1
         # near the partition cap: 785,314 partitions, none of them walked
-        rep = verify_injection(63, 2, 2000)
-        assert rep.status == "holds" and rep.size == rep.s1_size == 785314
+        rec = record(verify_injection(63, 2, 2000))
+        assert rec.status == "holds" and rec.value == rec.witness["s1"] == 785314
 
     @pytest.fixture
     def enumerated(self, monkeypatch):
@@ -439,24 +445,25 @@ class TestStructuralCheck:
         # emptied, so only the premise can send the cell to the oracle.
         assert x_closed(31, 10, 12) < y_closed(31, 12) and x_closed(31, 10, 12) <= 183
         monkeypatch.setattr(injection, "_s2_members", lambda *args: iter(()))
-        rep = verify_injection(31, 10, 183, force=True)
+        rec = record(verify_injection(31, 10, 183, force=True))
         assert enumerated == [183]
-        assert not rep.checks["stats_defined"]
-        assert rep.witnesses[0]["error"].startswith("x_12 - y_12")
+        assert "stats_defined" in rec.witness["failed_checks"]
+        assert rec.witness["witnesses"][0]["error"].startswith("x_12 - y_12")
 
     def test_colliding_s2_images_reach_the_oracle(self, monkeypatch, enumerated):
         # each S2 member walked twice: two S2 partitions with one image
         walk = injection._s2_members
         monkeypatch.setattr(injection, "_s2_members", lambda *args: [*walk(*args)] * 2)
-        rep = verify_injection(63, 3, 519)
+        rec = record(verify_injection(63, 3, 519))
         assert enumerated == [519]
-        assert rep.status == "holds" and rep.s2_size == 1
+        assert rec.status == "holds" and rec.witness["s2"] == 1
 
     def test_s1_collision_at_p1_zero_reaches_the_oracle(self, monkeypatch, enumerated):
         # the forced cell's one S2 member {1: 11, 2: 13} (beta = 0) settles
         # structurally.  phi2 patched to give it the phi1 image of {3: 7}, an
         # S1 partition of 427 with p_1 = 0: its preimage p_1 is exactly 0
-        assert verify_injection(31, 3, 427, force=True).s2_size == 1 and enumerated == []
+        assert record(verify_injection(31, 3, 427, force=True)).witness["s2"] == 1
+        assert enumerated == []
         assert list(injection._s2_members(3, 427, injection._element_table(31, 3, 427))) \
             == [{1: 11, 2: 13}]
         image = mapped(phi1, {3: 7}, 31, 3)
@@ -470,10 +477,10 @@ class TestStructuralCheck:
         # the rerun reports it, the witness formatted as in the report
         els = injection._element_table(31, 3, 224)
         assert list(injection._s2_members(3, 224, els)) == [{2: 7}]
-        rep = verify_injection(31, 3, 224, force=True)
+        rec = record(verify_injection(31, 3, 224, force=True))
         assert enumerated == [224]
-        assert rep.s2_size == 1 and not rep.checks["p2_lower_bound"]
-        assert json.dumps(rep.block[1][0][3]["witnesses"], separators=(",", ":")) == \
+        assert rec.witness["s2"] == 1 and "p2_lower_bound" in rec.witness["failed_checks"]
+        assert json.dumps(rec.witness["witnesses"], separators=(",", ":")) == \
             '[{"check":"p2_lower_bound","source":{"2":7},"p2":7}]'
 
     def test_checks_failed_after_the_fifth_witness_are_kept(self):
@@ -484,20 +491,20 @@ class TestStructuralCheck:
         for lam in partitions_list(s_set(d, N), n):
             maps._map_checked(lam, d, N, els, failed)
         assert len(failed) == 50 and all("error" in w for w in failed[:5])
-        rep = verify_injection(d, N, n, force=True)
-        assert rep.witnesses == failed[:5]
-        assert [k for k, v in rep.checks.items() if not v] == [
-            "classification_partitions", "stats_defined", "images_valid",
-            "injective", "p2_lower_bound"]
+        rec = record(verify_injection(d, N, n, force=True))
+        assert rec.witness["witnesses"] == failed[:5]
+        assert rec.witness["failed_checks"] == [
+            "classification_partitions", "images_valid", "injective",
+            "p2_lower_bound", "stats_defined"]
 
     def test_piece_separation_failure_witnessed(self, monkeypatch, enumerated):
         # phi2 patched to put q_2 = 2 in piece beta = 1 of a beta = 0 member
         real = maps.phi2
         monkeypatch.setattr(maps, "phi2", lambda *args: {**real(*args), 2: 2})
-        rep = verify_injection(63, 3, 519)
+        rec = record(verify_injection(63, 3, 519))
         assert enumerated == [519]
-        assert [k for k, v in rep.checks.items() if not v] == ["piece_separation"]
-        assert rep.witnesses == [{"check": "piece_separation", "source": {1: 7, 2: 8},
+        assert rec.witness["failed_checks"] == ["piece_separation"]
+        assert rec.witness["witnesses"] == [{"check": "piece_separation", "source": {1: 7, 2: 8},
                                   "beta": 0, "q2": 2}]
 
 
@@ -519,16 +526,15 @@ class TestElementTable:
         els = injection._element_table(31, 3, 64)
         assert els[5] == (92, 47, 45)
         assert mapped(phi2, {2: 2}, 31, 3) == {1: 17, 5: 1}
-        rep = verify_injection(31, 3, 64, force=True)
-        assert rep.s2_size == 1 and not rep.passed
+        rec = record(verify_injection(31, 3, 64, force=True))
+        assert rec.witness["s2"] == 1 and rec.witness["failed_checks"]
 
 
 class TestVerifyRange:
     def test_cells_come_back_in_input_order(self):
         # (63, 3) has S2 members from n = 455 on, so each cell walks some
         cells = range(455, 471)
-        assert [rep.block for rep in verify_range(63, 3, cells)] == \
-            [verify_injection(63, 3, n).block for n in cells]
+        assert verify_range(63, 3, cells) == [verify_injection(63, 3, n) for n in cells]
 
     def test_last_cell_runs_first(self, monkeypatch):
         ran = []
