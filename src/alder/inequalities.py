@@ -56,17 +56,8 @@ from .counting import big_q_name, check_horizon, column, q_name, release, s_set,
 from .report import EXEMPT, FAILS, HOLDS, OUT, SKIPPED, VIOLATION, RefusedInput, check_n
 
 
-class _Grid(NamedTuple):
-    a_values: tuple[int, ...] = (1,)
-    d_values: tuple[int, ...] = ()
-    N_values: tuple[int, ...] = ()
-    n_min: int = 1
-    n_max: int = 0
-    evaluate_out_of_hypothesis: bool = False
-
-
-class GridSpec(_Grid):
-    """A finite parameter grid plus evaluation policy, checked when built.
+class GridSpec(NamedTuple):
+    """A finite parameter grid plus evaluation policy; ``grid`` refuses a bad one.
 
     Unused dimensions may be left at their defaults; n ranges are always
     inclusive.  ``evaluate_out_of_hypothesis`` controls whether cells
@@ -74,18 +65,12 @@ class GridSpec(_Grid):
     out-of-hypothesis either way).
     """
 
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs):
-        check_n(self.n_min)
-        if self.n_max < self.n_min:
-            raise RefusedInput(f"empty n range [{self.n_min}, {self.n_max}]")
-        # must stay: without it, _a_to_1_row's (d + 3) % a divides by zero at a = 0
-        if min(self.a_values, default=1) < 1:
-            raise RefusedInput(f"a must be >= 1, got {min(self.a_values)}")
-
-    def n_values(self) -> range:
-        return range(self.n_min, self.n_max + 1)
+    a_values: tuple[int, ...] = (1,)
+    d_values: tuple[int, ...] = ()
+    N_values: tuple[int, ...] = ()
+    n_min: int = 1
+    n_max: int = 0
+    evaluate_out_of_hypothesis: bool = False
 
 
 class Side(NamedTuple):
@@ -295,7 +280,7 @@ def _held(rows: Iterator, spec: GridSpec, readers: collections.Counter,
             if block:
                 yield block
         else:
-            ns = spec.n_values() if skip_each_n else (None,)
+            ns = range(spec.n_min, spec.n_max + 1) if skip_each_n else (None,)
             yield base, [(SKIPPED, ns, (None,) * len(ns), {"reason": row})]
 
 
@@ -308,12 +293,20 @@ def grid(cmd: str, spec: GridSpec) -> tuple[str, Iterator[tuple[dict, list[tuple
     cells with lhs < rhs, as violations, scans no skipped pair and ignores
     hypotheses and exempt cells.  A delta-kind violation's params start
     with the kind and it is witnessed by both counts; a shift one has
-    neither.  Every refusal comes from this call: it makes the rows and
+    neither.  Every refusal comes from this call, in this order: a
+    negative n_min, an empty n range, an a below 1, an unknown kind, an
+    empty axis and a table horizon over the cap.  It makes the rows and
     checks each table horizon they will read (and, if the statement
     ``shares``, counts each table's readers and last index past n_max).
     The blocks are a generator that evaluates each row when its block is
     asked for, so a reader that lets each go holds one row's tables and one block.
     """
+    check_n(spec.n_min)
+    if spec.n_max < spec.n_min:
+        raise RefusedInput(f"empty n range [{spec.n_min}, {spec.n_max}]")
+    # must stay: without it, _a_to_1_row's (d + 3) % a divides by zero at a = 0
+    if min(spec.a_values, default=1) < 1:
+        raise RefusedInput(f"a must be >= 1, got {min(spec.a_values)}")
     verb, _, name = cmd.partition("-")
     if verb == "search":
         kind, statement = search_kind(name)

@@ -418,7 +418,7 @@ class TestVerify:
         "verify gen-kp --a 0..1 --d 5", "verify a-to-1 --a 0 --d 5",
         "search --kind delta --a 0..1 --d 5 --n-max 5"])
     def test_a_below_1_refuses_the_grid(self, capsys, argv):
-        # unlike d < 1, an a < 1 is not skipped per pair: GridSpec refuses it
+        # unlike d < 1, an a < 1 is not skipped per pair: grid refuses it
         code, out, err = run_cli(argv.split(), capsys)
         assert (code, out, err) == (2, "", "error: a must be >= 1, got 0\n")
 

@@ -618,9 +618,22 @@ class TestGrid:
 
     @pytest.mark.parametrize("cmd,axes", [
         ("verify-shift", {"N_values": (2,), "d_values": (63,)}),
-        ("search-delta", {"a_values": (1, 2), "d_values": (1,)})])
+        ("search-delta", {"a_values": (1, 2), "d_values": (1,)}),
+        ("verify-a-to-1", {"a_values": (1,), "d_values": (2,)})])
     def test_refusals_come_from_the_call(self, monkeypatch, cmd, axes):
         monkeypatch.setattr(inequalities, "_row", lambda *args, **kwargs: pytest.fail())
+        # a spec made by _replace or _make is refused as one made by GridSpec(...)
+        spec = GridSpec(n_max=5, **axes)
+        for bad, message in [(spec._replace(n_min=-1), "n must be >= 0, got -1"),
+                             (spec._replace(n_max=0), r"empty n range \[1, 0\]"),
+                             (spec._replace(a_values=(0,)), "a must be >= 1, got 0"),
+                             (GridSpec._make((*spec[:3], -2, *spec[4:])),
+                              "n must be >= 0, got -2")]:
+            with pytest.raises(RefusedInput, match=message):
+                inequalities.grid(cmd, bad)
+        # the spec is checked before the command's statement or kind is looked up
+        with pytest.raises(RefusedInput, match="n must be >= 0, got -1"):
+            inequalities.grid("search-Q", spec._replace(n_min=-1))
         with pytest.raises(RefusedInput, match="horizon cap"):
             inequalities.grid(cmd, GridSpec(n_max=counting.MAX_HORIZON + 1, **axes))
         with pytest.raises(RefusedInput, match="empty grid: no d values"):
@@ -652,11 +665,11 @@ class TestGrid:
 
 class TestGridSpec:
     def test_rejects_empty_n_range(self):
-        with pytest.raises(ValueError):
-            GridSpec(d_values=(5,), n_min=10, n_max=5)
+        with pytest.raises(RefusedInput, match=r"empty n range \[10, 5\]"):
+            verify("gen-kp", GridSpec(d_values=(5,), n_min=10, n_max=5))
 
     def test_rejects_an_empty_axis(self):
-        # only the statement knows its axes, so the engine refuses, not GridSpec
+        # only the statement knows its axes, so the engine refuses when it looks them up
         with pytest.raises(RefusedInput, match="empty grid: no d values"):
             verify("shift", GridSpec(N_values=(2,), n_max=5))
         with pytest.raises(RefusedInput, match="empty grid: no d values"):
@@ -666,5 +679,4 @@ class TestGridSpec:
 
     def test_rejects_negative_n_min(self):
         with pytest.raises(RefusedInput, match="n must be >= 0, got -1"):
-            GridSpec(d_values=(5,), n_min=-1, n_max=5)
-        assert GridSpec(d_values=(5,), n_min=0, n_max=5).n_values() == range(6)
+            verify("gen-kp", GridSpec(d_values=(5,), n_min=-1, n_max=5))

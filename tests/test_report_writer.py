@@ -137,7 +137,7 @@ def model_verify(name, spec):
                       evaluate_out=spec.evaluate_out_of_hypothesis)
         elif statement.skip_each_n:
             records.extend(CellRecord({**base, "n": n}, SKIPPED, witness={"reason": row})
-                           for n in spec.n_values())
+                           for n in range(spec.n_min, spec.n_max + 1))
         else:
             records.append(CellRecord(base, SKIPPED, witness={"reason": row}))
     return records
